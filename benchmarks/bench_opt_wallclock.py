@@ -30,7 +30,7 @@ import sys
 import time
 
 from _lib import format_table, fresh_compiled
-from repro.api import ElasticMLSession
+from repro.api import ElasticMLSession, SessionConfig
 from repro.cluster import paper_cluster
 from repro.obs import Tracer
 from repro.optimizer import ParallelResourceOptimizer, ResourceOptimizer
@@ -118,8 +118,8 @@ def measure_cache(max_workers):
     tracer = Tracer()
     workers = 2 if max_workers >= 2 else 0
     session = ElasticMLSession(
-        sample_cap=256, trace=tracer, opt_workers=workers,
-        opt_backend="process",
+        sample_cap=256, trace=tracer,
+        config=SessionConfig(opt_workers=workers, opt_backend="process"),
     )
     args = prepare_inputs(session.hdfs, "GLM", scenario("M", cols=1000),
                           glm_family=2, seed=7)

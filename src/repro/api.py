@@ -24,8 +24,7 @@ import hashlib
 import threading
 from dataclasses import dataclass, field, replace
 
-from repro.chaos import FaultInjector
-from repro.cluster import ResourceConfig, paper_cluster
+from repro.cluster import ResourceConfig
 from repro.compiler import hops as H
 from repro.compiler.pipeline import (
     CompiledProgram,
@@ -35,25 +34,15 @@ from repro.compiler.pipeline import (
     restore_plans,
 )
 from repro.cost import CostModel
-from repro.cost.calibrate import (
-    DEFAULT_MIN_SAMPLES,
-    CalibrationCollector,
-    fit_profile,
-    resolve_profile,
-    use_collector,
-)
-from repro.cost.constants import DEFAULT_PARAMETERS
+from repro.cost.calibrate import DEFAULT_MIN_SAMPLES
 from repro.obs import NULL_TRACER, Tracer, get_tracer, use_tracer
 from repro.optimizer import (
     DEFAULT_AUTO_SERIAL_POINTS,
     OptimizerOptions,
     OptimizerResult,
-    OptimizerStats,
-    ParallelResourceOptimizer,
-    ResourceAdapter,
-    ResourceOptimizer,
 )
-from repro.runtime import ExecutionResult, Interpreter, SimulatedHDFS
+from repro.pipeline import UNSET, RunPipeline
+from repro.runtime import ExecutionResult
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 from repro.scripts import SCRIPTS, load_script
 
@@ -105,13 +94,10 @@ class RunOutcome:
 class SessionConfig:
     """Consolidated session/serving knobs.
 
-    One object now carries what used to be loose keyword arguments on
-    :class:`ElasticMLSession` (``grid_cp``, ``grid_m``, ``opt_workers``,
-    ``opt_backend``, ...), so sessions and the multi-tenant
-    :class:`~repro.serving.ElasticMLServer` are configured with the same
-    vocabulary.  The old keyword arguments still work as a thin
-    compatibility shim for one release — they are applied as overrides
-    onto the config at construction.
+    One immutable object configures sessions and the multi-tenant
+    :class:`~repro.serving.ElasticMLServer` with the same vocabulary;
+    change a knob on a live session with
+    ``session.config = dataclasses.replace(session.config, grid_m=5)``.
     """
 
     # -- optimizer grid (Section 5.1 defaults: Hybrid, m = 15) -------------
@@ -163,7 +149,7 @@ class SessionConfig:
     tenant_quota_share: float | None = None
     # -- serving thread pool -------------------------------------------------
     #: clamp for :func:`~repro.serving.default_serving_workers`
-    #: (None = REPRO_SERVING_MIN/MAX_WORKERS env, then 2/8)
+    #: (None = the 2/8 defaults)
     serving_min_workers: int | None = None
     serving_max_workers: int | None = None
     # -- sharded multi-process serving (repro.serving.shard) -----------------
@@ -202,15 +188,6 @@ class SessionConfig:
         if not self.opt_cache:
             return None
         return OptimizerResultCache(max_entries=self.opt_cache_entries)
-
-
-#: legacy ElasticMLSession keyword arguments -> SessionConfig fields
-#: (the one-release compatibility shim)
-_LEGACY_CONFIG_KNOBS = (
-    "grid_cp", "grid_mr", "grid_m", "opt_workers", "opt_backend",
-    "auto_serial_points", "enable_plan_cache", "enable_vector_costing",
-    "chunk_points",
-)
 
 
 @dataclass
@@ -369,87 +346,29 @@ class OptimizerResultCache:
             self._entries.clear()
 
 
-#: sentinel distinguishing "not passed" from an explicit None
-_UNSET = object()
-
-
-def _config_knob(name, doc):
-    """A property delegating one knob to the session's SessionConfig.
-
-    Sessions historically exposed the knobs as plain attributes
-    (``session.grid_m = 5``); the properties keep that working while the
-    single source of truth is the immutable config object.
-    """
-
-    def _get(self):
-        return getattr(self.config, name)
-
-    def _set(self, value):
-        self.config = replace(self.config, **{name: value})
-
-    return property(_get, _set, doc=doc)
-
-
-class ElasticMLSession:
+class ElasticMLSession(RunPipeline):
     """A client session against one simulated cluster.
 
-    Knobs live on a :class:`SessionConfig` passed as ``config``; the old
-    loose keyword arguments (``grid_m=5``, ``opt_workers=4``, ...) are
-    still accepted for one release and are applied as overrides onto the
-    config.  ``submit``/``poll``/``drain`` expose the session as a
-    single-tenant facade over :class:`repro.serving.ElasticMLServer`.
+    The run environment and the compile/optimize/execute stages are the
+    shared :class:`~repro.pipeline.RunPipeline`; the session adds the
+    per-run tracer, its defaults (``seed``, ``chaos``, ``load``) and
+    :class:`RunOutcome` assembly.  Knobs live on a :class:`SessionConfig`
+    passed as ``config``.  ``submit``/``poll``/``drain`` expose the
+    session as a single-tenant facade over
+    :class:`repro.serving.ElasticMLServer`.
     """
 
     def __init__(self, cluster=None, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, seed=0, *,
-                 config=None, opt_cache=_UNSET, trace=False,
+                 config=None, opt_cache=UNSET, trace=False,
                  tracer=None, chaos=None, retry_policy=None,
-                 model_params=None, load=None, **legacy_knobs):
-        config = config if config is not None else SessionConfig()
-        overrides = {}
-        for knob in list(legacy_knobs):
-            if knob in _LEGACY_CONFIG_KNOBS:
-                overrides[knob] = legacy_knobs.pop(knob)
-        if legacy_knobs:
-            raise TypeError(
-                "ElasticMLSession() got unexpected keyword arguments "
-                f"{sorted(legacy_knobs)}"
-            )
-        if overrides:
-            config = replace(config, **overrides)
-        #: consolidated knobs (:class:`SessionConfig`)
-        self.config = config
-        self.cluster = cluster if cluster is not None else paper_cluster()
-        #: simulated hardware truth: the constants the runtime charges
-        self.params = params if params is not None else DEFAULT_PARAMETERS
-        #: active calibration profile (from config or apply_calibration)
-        self.calibration_profile = resolve_profile(
-            config.calibration_profile, self.cluster
-        )
-        #: optimizer/cost-model belief: explicit ``model_params``, else
-        #: the calibration profile's fitted constants, else ``params``.
-        #: The truth/belief split is what calibration narrows.
-        if model_params is not None:
-            self.model_params = model_params
-        elif self.calibration_profile is not None:
-            self.model_params = self.calibration_profile.parameters()
-        else:
-            self.model_params = self.params
-        #: calibration sample sink (None unless ``config.calibrate``)
-        self.calibration = (
-            CalibrationCollector() if config.calibrate else None
-        )
-        self.sample_cap = sample_cap
-        self.hdfs = (
-            hdfs if hdfs is not None
-            else SimulatedHDFS(sample_cap=sample_cap)
+                 model_params=None, load=None):
+        super().__init__(
+            config if config is not None else SessionConfig(),
+            cluster, params, hdfs, sample_cap, opt_cache=opt_cache,
+            retry_policy=retry_policy, model_params=model_params,
         )
         self.seed = seed
-        #: cross-run optimizer result cache consulted by :meth:`run`
-        #: (None disables; default built per ``config.opt_cache``)
-        self.opt_cache = (
-            config.build_opt_cache() if opt_cache is _UNSET else opt_cache
-        )
         #: telemetry: False (off), True (fresh Tracer per run), or a
         #: Tracer instance shared across runs
         self.trace = trace
@@ -458,9 +377,6 @@ class ElasticMLSession:
         #: default fault-injection plan (:class:`repro.chaos.FaultPlan`)
         #: applied to every run unless overridden per call
         self.chaos = chaos
-        #: retry/backoff policy for fault recovery
-        #: (:class:`repro.chaos.RetryPolicy`); None = the default policy
-        self.retry_policy = retry_policy
         #: background cluster-load model (:class:`repro.cluster.load
         #: .ClusterLoad`): slows MR phases and feeds the Brain's
         #: utilization signal when ``config.elastic`` is set
@@ -469,33 +385,6 @@ class ElasticMLSession:
         #: execution (None when ``config.elastic`` is off)
         self.last_brain = None
         self._server = None
-
-    # legacy knob attributes, backed by the config (compat shim)
-    grid_cp = _config_knob("grid_cp", "CP heap grid type (Section 3.3.2).")
-    grid_mr = _config_knob("grid_mr", "MR heap grid type (Section 3.3.2).")
-    grid_m = _config_knob("grid_m", "Grid resolution m (Section 5.1).")
-    opt_workers = _config_knob(
-        "opt_workers", "Parallel enumeration workers (0/1 = serial)."
-    )
-    opt_backend = _config_knob(
-        "opt_backend", 'Parallel enumeration backend ("process"/"thread").'
-    )
-    auto_serial_points = _config_knob(
-        "auto_serial_points",
-        "Below this many enumeration points the process backend falls "
-        "back to serial (0 disables).",
-    )
-    enable_plan_cache = _config_knob(
-        "enable_plan_cache", "Memoizing plan/cost cache ablation switch."
-    )
-    enable_vector_costing = _config_knob(
-        "enable_vector_costing",
-        "Vectorized MR-grid batch costing ablation switch.",
-    )
-    chunk_points = _config_knob(
-        "chunk_points",
-        "r_c points per parallel-enumeration chunk (None = adaptive).",
-    )
 
     # -- compilation -----------------------------------------------------
 
@@ -509,62 +398,9 @@ class ElasticMLSession:
 
     # -- optimization ----------------------------------------------------
 
-    @property
-    def optimizer_options(self):
-        """The session's default :class:`OptimizerOptions`."""
-        return self.config.optimizer_options()
-
-    def make_optimizer(self, options=None, **overrides):
-        """Build an optimizer from the session defaults.
-
-        ``options`` replaces the defaults wholesale; keyword overrides
-        (``grid_cp``, ``grid_mr``, ``m``, ``w``, ``time_budget``,
-        ``enable_pruning``, ``parallel``, ``num_workers``, ``backend``)
-        patch individual fields of either.  With ``parallel`` enabled
-        (implied by a ``num_workers`` override > 1) the result is a
-        :class:`~repro.optimizer.parallel.ParallelResourceOptimizer`
-        running the requested backend; otherwise the serial
-        :class:`ResourceOptimizer`.
-        """
-        opts = options if options is not None else self.optimizer_options
-        if overrides:
-            if "num_workers" in overrides and "parallel" not in overrides:
-                overrides["parallel"] = overrides["num_workers"] > 1
-            opts = replace(opts, **overrides)
-        if opts.parallel and opts.num_workers > 1:
-            return ParallelResourceOptimizer(
-                self.cluster, self.model_params, options=opts
-            )
-        return ResourceOptimizer(
-            self.cluster, self.model_params, options=opts
-        )
-
     def optimize(self, compiled, options=None, **overrides):
         """Run initial resource optimization on a compiled program."""
         return self.make_optimizer(options, **overrides).optimize(compiled)
-
-    def optimize_cached(self, source, args, compiled):
-        """Initial optimization for :meth:`run`, consulting the
-        cross-run result cache.
-
-        On a hit the enumeration is skipped entirely: the program is
-        recompiled under the cached configuration and a result with
-        :attr:`OptimizerResult.from_cache` set is returned.
-        """
-        cache = self.opt_cache
-        if cache is None:
-            return self.optimize(compiled)
-        key = cache.signature(
-            source, args, self.hdfs.input_meta(), self.cluster,
-            self.model_params, self.optimizer_options, compiled=compiled,
-        )
-        cached = cache.lookup(key, compiled)
-        if cached is not None:
-            compile_plans(compiled, cached.resource)
-            return cached
-        result = self.optimize(compiled)
-        cache.store(key, compiled, result)
-        return result
 
     # -- execution ---------------------------------------------------------
 
@@ -572,63 +408,17 @@ class ElasticMLSession:
         """Execute under an explicit configuration.
 
         ``chaos`` (a :class:`repro.chaos.FaultPlan`) overrides the
-        session default; a fresh :class:`~repro.chaos.FaultInjector` is
-        built per execution, so fault schedules restart deterministically
-        at every run.
+        session default; fault schedules restart deterministically at
+        every run.
         """
-        plan = chaos if chaos is not None else self.chaos
-        injector = (
-            FaultInjector(plan, retry_policy=self.retry_policy)
-            if plan is not None else None
+        self.last_brain = self.make_brain(
+            self.load.utilization if self.load is not None else None
         )
-        adapter = (
-            # runtime adaptation re-optimizes tiny block scopes where
-            # parallel fan-out costs more than it saves (and the
-            # parallel optimizer has no scope/fixed-CP support), so the
-            # adapter always gets the serial optimizer
-            ResourceAdapter(self.make_optimizer(parallel=False))
-            if adapt else None
+        return self.execute_program(
+            compiled, resource, seed=self.seed, adapt=adapt,
+            chaos=chaos if chaos is not None else self.chaos,
+            load=self.load, brain=self.last_brain,
         )
-        brain = None
-        if self.config.elastic:
-            # local import: repro.elastic imports from this module's
-            # dependents (cluster/cost) only, but keep the subsystem
-            # optional at session-construction time
-            from repro.elastic import ElasticBrain
-
-            brain = ElasticBrain(
-                policy=self.config.elastic_policy,
-                cluster=self.cluster,
-                utilization=(
-                    self.load.utilization if self.load is not None else None
-                ),
-            )
-        self.last_brain = brain
-        interpreter = Interpreter(
-            self.cluster,
-            params=self.params,
-            hdfs=self.hdfs,
-            sample_cap=self.sample_cap,
-            adapter=adapter,
-            seed=self.seed,
-            cluster_load=self.load,
-            injector=injector,
-            brain=brain,
-        )
-        def _run():
-            if self.calibration is not None:
-                with use_collector(self.calibration):
-                    return interpreter.run(compiled, resource)
-            return interpreter.run(compiled, resource)
-
-        if injector is None:
-            return _run()
-        previous = self.hdfs.injector
-        self.hdfs.injector = injector
-        try:
-            return _run()
-        finally:
-            self.hdfs.injector = previous
 
     def run(self, script_or_name, args=None, *, resource=None, adapt=True,
             optimize=True, chaos=None):
@@ -654,7 +444,7 @@ class ElasticMLSession:
         with use_tracer(tracer):
             with tracer.span("session.run"):
                 with tracer.span("compile"):
-                    compiled = self.compile_script(source, args)
+                    compiled = self.compile(source, args)
                 optimizer_result = None
                 if resource is None and optimize:
                     with tracer.span("optimize"):
@@ -763,8 +553,6 @@ class ElasticMLSession:
         observable side effect on ``compiled`` (hop-level operator
         annotations are re-derived by the next plan generation).
         """
-        from repro.compiler.pipeline import compile_plans
-
         snapshot = capture_plans(compiled)
         try:
             compile_plans(compiled, resource)
@@ -773,47 +561,3 @@ class ElasticMLSession:
             ).estimate_program(compiled, resource)
         finally:
             restore_plans(compiled, snapshot)
-
-    # -- calibration -------------------------------------------------------
-
-    def fit_calibration(self, min_samples=None, apply=False):
-        """Fit a :class:`~repro.cost.calibrate.CalibrationProfile` from
-        the samples this session's executions collected.
-
-        Requires ``config.calibrate=True``.  The fit starts from the
-        current belief (``model_params``), so components below the
-        sample floor keep their present constants.  With ``apply`` the
-        fitted profile immediately becomes the session's belief for
-        subsequent optimizations.
-        """
-        if self.calibration is None:
-            raise RuntimeError(
-                "session does not collect calibration samples; construct "
-                "it with SessionConfig(calibrate=True)"
-            )
-        floor = (
-            min_samples if min_samples is not None
-            else self.config.calibration_min_samples
-        )
-        if isinstance(self.tracer, Tracer):
-            with use_tracer(self.tracer):
-                profile = fit_profile(
-                    self.calibration, self.cluster,
-                    base_params=self.model_params, min_samples=floor,
-                )
-        else:
-            profile = fit_profile(
-                self.calibration, self.cluster,
-                base_params=self.model_params, min_samples=floor,
-            )
-        if apply:
-            self.apply_calibration(profile)
-        return profile
-
-    def apply_calibration(self, profile):
-        """Adopt ``profile`` (a CalibrationProfile or a path to one) as
-        this session's cost-model belief; returns the resolved profile."""
-        profile = resolve_profile(profile, self.cluster)
-        self.calibration_profile = profile
-        self.model_params = profile.parameters()
-        return profile

@@ -38,159 +38,86 @@ class ThroughputOutcome:
 def simulate_throughput(cluster, num_users, apps_per_user, app_duration,
                         container_mb, contention=None,
                         containers_per_app=1):
-    """Event-driven simulation of the multi-user driver.
+    """Event-driven simulation of the multi-user driver: every user runs
+    the same application.
 
     ``app_duration`` is the base execution time of one application;
-    ``container_mb`` the AM container request per application;
-    ``contention(concurrency)`` optionally returns a slowdown factor
-    (>= 1) applied at application start; ``containers_per_app`` models
-    applications with standing worker containers (e.g. Spark executors)
-    allocated all-or-nothing.
+    ``container_mb`` the AM container request per application; the rest
+    as in :func:`simulate_mixed_throughput`, of which this is the
+    one-request-size case (where its skip-ahead admission and FIFO
+    head-of-line blocking admit the same set).
     """
-    rm = ResourceManager(cluster)
-    sequence = itertools.count()
-    events = []  # (time, seq, kind, payload)
-    waiting = []  # FIFO queue of user ids whose next app awaits capacity
-    remaining = {u: apps_per_user for u in range(num_users)}
-    running = {}  # user -> container
-    clock = 0.0
-    completed = 0
-    concurrency = 0
-    max_concurrency = 0
-
-    def allocate_app():
-        granted = []
-        for _ in range(containers_per_app):
-            container = rm.try_allocate(container_mb)
-            if container is None:
-                for c in granted:
-                    rm.release(c)
-                return None
-            granted.append(container)
-        return granted
-
-    def try_start(user, now):
-        nonlocal concurrency, max_concurrency
-        containers = allocate_app()
-        if containers is None:
-            waiting.append(user)
-            return False
-        running[user] = containers
-        concurrency += 1
-        max_concurrency = max(max_concurrency, concurrency)
-        factor = contention(concurrency) if contention is not None else 1.0
-        heapq.heappush(
-            events, (now + app_duration * max(factor, 1.0), next(sequence),
-                     "finish", user)
-        )
-        return True
-
-    for user in range(num_users):
-        try_start(user, 0.0)
-
-    while events:
-        clock, _, kind, user = heapq.heappop(events)
-        if kind != "finish":
-            continue
-        concurrency -= 1
-        for container in running.pop(user):
-            rm.release(container)
-        completed += 1
-        remaining[user] -= 1
-        # the finished user's next app joins the queue
-        if remaining[user] > 0:
-            waiting.append(user)
-        # admit queued users while capacity lasts
-        admitted = []
-        for queued in list(waiting):
-            containers = allocate_app()
-            if containers is None:
-                break
-            waiting.remove(queued)
-            running[queued] = containers
-            concurrency += 1
-            max_concurrency = max(max_concurrency, concurrency)
-            factor = contention(concurrency) if contention is not None else 1.0
-            heapq.heappush(
-                events,
-                (clock + app_duration * max(factor, 1.0), next(sequence),
-                 "finish", queued),
-            )
-            admitted.append(queued)
-
-    return ThroughputOutcome(
-        total_apps=num_users * apps_per_user,
-        makespan_seconds=clock,
-        max_concurrency=max_concurrency,
+    return simulate_mixed_throughput(
+        cluster, [(app_duration, container_mb)] * num_users,
+        apps_per_user, contention, containers_per_app,
     )
 
 
 def simulate_mixed_throughput(cluster, user_specs, apps_per_user=8,
-                              contention=None):
+                              contention=None, containers_per_app=1):
     """Heterogeneous multi-tenancy: each user runs its own application
     type, with its own duration and container request — the "variety of
     ML programs" setting that makes static cluster configurations a
     compromise (paper Section 1).
 
     ``user_specs`` is a list of (app_duration, container_mb) tuples, one
-    per user.  Returns a :class:`ThroughputOutcome`.
+    per user; ``contention(concurrency)`` optionally returns a slowdown
+    factor (>= 1) applied at application start; ``containers_per_app``
+    models applications with standing worker containers (e.g. Spark
+    executors) allocated all-or-nothing.  Returns a
+    :class:`ThroughputOutcome`.
     """
     rm = ResourceManager(cluster)
     sequence = itertools.count()
-    events = []
-    waiting = []
-    remaining = {u: apps_per_user for u in range(len(user_specs))}
-    running = {}
+    events = []  # (finish time, seq, user)
+    remaining = [apps_per_user] * len(user_specs)
+    running = {}  # user -> containers of its running application
     clock = 0.0
-    concurrency = 0
     max_concurrency = 0
 
     def try_start(user, now):
-        nonlocal concurrency, max_concurrency
+        nonlocal max_concurrency
         duration, container_mb = user_specs[user]
-        container = rm.try_allocate(container_mb)
-        if container is None:
-            waiting.append(user)
-            return False
-        running[user] = [container]
-        concurrency += 1
-        max_concurrency = max(max_concurrency, concurrency)
-        factor = contention(concurrency) if contention is not None else 1.0
+        granted = []
+        for _ in range(containers_per_app):
+            container = rm.try_allocate(container_mb)
+            if container is None:
+                for held in granted:
+                    rm.release(held)
+                return False
+            granted.append(container)
+        running[user] = granted
+        max_concurrency = max(max_concurrency, len(running))
+        factor = contention(len(running)) if contention is not None else 1.0
         heapq.heappush(
             events,
-            (now + duration * max(factor, 1.0), next(sequence), "finish",
-             user),
+            (now + duration * max(factor, 1.0), next(sequence), user),
         )
         return True
 
-    for user in range(len(user_specs)):
-        try_start(user, 0.0)
-
+    # users whose next application awaits capacity, in arrival order
+    waiting = [
+        user for user in range(len(user_specs)) if not try_start(user, 0.0)
+    ]
     while events:
-        clock, _, kind, user = heapq.heappop(events)
-        concurrency -= 1
+        clock, _, user = heapq.heappop(events)
         for container in running.pop(user):
             rm.release(container)
         remaining[user] -= 1
         if remaining[user] > 0:
             waiting.append(user)
-        for queued in list(waiting):
-            duration, container_mb = user_specs[queued]
-            container = rm.try_allocate(container_mb)
-            if container is None:
-                continue  # other queued users may still fit
-            waiting.remove(queued)
-            running[queued] = [container]
-            concurrency += 1
-            max_concurrency = max(max_concurrency, concurrency)
-            factor = (
-                contention(concurrency) if contention is not None else 1.0
-            )
-            heapq.heappush(
-                events,
-                (clock + duration * max(factor, 1.0), next(sequence),
-                 "finish", queued),
-            )
+        # skip-ahead admission: a queued user that does not fit does not
+        # block the smaller ones behind it.  Capacity only shrinks during
+        # a pass, so a request at least as large as one that already
+        # failed is not retried.
+        still_waiting = []
+        smallest_failed = float("inf")
+        for queued in waiting:
+            container_mb = user_specs[queued][1]
+            if container_mb >= smallest_failed or not try_start(queued, clock):
+                smallest_failed = min(smallest_failed, container_mb)
+                still_waiting.append(queued)
+        waiting = still_waiting
 
     return ThroughputOutcome(
         total_apps=len(user_specs) * apps_per_user,

@@ -296,3 +296,15 @@ class ResourceManager:
         request = self.normalize_request(memory_mb)
         per_node = self.cluster.node_memory_mb // request
         return per_node * self.cluster.num_nodes
+
+    def never_fits(self, memory_mb, tenant=None):
+        """Whether waiting for capacity is pointless: the request is
+        invalid or above the max allocation, fits no node even on an
+        empty cluster, or exceeds the tenant's whole quota."""
+        try:
+            if self.max_concurrent(memory_mb) == 0:
+                return True
+        except ClusterError:
+            return True
+        quota = self._tenant_quota_mb.get(tenant)
+        return quota is not None and memory_mb > quota

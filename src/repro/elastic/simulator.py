@@ -24,15 +24,13 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 
-from repro.chaos import FaultInjector, FaultPlan
+from repro.chaos import FaultPlan
 from repro.cluster import ResourceManager, small_cluster
 from repro.cluster.resources import GrantedResource
 from repro.cost import CostModel
 from repro.elastic.brain import BrainPolicy, ElasticBrain
-from repro.errors import ClusterError
 from repro.obs import Tracer, use_tracer
-from repro.optimizer import ResourceAdapter
-from repro.runtime import Interpreter
+from repro.scripts import SCRIPTS, load_script
 from repro.workloads import prepare_inputs, scenario
 
 
@@ -188,6 +186,7 @@ class TraceSimulator:
                 events, (entry.arrival_s, next(sequence), "arrival", entry)
             )
         waiting = []  # FIFO queue of pending entries
+        head = None  # the waiting head's (compiled, optimizer result)
         clock = 0.0
         while events or waiting:
             if not events:
@@ -206,14 +205,17 @@ class TraceSimulator:
             # FIFO admission pass (head-of-line blocking, as the paper's
             # throughput setup models)
             while waiting:
-                entry = waiting[0]
+                if head is None:
+                    # once per entry, however many passes it stays blocked
+                    head = self._prepare_entry(waiting[0])
                 admitted = self._try_admit(
-                    entry, rm, clock, occupancy, intervals, events,
-                    sequence, result,
+                    waiting[0], head, rm, clock, occupancy, intervals,
+                    events, sequence, result,
                 )
                 if not admitted:
                     break
                 waiting.pop(0)
+                head = None
         if result.runs:
             result.makespan_s = max(run.finish_s for run in result.runs)
             busy = sum(
@@ -232,16 +234,23 @@ class TraceSimulator:
 
     # -- admission -----------------------------------------------------------
 
-    def _try_admit(self, entry, rm, clock, occupancy, intervals, events,
-                   sequence, result):
-        compiled, opt_result, ideal = self._prepare_run(entry)
+    def _prepare_entry(self, entry):
+        """Compile and optimize one trace entry (the pipeline's first two
+        stages); returns ``(compiled, optimizer result)``."""
+        args = self.args_for(entry)
+        source = (
+            load_script(entry.script) if entry.script in SCRIPTS
+            else entry.script
+        )
+        compiled = self.session.compile(source, args)
+        return compiled, self.session.optimize_cached(source, args, compiled)
+
+    def _try_admit(self, entry, prepared, rm, clock, occupancy, intervals,
+                   events, sequence, result):
+        compiled, opt_result = prepared
+        ideal = opt_result.resource
         ideal_container = ideal.container_request_mb(self.cluster)
-        quota = rm.tenant_quota_mb(entry.tenant)
-        try:
-            impossible = rm.max_concurrent(ideal_container) == 0
-        except ClusterError:
-            impossible = True
-        if impossible or (quota is not None and ideal_container > quota):
+        if rm.never_fits(ideal_container, entry.tenant):
             # would never fit even an empty cluster / this quota
             self.tracer.incr("elastic.admission_impossible")
             result.rejected.append(entry)
@@ -284,7 +293,14 @@ class TraceSimulator:
         if fraction < 1.0:
             self.tracer.incr("elastic.elastic_admissions")
 
-        exec_result = self._execute(compiled, ideal, entry, brain)
+        exec_result = self.session.execute_program(
+            compiled, ideal, seed=entry.seed, adapt=entry.adapt,
+            chaos=(
+                FaultPlan.from_rate(entry.chaos_seed, entry.fault_rate)
+                if entry.chaos_seed is not None else None
+            ),
+            load=self.background, brain=brain,
+        )
         finish = clock + exec_result.total_time
         intervals.append((clock, finish, container.memory_mb))
         heapq.heappush(events, (finish, next(sequence), "finish", container))
@@ -321,45 +337,6 @@ class TraceSimulator:
         if est_ideal <= 0:
             return True
         return est_granted / est_ideal <= self.brain_policy.max_spill_slowdown
-
-    # -- execution -----------------------------------------------------------
-
-    def _prepare_run(self, entry):
-        from repro.scripts import SCRIPTS, load_script
-
-        args = self.args_for(entry)
-        source = (
-            load_script(entry.script) if entry.script in SCRIPTS
-            else entry.script
-        )
-        compiled = self.session.compile_script(source, args)
-        opt_result = self.session.optimize_cached(source, args, compiled)
-        return compiled, opt_result, opt_result.resource
-
-    def _execute(self, compiled, ideal, entry, brain):
-        injector = None
-        hdfs = self.session.hdfs
-        if entry.chaos_seed is not None:
-            injector = FaultInjector(
-                FaultPlan.from_rate(entry.chaos_seed, entry.fault_rate)
-            )
-            hdfs = hdfs.view(injector=injector)
-        adapter = (
-            ResourceAdapter(self.session.make_optimizer(parallel=False))
-            if entry.adapt else None
-        )
-        interpreter = Interpreter(
-            self.cluster,
-            params=self.session.params,
-            hdfs=hdfs,
-            sample_cap=self.session.sample_cap,
-            adapter=adapter,
-            seed=entry.seed,
-            cluster_load=self.background,
-            injector=injector,
-            brain=brain,
-        )
-        return interpreter.run(compiled, ideal)
 
 
 def simulate_arms(trace, *, cluster=None, params=None, config=None,

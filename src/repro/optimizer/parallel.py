@@ -116,9 +116,8 @@ class ParallelResourceOptimizer:
     def __init__(self, cluster, params=None, grid_cp="hybrid",
                  grid_mr="hybrid", m=15, w=2.0, num_workers=4,
                  enable_plan_cache=True, backend="process",
-                 batch_size=None, auto_serial_points=0,
-                 enable_vector_costing=True, chunk_points=None,
-                 snapshot="auto", options=None):
+                 auto_serial_points=0, enable_vector_costing=True,
+                 chunk_points=None, snapshot="auto", options=None):
         if options is not None:
             grid_cp, grid_mr = options.grid_cp, options.grid_mr
             m, w = options.m, options.w
@@ -139,9 +138,6 @@ class ParallelResourceOptimizer:
                 f"unknown snapshot mode {snapshot!r}; "
                 f"expected one of {SNAPSHOT_MODES}"
             )
-        if chunk_points is None and batch_size is not None:
-            # deprecated alias from the first process-backend release
-            chunk_points = batch_size
         self.cluster = cluster
         self.params = params
         self.grid_cp = grid_cp
@@ -164,11 +160,6 @@ class ParallelResourceOptimizer:
         #: auto backend policy threshold (0 = off): see
         #: :attr:`OptimizerOptions.auto_serial_points`
         self.auto_serial_points = auto_serial_points
-
-    @property
-    def batch_size(self):
-        """Deprecated alias of :attr:`chunk_points`."""
-        return self.chunk_points
 
     def _resolve_chunk_points(self, n_src):
         """r_c points per chunk: explicit knob, or adaptive sizing that

@@ -1,0 +1,283 @@
+"""The run pipeline: compile -> optimize -> execute, written once.
+
+The paper has one client path (Section 3 initial optimization -> AM
+launch -> Section 4 runtime adaptation).  :class:`RunPipeline` is that
+path plus the environment it runs in; the session, the multi-tenant
+server and the trace simulator are callers that add only what is theirs
+(spans and outcome assembly, admission and tickets, the virtual clock):
+
+* :meth:`~RunPipeline.compile` — DML source to a
+  :class:`~repro.compiler.pipeline.CompiledProgram`, through the shared
+  program cache when the pipeline was given one;
+* :meth:`~RunPipeline.optimize_cached` — the initial resource decision,
+  through the cross-run :class:`~repro.api.OptimizerResultCache`;
+* :meth:`~RunPipeline.execute_program` — one interpreter run.  The only
+  place outside :mod:`repro.runtime` that wires a fault injector, an
+  HDFS view, the serial runtime adapter and the calibration collector
+  to an :class:`~repro.runtime.Interpreter`.
+
+Everything that differs between callers is an argument of
+``execute_program`` (``seed``, ``load``, an already-built ``brain``);
+the pipeline never asks who is calling and emits no spans of its own.
+"""
+
+from __future__ import annotations
+
+import threading
+from dataclasses import replace
+
+from repro.chaos import FaultInjector
+from repro.cluster import paper_cluster
+from repro.compiler.pipeline import compile_plans, compile_program
+from repro.cost.calibrate import (
+    CalibrationCollector,
+    fit_profile,
+    resolve_profile,
+    use_collector,
+)
+from repro.cost.constants import DEFAULT_PARAMETERS
+from repro.obs import get_tracer, use_tracer
+from repro.optimizer import (
+    ParallelResourceOptimizer,
+    ResourceAdapter,
+    ResourceOptimizer,
+)
+from repro.runtime import Interpreter, SimulatedHDFS
+from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
+
+#: sentinel distinguishing "not passed" from an explicit None
+UNSET = object()
+
+
+class RunPipeline:
+    """The run environment and the three stages every run goes through.
+
+    Base class of :class:`~repro.api.ElasticMLSession` and
+    :class:`~repro.serving.ElasticMLServer`, so the environment
+    attributes below are plain attributes of both.
+    """
+
+    def __init__(self, config, cluster=None, params=None, hdfs=None,
+                 sample_cap=DEFAULT_SAMPLE_CAP, *, opt_cache=UNSET,
+                 retry_policy=None, model_params=None, collector=UNSET,
+                 program_cache=None, plan_cache=None):
+        #: consolidated knobs (:class:`~repro.api.SessionConfig`)
+        self.config = config
+        self.cluster = cluster if cluster is not None else paper_cluster()
+        #: simulated hardware truth: the constants the runtime charges
+        self.params = params if params is not None else DEFAULT_PARAMETERS
+        #: active calibration profile (from config or apply_calibration)
+        self.calibration_profile = resolve_profile(
+            config.calibration_profile, self.cluster
+        )
+        #: optimizer/cost-model belief: explicit ``model_params``, else
+        #: the calibration profile's fitted constants, else ``params``.
+        #: The truth/belief split is what calibration narrows.
+        if model_params is not None:
+            self.model_params = model_params
+        elif self.calibration_profile is not None:
+            self.model_params = self.calibration_profile.parameters()
+        else:
+            self.model_params = self.params
+        #: calibration sample sink fed by every execution (internally
+        #: locked; None unless ``config.calibrate`` or passed explicitly)
+        if collector is UNSET:
+            collector = CalibrationCollector() if config.calibrate else None
+        self.calibration = collector
+        #: serializes fit/apply so concurrent calibrations cannot
+        #: interleave belief updates
+        self._calib_lock = threading.Lock()
+        self.sample_cap = sample_cap
+        self.hdfs = (
+            hdfs if hdfs is not None
+            else SimulatedHDFS(sample_cap=sample_cap)
+        )
+        #: cross-run optimizer decision cache (None disables; default
+        #: built per ``config.opt_cache``)
+        self.opt_cache = (
+            config.build_opt_cache() if opt_cache is UNSET else opt_cache
+        )
+        #: retry/backoff policy for fault recovery
+        #: (:class:`repro.chaos.RetryPolicy`); None = the default policy
+        self.retry_policy = retry_policy
+        #: shared master programs (:class:`~repro.serving.ProgramCache`);
+        #: None compiles every run from source
+        self.program_cache = program_cache
+        #: shared runtime plan memo swapped into every executed program
+        #: (None keeps the program's own)
+        self.plan_cache = plan_cache
+        #: telemetry of the owner; fits are recorded on it when enabled
+        self.tracer = None
+
+    # -- compile -------------------------------------------------------------
+
+    def compile(self, source, args):
+        """Compile DML source against the HDFS input metadata."""
+        input_meta = self.hdfs.input_meta()
+        cache = self.program_cache
+        if cache is None:
+            return compile_program(source, args, input_meta)
+        compiled = cache.get(source, args, input_meta)
+        if compiled is None:
+            compiled = cache.put(
+                source, args, input_meta,
+                compile_program(source, args, input_meta),
+            )
+        return compiled
+
+    # -- optimize ------------------------------------------------------------
+
+    @property
+    def optimizer_options(self):
+        """The configured default :class:`OptimizerOptions`."""
+        return self.config.optimizer_options()
+
+    def make_optimizer(self, options=None, **overrides):
+        """Build an optimizer from the configured defaults.
+
+        ``options`` replaces the defaults wholesale; keyword overrides
+        (``grid_cp``, ``grid_mr``, ``m``, ``w``, ``time_budget``,
+        ``enable_pruning``, ``parallel``, ``num_workers``, ``backend``)
+        patch individual fields of either.  With ``parallel`` enabled
+        (implied by a ``num_workers`` override > 1) the result is a
+        :class:`~repro.optimizer.parallel.ParallelResourceOptimizer`
+        running the requested backend; otherwise the serial
+        :class:`ResourceOptimizer`.
+        """
+        opts = options if options is not None else self.optimizer_options
+        if overrides:
+            if "num_workers" in overrides and "parallel" not in overrides:
+                overrides["parallel"] = overrides["num_workers"] > 1
+            opts = replace(opts, **overrides)
+        if opts.parallel and opts.num_workers > 1:
+            return ParallelResourceOptimizer(
+                self.cluster, self.model_params, options=opts
+            )
+        return ResourceOptimizer(
+            self.cluster, self.model_params, options=opts
+        )
+
+    def optimize_cached(self, source, args, compiled):
+        """Initial resource optimization, consulting the cross-run
+        result cache.
+
+        On a hit the enumeration is skipped entirely: the program is
+        recompiled under the cached configuration and a result with
+        :attr:`OptimizerResult.from_cache` set is returned.
+        """
+        cache = self.opt_cache
+        if cache is None:
+            return self.make_optimizer().optimize(compiled)
+        key = cache.signature(
+            source, args, self.hdfs.input_meta(), self.cluster,
+            self.model_params, self.optimizer_options, compiled=compiled,
+        )
+        cached = cache.lookup(key, compiled)
+        if cached is not None:
+            compile_plans(compiled, cached.resource)
+            return cached
+        result = self.make_optimizer().optimize(compiled)
+        cache.store(key, compiled, result)
+        return result
+
+    # -- execute -------------------------------------------------------------
+
+    def make_brain(self, utilization, tenant=None, base_time=0.0):
+        """An :class:`~repro.elastic.ElasticBrain` polling
+        ``utilization(t)``, or None when ``config.elastic`` is off."""
+        if not self.config.elastic:
+            return None
+        # local import: keeps the elastic subsystem optional at
+        # construction time
+        from repro.elastic import ElasticBrain
+
+        return ElasticBrain(
+            policy=self.config.elastic_policy, cluster=self.cluster,
+            utilization=utilization, tenant=tenant, base_time=base_time,
+        )
+
+    def execute_program(self, compiled, resource, *, seed=0, adapt=True,
+                        chaos=None, load=None, brain=None):
+        """Execute ``compiled`` under ``resource``; returns the
+        :class:`~repro.runtime.ExecutionResult`.
+
+        ``chaos`` (a :class:`repro.chaos.FaultPlan`) gets a fresh
+        :class:`~repro.chaos.FaultInjector` per execution, so fault
+        schedules restart deterministically at every run, attached to a
+        private HDFS *view*: the file namespace stays shared, the
+        injector slot does not, so one run's read faults never fire in
+        another's.  ``load`` is a background
+        :class:`~repro.cluster.load.ClusterLoad`, ``brain`` an already
+        built Brain (see :meth:`make_brain`).
+        """
+        injector = (
+            FaultInjector(chaos, retry_policy=self.retry_policy)
+            if chaos is not None else None
+        )
+        if self.plan_cache is not None:
+            # the optimizer attaches a private memo during enumeration
+            compiled.plan_cache = self.plan_cache
+        interpreter = Interpreter(
+            self.cluster,
+            params=self.params,
+            hdfs=self.hdfs.view(injector=injector),
+            sample_cap=self.sample_cap,
+            # runtime adaptation re-optimizes tiny block scopes where
+            # parallel fan-out costs more than it saves (and the
+            # parallel optimizer has no scope/fixed-CP support), so the
+            # adapter always gets the serial optimizer
+            adapter=(
+                ResourceAdapter(self.make_optimizer(parallel=False))
+                if adapt else None
+            ),
+            seed=seed,
+            cluster_load=load,
+            injector=injector,
+            brain=brain,
+        )
+        if self.calibration is None:
+            return interpreter.run(compiled, resource)
+        with use_collector(self.calibration):
+            return interpreter.run(compiled, resource)
+
+    # -- calibration ---------------------------------------------------------
+
+    def fit_calibration(self, min_samples=None, apply=False):
+        """Fit a :class:`~repro.cost.calibrate.CalibrationProfile` from
+        the samples the executions fed the collector.
+
+        Requires ``config.calibrate=True`` (or an explicit collector).
+        The fit starts from the current belief (``model_params``), so
+        components below the sample floor keep their present constants.
+        With ``apply`` the fitted profile immediately becomes the belief
+        for subsequent optimizations.
+        """
+        if self.calibration is None:
+            raise RuntimeError(
+                "no calibration samples are collected; construct with "
+                "SessionConfig(calibrate=True)"
+            )
+        floor = (
+            min_samples if min_samples is not None
+            else self.config.calibration_min_samples
+        )
+        tracer = (
+            self.tracer if self.tracer is not None and self.tracer.enabled
+            else get_tracer()
+        )
+        with self._calib_lock, use_tracer(tracer):
+            profile = fit_profile(
+                self.calibration, self.cluster,
+                base_params=self.model_params, min_samples=floor,
+            )
+            if apply:
+                self.apply_calibration(profile)
+        return profile
+
+    def apply_calibration(self, profile):
+        """Adopt ``profile`` (a CalibrationProfile or a path to one) as
+        the cost-model belief; returns the resolved profile."""
+        profile = resolve_profile(profile, self.cluster)
+        self.calibration_profile = profile
+        self.model_params = profile.parameters()
+        return profile

@@ -3,16 +3,17 @@
 One server owns one simulated cluster and HDFS and accepts concurrent
 tenant :class:`Submission`\\ s.  Each submission flows through
 
-1. **prepare** — compile (through a shared :class:`ProgramCache` of
-   master programs, served as deep copies so block identities are
-   preserved across tenants) and optimize (through one shared, locked
+1. **prepare** — the :class:`~repro.pipeline.RunPipeline` compile stage
+   (through a shared :class:`ProgramCache` of master programs, served as
+   deep copies so block identities are preserved across tenants) and
+   optimize stage (through one shared, locked
    :class:`~repro.api.OptimizerResultCache`);
 2. **admission** — block until the paper's 1.5x-heap AM container fits
    under the active :class:`~repro.serving.admission.AdmissionPolicy`
    (Section 5.3: allocated AM containers bound concurrency);
-3. **execute** — a private :class:`~repro.runtime.Interpreter` against a
-   per-submission HDFS view, so fault injection and adaptation never
-   leak between tenants.
+3. **execute** — the pipeline's execute stage: a private
+   :class:`~repro.runtime.Interpreter` against a per-run HDFS view, so
+   fault injection and adaptation never leak between tenants.
 
 Simulated results are deterministic: they depend only on the program,
 the input metadata, the configuration, and the submission seed — never
@@ -28,35 +29,17 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.api import OptimizerResultCache, RunOutcome, SessionConfig
-from repro.chaos import FaultInjector
 from repro.cluster.yarn import ResourceManager
-from repro.compiler.pipeline import compile_plans, compile_program
+from repro.compiler.pipeline import compile_plans
 from repro.compiler.plan_cache import PlanCache
-from repro.cost.calibrate import (
-    CalibrationCollector,
-    fit_profile,
-    resolve_profile,
-    use_collector,
-)
-from repro.errors import ClusterError
 from repro.obs import NULL_TRACER, Tracer, use_tracer
-from repro.optimizer import (
-    ParallelResourceOptimizer,
-    ResourceAdapter,
-    ResourceOptimizer,
-)
-from repro.runtime import Interpreter, SimulatedHDFS
+from repro.pipeline import UNSET, RunPipeline
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 from repro.scripts import SCRIPTS, load_script
 
-_UNSET = object()
-
-#: env overrides for the serving thread-pool clamp
-MIN_WORKERS_ENV = "REPRO_SERVING_MIN_WORKERS"
-MAX_WORKERS_ENV = "REPRO_SERVING_MAX_WORKERS"
 _DEFAULT_MIN_WORKERS = 2
 _DEFAULT_MAX_WORKERS = 8
 
@@ -75,30 +58,26 @@ def default_serving_workers(min_workers=None, max_workers=None,
     simulated runtime), but both are configurable: explicit arguments
     win, then :class:`~repro.api.SessionConfig` fields
     (``serving_min_workers``/``serving_max_workers``), then the
-    ``REPRO_SERVING_MIN_WORKERS``/``REPRO_SERVING_MAX_WORKERS``
-    environment variables, then the defaults.
+    defaults.
     """
     import os
 
-    def resolve(explicit, configured, env_name, fallback):
+    def resolve(explicit, configured, fallback):
         if explicit is not None:
             return int(explicit)
         if configured is not None:
             return int(configured)
-        env = os.environ.get(env_name)
-        if env is not None:
-            return int(env)
         return fallback
 
     floor = resolve(
         min_workers,
         getattr(config, "serving_min_workers", None),
-        MIN_WORKERS_ENV, _DEFAULT_MIN_WORKERS,
+        _DEFAULT_MIN_WORKERS,
     )
     ceiling = resolve(
         max_workers,
         getattr(config, "serving_max_workers", None),
-        MAX_WORKERS_ENV, _DEFAULT_MAX_WORKERS,
+        _DEFAULT_MAX_WORKERS,
     )
     if floor < 1:
         raise ValueError(f"serving worker floor must be >= 1, got {floor}")
@@ -235,64 +214,46 @@ class ProgramCache:
             return copy.deepcopy(master)
 
 
-class ElasticMLServer:
+class ElasticMLServer(RunPipeline):
     """Multi-tenant serving front end over one simulated cluster.
 
     ``submit()`` returns immediately with an integer ticket; a bounded
     thread pool prepares submissions concurrently, the admission policy
     gates execution on AM-container capacity, and ``poll()``/``drain()``
-    surface :class:`SubmissionResult` records.  All tenants share the
-    server's :class:`ProgramCache`, :class:`OptimizerResultCache`, and
-    runtime :class:`PlanCache` (each internally locked).
+    surface :class:`SubmissionResult` records.  Every tenant runs
+    through the server's own :class:`~repro.pipeline.RunPipeline`
+    stages, so all of them share its belief, calibration collector,
+    :class:`ProgramCache`, :class:`OptimizerResultCache`, and runtime
+    :class:`PlanCache` (each internally locked).
     """
 
     def __init__(self, cluster=None, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, config=None,
-                 opt_cache=_UNSET, policy=None, max_workers=None,
+                 opt_cache=UNSET, policy=None, max_workers=None,
                  queue_limit=1024, retry_policy=None, trace=False,
                  program_cache_entries=32, plan_cache_entries=4096,
-                 model_params=None, collector=_UNSET, recorder=None,
+                 model_params=None, collector=UNSET, recorder=None,
                  admission_cluster=None):
-        from repro.cluster import paper_cluster
-        from repro.cost.constants import DEFAULT_PARAMETERS
         from repro.serving.admission import (
             HeapRulePolicy,
             PendingRequest,
             make_policy,
         )
 
+        config = config if config is not None else SessionConfig()
+        super().__init__(
+            config, cluster, params, hdfs, sample_cap,
+            opt_cache=opt_cache, retry_policy=retry_policy,
+            model_params=model_params, collector=collector,
+            program_cache=ProgramCache(max_programs=program_cache_entries),
+            # runtime recompiles hit across tenants because the program
+            # cache's deep copies preserve block ids
+            plan_cache=(
+                PlanCache(max_plans=plan_cache_entries)
+                if config.enable_plan_cache else None
+            ),
+        )
         self._request_type = PendingRequest
-        self.config = config if config is not None else SessionConfig()
-        self.cluster = cluster if cluster is not None else paper_cluster()
-        #: simulated hardware truth: the constants tenants' runtimes charge
-        self.params = params if params is not None else DEFAULT_PARAMETERS
-        #: active cross-tenant calibration profile (config or fit_calibration)
-        self.calibration_profile = resolve_profile(
-            self.config.calibration_profile, self.cluster
-        )
-        #: optimizer/cost-model belief shared by every tenant
-        if model_params is not None:
-            self.model_params = model_params
-        elif self.calibration_profile is not None:
-            self.model_params = self.calibration_profile.parameters()
-        else:
-            self.model_params = self.params
-        #: shared cross-tenant calibration sample sink (internally
-        #: locked; every tenant execution feeds it when enabled)
-        if collector is _UNSET:
-            self.calibration = (
-                CalibrationCollector() if self.config.calibrate else None
-            )
-        else:
-            self.calibration = collector
-        #: serializes fit/apply so concurrent calibrations cannot
-        #: interleave belief updates
-        self._calib_lock = threading.Lock()
-        self.sample_cap = sample_cap
-        self.hdfs = (
-            hdfs if hdfs is not None
-            else SimulatedHDFS(sample_cap=sample_cap)
-        )
         #: the capacity admission runs against.  Normally the full
         #: cluster; a :class:`~repro.serving.shard.ShardedElasticMLServer`
         #: passes its shard's node partition here so concurrency is
@@ -309,20 +270,6 @@ class ElasticMLServer:
             policy = make_policy(policy)
         self.policy = policy if policy is not None else HeapRulePolicy()
         self.queue_limit = queue_limit
-        self.retry_policy = retry_policy
-        #: shared cross-tenant decision cache (None disables)
-        self.opt_cache = (
-            self.config.build_opt_cache() if opt_cache is _UNSET
-            else opt_cache
-        )
-        self.program_cache = ProgramCache(max_programs=program_cache_entries)
-        #: shared runtime plan memo attached to every tenant's program
-        #: copy after optimization (runtime recompiles hit across
-        #: tenants because deep copies preserve block ids)
-        self.plan_cache = (
-            PlanCache(max_plans=plan_cache_entries)
-            if self.config.enable_plan_cache else None
-        )
         self.trace = bool(trace)
         #: server-wide telemetry; per-submission tracers are absorbed
         #: here (serving.* counters, one ``tenant.<name>`` root span per
@@ -466,40 +413,12 @@ class ElasticMLServer:
     # -- cross-tenant calibration -------------------------------------------
 
     def fit_calibration(self, min_samples=None, apply=True):
-        """Fit a :class:`~repro.cost.calibrate.CalibrationProfile` from
-        the samples every tenant execution fed the shared collector.
-
-        Requires ``config.calibrate=True`` (or an explicit ``collector``).
-        Serialized under a server-level lock so concurrent fits cannot
-        interleave; with ``apply`` (the default — the cross-tenant
-        sharing this server exists for) the fitted constants immediately
-        become the belief used to optimize subsequent submissions.
-        """
-        if self.calibration is None:
-            raise RuntimeError(
-                "server does not collect calibration samples; construct "
-                "it with SessionConfig(calibrate=True)"
-            )
-        floor = (
-            min_samples if min_samples is not None
-            else self.config.calibration_min_samples
-        )
-        with self._calib_lock:
-            if self.tracer.enabled:
-                with use_tracer(self.tracer):
-                    profile = fit_profile(
-                        self.calibration, self.cluster,
-                        base_params=self.model_params, min_samples=floor,
-                    )
-            else:
-                profile = fit_profile(
-                    self.calibration, self.cluster,
-                    base_params=self.model_params, min_samples=floor,
-                )
-            if apply:
-                self.calibration_profile = profile
-                self.model_params = profile.parameters()
-        return profile
+        """:meth:`RunPipeline.fit_calibration` over the samples every
+        tenant execution fed the shared collector, applied by default:
+        the fitted constants immediately become the belief used to
+        optimize subsequent submissions (the cross-tenant sharing this
+        server exists for)."""
+        return super().fit_calibration(min_samples, apply)
 
     # -- per-submission pipeline -------------------------------------------
 
@@ -533,32 +452,21 @@ class ElasticMLServer:
     def _serve(self, ticket, submission, tracer, started):
         with tracer.span("serve.prepare"):
             source = submission.source
-            compiled = self._compile(source, submission.args)
+            compiled = self.compile(source, submission.args)
             if submission.resource is not None:
                 optimizer_result = None
                 resource = submission.resource
                 compile_plans(compiled, resource)
             else:
-                optimizer_result = self._optimize(
+                optimizer_result = self.optimize_cached(
                     source, submission.args, compiled
                 )
                 resource = optimizer_result.resource
-            if self.plan_cache is not None:
-                # swap in the shared cross-tenant memo (the optimizer
-                # attaches a private one during enumeration)
-                compiled.plan_cache = self.plan_cache
             container_mb = resource.container_request_mb(self.cluster)
 
-        quota = self._ensure_quota(submission.tenant)
-        try:
-            impossible = self.rm.max_concurrent(container_mb) == 0
-        except ClusterError:
-            # above the max-allocation constraint: same verdict
-            impossible = True
-        if quota is not None and container_mb > quota:
-            # would wait on its own quota forever: reject up front
-            impossible = True
-        if impossible:
+        self._ensure_quota(submission.tenant)
+        if self.rm.never_fits(container_mb, submission.tenant):
+            # would wait for capacity (or its own quota) forever
             tracer.incr("serving.rejected")
             return SubmissionResult(
                 ticket=ticket, tenant=submission.tenant,
@@ -582,7 +490,19 @@ class ElasticMLServer:
             )
         try:
             with tracer.span("serve.execute"):
-                exec_result = self._execute(compiled, resource, submission)
+                exec_result = self.execute_program(
+                    compiled, resource, seed=submission.seed,
+                    adapt=submission.adapt, chaos=submission.chaos,
+                    # live load signal: the RM's instantaneous
+                    # utilization.  Poll times are wall-clock dependent,
+                    # so the *decisions* are not reproducible across
+                    # runs — but every decision is a time-only
+                    # perturbation, so outputs stay byte-identical.
+                    brain=self.make_brain(
+                        lambda _t: self.rm.utilization,
+                        tenant=submission.tenant,
+                    ),
+                )
         finally:
             self._release(container)
         tracer.incr("serving.completed")
@@ -608,104 +528,13 @@ class ElasticMLServer:
     def _ensure_quota(self, tenant):
         """Apply ``config.tenant_quota_share`` to this tenant (idempotent;
         quotas are per-tenant so they can only be installed once the
-        tenant is seen).  Returns the tenant's quota in MB, or None."""
+        tenant is seen)."""
         share = self.config.tenant_quota_share
-        if share is None:
-            return None
-        quota = self.rm.tenant_quota_mb(tenant)
-        if quota is None:
-            quota = max(
-                float(self.cluster.min_allocation_mb),
-                float(int(share * self.cluster.total_memory_mb)),
-            )
-            self.rm.set_tenant_quota(tenant, quota)
-        return quota
-
-    def _compile(self, source, args):
-        input_meta = self.hdfs.input_meta()
-        compiled = self.program_cache.get(source, args, input_meta)
-        if compiled is not None:
-            return compiled
-        master = compile_program(source, args, input_meta)
-        return self.program_cache.put(source, args, input_meta, master)
-
-    def _make_optimizer(self):
-        options = self.config.optimizer_options()
-        if options.parallel and options.num_workers > 1:
-            return ParallelResourceOptimizer(
-                self.cluster, self.model_params, options=options
-            )
-        return ResourceOptimizer(
-            self.cluster, self.model_params, options=options
-        )
-
-    def _optimize(self, source, args, compiled):
-        cache = self.opt_cache
-        if cache is None:
-            return self._make_optimizer().optimize(compiled)
-        key = cache.signature(
-            source, args, self.hdfs.input_meta(), self.cluster,
-            self.model_params, self.config.optimizer_options(),
-            compiled=compiled,
-        )
-        cached = cache.lookup(key, compiled)
-        if cached is not None:
-            compile_plans(compiled, cached.resource)
-            return cached
-        result = self._make_optimizer().optimize(compiled)
-        cache.store(key, compiled, result)
-        return result
-
-    def _execute(self, compiled, resource, submission):
-        injector = (
-            FaultInjector(submission.chaos, retry_policy=self.retry_policy)
-            if submission.chaos is not None else None
-        )
-        # a per-submission HDFS view isolates the injector slot; the
-        # file namespace itself stays shared
-        hdfs = (
-            self.hdfs.view(injector=injector)
-            if injector is not None else self.hdfs
-        )
-        adapter = (
-            # the adapter re-optimizes tiny block scopes: always serial
-            # (see ElasticMLSession.execute for the rationale)
-            ResourceAdapter(ResourceOptimizer(
-                self.cluster, self.model_params,
-                options=replace(
-                    self.config.optimizer_options(), parallel=False
-                ),
+        if share is not None and self.rm.tenant_quota_mb(tenant) is None:
+            self.rm.set_tenant_quota(tenant, max(
+                self.cluster.min_allocation_mb,
+                int(share * self.cluster.total_memory_mb),
             ))
-            if submission.adapt else None
-        )
-        brain = None
-        if self.config.elastic:
-            from repro.elastic import ElasticBrain
-
-            # live load signal: the RM's instantaneous utilization.  The
-            # poll times are wall-clock dependent, so the *decisions* are
-            # not reproducible across runs — but every decision is a
-            # time-only perturbation, so outputs stay byte-identical.
-            brain = ElasticBrain(
-                policy=self.config.elastic_policy,
-                cluster=self.cluster,
-                utilization=lambda _t: self.rm.utilization,
-                tenant=submission.tenant,
-            )
-        interpreter = Interpreter(
-            self.cluster,
-            params=self.params,
-            hdfs=hdfs,
-            sample_cap=self.sample_cap,
-            adapter=adapter,
-            seed=submission.seed,
-            injector=injector,
-            brain=brain,
-        )
-        if self.calibration is not None:
-            with use_collector(self.calibration):
-                return interpreter.run(compiled, resource)
-        return interpreter.run(compiled, resource)
 
     # -- admission ----------------------------------------------------------
 

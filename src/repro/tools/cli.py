@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+from dataclasses import replace
 
 from repro.api import ElasticMLSession
 from repro.cluster import ResourceConfig
@@ -131,26 +132,28 @@ def _add_opt_flags(parser):
 
 
 def _apply_opt_flags(session, args):
-    """Translate --workers/--opt-backend into session optimizer knobs."""
-    backend = getattr(args, "opt_backend", None)
-    workers = getattr(args, "workers", None)
+    """Translate --workers/--opt-backend/... into the session config."""
+    knobs = {}
     auto = getattr(args, "auto_serial_points", None)
     if auto is not None:
-        session.auto_serial_points = auto
+        knobs["auto_serial_points"] = auto
     chunk = getattr(args, "chunk_points", None)
     if chunk is not None:
-        session.chunk_points = chunk
+        knobs["chunk_points"] = chunk
     if getattr(args, "no_vector_costing", False):
-        session.enable_vector_costing = False
+        knobs["enable_vector_costing"] = False
+    backend = getattr(args, "opt_backend", None)
+    workers = getattr(args, "workers", None)
     if backend == "serial":
-        session.opt_workers = 0
-        return
-    if backend is not None:
-        session.opt_backend = backend
-    if workers is not None:
-        session.opt_workers = workers
-    elif backend is not None:
-        session.opt_workers = 4
+        knobs["opt_workers"] = 0
+    else:
+        if backend is not None:
+            knobs["opt_backend"] = backend
+        if workers is not None:
+            knobs["opt_workers"] = workers
+        elif backend is not None:
+            knobs["opt_workers"] = 4
+    session.config = replace(session.config, **knobs)
 
 
 def _describe_optimizer(result):
@@ -290,8 +293,7 @@ def build_parser():
                        metavar="N",
                        help="per-server thread-pool size (default: one "
                             "per CPU, clamped to [2, 8]; override the "
-                            "clamp via SessionConfig or the "
-                            "REPRO_SERVING_MIN/MAX_WORKERS env vars)")
+                            "clamp via SessionConfig)")
     serve.add_argument("--queue-limit", type=int, default=1024, metavar="N",
                        help="bounded submission queue (default 1024)")
     serve.add_argument("--seed", type=int, default=0,

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import paper_cluster
 from repro.cluster.events import (
     io_saturation_contention,
+    simulate_mixed_throughput,
     simulate_throughput,
 )
 
@@ -113,3 +114,21 @@ class TestMixedThroughput:
         out = simulate_mixed_throughput(cluster, specs, apps_per_user=2)
         # the four small users (40 MBish containers) interleave freely
         assert out.max_concurrency > 6
+
+    @pytest.mark.parametrize("containers_per_app", [1, 3])
+    def test_homogeneous_is_mixed_with_equal_specs(
+            self, cluster, containers_per_app):
+        """One request size: FIFO head-of-line blocking and skip-ahead
+        admission admit the same set, so the two entry points agree."""
+        contention = io_saturation_contention(saturation_point=8)
+        same = simulate_throughput(
+            cluster, 40, 3, 60.0, 12288, contention=contention,
+            containers_per_app=containers_per_app,
+        )
+        mixed = simulate_mixed_throughput(
+            cluster, [(60.0, 12288)] * 40, apps_per_user=3,
+            contention=contention, containers_per_app=containers_per_app,
+        )
+        assert same.makespan_seconds == mixed.makespan_seconds
+        assert same.max_concurrency == mixed.max_concurrency
+        assert same.max_concurrency == 36 // containers_per_app

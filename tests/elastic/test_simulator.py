@@ -72,6 +72,16 @@ class TestCapacitySafety:
             )
             assert active <= cluster.total_memory_mb
 
+    @pytest.mark.parametrize("elastic", [False, True])
+    def test_blocked_head_is_prepared_once(self, elastic):
+        """An entry blocked at the head of the line across several
+        admission passes is compiled and optimized once, not per pass."""
+        counters = TraceSimulator(
+            TRACE, cluster=tiny_cluster(), elastic=elastic
+        ).run().counters
+        lookups = counters["optcache.hits"] + counters["optcache.misses"]
+        assert lookups == len(TRACE.entries)
+
     def test_tenant_quota_respected(self):
         cluster = tiny_cluster()
         quota_share = 0.5

@@ -502,18 +502,11 @@ class TestServingWorkerClamp:
     def test_explicit_arguments_override_everything(self):
         assert default_serving_workers(min_workers=3, max_workers=3) == 3
 
-    def test_config_fields_override_env_and_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_MIN_WORKERS", "5")
-        monkeypatch.setenv("REPRO_SERVING_MAX_WORKERS", "5")
+    def test_config_fields_override_defaults(self):
         config = SessionConfig(
             serving_min_workers=1, serving_max_workers=1
         )
         assert default_serving_workers(config=config) == 1
-
-    def test_env_overrides_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_MIN_WORKERS", "4")
-        monkeypatch.setenv("REPRO_SERVING_MAX_WORKERS", "4")
-        assert default_serving_workers() == 4
 
     def test_invalid_clamp_rejected(self):
         with pytest.raises(ValueError):

@@ -120,25 +120,10 @@ class TestSessionConfig:
         config = SessionConfig(grid_cp="equi", grid_m=5, opt_workers=2,
                                opt_backend="thread")
         session = ElasticMLSession(config=config, sample_cap=64)
-        assert session.grid_cp == "equi"
-        assert session.grid_m == 5
+        assert session.config.grid_cp == "equi"
+        assert session.config.grid_m == 5
         opts = session.optimizer_options
         assert opts.parallel and opts.backend == "thread"
-
-    def test_legacy_kwargs_override_config(self):
-        session = ElasticMLSession(
-            config=SessionConfig(grid_m=5), grid_m=9, sample_cap=64
-        )
-        assert session.grid_m == 9
-        assert session.config.grid_m == 9
-
-    def test_knob_attribute_writes_update_config(self):
-        session = ElasticMLSession(sample_cap=64)
-        session.grid_m = 3
-        session.opt_workers = 2
-        assert session.config.grid_m == 3
-        assert session.optimizer_options.m == 3
-        assert session.optimizer_options.parallel
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -147,6 +132,9 @@ class TestSessionConfig:
     def test_unknown_kwargs_rejected(self):
         with pytest.raises(TypeError):
             ElasticMLSession(grid_q="nope")
+        # the 1.4 loose-kwarg shim is gone: knobs go through config
+        with pytest.raises(TypeError):
+            ElasticMLSession(grid_m=5)
 
     def test_opt_cache_disabled_via_config(self):
         session = ElasticMLSession(
@@ -163,7 +151,9 @@ class TestSessionConfig:
 
 class TestOptimizerOptions:
     def test_session_defaults_configurable(self):
-        session = ElasticMLSession(grid_cp="equi", grid_m=5, sample_cap=64)
+        session = ElasticMLSession(
+            config=SessionConfig(grid_cp="equi", grid_m=5), sample_cap=64
+        )
         args = prepare_inputs(
             session.hdfs, "LinregDS", scenario("XS", cols=100)
         )
@@ -179,7 +169,7 @@ class TestOptimizerOptions:
     def test_keyword_overrides_patch_options(self, session):
         optimizer = session.make_optimizer(m=7)
         assert optimizer.options.m == 7
-        assert optimizer.options.grid_cp == session.grid_cp
+        assert optimizer.options.grid_cp == session.config.grid_cp
 
     def test_options_are_frozen(self):
         opts = OptimizerOptions()

@@ -6,9 +6,11 @@ options), so a repeated tenant skips enumeration while any relevant
 change re-runs it.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.api import ElasticMLSession, OptimizerResultCache
+from repro.api import ElasticMLSession, OptimizerResultCache, SessionConfig
 from repro.optimizer import ParallelResourceOptimizer, ResourceOptimizer
 from repro.workloads import prepare_inputs, scenario
 
@@ -72,7 +74,7 @@ class TestCrossRunCache:
         session = _session()
         args = _linreg_args(session)
         session.run("LinregDS", args)
-        session.grid_m = 5
+        session.config = replace(session.config, grid_m=5)
         session.run("LinregDS", args)
         assert session.opt_cache.hits == 0
         assert session.opt_cache.misses == 2
@@ -83,8 +85,9 @@ class TestCrossRunCache:
         session = _session()
         args = _linreg_args(session)
         session.run("LinregDS", args)
-        session.opt_workers = 2
-        session.opt_backend = "thread"
+        session.config = replace(
+            session.config, opt_workers=2, opt_backend="thread"
+        )
         outcome = session.run("LinregDS", args)
         assert outcome.optimizer_result.from_cache is True
 
@@ -124,7 +127,9 @@ class TestMakeOptimizerDispatch:
         assert type(opt) is ResourceOptimizer
 
     def test_opt_workers_selects_parallel(self):
-        session = _session(opt_workers=3, opt_backend="thread")
+        session = _session(
+            config=SessionConfig(opt_workers=3, opt_backend="thread")
+        )
         opt = session.make_optimizer()
         assert type(opt) is ParallelResourceOptimizer
         assert opt.num_workers == 3
@@ -137,13 +142,16 @@ class TestMakeOptimizerDispatch:
         assert opt.num_workers == 2
 
     def test_parallel_false_override_wins(self):
-        session = _session(opt_workers=4)
+        session = _session(config=SessionConfig(opt_workers=4))
         opt = session.make_optimizer(parallel=False)
         assert type(opt) is ResourceOptimizer
 
     def test_parallel_session_run_populates_counters(self):
-        session = _session(opt_workers=2, opt_backend="process",
-                           auto_serial_points=0, trace=True)
+        session = _session(
+            config=SessionConfig(opt_workers=2, opt_backend="process",
+                                 auto_serial_points=0),
+            trace=True,
+        )
         args = _linreg_args(session)
         outcome = session.run("LinregDS", args)
         assert outcome.optimizer_result.backend == "process"
@@ -153,8 +161,10 @@ class TestMakeOptimizerDispatch:
     def test_small_grid_auto_falls_back_to_serial(self):
         """Session default auto-serial policy: the XS LinregDS grid is
         far below the threshold, so the process backend never spawns."""
-        session = _session(opt_workers=2, opt_backend="process",
-                           trace=True)
+        session = _session(
+            config=SessionConfig(opt_workers=2, opt_backend="process"),
+            trace=True,
+        )
         args = _linreg_args(session)
         outcome = session.run("LinregDS", args)
         assert outcome.optimizer_result.backend == "serial"
@@ -163,9 +173,9 @@ class TestMakeOptimizerDispatch:
         assert session.tracer.counter("optpar.tasks") == 0
 
     def test_auto_serial_matches_process_decision(self):
-        serial = _session(opt_workers=2, opt_backend="process")
-        forced = _session(opt_workers=2, opt_backend="process",
-                          auto_serial_points=0)
+        config = SessionConfig(opt_workers=2, opt_backend="process")
+        serial = _session(config=config)
+        forced = _session(config=replace(config, auto_serial_points=0))
         a1 = _linreg_args(serial)
         a2 = _linreg_args(forced)
         r1 = serial.run("LinregDS", a1)

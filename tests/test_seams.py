@@ -147,3 +147,157 @@ class TestBufferPoolSeams:
         assert pool.contains(live)
         assert not pool.contains(dead)
         assert not dead.in_memory
+
+
+def _canonical(outcome):
+    """Identity of one simulated run, independent of block-id stamps."""
+    result, resource = outcome.result, outcome.resource
+    return (
+        result.total_time, result.mr_jobs, tuple(result.prints),
+        resource.cp_heap_mb, resource.mr_heap_mb,
+        tuple(sorted(resource.mr_heap_per_block.values())),
+    )
+
+
+class TestRunPipelineSeam:
+    """Session, server and trace simulator are callers of one
+    :class:`repro.pipeline.RunPipeline`; none has a run path of its own."""
+
+    SEED = 3
+
+    @pytest.fixture
+    def executions(self, monkeypatch):
+        """Counts every pass through the pipeline's execute stage."""
+        from repro.pipeline import RunPipeline
+
+        calls = []
+        original = RunPipeline.execute_program
+
+        def spy(self, compiled, resource, **kwargs):
+            calls.append(type(self).__name__)
+            return original(self, compiled, resource, **kwargs)
+
+        monkeypatch.setattr(RunPipeline, "execute_program", spy)
+        return calls
+
+    def test_every_caller_executes_through_the_pipeline_once(
+            self, executions):
+        from repro import (
+            ElasticMLServer,
+            ElasticMLSession,
+            ShardedElasticMLServer,
+            Submission,
+            small_cluster,
+        )
+        from repro.elastic import ElasticTrace, TraceEntry, TraceSimulator
+        from repro.workloads import prepare_inputs, scenario
+
+        cluster = small_cluster()
+        session = ElasticMLSession(
+            cluster=cluster, sample_cap=64, seed=self.SEED
+        )
+        args = prepare_inputs(
+            session.hdfs, "LinregDS", scenario("XS", cols=100)
+        )
+        reference = _canonical(session.run("LinregDS", args))
+        assert executions == ["ElasticMLSession"]
+
+        submission = Submission(
+            tenant="t", script="LinregDS", args=args, seed=self.SEED
+        )
+        server = ElasticMLServer(
+            cluster=cluster, hdfs=session.hdfs, sample_cap=64
+        )
+        try:
+            server.submit(submission)
+            (served,) = server.drain()
+        finally:
+            server.shutdown()
+        assert _canonical(served.outcome) == reference
+        assert executions == ["ElasticMLSession", "ElasticMLServer"]
+
+        simulated = TraceSimulator(
+            ElasticTrace(entries=[TraceEntry(
+                tenant="t", script="LinregDS", size="XS", cols=100,
+                seed=self.SEED, adapt=True,
+            )]),
+            cluster=cluster,
+        ).run()
+        (run,) = simulated.runs
+        assert _canonical(run.outcome) == reference
+        assert executions[2:] == ["ElasticMLSession"]
+
+        # the spy does not cross the process boundary: result only
+        sharded = ShardedElasticMLServer(
+            shards=2, cluster=cluster, hdfs=session.hdfs, sample_cap=64
+        )
+        try:
+            sharded.submit(submission)
+            (remote,) = sharded.drain()
+        finally:
+            sharded.shutdown()
+        assert _canonical(remote.outcome) == reference
+
+    def test_simulated_runs_feed_the_calibration_collector(self):
+        from repro import SessionConfig
+        from repro.elastic import ElasticTrace, TraceEntry, TraceSimulator
+
+        simulator = TraceSimulator(
+            ElasticTrace(entries=[
+                TraceEntry(tenant="t", script="LinregDS")
+            ]),
+            config=SessionConfig(calibrate=True),
+        )
+        simulator.run()
+        assert simulator.session.calibration.total_samples > 0
+
+    def test_session_chaos_never_touches_the_shared_hdfs(self):
+        """A chaos run's injector lives on a private HDFS view: the
+        session's embedded server reads through ``session.hdfs``, so an
+        injector parked there would fire in other tenants' reads."""
+        from repro import (
+            ElasticMLSession,
+            FaultKind,
+            FaultPlan,
+            FaultSpec,
+            Submission,
+        )
+        from repro.workloads import prepare_inputs, scenario
+
+        assigned = []
+
+        class WatchedHDFS(SimulatedHDFS):
+            def __setattr__(self, name, value):
+                if name == "injector" and value is not None:
+                    assigned.append(value)
+                super().__setattr__(name, value)
+
+        session = ElasticMLSession(
+            hdfs=WatchedHDFS(sample_cap=64), sample_cap=64
+        )
+        args = prepare_inputs(
+            session.hdfs, "LinregDS", scenario("XS", cols=100)
+        )
+        plan = FaultPlan.from_faults(
+            FaultSpec(FaultKind.HDFS_SLOW_READ, at=0),
+            FaultSpec(FaultKind.HDFS_SLOW_READ, at=1),
+        )
+        outcome = session.run("LinregDS", args, chaos=plan)
+        assert assigned == []
+        assert session.hdfs.injector is None
+        # the view's injector still fired both scripted read faults
+        assert outcome.chaos.injected == {"hdfs_slow_read": 2}
+        assert outcome.chaos.retry_recovered == 1
+
+        # same schedule, accounting and outputs as the served path,
+        # which always ran against a view
+        try:
+            session.submit(Submission(
+                tenant="t", script="LinregDS", args=args, chaos=plan,
+                seed=session.seed,
+            ))
+            (served,) = session.drain()
+        finally:
+            session.shutdown()
+        assert served.outcome.chaos == outcome.chaos
+        assert _canonical(served.outcome) == _canonical(outcome)
