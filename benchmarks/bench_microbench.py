@@ -253,7 +253,7 @@ def bench_process_vs_serial(iters):
     def process():
         compiled, _, _ = fresh_compiled("GLM", scn)
         ParallelResourceOptimizer(
-            cluster, m=15, num_workers=2, backend="process"
+            cluster, m=15, num_workers=2
         ).optimize(compiled)
 
     kernels = {

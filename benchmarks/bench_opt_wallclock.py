@@ -1,7 +1,7 @@
 """Measured optimizer wall clock: serial vs process-pool enumeration.
 
-The thread backend shares the GIL, so Figure 18 could only report a
-*modeled* makespan.  The process backend runs `recompile_block_plan` +
+Figure 18 reports a *modeled* makespan beyond the cores this host
+has.  The pool runs `recompile_block_plan` +
 `CostModel.estimate_block` in real OS processes, so this benchmark
 measures actual wall clock: serial vs process workers at 1/2/4 on the
 M-scenario GLM and MLogreg enumerations (Hybrid m=15), then exercises
@@ -82,7 +82,7 @@ def measure_script(script, max_workers):
     for workers in [w for w in WORKER_STEPS if w <= max_workers]:
         compiled_k, _, _ = fresh_compiled(script, scn)
         optimizer = ParallelResourceOptimizer(
-            cluster, m=M, num_workers=workers, backend="process"
+            cluster, m=M, num_workers=workers
         )
         start = time.perf_counter()
         result = optimizer.optimize(compiled_k)
@@ -119,7 +119,7 @@ def measure_cache(max_workers):
     workers = 2 if max_workers >= 2 else 0
     session = ElasticMLSession(
         sample_cap=256, trace=tracer,
-        config=SessionConfig(opt_workers=workers, opt_backend="process"),
+        config=SessionConfig(opt_workers=workers),
     )
     args = prepare_inputs(session.hdfs, "GLM", scenario("M", cols=1000),
                           glm_family=2, seed=7)

@@ -105,16 +105,11 @@ class SessionConfig:
     grid_mr: str = "hybrid"
     grid_m: int = 15
     # -- parallel enumeration ----------------------------------------------
-    #: parallel enumeration workers (0/1 = serial optimizer)
+    #: enumeration worker processes (0/1 = in-process serial optimizer)
     opt_workers: int = 0
-    #: parallel enumeration backend ("process" or "thread")
-    opt_backend: str = "process"
-    #: auto backend policy: below this many enumeration points the
-    #: process backend falls back to serial (0 disables)
+    #: below this many enumeration points a parallel optimizer
+    #: enumerates in-process instead of starting its pool (0 disables)
     auto_serial_points: int = DEFAULT_AUTO_SERIAL_POINTS
-    #: r_c points per dispatched enumeration chunk (None = adaptive:
-    #: ``grid_points / (workers * target_chunks_per_worker)``)
-    chunk_points: int | None = None
     # -- caches -------------------------------------------------------------
     #: ablation switch: disable the memoizing plan/cost cache
     enable_plan_cache: bool = True
@@ -176,11 +171,9 @@ class SessionConfig:
             m=self.grid_m,
             parallel=self.opt_workers > 1,
             num_workers=self.opt_workers if self.opt_workers > 1 else 4,
-            backend=self.opt_backend,
             enable_plan_cache=self.enable_plan_cache,
             auto_serial_points=self.auto_serial_points,
             enable_vector_costing=self.enable_vector_costing,
-            chunk_points=self.chunk_points,
         )
 
     def build_opt_cache(self):

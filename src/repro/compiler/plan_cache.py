@@ -98,21 +98,20 @@ def block_thresholds(block):
 class PlanCache:
     """Cache of compiled block plans, keyed by budget buckets.
 
-    One instance serves one program (or one deep copy of it: the
-    task-parallel optimizer's workers each hold their own cache, sharing
-    the thresholds computed by the master — ``copy.deepcopy`` of a cache
-    yields an *empty* cache with the same thresholds, so deep-copying a
-    :class:`CompiledProgram` does the right thing automatically).
+    One instance serves one program (or one deep copy of it:
+    ``copy.deepcopy`` of a cache yields an *empty* cache with the same
+    thresholds, so deep-copying a :class:`CompiledProgram` — the
+    program cache's handout — does the right thing automatically).
 
     Unlike deep copy, *pickling* preserves the full cache state
-    (thresholds, plans, and counters): the process-pool optimizer
-    backend ships one pickled program snapshot — cache included — to
-    each worker at startup, and every worker then grows its own private
-    copy.  Worker caches are folded back via :meth:`merge`.
+    (thresholds, plans, and counters): the parallel optimizer ships one
+    program snapshot — cache included — to each pool worker at startup,
+    and every worker then grows its own private copy, reporting its
+    hit/miss counts back with each chunk.
 
     All operations take an internal lock, so one instance can be shared
     by concurrent threads — the serving layer attaches a single cache to
-    every deep copy of a cached master program, and cross-tenant merges
+    every deep copy of a cached master program, and concurrent tenants
     cannot observe (or produce) a torn state.  ``max_plans`` bounds the
     cache with LRU eviction (None = unbounded, the single-program
     optimizer default; long-lived cross-tenant caches should be
@@ -207,38 +206,6 @@ class PlanCache:
         while len(self.plans) > self.max_plans:
             self.plans.pop(next(iter(self.plans)))
             self.evictions += 1
-
-    def merge(self, other):
-        """Fold a worker's cache into this one (task-parallel optimizer
-        teardown): counters accumulate, and plans/thresholds present in
-        ``other`` but missing here are adopted.  Adoption is sound
-        because bucket keys identify *identical* generated plans — the
-        worker's plan is exactly what a recompilation here would
-        regenerate."""
-        if other is self:
-            return self
-        # snapshot under the source lock, apply under ours: lock
-        # ordering (other then self, never held together) cannot
-        # deadlock, and a concurrently mutated source cannot tear the
-        # iteration
-        with other._lock:
-            counters = (
-                other.hits, other.misses, other.invalidations,
-                other.evictions,
-            )
-            thresholds = list(other.thresholds.items())
-            plans = list(other.plans.items())
-        with self._lock:
-            self.hits += counters[0]
-            self.misses += counters[1]
-            self.invalidations += counters[2]
-            self.evictions += counters[3]
-            for block_id, entry in thresholds:
-                self.thresholds.setdefault(block_id, entry)
-            for key, plan in plans:
-                self.plans.setdefault(key, plan)
-            self._evict_locked()
-        return self
 
     def invalidate_block(self, block_id):
         """Drop a block's plans *and* thresholds (dynamic recompilation

@@ -301,9 +301,8 @@ def use_tracer(tracer):
 
     Thread-local by design: each serving worker activates its
     submission's tracer without disturbing other threads.  Helper
-    threads spawned inside the block (e.g. the thread-backend optimizer
-    workers) must re-enter ``use_tracer`` themselves — thread locals do
-    not inherit."""
+    threads spawned inside the block must re-enter ``use_tracer``
+    themselves — thread locals do not inherit."""
     previous = getattr(_active, "tracer", None)
     _active.tracer = tracer if tracer is not None else NULL_TRACER
     try:

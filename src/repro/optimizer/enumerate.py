@@ -13,6 +13,10 @@ the minimal resource configuration with minimal estimated cost, by
    it end-to-end to account for the control structure;
 4. returning the cheapest (ties broken towards minimal resources).
 
+Steps 2-3 are :func:`enumerate_cp_point` — the one definition the
+serial loop and the pool workers of :mod:`repro.optimizer.parallel`
+share — and step 4 is :func:`fold_cp_points`.
+
 Costing always happens on generated runtime plans, which automatically
 reflects every compilation phase (rewrites, operator selection,
 piggybacking) — the robustness argument of Section 2.4.
@@ -22,7 +26,9 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.cluster.resources import ResourceConfig
 from repro.compiler.pipeline import recompile_block_plan
@@ -52,8 +58,8 @@ def costs_tie(a, b, rtol=COST_TIE_RTOL):
 def update_best(best_resource, best_cost, chosen, cost):
     """One step of Definition 1's selection rule: cheapest configuration,
     near-ties broken towards minimal resources.  Returns the updated
-    ``(best_resource, best_cost)``; shared by the serial and the
-    task-parallel optimizer so both select identically."""
+    ``(best_resource, best_cost)``; :func:`fold_cp_points` replays it
+    over serial and pool-enumerated points alike."""
     if best_resource is None:
         return chosen, cost
     if costs_tie(cost, best_cost):
@@ -71,7 +77,7 @@ def enumerate_block_mr(compiled, block, rc, min_mb, srm, cost_model,
     """Enumerate the MR grid for one block at fixed CP memory ``rc``.
 
     Implements the inner loop of Algorithm 1's semi-independent
-    subproblems; shared by the serial and the task-parallel optimizer.
+    subproblems (called from :func:`enumerate_cp_point` only).
     Returns ``((best_ri, best_cost), exhausted)`` where ``exhausted``
     reports hitting ``deadline`` mid-enumeration.
 
@@ -189,6 +195,172 @@ def _enumerate_block_mr_grid(compiled, block, rc, min_mb, srm, cost_model,
     return best
 
 
+class CPPoint(NamedTuple):
+    """What enumerating one CP grid point yields (a tuple, so a pool
+    worker's reply stays small on the wire)."""
+
+    rc: float
+    #: ``((block_id, r_i), ...)``: memoized best MR heap per remaining block
+    vector: tuple
+    #: whole-program (or scope) cost under ``vector``
+    cost: float
+    pruned_small: int
+    pruned_unknown: int
+    remaining: int
+    #: the deadline expired at this point: ``vector`` is a partial memo
+    exhausted: bool
+    #: measured durations of Appendix C's three task kinds
+    baseline_s: float
+    #: ``((block_id, seconds), ...)``
+    enum_s: tuple
+    agg_s: float
+
+
+def enumerate_cp_point(compiled, blocks, rc, min_mb, srm, cost_model, cache,
+                       *, prune=True, vectorize=False, deadline=None,
+                       stats=None, cost_blocks=None):
+    """The body of Algorithm 1's outer loop: everything at one CP budget.
+
+    Baseline-compiles ``blocks`` at ``(rc, min_mb)``, prunes blocks whose
+    cost is independent of MR resources (Section 3.4, unless ``prune`` is
+    off), enumerates the MR grid per remaining block, recompiles under
+    the memoized vector and costs the generated plan end to end
+    (``cost_blocks`` restricts costing to a block scope).  The serial
+    optimizer loops over this function and pool workers map it over
+    their chunk of the CP grid, so both compute the identical floats.
+    Mutates ``compiled``'s block plans; returns a :class:`CPPoint`.
+    """
+    t0 = time.perf_counter()
+    baseline = ResourceConfig(cp_heap_mb=rc, mr_heap_mb=min_mb)
+    for block in blocks:
+        recompile_block_plan(compiled, block, baseline, cache=cache)
+    if prune:
+        remaining, pruned_small, pruned_unknown = prune_program_blocks(blocks)
+    else:
+        remaining, pruned_small, pruned_unknown = blocks, [], []
+    exhausted = False
+    memo = {}
+    for block in remaining:
+        if deadline is not None and time.perf_counter() > deadline:
+            exhausted = True
+            break
+        memo[block.block_id] = (
+            min_mb,
+            cost_model.estimate_block(
+                compiled, block, baseline, use_memo=cache is not None
+            ),
+        )
+    t1 = time.perf_counter()
+    baseline_s = t1 - t0
+
+    # per-block enumeration of the MR dimension (memoized best)
+    enum_s = []
+    if not exhausted:
+        for block in remaining:
+            memo[block.block_id], exhausted = enumerate_block_mr(
+                compiled, block, rc, min_mb, srm, cost_model,
+                memo[block.block_id][1], cache=cache, deadline=deadline,
+                stats=stats, vectorize=vectorize,
+            )
+            t2 = time.perf_counter()
+            enum_s.append((block.block_id, t2 - t1))
+            t1 = t2
+            if exhausted:
+                break
+
+    # whole-program compilation under the memoized vector (on budget
+    # exhaustion: under the partial memo, so the point still contributes
+    # a valid configuration + profile sample)
+    chosen = ResourceConfig(
+        cp_heap_mb=rc,
+        mr_heap_mb=min_mb,
+        mr_heap_per_block={bid: ri for bid, (ri, _) in memo.items()},
+    )
+    for block in blocks:
+        recompile_block_plan(compiled, block, chosen, cache=cache)
+    if cost_blocks is None:
+        cost = cost_model.estimate_program(compiled, chosen)
+    else:
+        cost = cost_model.estimate_blocks(compiled, cost_blocks, chosen)
+    t2 = time.perf_counter()
+    return CPPoint(
+        rc, tuple(chosen.mr_heap_per_block.items()), cost,
+        len(pruned_small), len(pruned_unknown), len(remaining),
+        exhausted or (deadline is not None and t2 > deadline),
+        baseline_s, tuple(enum_s), t2 - t1,
+    )
+
+
+def fold_cp_points(result, points, compiled, blocks, min_mb, cache,
+                   program_scope=True):
+    """Fold enumerated CP points, in ascending ``rc`` order, into ``result``.
+
+    Replays Definition 1's selection rule (:func:`update_best`) over the
+    points, so any producer of the same points — the serial loop or a
+    worker pool — selects identically; then leaves ``compiled`` under
+    the *returned* configuration, not whatever grid point ran last.
+    """
+    tracer = get_tracer()
+    stats = result.stats
+    # report pruning at min_cc, where MR usage is maximal
+    stats.pruned_small = points[0].pruned_small
+    stats.pruned_unknown = points[0].pruned_unknown
+    stats.remaining_blocks = points[0].remaining
+    best_resource, best_cost = None, float("inf")
+    for point in points:
+        chosen = ResourceConfig(
+            cp_heap_mb=point.rc,
+            mr_heap_mb=min_mb,
+            mr_heap_per_block=dict(point.vector),
+        )
+        result.cp_profile.append((point.rc, point.cost))
+        if tracer.enabled:
+            tracer.incr("optimizer.grid_points")
+            tracer.event(
+                "optimizer.grid_point",
+                cp_mb=point.rc,
+                estimated_cost_s=point.cost,
+                mr_blocks=len(point.vector),
+            )
+        best_resource, best_cost = update_best(
+            best_resource, best_cost, chosen, point.cost
+        )
+        stats.budget_exhausted |= point.exhausted
+    for block in blocks:
+        recompile_block_plan(compiled, block, best_resource, cache=cache)
+    if program_scope:
+        compiled.resource = best_resource
+    result.resource = best_resource
+    result.cost = best_cost
+
+
+#: the :class:`OptimizerStats` fields :func:`count_work` measures
+_WORK_COUNTERS = ("block_compilations", "cost_invocations", "cost_memo_hits",
+                  "plan_cache_hits", "plan_cache_misses")
+
+
+def _work_counters(compiled, cost_model, cache):
+    return (
+        compiled.stats.block_compilations,
+        cost_model.invocations,
+        cost_model.memo_hits,
+        cache.hits if cache is not None else 0,
+        cache.misses if cache is not None else 0,
+    )
+
+
+@contextmanager
+def count_work(stats, compiled, cost_model, cache):
+    """Add the block compilations, cost-model invocations and cache
+    traffic of the ``with`` body to ``stats`` — as deltas, so a pool
+    worker can report per chunk and the master can sum."""
+    before = _work_counters(compiled, cost_model, cache)
+    yield
+    after = _work_counters(compiled, cost_model, cache)
+    for name, was, now in zip(_WORK_COUNTERS, before, after):
+        setattr(stats, name, getattr(stats, name) + now - was)
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Configuration of one :class:`ResourceOptimizer`.
@@ -208,21 +380,17 @@ class OptimizerOptions:
     enable_pruning: bool = True
     #: ablation switch: disable the memoizing plan/cost cache
     enable_plan_cache: bool = True
-    #: run grid enumeration on parallel workers (Appendix C); when set,
-    #: :meth:`ElasticMLSession.make_optimizer` builds a
+    #: run grid enumeration on a pool of worker processes (Appendix C);
+    #: when set, :meth:`ElasticMLSession.make_optimizer` builds a
     #: :class:`~repro.optimizer.parallel.ParallelResourceOptimizer`
     parallel: bool = False
     #: worker count of the parallel enumeration
     num_workers: int = 4
-    #: parallel enumeration backend: ``"process"`` (real wall-clock
-    #: parallelism, the default) or ``"thread"`` (GIL-bound; kept for
-    #: the paper's Appendix C task model and the makespan benchmark)
-    backend: str = "process"
-    #: auto backend policy: when the enumeration work (CP points x MR
-    #: points x blocks) is below this threshold, the process backend
-    #: falls back to serial enumeration — pool startup and snapshot
-    #: pickling dominate tiny grids.  0 disables the fallback (always
-    #: honor ``backend``); the session default enables it
+    #: when the enumeration work (CP points x MR points x blocks) is
+    #: below this threshold, the parallel optimizer enumerates
+    #: in-process — pool startup and snapshot pickling dominate tiny
+    #: grids.  0 disables the rule (always use the pool); the session
+    #: default enables it
     auto_serial_points: int = 0
     #: ablation switch: batch MR-grid costing with numpy
     #: (:meth:`CostModel.estimate_grid`); chosen configurations are
@@ -231,21 +399,22 @@ class OptimizerOptions:
     enable_vector_costing: bool = True
     #: r_c points per parallel-enumeration chunk; ``None`` sizes chunks
     #: adaptively to ``grid_work / (workers * target_chunks_per_worker)``
+    #: (the parity suite pins it to prove chunking never moves a decision)
     chunk_points: int | None = None
-    #: worker snapshot transport for the process backend: ``"auto"``
-    #: (fork inheritance when the platform supports it), ``"fork"``, or
+    #: worker snapshot transport of the pool: ``"auto"`` (fork
+    #: inheritance when the platform supports it), ``"fork"``, or
     #: ``"pickle"``
     snapshot: str = "auto"
 
     def decision_signature(self):
         """The subset of fields the optimization *decision* depends on.
 
-        Parallelism knobs (including the auto-serial fallback, which
-        only swaps the backend, chunk sizing, and the snapshot
-        transport) are excluded: every backend chooses the identical
-        configuration (the parity regression test enforces this), so
-        the cross-run result cache keys on this signature and
-        serial/thread/process runs share entries.
+        Parallelism knobs (worker count, the auto-serial rule, chunk
+        sizing, and the snapshot transport) are excluded: the pool maps
+        the serial loop's own :func:`enumerate_cp_point` over the CP
+        grid and so chooses the identical configuration (the parity
+        regression test enforces this); the cross-run result cache keys
+        on this signature and serial and pool runs share entries.
         ``enable_vector_costing`` is *included* even though the two
         paths are parity-tested bit-identical: the ablation switch must
         observably run the path it names, not replay a cached result
@@ -288,6 +457,13 @@ class OptimizerStats:
             return 0.0
         return self.remaining_blocks / self.total_blocks
 
+    def add_work(self, other):
+        """Add the work counters another enumeration context measured
+        (a pool worker's chunk) to this one's."""
+        for name in _WORK_COUNTERS + ("mr_points_skipped",
+                                      "mr_points_batched"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
 
 @dataclass
 class OptimizerResult:
@@ -305,6 +481,9 @@ class OptimizerResult:
 
 class ResourceOptimizer:
     """Cost-based optimizer for CP/MR memory configurations."""
+
+    #: the result type :meth:`optimize` returns
+    result_class = OptimizerResult
 
     def __init__(self, cluster, params=None, grid_cp="hybrid",
                  grid_mr="hybrid", m=15, w=2.0, time_budget=None,
@@ -361,8 +540,7 @@ class ResourceOptimizer:
             "optimizer.optimize",
             scope="program" if scope_blocks is None else "blocks",
         ) as span:
-            result = self._optimize(compiled, scope_blocks, fixed_cp_mb,
-                                    tracer)
+            result = self._optimize(compiled, scope_blocks, fixed_cp_mb)
             if tracer.enabled:
                 span.set("cost_s", result.cost)
                 span.set("resource", result.resource.describe()
@@ -374,11 +552,9 @@ class ResourceOptimizer:
                             result.stats.pruned_unknown)
             return result
 
-    def _optimize(self, compiled, scope_blocks, fixed_cp_mb, tracer):
+    def _optimize(self, compiled, scope_blocks, fixed_cp_mb):
         start = time.perf_counter()
         compiled.stats.reset()
-        cost_before = self.cost_model.invocations
-        memo_hits_before = self.cost_model.memo_hits
         cache = None
         if self.enable_plan_cache:
             cache = PlanCache()
@@ -409,124 +585,38 @@ class ResourceOptimizer:
             None if scope_blocks is None else list(scope_blocks)
         )
 
-        result = OptimizerResult()
+        result = self.result_class()
         result.stats.cp_points = len(src)
         result.stats.mr_points = len(srm)
         result.stats.total_blocks = len(blocks)
-
-        best_cost = float("inf")
-        best_resource = None
         deadline = (
             start + self.time_budget if self.time_budget is not None else None
         )
-
-        for rc in src:
-            exhausted = False
-            # baseline compilation at (rc, min_cc)
-            baseline = ResourceConfig(cp_heap_mb=rc, mr_heap_mb=min_mb)
-            for block in blocks:
-                recompile_block_plan(compiled, block, baseline, cache=cache)
-            if self.enable_pruning:
-                remaining, pruned_small, pruned_unknown = (
-                    prune_program_blocks(blocks)
-                )
-            else:
-                remaining, pruned_small, pruned_unknown = (
-                    list(blocks), [], []
-                )
-            if rc == src[0]:
-                # report pruning at min_cc, where MR usage is maximal
-                result.stats.pruned_small = len(pruned_small)
-                result.stats.pruned_unknown = len(pruned_unknown)
-                result.stats.remaining_blocks = len(remaining)
-
-            # per-block enumeration of the MR dimension (memoized best)
-            memo = {}
-            for block in remaining:
-                if deadline is not None and time.perf_counter() > deadline:
-                    exhausted = True
-                    break
-                memo[block.block_id] = (
-                    min_mb,
-                    self.cost_model.estimate_block(
-                        compiled, block, baseline,
-                        use_memo=cache is not None,
-                    ),
-                )
-            if not exhausted:
-                for block in remaining:
-                    memo[block.block_id], exhausted = enumerate_block_mr(
-                        compiled, block, rc, min_mb, srm, self.cost_model,
-                        memo[block.block_id][1], cache=cache,
-                        deadline=deadline, stats=result.stats,
-                        vectorize=self.enable_vector_costing,
-                    )
-                    if exhausted:
-                        break
-
-            # whole-program compilation under the memoized vector (on
-            # budget exhaustion: under the partial memo, so the point
-            # still contributes a valid configuration + profile sample)
-            chosen = ResourceConfig(
-                cp_heap_mb=rc,
-                mr_heap_mb=min_mb,
-                mr_heap_per_block={
-                    block_id: ri for block_id, (ri, _) in memo.items()
-                },
-            )
-            for block in blocks:
-                recompile_block_plan(compiled, block, chosen, cache=cache)
-            if cost_blocks is None:
-                program_cost = self.cost_model.estimate_program(
-                    compiled, chosen
-                )
-            else:
-                program_cost = self.cost_model.estimate_blocks(
-                    compiled, cost_blocks, chosen
-                )
-            result.cp_profile.append((rc, program_cost))
-            if tracer.enabled:
-                tracer.incr("optimizer.grid_points")
-                tracer.event(
-                    "optimizer.grid_point",
-                    cp_mb=rc,
-                    estimated_cost_s=program_cost,
-                    mr_blocks=len(memo),
-                )
-
-            best_resource, best_cost = update_best(
-                best_resource, best_cost, chosen, program_cost
-            )
-
-            if exhausted or (
-                deadline is not None and time.perf_counter() > deadline
-            ):
-                result.stats.budget_exhausted = True
-                break
-
-        result.resource = best_resource
-        result.cost = best_cost
-        if best_resource is not None:
-            # leave the program compiled under the *returned*
-            # configuration, not whatever grid point ran last
-            for block in blocks:
-                recompile_block_plan(
-                    compiled, block, best_resource, cache=cache
-                )
-            if scope_blocks is None:
-                compiled.resource = best_resource
-        result.stats.block_compilations = compiled.stats.block_compilations
-        result.stats.cost_invocations = (
-            self.cost_model.invocations - cost_before
-        )
-        result.stats.cost_memo_hits = (
-            self.cost_model.memo_hits - memo_hits_before
-        )
-        if cache is not None:
-            result.stats.plan_cache_hits = cache.hits
-            result.stats.plan_cache_misses = cache.misses
+        with count_work(result.stats, compiled, self.cost_model, cache):
+            self._search(compiled, blocks, src, srm, cache, cost_blocks,
+                         deadline, result)
         result.stats.optimization_time = time.perf_counter() - start
         return result
+
+    def _search(self, compiled, blocks, src, srm, cache, cost_blocks,
+                deadline, result):
+        """Enumerate the CP grid in ascending order (stopping at the
+        first point the deadline cut short) and fold the points into
+        ``result``; returns the points."""
+        min_mb = self.cluster.min_heap_mb
+        points = []
+        for rc in src:
+            points.append(enumerate_cp_point(
+                compiled, blocks, rc, min_mb, srm, self.cost_model, cache,
+                prune=self.enable_pruning,
+                vectorize=self.enable_vector_costing, deadline=deadline,
+                stats=result.stats, cost_blocks=cost_blocks,
+            ))
+            if points[-1].exhausted:
+                break
+        fold_cp_points(result, points, compiled, blocks, min_mb, cache,
+                       program_scope=cost_blocks is None)
+        return points
 
 
 def _last_level(blocks):

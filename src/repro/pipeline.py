@@ -137,12 +137,11 @@ class RunPipeline:
 
         ``options`` replaces the defaults wholesale; keyword overrides
         (``grid_cp``, ``grid_mr``, ``m``, ``w``, ``time_budget``,
-        ``enable_pruning``, ``parallel``, ``num_workers``, ``backend``)
-        patch individual fields of either.  With ``parallel`` enabled
+        ``enable_pruning``, ``parallel``, ``num_workers``) patch
+        individual fields of either.  With ``parallel`` enabled
         (implied by a ``num_workers`` override > 1) the result is a
-        :class:`~repro.optimizer.parallel.ParallelResourceOptimizer`
-        running the requested backend; otherwise the serial
-        :class:`ResourceOptimizer`.
+        :class:`~repro.optimizer.parallel.ParallelResourceOptimizer`;
+        otherwise the serial :class:`ResourceOptimizer`.
         """
         opts = options if options is not None else self.optimizer_options
         if overrides:
@@ -222,10 +221,9 @@ class RunPipeline:
             params=self.params,
             hdfs=self.hdfs.view(injector=injector),
             sample_cap=self.sample_cap,
-            # runtime adaptation re-optimizes tiny block scopes where
-            # parallel fan-out costs more than it saves (and the
-            # parallel optimizer has no scope/fixed-CP support), so the
-            # adapter always gets the serial optimizer
+            # runtime adaptation re-optimizes tiny block scopes, which
+            # never fan out to a pool, so the adapter always gets the
+            # serial optimizer
             adapter=(
                 ResourceAdapter(self.make_optimizer(parallel=False))
                 if adapt else None

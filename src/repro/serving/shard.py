@@ -132,10 +132,11 @@ def _shard_worker_main(payload, cmd_queue, event_queue):
     spec = pickle.loads(payload) if isinstance(payload, bytes) else payload
     shard_id = spec["shard_id"]
     config = spec["config"]
-    if config.opt_workers > 1 and config.opt_backend == "process":
-        # shard workers are daemonic and cannot fork grandchildren;
-        # the thread backend chooses byte-identical configurations
-        config = replace(config, opt_backend="thread")
+    if config.opt_workers > 1:
+        # shard workers are daemonic and cannot fork a pool of their
+        # own; in-process enumeration chooses byte-identical
+        # configurations
+        config = replace(config, opt_workers=0)
     server = ElasticMLServer(
         cluster=spec["cluster"],
         params=spec["params"],

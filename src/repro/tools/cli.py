@@ -4,7 +4,7 @@ Mirrors how SystemML's YARN client is driven from the shell:
 
     python -m repro run script.dml -arg X=data/X -arg Y=data/y [--static CP,MR]
     python -m repro optimize script.dml -arg X=data/X ...   # alias: opt
-    python -m repro opt script.dml ... --workers 4 --opt-backend process
+    python -m repro opt script.dml ... --workers 4   # pool enumeration
     python -m repro explain script.dml -arg X=data/X [--level hops]
     python -m repro whatif script.dml ... [--cp 1,10,20 --mr 1,5]
     python -m repro scripts                     # list bundled ML programs
@@ -112,47 +112,29 @@ def _apply_calibration_flag(session, args):
 
 def _add_opt_flags(parser):
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="parallel optimizer workers "
-                             "(default: serial enumeration)")
-    parser.add_argument("--opt-backend", default=None,
-                        choices=["serial", "thread", "process"],
-                        help="enumeration backend; choosing thread/process "
-                             "without --workers implies 4 workers")
+                        help="optimizer worker processes (default and "
+                             "0/1: in-process serial enumeration)")
     parser.add_argument("--auto-serial-points", type=int, default=None,
                         metavar="N",
-                        help="grid-work threshold below which the process "
-                             "backend falls back to serial (0 disables)")
-    parser.add_argument("--chunk-points", type=int, default=None,
-                        metavar="N",
-                        help="CP grid points per parallel-enumeration "
-                             "chunk (default: adaptive)")
+                        help="grid-work threshold below which --workers N "
+                             "still enumerates in-process (0 disables)")
     parser.add_argument("--no-vector-costing", action="store_true",
                         help="disable vectorized MR-grid batch costing "
                              "(ablation; chosen configs are identical)")
 
 
 def _apply_opt_flags(session, args):
-    """Translate --workers/--opt-backend/... into the session config."""
+    """Translate --workers/--auto-serial-points/... into the session
+    config."""
     knobs = {}
     auto = getattr(args, "auto_serial_points", None)
     if auto is not None:
         knobs["auto_serial_points"] = auto
-    chunk = getattr(args, "chunk_points", None)
-    if chunk is not None:
-        knobs["chunk_points"] = chunk
     if getattr(args, "no_vector_costing", False):
         knobs["enable_vector_costing"] = False
-    backend = getattr(args, "opt_backend", None)
     workers = getattr(args, "workers", None)
-    if backend == "serial":
-        knobs["opt_workers"] = 0
-    else:
-        if backend is not None:
-            knobs["opt_backend"] = backend
-        if workers is not None:
-            knobs["opt_workers"] = workers
-        elif backend is not None:
-            knobs["opt_workers"] = 4
+    if workers is not None:
+        knobs["opt_workers"] = workers
     session.config = replace(session.config, **knobs)
 
 

@@ -1,12 +1,23 @@
 """Unit tests for the task-parallel optimizer (Appendix C)."""
 
+import multiprocessing as mp
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.cluster import paper_cluster
 from repro.common import MatrixCharacteristics
 from repro.compiler.pipeline import compile_program
-from repro.optimizer import ParallelResourceOptimizer, ResourceOptimizer
+from repro.cost import CostModel
+from repro.optimizer import (
+    OptimizerOptions,
+    ParallelResourceOptimizer,
+    ResourceOptimizer,
+)
 from repro.optimizer.parallel import schedule_makespan
+
+_HAS_FORK = "fork" in mp.get_all_start_methods()
 
 BIG = {
     "X": MatrixCharacteristics(10**6, 1000, 10**9),
@@ -64,9 +75,29 @@ class _Boom(RuntimeError):
     pass
 
 
+class _RaisingCostModel(CostModel):
+    """Fails the whole-program (agg) costing of every CP point; module
+    level so the pickle transport can ship an instance to workers."""
+
+    def estimate_program(self, compiled, resource, initial_state=None):
+        raise _Boom("injected worker failure")
+
+
+def _unpicklable_in_worker():
+    raise _Boom("injected worker setup failure")
+
+
+class _BreaksWorkerSetup:
+    """Rides in the pickled snapshot and blows up when a worker's pool
+    initializer unpickles it."""
+
+    def __reduce__(self):
+        return (_unpicklable_in_worker, ())
+
+
 def _optimize_with_timeout(optimizer, compiled, timeout=60.0):
-    """Run optimize on a thread so a regression to the task_done
-    deadlock fails the test instead of hanging the suite."""
+    """Run optimize on a thread so a pool that never shuts down fails
+    the test instead of hanging the suite."""
     import threading
 
     outcome = {}
@@ -84,50 +115,47 @@ def _optimize_with_timeout(optimizer, compiled, timeout=60.0):
     return outcome
 
 
+def _no_live_children(timeout=10.0):
+    """True once every pool worker has been reaped."""
+    deadline = time.monotonic() + timeout
+    while mp.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not mp.active_children()
+
+
 class TestWorkerFailure:
-    """Thread-backend failure semantics (the monkeypatched hooks —
-    in-process CostModel and copy.deepcopy — are thread-path
-    mechanics; the process backend ships pickled snapshots instead)."""
+    """Pool failure semantics: a worker's exception reaches the caller
+    as itself, the remaining chunks are cancelled, and no child process
+    outlives ``optimize``."""
 
-    def test_task_exception_propagates_without_hang(
-        self, cluster, monkeypatch
-    ):
-        """A raising task used to skip tasks.task_done(), deadlocking
-        tasks.join() forever; agg probes spun on memo entries that the
-        dead producer would never publish."""
-        import repro.optimizer.parallel as par
+    def test_task_exception_propagates_without_hang(self, cluster):
+        modes = ["pickle"] + (["fork"] if _HAS_FORK else [])
+        for mode in modes:
+            # one CP point per chunk: most chunks are still queued when
+            # the first one fails, so shutdown must cancel them
+            optimizer = ParallelResourceOptimizer(
+                cluster, num_workers=2, snapshot=mode, chunk_points=1
+            )
+            optimizer.cost_model = _RaisingCostModel(cluster)
+            outcome = _optimize_with_timeout(
+                optimizer, compile_program(SOURCE, ARGS, BIG)
+            )
+            assert type(outcome.get("error")) is _Boom, mode
+            assert _no_live_children(), mode
 
-        class RaisingCostModel(par.CostModel):
-            # estimate_program runs only on workers (agg tasks); the
-            # master's baseline costing stays intact
-            def estimate_program(self, compiled, resource):
-                raise _Boom("injected worker failure")
-
-        monkeypatch.setattr(par, "CostModel", RaisingCostModel)
-        compiled = compile_program(SOURCE, ARGS, BIG)
+    def test_worker_setup_failure_propagates_without_hang(self, cluster):
+        """A worker dying in its pool initializer (before its first
+        chunk) breaks the pool; the master must report that instead of
+        waiting for results that never come."""
         optimizer = ParallelResourceOptimizer(
-            cluster, num_workers=2, backend="thread"
+            cluster, num_workers=2, snapshot="pickle"
         )
-        outcome = _optimize_with_timeout(optimizer, compiled)
-        assert isinstance(outcome.get("error"), _Boom)
-
-    def test_worker_setup_failure_propagates_without_hang(
-        self, cluster, monkeypatch
-    ):
-        """A worker dying before its first task must drain its share of
-        the queue, or tasks.join() never completes."""
-        import repro.optimizer.parallel as par
-
-        def boom(obj, memo=None):
-            raise _Boom("injected deepcopy failure")
-
-        compiled = compile_program(SOURCE, ARGS, BIG)
-        optimizer = ParallelResourceOptimizer(
-            cluster, num_workers=2, backend="thread"
+        optimizer.cost_model.poison = _BreaksWorkerSetup()
+        outcome = _optimize_with_timeout(
+            optimizer, compile_program(SOURCE, ARGS, BIG)
         )
-        monkeypatch.setattr(par.copy, "deepcopy", boom)
-        outcome = _optimize_with_timeout(optimizer, compiled)
-        assert isinstance(outcome.get("error"), _Boom)
+        assert isinstance(outcome.get("error"), BrokenProcessPool)
+        assert _no_live_children()
 
 
 class TestMakespanModel:
@@ -153,13 +181,12 @@ class TestMakespanModel:
 
 
 class TestAutoSerialPolicy:
-    """The process backend falls back to serial below the enumeration
-    work threshold (the auto backend policy)."""
+    """Below the enumeration work threshold the parallel optimizer
+    enumerates in-process instead of starting its pool."""
 
     def _optimizer(self, cluster, threshold):
         return ParallelResourceOptimizer(
-            cluster, num_workers=2, backend="process",
-            auto_serial_points=threshold,
+            cluster, num_workers=2, auto_serial_points=threshold,
         )
 
     def test_small_grid_falls_back_to_serial(self, cluster):
@@ -186,20 +213,9 @@ class TestAutoSerialPolicy:
         result = self._optimizer(cluster, 0).optimize(compiled)
         assert result.backend == "process"
 
-    def test_thread_backend_never_falls_back(self, cluster):
-        compiled = compile_program(SOURCE, ARGS, BIG)
-        result = ParallelResourceOptimizer(
-            cluster, num_workers=2, backend="thread",
-            auto_serial_points=10**9,
-        ).optimize(compiled)
-        assert result.backend == "thread"
-
     def test_options_carry_the_threshold(self, cluster):
-        from repro.optimizer import OptimizerOptions
-
         options = OptimizerOptions(
-            parallel=True, num_workers=2, backend="process",
-            auto_serial_points=123,
+            parallel=True, num_workers=2, auto_serial_points=123,
         )
         optimizer = ParallelResourceOptimizer(cluster, options=options)
         assert optimizer.auto_serial_points == 123

@@ -270,9 +270,44 @@ class TestAcceptance:
 
 
 class TestPickleAndMerge:
-    """Process-backend contracts: pickling preserves the full cache
-    state (the snapshot each worker receives), and merge() folds a
-    worker's grown cache back into the master."""
+    """Pool contracts: pickling preserves the full cache state (the
+    snapshot each worker receives), and the master merges the workers'
+    cache and work counters into its own."""
+
+    def test_single_chunk_pool_merges_to_serial_counters(self, cluster):
+        """One worker enumerating the whole grid as one chunk replays
+        the serial loop's exact lookup sequence, so its deltas plus the
+        master's fold must account for every serial counter."""
+        from dataclasses import asdict
+
+        serial = ResourceOptimizer(cluster, m=15).optimize(
+            compile_program(CG_STYLE, ARGS, BIG)
+        )
+        pooled = ParallelResourceOptimizer(
+            cluster, m=15, num_workers=1, chunk_points=10**6,
+        ).optimize(compile_program(CG_STYLE, ARGS, BIG))
+        assert pooled.backend == "process"
+        assert pooled.tasks_dispatched == 1
+        expected = asdict(serial.stats)
+        merged = asdict(pooled.stats)
+        # same lookups; but the fold recompiles the winner against the
+        # master's own, still empty cache where the serial loop's warm
+        # one hits, so up to one lookup per block turns into a compile
+        refolded = (
+            merged["plan_cache_misses"] - expected["plan_cache_misses"]
+        )
+        assert 0 <= refolded <= serial.stats.total_blocks
+        assert (
+            merged["plan_cache_hits"] == expected["plan_cache_hits"] - refolded
+        )
+        assert (
+            merged["block_compilations"]
+            == expected["block_compilations"] + refolded
+        )
+        for name in ("optimization_time", "block_compilations",
+                     "plan_cache_hits", "plan_cache_misses"):
+            del expected[name], merged[name]
+        assert merged == expected
 
     def _warm_cache(self):
         compiled = compile_program(CG_STYLE, ARGS, BIG)
@@ -302,50 +337,6 @@ class TestPickleAndMerge:
             cache.plans[cache.key_for(block, ResourceConfig(512.0, 512.0))]
         )
 
-    def test_merge_accumulates_counters_and_adopts_plans(self):
-        compiled, block, worker = self._warm_cache()
-        master = PlanCache()
-        # master knows one budget the worker also probed, plus nothing else
-        recompile_block_plan(
-            compiled, block, ResourceConfig(512.0, 512.0), cache=master
-        )
-        master_plans_before = dict(master.plans)
-        hits = master.hits + worker.hits
-        misses = master.misses + worker.misses
-        master.merge(worker)
-        assert master.hits == hits
-        assert master.misses == misses
-        # all worker keys present; keys the master already held keep
-        # the master's plan object
-        assert set(worker.plans) <= set(master.plans)
-        for key, plan in master_plans_before.items():
-            assert master.plans[key] is plan
-
-    def test_merge_accumulates_evictions_and_invalidations(self):
-        # regression: merge() used to drop the evictions counter, so a
-        # bounded worker cache's evictions vanished from the master
-        worker = PlanCache(max_plans=1)
-        worker.store((1, 0, 0), object())
-        worker.store((2, 0, 0), object())  # LRU bound: first key evicted
-        worker.invalidate_block(2)
-        assert (worker.evictions, worker.invalidations) == (1, 1)
-        master = PlanCache()
-        master.merge(worker)
-        assert master.evictions == 1
-        assert master.invalidations == 1
-        master.merge(worker)
-        assert master.evictions == 2
-
-    def test_merge_is_usable_after_fold(self):
-        compiled, block, worker = self._warm_cache()
-        master = PlanCache()
-        master.merge(worker)
-        before = master.hits
-        recompile_block_plan(
-            compiled, block, ResourceConfig(2048.0, 512.0), cache=master
-        )
-        assert master.hits == before + 1
-
 
 class TestSharedCacheConcurrency:
     """The serving layer shares one PlanCache across tenant threads."""
@@ -374,7 +365,7 @@ class TestSharedCacheConcurrency:
         assert clone.max_plans == 7
         assert clone.plans == {}
 
-    def test_concurrent_store_lookup_merge_not_torn(self):
+    def test_concurrent_store_lookup_not_torn(self):
         """Hammer one shared cache from many threads: every lookup
         returns either None or a value stored under that exact key, the
         bound holds, and counters stay consistent."""
@@ -387,16 +378,13 @@ class TestSharedCacheConcurrency:
         def tenant(tid):
             try:
                 barrier.wait()
-                private = PlanCache()
                 for i in range(300):
                     key = ("block", tid % 2, i % 40)
                     value = f"plan-{tid % 2}-{i % 40}"
-                    private.store(key, value)
                     shared.store(key, value)
                     found = shared.lookup(key)
                     if found is not None and found != value:
                         errors.append((key, found))
-                    shared.merge(private)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -413,28 +401,6 @@ class TestSharedCacheConcurrency:
         for key, value in shared.plans.items():
             assert value == f"plan-{key[1]}-{key[2]}"
         assert shared.hits + shared.misses >= 1200
-
-    def test_concurrent_merge_into_master(self):
-        """Parallel merges of disjoint worker caches lose nothing."""
-        import threading
-
-        master = PlanCache()
-        workers = []
-        for w in range(8):
-            worker = PlanCache()
-            for i in range(50):
-                worker.store((f"b{w}", 0, i), f"plan-{w}-{i}")
-            workers.append(worker)
-        threads = [
-            threading.Thread(target=master.merge, args=(worker,))
-            for worker in workers
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(master.plans) == 8 * 50
-        assert master.merge(master) is master  # self-merge is a no-op
 
     def test_pickle_roundtrip_restores_lock_and_bound(self):
         import pickle

@@ -118,12 +118,13 @@ class TestRemovedEntryPoints:
 class TestSessionConfig:
     def test_config_object_drives_knobs(self):
         config = SessionConfig(grid_cp="equi", grid_m=5, opt_workers=2,
-                               opt_backend="thread")
+                               auto_serial_points=0)
         session = ElasticMLSession(config=config, sample_cap=64)
         assert session.config.grid_cp == "equi"
         assert session.config.grid_m == 5
         opts = session.optimizer_options
-        assert opts.parallel and opts.backend == "thread"
+        assert opts.parallel and opts.num_workers == 2
+        assert opts.auto_serial_points == 0
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

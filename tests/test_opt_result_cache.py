@@ -80,13 +80,13 @@ class TestCrossRunCache:
         assert session.opt_cache.misses == 2
 
     def test_parallel_knobs_do_not_invalidate(self):
-        """Backends choose identically, so parallelism is excluded
-        from the decision signature."""
+        """The pool chooses what the serial loop chooses, so
+        parallelism is excluded from the decision signature."""
         session = _session()
         args = _linreg_args(session)
         session.run("LinregDS", args)
         session.config = replace(
-            session.config, opt_workers=2, opt_backend="thread"
+            session.config, opt_workers=2, auto_serial_points=0
         )
         outcome = session.run("LinregDS", args)
         assert outcome.optimizer_result.from_cache is True
@@ -128,12 +128,12 @@ class TestMakeOptimizerDispatch:
 
     def test_opt_workers_selects_parallel(self):
         session = _session(
-            config=SessionConfig(opt_workers=3, opt_backend="thread")
+            config=SessionConfig(opt_workers=3, auto_serial_points=17)
         )
         opt = session.make_optimizer()
         assert type(opt) is ParallelResourceOptimizer
         assert opt.num_workers == 3
-        assert opt.backend == "thread"
+        assert opt.auto_serial_points == 17
 
     def test_num_workers_override_implies_parallel(self):
         session = _session()
@@ -148,8 +148,7 @@ class TestMakeOptimizerDispatch:
 
     def test_parallel_session_run_populates_counters(self):
         session = _session(
-            config=SessionConfig(opt_workers=2, opt_backend="process",
-                                 auto_serial_points=0),
+            config=SessionConfig(opt_workers=2, auto_serial_points=0),
             trace=True,
         )
         args = _linreg_args(session)
@@ -161,10 +160,7 @@ class TestMakeOptimizerDispatch:
     def test_small_grid_auto_falls_back_to_serial(self):
         """Session default auto-serial policy: the XS LinregDS grid is
         far below the threshold, so the process backend never spawns."""
-        session = _session(
-            config=SessionConfig(opt_workers=2, opt_backend="process"),
-            trace=True,
-        )
+        session = _session(config=SessionConfig(opt_workers=2), trace=True)
         args = _linreg_args(session)
         outcome = session.run("LinregDS", args)
         assert outcome.optimizer_result.backend == "serial"
@@ -173,7 +169,7 @@ class TestMakeOptimizerDispatch:
         assert session.tracer.counter("optpar.tasks") == 0
 
     def test_auto_serial_matches_process_decision(self):
-        config = SessionConfig(opt_workers=2, opt_backend="process")
+        config = SessionConfig(opt_workers=2)
         serial = _session(config=config)
         forced = _session(config=replace(config, auto_serial_points=0))
         a1 = _linreg_args(serial)

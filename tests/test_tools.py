@@ -121,21 +121,21 @@ class TestCLI:
             "optimize", "LinregDS",
             "--gen", "gx=50000x100", "--gen", "gy=50000x1",
             "-arg", "X=gx", "-arg", "Y=gy", "-arg", "B=out",
-            "--opt-backend", "serial",
+            "--workers", "1",
         ])
         assert code == 0
         assert "backend: serial" in capsys.readouterr().out
 
-    def test_run_with_thread_backend(self, capsys):
+    def test_run_with_process_backend(self, capsys):
         code = main([
             "run", "LinregDS",
             "--gen", "gx=50000x100", "--gen", "gy=50000x1",
             "-arg", "X=gx", "-arg", "Y=gy", "-arg", "B=out",
-            "--workers", "2", "--opt-backend", "thread",
+            "--workers", "2", "--auto-serial-points", "0",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "optimizer: thread (2 workers" in out
+        assert "optimizer: process (2 workers" in out
 
     def test_explain_command(self, capsys):
         code = main([
