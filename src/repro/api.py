@@ -34,7 +34,6 @@ from repro.compiler.pipeline import (
     restore_plans,
 )
 from repro.cost import CostModel
-from repro.cost.calibrate import DEFAULT_MIN_SAMPLES
 from repro.obs import NULL_TRACER, Tracer, get_tracer, use_tracer
 from repro.optimizer import (
     DEFAULT_AUTO_SERIAL_POINTS,
@@ -129,39 +128,20 @@ class SessionConfig:
     #: cost model's *belief*; the simulated hardware truth (``params``)
     #: is unaffected
     calibration_profile: object = None
-    #: components with fewer samples than this keep their base constants
-    calibration_min_samples: int = DEFAULT_MIN_SAMPLES
     # -- continuous elasticity (repro.elastic) ------------------------------
     #: attach an autoscaling Brain to every execution: mid-run
     #: grow/shrink of the granted memory under load.  Time-only — plans
     #: always compile against the ideal config, outputs stay
     #: byte-identical (off reproduces pre-Brain behavior exactly)
     elastic: bool = False
-    #: a :class:`~repro.elastic.BrainPolicy` (None = default policy)
-    elastic_policy: object = None
     #: per-tenant memory quota as a fraction of total cluster memory,
     #: enforced by the serving resource manager (None = no quotas)
     tenant_quota_share: float | None = None
-    # -- serving thread pool -------------------------------------------------
-    #: clamp for :func:`~repro.serving.default_serving_workers`
-    #: (None = the 2/8 defaults)
-    serving_min_workers: int | None = None
-    serving_max_workers: int | None = None
     # -- sharded multi-process serving (repro.serving.shard) -----------------
     #: >1 routes the serving facade to a
     #: :class:`~repro.serving.shard.ShardedElasticMLServer` with this
     #: many shard worker processes
     serving_shards: int = 1
-    #: routing affinity: "tenant" (one tenant, one shard) or "program"
-    #: (all tenants of one script+args share a shard's caches)
-    shard_affinity: str = "tenant"
-    #: completed submissions between rebalancer passes (0 = off)
-    shard_rebalance_every: int = 64
-    #: EWMA smoothing factor of the per-tenant demand predictor
-    demand_alpha: float = 0.3
-    #: how shard workers receive their spec: "fork" (inherited
-    #: copy-on-write), "pickle" (spawn-safe), or "auto"
-    shard_start_method: str = "auto"
 
     def optimizer_options(self):
         """This configuration as :class:`OptimizerOptions`."""

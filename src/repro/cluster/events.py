@@ -19,7 +19,9 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+from repro.cluster.admission import AdmissionCore, FirstFitPolicy
 from repro.cluster.yarn import ResourceManager
+from repro.errors import ClusterError
 
 
 @dataclass
@@ -67,7 +69,7 @@ def simulate_mixed_throughput(cluster, user_specs, apps_per_user=8,
     executors) allocated all-or-nothing.  Returns a
     :class:`ThroughputOutcome`.
     """
-    rm = ResourceManager(cluster)
+    core = AdmissionCore(ResourceManager(cluster), FirstFitPolicy())
     sequence = itertools.count()
     events = []  # (finish time, seq, user)
     remaining = [apps_per_user] * len(user_specs)
@@ -75,49 +77,39 @@ def simulate_mixed_throughput(cluster, user_specs, apps_per_user=8,
     clock = 0.0
     max_concurrency = 0
 
-    def try_start(user, now):
-        nonlocal max_concurrency
-        duration, container_mb = user_specs[user]
-        granted = []
-        for _ in range(containers_per_app):
-            container = rm.try_allocate(container_mb)
-            if container is None:
-                for held in granted:
-                    rm.release(held)
-                return False
-            granted.append(container)
-        running[user] = granted
-        max_concurrency = max(max_concurrency, len(running))
-        factor = contention(len(running)) if contention is not None else 1.0
-        heapq.heappush(
-            events,
-            (now + duration * max(factor, 1.0), next(sequence), user),
-        )
-        return True
+    def enqueue(user):
+        """The user's next application joins the line (arrival order)."""
+        container_mb = user_specs[user][1]
+        if core.offer(
+            user, None, container_mb, count=containers_per_app
+        ) is None:
+            raise ClusterError(
+                f"{containers_per_app} container(s) of {container_mb} MB "
+                "can never be placed on this cluster"
+            )
 
-    # users whose next application awaits capacity, in arrival order
-    waiting = [
-        user for user in range(len(user_specs)) if not try_start(user, 0.0)
-    ]
-    while events:
+    for user in range(len(user_specs)):
+        enqueue(user)
+    while True:
+        # skip-ahead admission: a queued user that does not fit does not
+        # block the smaller ones behind it
+        for request, containers in core.grant():
+            running[request.ticket] = containers
+            max_concurrency = max(max_concurrency, len(running))
+            factor = (
+                contention(len(running)) if contention is not None else 1.0
+            )
+            heapq.heappush(events, (
+                clock + user_specs[request.ticket][0] * max(factor, 1.0),
+                next(sequence), request.ticket,
+            ))
+        if not events:
+            break
         clock, _, user = heapq.heappop(events)
-        for container in running.pop(user):
-            rm.release(container)
+        core.release(running.pop(user))
         remaining[user] -= 1
         if remaining[user] > 0:
-            waiting.append(user)
-        # skip-ahead admission: a queued user that does not fit does not
-        # block the smaller ones behind it.  Capacity only shrinks during
-        # a pass, so a request at least as large as one that already
-        # failed is not retried.
-        still_waiting = []
-        smallest_failed = float("inf")
-        for queued in waiting:
-            container_mb = user_specs[queued][1]
-            if container_mb >= smallest_failed or not try_start(queued, clock):
-                smallest_failed = min(smallest_failed, container_mb)
-                still_waiting.append(queued)
-        waiting = still_waiting
+            enqueue(user)
 
     return ThroughputOutcome(
         total_apps=len(user_specs) * apps_per_user,

@@ -147,13 +147,16 @@ class ResourceManager:
             )
         return request
 
-    def can_fit(self, memory_mb, tenant=None):
-        """Whether some node could grant the request right now (and,
-        when ``tenant`` is quota-bound, whether the quota allows it)."""
+    def can_fit(self, memory_mb, tenant=None, count=1):
+        """Whether ``count`` containers of this size could all be
+        granted right now (and, when ``tenant`` is quota-bound, whether
+        the quota allows them)."""
         request = self.normalize_request(memory_mb)
-        if not self.quota_allows(tenant, request):
+        if not self.quota_allows(tenant, request * count):
             return False
-        return any(node.can_allocate(request) for node in self.nodes)
+        return sum(
+            node.available_mb // request for node in self.nodes
+        ) >= count
 
     def try_allocate(self, memory_mb, tenant=None):
         """First-fit allocation; returns a Container or None if the
@@ -297,14 +300,16 @@ class ResourceManager:
         per_node = self.cluster.node_memory_mb // request
         return per_node * self.cluster.num_nodes
 
-    def never_fits(self, memory_mb, tenant=None):
+    def never_fits(self, memory_mb, tenant=None, count=1):
         """Whether waiting for capacity is pointless: the request is
-        invalid or above the max allocation, fits no node even on an
-        empty cluster, or exceeds the tenant's whole quota."""
+        invalid or above the max allocation, ``count`` such containers
+        do not fit even an empty cluster, or they exceed the tenant's
+        whole quota."""
         try:
-            if self.max_concurrent(memory_mb) == 0:
+            if self.max_concurrent(memory_mb) < count:
                 return True
+            request = self.normalize_request(memory_mb)
         except ClusterError:
             return True
         quota = self._tenant_quota_mb.get(tenant)
-        return quota is not None and memory_mb > quota
+        return quota is not None and request * count > quota

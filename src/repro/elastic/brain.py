@@ -12,11 +12,11 @@ resized down (more evictions) — both time-only effects.  Plans are always
 compiled against the *ideal* configuration, so a rescaled run executes
 the same instruction sequence and produces byte-identical outputs.
 
-The same policy drives memory-elastic *admission*: when the cluster
-cannot place a run's ideal AM container, the Brain walks a shrink ladder
-``{1, s, s^2, ...}`` and admits the largest fraction whose container fits
-the free capacity (and the tenant's quota) right now — running shrunk
-instead of queueing.
+The same policy drives memory-elastic *admission*: the shrink ladder
+``{s, s^2, ...}`` (:meth:`BrainPolicy.shrink_ladder`) names the smaller
+container sizes a run also accepts, and the admission core grants the
+largest one that fits the free capacity (and the tenant's quota) right
+now — running shrunk instead of queueing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.resources import GrantedResource
-from repro.errors import ClusterError
 from repro.obs import get_tracer
 
 
@@ -65,6 +64,17 @@ class BrainPolicy:
                 f"({self.cool_utilization} > {self.hot_utilization})"
             )
 
+    def shrink_ladder(self):
+        """The below-ideal fractions ``s, s^2, ...`` down to
+        ``min_grant_fraction`` that elastic admission may grant instead
+        of queueing, largest first (empty under strict queueing)."""
+        ladder = []
+        fraction = self.shrink_step
+        while self.elastic_admission and fraction >= self.min_grant_fraction:
+            ladder.append(fraction)
+            fraction *= self.shrink_step
+        return ladder
+
 
 class ElasticBrain:
     """Per-run autoscaling controller.
@@ -101,33 +111,6 @@ class ElasticBrain:
         if utilization <= p.cool_utilization:
             return min(1.0, fraction / p.shrink_step)
         return fraction
-
-    def admission_fraction(self, ideal, rm, tenant=None):
-        """Largest fraction on the shrink ladder whose AM container the
-        resource manager can place right now (within the tenant's
-        quota), or None when even the floor does not fit.
-
-        Monotone in free capacity: more free memory never yields a
-        smaller admitted fraction.
-        """
-        p = self.policy
-        fraction = 1.0
-        while True:
-            granted = GrantedResource.of(ideal, fraction, self.cluster)
-            try:
-                fits = rm.can_fit(
-                    granted.container_request_mb(rm.cluster), tenant=tenant
-                )
-            except ClusterError:
-                fits = False
-            if fits:
-                return fraction
-            if not p.elastic_admission:
-                return None
-            next_fraction = fraction * p.shrink_step
-            if next_fraction < p.min_grant_fraction:
-                return None
-            fraction = next_fraction
 
     # -- interpreter hooks ---------------------------------------------------
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.chaos import FaultPlan
 from repro.cluster import ResourceManager, small_cluster
+from repro.cluster.admission import AdmissionCore
 from repro.cluster.resources import GrantedResource
 from repro.cost import CostModel
 from repro.elastic.brain import BrainPolicy, ElasticBrain
@@ -179,43 +180,45 @@ class TraceSimulator:
                 rm.set_tenant_quota(tenant, quota_mb)
 
         result = SimulationResult(label=label, elastic=self.elastic)
+        core = AdmissionCore(rm)  # the paper's FIFO heap rule
         sequence = itertools.count()
         events = []  # (time, seq, kind, payload)
         for entry in self.trace.entries:
             heapq.heappush(
                 events, (entry.arrival_s, next(sequence), "arrival", entry)
             )
-        waiting = []  # FIFO queue of pending entries
-        head = None  # the waiting head's (compiled, optimizer result)
-        clock = 0.0
-        while events or waiting:
-            if not events:
-                # nothing will ever free capacity for the waiting head;
-                # admission marks such entries rejected, so this is a bug
-                raise RuntimeError(
-                    f"simulation deadlock: {len(waiting)} entries waiting "
-                    "with no scheduled events"
-                )
-            clock, _, kind, payload = heapq.heappop(events)
-            self._handle(kind, payload, rm, waiting)
+        offered = {}  # ticket -> _offer() result, until the entry starts
+        while events:
+            clock = events[0][0]
             # drain simultaneous events before re-running admission
             while events and events[0][0] == clock:
-                _, _, kind, payload = heapq.heappop(events)
-                self._handle(kind, payload, rm, waiting)
-            # FIFO admission pass (head-of-line blocking, as the paper's
-            # throughput setup models)
-            while waiting:
-                if head is None:
-                    # once per entry, however many passes it stays blocked
-                    head = self._prepare_entry(waiting[0])
-                admitted = self._try_admit(
-                    waiting[0], head, rm, clock, occupancy, intervals,
-                    events, sequence, result,
+                _, ticket, kind, payload = heapq.heappop(events)
+                if kind == "finish":
+                    core.release([payload])
+                    continue
+                offer = self._offer(payload, ticket, core)
+                if offer is None:
+                    # would never fit even an empty cluster / this quota
+                    self.tracer.incr("elastic.admission_impossible")
+                    result.rejected.append(payload)
+                else:
+                    offered[ticket] = offer
+            for request, (container,) in core.grant():
+                run = self._start(
+                    *offered.pop(request.ticket), container, clock, occupancy
                 )
-                if not admitted:
-                    break
-                waiting.pop(0)
-                head = None
+                result.runs.append(run)
+                intervals.append((clock, run.finish_s, container.memory_mb))
+                heapq.heappush(
+                    events, (run.finish_s, next(sequence), "finish", container)
+                )
+        if core.waiting:
+            # nothing will ever free capacity for the waiting head; the
+            # core refuses such entries up front, so this is a bug
+            raise RuntimeError(
+                f"simulation deadlock: {len(core.waiting)} entries waiting "
+                "with no scheduled events"
+            )
         if result.runs:
             result.makespan_s = max(run.finish_s for run in result.runs)
             busy = sum(
@@ -226,90 +229,76 @@ class TraceSimulator:
         result.counters = dict(self.tracer.counters)
         return result
 
-    def _handle(self, kind, payload, rm, waiting):
-        if kind == "arrival":
-            waiting.append(payload)
-        else:  # finish: release the run's AM container
-            rm.release(payload)
-
     # -- admission -----------------------------------------------------------
 
-    def _prepare_entry(self, entry):
-        """Compile and optimize one trace entry (the pipeline's first two
-        stages); returns ``(compiled, optimizer result)``."""
+    def _offer(self, entry, ticket, core):
+        """An entry arrives: compile and optimize it (the pipeline's
+        first two stages, once per entry) and queue it for its AM
+        container.  With ``elastic=True`` the Brain's shrink ladder —
+        cut where the predicted spill slowdown becomes unacceptable —
+        rides along as the request's smaller acceptable sizes.  Returns
+        what :meth:`_start` needs, or None when the entry can never be
+        placed."""
         args = self.args_for(entry)
         source = (
             load_script(entry.script) if entry.script in SCRIPTS
             else entry.script
         )
         compiled = self.session.compile(source, args)
-        return compiled, self.session.optimize_cached(source, args, compiled)
-
-    def _try_admit(self, entry, prepared, rm, clock, occupancy, intervals,
-                   events, sequence, result):
-        compiled, opt_result = prepared
+        opt_result = self.session.optimize_cached(source, args, compiled)
         ideal = opt_result.resource
-        ideal_container = ideal.container_request_mb(self.cluster)
-        if rm.never_fits(ideal_container, entry.tenant):
-            # would never fit even an empty cluster / this quota
-            self.tracer.incr("elastic.admission_impossible")
-            result.rejected.append(entry)
-            return True  # pop it, don't block the line forever
+        #: container MB -> granted fraction, largest first
+        fractions = {ideal.container_request_mb(self.cluster): 1.0}
+        if self.elastic:
+            # cost-model gate: a granted estimate (ideal plans, granted
+            # timing + spill term) beyond ``max_spill_slowdown`` of the
+            # ideal estimate cuts the ladder — queue instead
+            est_ideal = self._estimate(compiled, ideal)
+            for fraction in self.brain_policy.shrink_ladder():
+                granted = GrantedResource.of(ideal, fraction, self.cluster)
+                if est_ideal > 0 and (
+                    self._estimate(compiled, granted) / est_ideal
+                    > self.brain_policy.max_spill_slowdown
+                ):
+                    self.tracer.incr("elastic.admission_vetoes")
+                    break
+                fractions.setdefault(
+                    granted.container_request_mb(self.cluster), fraction
+                )
+        ideal_mb, *shrunk_mb = fractions
+        if core.offer(ticket, entry.tenant, ideal_mb, shrunk_mb) is None:
+            return None
+        return entry, compiled, opt_result, fractions
 
+    def _start(self, entry, compiled, opt_result, fractions, container,
+               clock, occupancy):
+        """Execute an admitted entry at its admission instant; returns
+        its :class:`SimulatedRun`."""
+        from repro.api import RunOutcome
+
+        fraction = fractions[container.memory_mb]
         brain = None
-        fraction = 1.0
         if self.elastic:
             brain = ElasticBrain(
                 policy=self.brain_policy, cluster=self.cluster,
                 utilization=occupancy, tenant=entry.tenant,
-                base_time=clock,
+                base_time=clock, fraction=fraction,
             )
-            admitted_fraction = brain.admission_fraction(
-                ideal, rm, tenant=entry.tenant
-            )
-            if admitted_fraction is None:
-                return False  # wait for capacity
-            fraction = admitted_fraction
-            if fraction < 1.0 and not self._spill_acceptable(
-                compiled, ideal, fraction
-            ):
-                # predicted elastic slowdown too high: queue instead
-                self.tracer.incr("elastic.admission_vetoes")
-                return False
-            brain.fraction = fraction
-        else:
-            if not rm.can_fit(ideal_container, tenant=entry.tenant):
-                return False
-
-        granted = (
-            ideal if fraction >= 1.0
-            else GrantedResource.of(ideal, fraction, self.cluster)
-        )
-        container = rm.try_allocate(
-            granted.container_request_mb(self.cluster), tenant=entry.tenant
-        )
-        if container is None:
-            return False
-        if fraction < 1.0:
-            self.tracer.incr("elastic.elastic_admissions")
-
+            if fraction < 1.0:
+                self.tracer.incr("elastic.elastic_admissions")
         exec_result = self.session.execute_program(
-            compiled, ideal, seed=entry.seed, adapt=entry.adapt,
+            compiled, opt_result.resource, seed=entry.seed,
+            adapt=entry.adapt,
             chaos=(
                 FaultPlan.from_rate(entry.chaos_seed, entry.fault_rate)
                 if entry.chaos_seed is not None else None
             ),
             load=self.background, brain=brain,
         )
-        finish = clock + exec_result.total_time
-        intervals.append((clock, finish, container.memory_mb))
-        heapq.heappush(events, (finish, next(sequence), "finish", container))
-        from repro.api import RunOutcome
-
-        result.runs.append(SimulatedRun(
+        return SimulatedRun(
             entry=entry,
             admitted_s=clock,
-            finish_s=finish,
+            finish_s=clock + exec_result.total_time,
             wait_s=clock - entry.arrival_s,
             container_mb=container.memory_mb,
             fraction=fraction,
@@ -321,22 +310,14 @@ class TraceSimulator:
                 optimizer_result=opt_result,
                 compiled=compiled,
             ),
-        ))
-        return True
+        )
 
-    def _spill_acceptable(self, compiled, ideal, fraction):
-        """Cost-model gate on elastic admission: the granted estimate
-        (ideal plans, granted timing + spill term) must stay within
-        ``max_spill_slowdown`` of the ideal estimate."""
-        model = CostModel(self.cluster, self.session.model_params)
-        est_ideal = model.estimate_program(compiled, ideal)
-        granted = GrantedResource.of(ideal, fraction, self.cluster)
-        est_granted = CostModel(
+    def _estimate(self, compiled, resource):
+        """The cost model's estimate of ``compiled`` under ``resource``
+        (the session's belief)."""
+        return CostModel(
             self.cluster, self.session.model_params
-        ).estimate_program(compiled, granted)
-        if est_ideal <= 0:
-            return True
-        return est_granted / est_ideal <= self.brain_policy.max_spill_slowdown
+        ).estimate_program(compiled, resource)
 
 
 def simulate_arms(trace, *, cluster=None, params=None, config=None,

@@ -30,6 +30,7 @@ from repro.chaos import FaultInjector
 from repro.cluster import paper_cluster
 from repro.compiler.pipeline import compile_plans, compile_program
 from repro.cost.calibrate import (
+    DEFAULT_MIN_SAMPLES,
     CalibrationCollector,
     fit_profile,
     resolve_profile,
@@ -191,8 +192,8 @@ class RunPipeline:
         from repro.elastic import ElasticBrain
 
         return ElasticBrain(
-            policy=self.config.elastic_policy, cluster=self.cluster,
-            utilization=utilization, tenant=tenant, base_time=base_time,
+            cluster=self.cluster, utilization=utilization, tenant=tenant,
+            base_time=base_time,
         )
 
     def execute_program(self, compiled, resource, *, seed=0, adapt=True,
@@ -256,8 +257,7 @@ class RunPipeline:
                 "SessionConfig(calibrate=True)"
             )
         floor = (
-            min_samples if min_samples is not None
-            else self.config.calibration_min_samples
+            min_samples if min_samples is not None else DEFAULT_MIN_SAMPLES
         )
         tracer = (
             self.tracer if self.tracer is not None and self.tracer.enabled

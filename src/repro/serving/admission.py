@@ -1,15 +1,14 @@
-"""Admission control for the multi-tenant server (paper Section 5.3).
+"""Admission policies for the multi-tenant server (paper Section 5.3).
 
 Every submission ultimately needs one YARN application-master container
 sized by the paper's 1.5x-heap rule
 (:meth:`repro.cluster.resources.ResourceConfig.container_request_mb`);
 the admission policy decides *which* waiting submission gets the next
-grant.  Two policies are provided:
+grant from the :class:`~repro.cluster.admission.AdmissionCore`.  Next to
+the core's own FIFO :class:`~repro.cluster.admission.HeapRulePolicy`
+(the paper's semantics) and skip-ahead
+:class:`~repro.cluster.admission.FirstFitPolicy`, this module provides:
 
-* :class:`HeapRulePolicy` — the paper's own semantics: strict FIFO.
-  The oldest waiting submission is admitted iff its AM container
-  currently fits; nobody jumps the line.  Simple, starvation-free, and
-  what the Section 5.3 throughput experiments model.
 * :class:`PackingPolicy` — an Elasecutor-style alternative: among the
   submissions that fit right now, pick the one that packs tightest
   (smallest leftover on its best node, minimizing fragmentation),
@@ -34,64 +33,15 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class PendingRequest:
-    """One submission waiting for its AM container."""
-
-    ticket: int
-    tenant: str
-    container_mb: int
-    #: arrival sequence number (FIFO order)
-    order: int
-
-
-class AdmissionPolicy:
-    """Strategy interface: pick the next waiting request to admit.
-
-    :meth:`select` is called under the server's admission lock with the
-    current waiting list (FIFO order) and the live
-    :class:`~repro.cluster.yarn.ResourceManager`; it returns one request
-    to grant now, or None if nothing should be admitted yet.  The server
-    calls it in a loop after every release, so returning one request at
-    a time is sufficient.
-    """
-
-    name = "base"
-
-    def select(self, waiting, rm):
-        raise NotImplementedError
-
-    def admitted(self, request):
-        """Hook invoked after ``request`` was granted its container."""
-
-    def observe(self, tenant, container_mb, runtime_s):
-        """Completion feedback: the tenant's granted container size and
-        simulated runtime.  The server calls this under its admission
-        lock after every successful execution; the base policies ignore
-        it, :class:`PredictivePackingPolicy` feeds its predictor."""
-
-
-class HeapRulePolicy(AdmissionPolicy):
-    """FIFO admission under the 1.5x-heap container rule.
-
-    Admits the head of the line iff the resource manager can place its
-    AM container right now.  A large head blocks younger submissions
-    even when they would fit — run-order fairness exactly as a FIFO
-    YARN queue behaves in the paper's throughput setup.
-    """
-
-    name = "heap-rule"
-
-    def select(self, waiting, rm):
-        if not waiting:
-            return None
-        head = min(waiting, key=lambda r: r.order)
-        if rm.can_fit(head.container_mb, tenant=head.tenant):
-            return head
-        return None
+# PendingRequest is re-exported: callers that build requests by hand
+# import it from here, next to the policies
+from repro.cluster.admission import (
+    AdmissionPolicy,
+    HeapRulePolicy,
+    PendingRequest,
+    fitting_mb,
+)
 
 
 class PackingPolicy(AdmissionPolicy):
@@ -113,17 +63,22 @@ class PackingPolicy(AdmissionPolicy):
         #: tenant -> accumulated deficit credit (MB)
         self.deficits = {}
 
-    def _residual(self, request, rm):
-        """Leftover MB on the tightest node that fits the request."""
-        need = rm.normalize_request(request.container_mb)
-        if not rm.quota_allows(request.tenant, need):
+    def _fit(self, request, rm):
+        """``(normalized MB, leftover MB on the tightest node)`` for the
+        size the request would be granted now, or None if none fits."""
+        memory_mb = fitting_mb(request, rm)
+        if memory_mb is None:
             return None
-        fits = [
+        need = rm.normalize_request(memory_mb)
+        return need, min(
             node.available_mb - need
             for node in rm.nodes
             if node.can_allocate(need)
-        ]
-        return min(fits) if fits else None
+        )
+
+    def _score(self, request, rm, need, residual):
+        """Tie-break among equal deficits (smaller wins)."""
+        return (residual,)
 
     def select(self, waiting, rm):
         if not waiting:
@@ -134,12 +89,12 @@ class PackingPolicy(AdmissionPolicy):
             )
         scored = []
         for request in waiting:
-            residual = self._residual(request, rm)
-            if residual is None:
+            fit = self._fit(request, rm)
+            if fit is None:
                 continue
             scored.append((
                 -self.deficits.get(request.tenant, 0.0),
-                residual,
+                *self._score(request, rm, *fit),
                 request.order,
                 request,
             ))
@@ -249,8 +204,7 @@ class PredictivePackingPolicy(PackingPolicy):
     def observe(self, tenant, container_mb, runtime_s):
         self.predictor.observe(tenant, container_mb, runtime_s)
 
-    def _predicted_residual(self, request, rm, residual):
-        need = rm.normalize_request(request.container_mb)
+    def _score(self, request, rm, need, residual):
         forecast = self.predictor.predicted_demand_mb(
             request.tenant, default=need
         )
@@ -260,32 +214,12 @@ class PredictivePackingPolicy(PackingPolicy):
             for node in rm.nodes
             if node.available_mb >= want and node.can_allocate(need)
         ]
-        return min(fits) if fits else residual
-
-    def select(self, waiting, rm):
-        if not waiting:
-            return None
-        for tenant in {r.tenant for r in waiting}:
-            self.deficits[tenant] = (
-                self.deficits.get(tenant, 0.0) + self.quantum_mb
-            )
-        scored = []
-        for request in waiting:
-            residual = self._residual(request, rm)
-            if residual is None:
-                continue
-            scored.append((
-                -self.deficits.get(request.tenant, 0.0),
-                round(self.predictor.predicted_runtime_s(
-                    request.tenant, default=0.0
-                ), 9),
-                self._predicted_residual(request, rm, residual),
-                request.order,
-                request,
-            ))
-        if not scored:
-            return None
-        return min(scored)[-1]
+        return (
+            round(self.predictor.predicted_runtime_s(
+                request.tenant, default=0.0
+            ), 9),
+            min(fits) if fits else residual,
+        )
 
 
 #: admission policy registry: lets a policy choice travel to a shard

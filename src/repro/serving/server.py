@@ -32,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.api import OptimizerResultCache, RunOutcome, SessionConfig
+from repro.cluster.admission import AdmissionCore
 from repro.cluster.yarn import ResourceManager
 from repro.compiler.pipeline import compile_plans
 from repro.compiler.plan_cache import PlanCache
@@ -39,46 +40,25 @@ from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.pipeline import UNSET, RunPipeline
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 from repro.scripts import SCRIPTS, load_script
-
-_DEFAULT_MIN_WORKERS = 2
-_DEFAULT_MAX_WORKERS = 8
+from repro.serving.admission import make_policy
 
 
 class AdmissionCancelled(Exception):
     """A submission parked in admission was aborted by shutdown()."""
 
 
-def default_serving_workers(min_workers=None, max_workers=None,
-                            config=None):
+def default_serving_workers(min_workers=None, max_workers=None):
     """Serving thread-pool size scaled to the host: one thread per CPU,
     clamped to ``[min_workers, max_workers]``.
 
     The floor defaults to 2 (so admission never self-deadlocks behind
     one long run) and the ceiling to 8 (diminishing returns for the
-    simulated runtime), but both are configurable: explicit arguments
-    win, then :class:`~repro.api.SessionConfig` fields
-    (``serving_min_workers``/``serving_max_workers``), then the
-    defaults.
+    simulated runtime).
     """
     import os
 
-    def resolve(explicit, configured, fallback):
-        if explicit is not None:
-            return int(explicit)
-        if configured is not None:
-            return int(configured)
-        return fallback
-
-    floor = resolve(
-        min_workers,
-        getattr(config, "serving_min_workers", None),
-        _DEFAULT_MIN_WORKERS,
-    )
-    ceiling = resolve(
-        max_workers,
-        getattr(config, "serving_max_workers", None),
-        _DEFAULT_MAX_WORKERS,
-    )
+    floor = int(min_workers) if min_workers is not None else 2
+    ceiling = int(max_workers) if max_workers is not None else 8
     if floor < 1:
         raise ValueError(f"serving worker floor must be >= 1, got {floor}")
     if ceiling < floor:
@@ -234,12 +214,6 @@ class ElasticMLServer(RunPipeline):
                  program_cache_entries=32, plan_cache_entries=4096,
                  model_params=None, collector=UNSET, recorder=None,
                  admission_cluster=None):
-        from repro.serving.admission import (
-            HeapRulePolicy,
-            PendingRequest,
-            make_policy,
-        )
-
         config = config if config is not None else SessionConfig()
         super().__init__(
             config, cluster, params, hdfs, sample_cap,
@@ -253,7 +227,6 @@ class ElasticMLServer(RunPipeline):
                 if config.enable_plan_cache else None
             ),
         )
-        self._request_type = PendingRequest
         #: the capacity admission runs against.  Normally the full
         #: cluster; a :class:`~repro.serving.shard.ShardedElasticMLServer`
         #: passes its shard's node partition here so concurrency is
@@ -266,9 +239,11 @@ class ElasticMLServer(RunPipeline):
             else self.cluster
         )
         self.rm = ResourceManager(self.admission_cluster)
+        #: waiting set + policy + RM; every call is made under
+        #: ``self._cond`` (the core itself takes no lock)
         if isinstance(policy, str):
             policy = make_policy(policy)
-        self.policy = policy if policy is not None else HeapRulePolicy()
+        self.core = AdmissionCore(self.rm, policy)
         self.queue_limit = queue_limit
         self.trace = bool(trace)
         #: server-wide telemetry; per-submission tracers are absorbed
@@ -278,20 +253,25 @@ class ElasticMLServer(RunPipeline):
         #: optional :class:`~repro.elastic.TraceRecorder` capturing every
         #: accepted submission as a replayable trace entry
         self.recorder = recorder
+        #: wiring, not configuration: a shard worker sets this to a
+        #: callable that ships each processed submission's terminal
+        #: result to the parent process.  Called from the completing
+        #: thread, outside the server's lock.
+        self.on_result = None
 
         self._executor = ThreadPoolExecutor(
             max_workers=(
                 max_workers if max_workers is not None
-                else default_serving_workers(config=self.config)
+                else default_serving_workers()
             ),
             thread_name_prefix="repro-serve",
         )
         self._cond = threading.Condition()
         self._tickets = itertools.count(1)
-        self._seq = itertools.count()
         self._order = []
         self._results = {}
-        self._waiting = {}
+        #: ticket -> granted container, handed from the granting thread
+        #: to the submission's own thread
         self._granted = {}
         self._closed = False
 
@@ -392,6 +372,7 @@ class ElasticMLServer(RunPipeline):
             "plan_cache.entries":
                 len(self.plan_cache.plans) if self.plan_cache else 0,
         })
+        counters["serving.waiting"] = len(self.core.waiting)
         counters["tenant_usage_mb"] = self.rm.usage_by_tenant()
         for name in (
             "elastic.polls", "elastic.rescales", "elastic.grows",
@@ -465,7 +446,9 @@ class ElasticMLServer(RunPipeline):
             container_mb = resource.container_request_mb(self.cluster)
 
         self._ensure_quota(submission.tenant)
-        if self.rm.never_fits(container_mb, submission.tenant):
+        queued = time.monotonic()
+        container = self._acquire(ticket, submission.tenant, container_mb)
+        if container is None:
             # would wait for capacity (or its own quota) forever
             tracer.incr("serving.rejected")
             return SubmissionResult(
@@ -478,9 +461,6 @@ class ElasticMLServer(RunPipeline):
                 container_mb=container_mb,
                 latency_s=time.monotonic() - started,
             )
-
-        queued = time.monotonic()
-        container = self._acquire(ticket, submission.tenant, container_mb)
         wait_s = time.monotonic() - queued
         tracer.incr("serving.admitted")
         if tracer.enabled:
@@ -508,7 +488,7 @@ class ElasticMLServer(RunPipeline):
         tracer.incr("serving.completed")
         with self._cond:
             # demand feedback for predictive policies (no-op otherwise)
-            self.policy.observe(
+            self.core.policy.observe(
                 submission.tenant, container.memory_mb,
                 exec_result.total_time,
             )
@@ -539,21 +519,19 @@ class ElasticMLServer(RunPipeline):
     # -- admission ----------------------------------------------------------
 
     def _acquire(self, ticket, tenant, container_mb):
-        """Block until the admission policy grants this submission its
-        AM container, or raise :class:`AdmissionCancelled` once
-        shutdown() makes a grant impossible."""
-        request = self._request_type(
-            ticket=ticket, tenant=tenant, container_mb=container_mb,
-            order=next(self._seq),
-        )
+        """Block until the admission core grants this submission its AM
+        container; None when it can never be placed.  Raises
+        :class:`AdmissionCancelled` once shutdown() makes a grant
+        impossible."""
         with self._cond:
-            self._waiting[ticket] = request
-            self._kick_locked()
+            if self.core.offer(ticket, tenant, container_mb) is None:
+                return None
+            self._grant_locked()
             while ticket not in self._granted:
-                # checked after _kick_locked: a grant that squeaked in
+                # checked after granting: a grant that squeaked in
                 # before shutdown still runs to completion
                 if self._closed:
-                    self._waiting.pop(ticket, None)
+                    self.core.withdraw(ticket)
                     raise AdmissionCancelled(
                         "server shut down while queued for admission"
                     )
@@ -562,24 +540,12 @@ class ElasticMLServer(RunPipeline):
 
     def _release(self, container):
         with self._cond:
-            self.rm.release(container)
-            self._kick_locked()
+            self.core.release([container])
+            self._grant_locked()
 
-    def _kick_locked(self):
-        """Grant as many waiting requests as policy + capacity allow."""
-        while self._waiting:
-            request = self.policy.select(
-                list(self._waiting.values()), self.rm
-            )
-            if request is None:
-                break
-            container = self.rm.try_allocate(
-                request.container_mb, tenant=request.tenant
-            )
-            if container is None:
-                break
-            del self._waiting[request.ticket]
-            self.policy.admitted(request)
+    def _grant_locked(self):
+        """Hand every container the core grants to its waiting thread."""
+        for request, (container,) in self.core.grant():
             self._granted[request.ticket] = container
             self._cond.notify_all()
 
@@ -589,3 +555,5 @@ class ElasticMLServer(RunPipeline):
                 self.tracer.absorb(tracer)
             self._results[ticket] = result
             self._cond.notify_all()
+        if self.on_result is not None:
+            self.on_result(result)

@@ -12,7 +12,7 @@ Architecture::
     parent process                      shard worker process (xN)
     ─────────────────────────          ──────────────────────────────
     submit() ── route ──► cmd queue ─► main loop ─► ElasticMLServer
-    poll()/drain() ◄─ collector ◄── event queue ◄─ forwarder thread
+    poll()/drain() ◄─ collector ◄── event queue ◄─ completion hook
     stats()/shutdown()                  (results, stats, final+tracer)
 
 * **Routing** is deterministic: a :class:`ConsistentHashRouter` maps the
@@ -124,7 +124,7 @@ def _ship_result(result, global_ticket, detail):
 
 def _shard_worker_main(payload, cmd_queue, event_queue):
     """Entry point of one shard process: run a private
-    ``ElasticMLServer`` over the shard's cluster partition, forwarding
+    ``ElasticMLServer`` over the shard's cluster partition, shipping
     terminal results (and, on shutdown, final stats + tracer) to the
     parent through the shared event queue."""
     from repro.serving.server import ElasticMLServer
@@ -154,67 +154,44 @@ def _shard_worker_main(payload, cmd_queue, event_queue):
     if server.tracer.enabled:
         server.tracer.gauge("shard.id", shard_id)
     detail = spec["result_detail"]
-    outstanding = {}  # local ticket -> global ticket, arrival order
+    tickets = {}  # local ticket -> global ticket, while in flight
     lock = threading.Lock()
-    wake = threading.Event()
-    stop = threading.Event()
 
-    def forward():
-        while True:
-            with lock:
-                pending = list(outstanding.items())
-            if not pending:
-                if stop.is_set():
-                    return
-                wake.wait(0.1)
-                wake.clear()
-                continue
-            # park on the oldest outstanding ticket (any completion
-            # notifies the server condition), then sweep them all
-            server.poll(pending[0][0], timeout=0.2)
-            for local, global_ticket in pending:
-                result = server.poll(local)
-                if result is not None:
-                    with lock:
-                        outstanding.pop(local, None)
-                    event_queue.put((
-                        "result", shard_id,
-                        _ship_result(result, global_ticket, detail),
-                    ))
+    def ship(result):
+        """Completion hook: the thread that finished a submission puts
+        its result on the event queue itself."""
+        with lock:
+            global_ticket = tickets.pop(result.ticket)
+        event_queue.put((
+            "result", shard_id, _ship_result(result, global_ticket, detail)
+        ))
 
-    forwarder = threading.Thread(
-        target=forward, name=f"repro-shard-{shard_id}-fwd", daemon=True
-    )
-    forwarder.start()
+    server.on_result = ship
 
     while True:
         cmd = cmd_queue.get()
         kind = cmd[0]
         if kind == "submit":
             _, global_ticket, submission = cmd
-            try:
-                local = server.submit(submission)
-            except Exception as exc:
-                event_queue.put((
-                    "result", shard_id,
-                    SubmissionResult(
-                        ticket=global_ticket, tenant=submission.tenant,
-                        status="failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                    ),
-                ))
-                continue
+            # the lock spans submit() so the completion cannot look the
+            # ticket up before it is mapped
             with lock:
-                outstanding[local] = global_ticket
-            wake.set()
+                try:
+                    tickets[server.submit(submission)] = global_ticket
+                except Exception as exc:
+                    event_queue.put((
+                        "result", shard_id,
+                        SubmissionResult(
+                            ticket=global_ticket, tenant=submission.tenant,
+                            status="failed",
+                            error=f"{type(exc).__name__}: {exc}",
+                        ),
+                    ))
         elif kind == "stats":
             _, req_id = cmd
             event_queue.put(("stats", shard_id, req_id, server.stats()))
         elif kind == "shutdown":
-            server.shutdown(wait=True)
-            stop.set()
-            wake.set()
-            forwarder.join()
+            server.shutdown(wait=True)  # every result is shipped by now
             event_queue.put((
                 "final", shard_id, server.stats(),
                 server.tracer.to_dict() if server.tracer.enabled else None,
@@ -239,8 +216,8 @@ class ShardedElasticMLServer:
                  sample_cap=DEFAULT_SAMPLE_CAP, config=None,
                  policy="heap-rule", max_workers=None, queue_limit=1024,
                  retry_policy=None, trace=False, model_params=None,
-                 recorder=None, affinity=None, rebalance_every=None,
-                 rebalance_factor=REBALANCE_FACTOR, start_method=None,
+                 recorder=None, affinity="tenant", rebalance_every=64,
+                 rebalance_factor=REBALANCE_FACTOR, start_method="auto",
                  result_detail="light"):
         from repro.cluster import paper_cluster
 
@@ -270,24 +247,13 @@ class ShardedElasticMLServer:
         self.result_detail = result_detail
         self.trace = bool(trace)
         self.tracer = Tracer() if self.trace else NULL_TRACER
-        self.start_method = _resolve_start_method(
-            start_method if start_method is not None
-            else self.config.shard_start_method
-        )
+        self.start_method = _resolve_start_method(start_method)
         #: explicit spec bytes shipped to workers (0 under fork)
         self.snapshot_bytes = 0
-        self.router = ConsistentHashRouter(
-            shards,
-            affinity=(
-                affinity if affinity is not None
-                else self.config.shard_affinity
-            ),
-        )
-        self.predictor = DemandPredictor(alpha=self.config.demand_alpha)
-        self.rebalance_every = (
-            rebalance_every if rebalance_every is not None
-            else self.config.shard_rebalance_every
-        )
+        self.router = ConsistentHashRouter(shards, affinity=affinity)
+        self.predictor = DemandPredictor()
+        #: completions between load-rebalancing checks (0 disables)
+        self.rebalance_every = rebalance_every
         self.rebalance_factor = rebalance_factor
 
         self._cond = threading.Condition()

@@ -132,3 +132,19 @@ class TestMixedThroughput:
         assert same.makespan_seconds == mixed.makespan_seconds
         assert same.max_concurrency == mixed.max_concurrency
         assert same.max_concurrency == 36 // containers_per_app
+
+    def test_unplaceable_request_raises(self, cluster):
+        """A request above the maximum allocation (or more containers
+        than an empty cluster holds) is an error, not a silently
+        smaller run."""
+        from repro.errors import ClusterError
+
+        with pytest.raises(ClusterError):
+            simulate_mixed_throughput(
+                cluster,
+                [(60.0, 12288), (60.0, cluster.max_allocation_mb + 1)],
+            )
+        with pytest.raises(ClusterError):
+            simulate_throughput(
+                cluster, 4, 2, 60.0, 80 * 1024, containers_per_app=7
+            )

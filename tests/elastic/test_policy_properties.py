@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ResourceConfig, ResourceManager, small_cluster
-from repro.elastic import BrainPolicy, ElasticBrain, bursty_trace
+from repro.cluster.admission import AdmissionCore
+from repro.elastic import (
+    BrainPolicy,
+    ElasticBrain,
+    GrantedResource,
+    bursty_trace,
+)
 
 utilizations = st.floats(min_value=0.0, max_value=1.0)
 fractions = st.floats(min_value=0.25, max_value=1.0)
@@ -13,10 +19,29 @@ fractions = st.floats(min_value=0.25, max_value=1.0)
 IDEAL = ResourceConfig(512, 512)
 
 
-def ladder_brain(min_fraction=0.25):
+def granted_fraction(occupied, policy=None):
+    """The fraction of IDEAL the admission core grants on a one-node
+    cluster with ``occupied`` min-size containers held, or None when it
+    has to queue."""
+    policy = policy if policy is not None else BrainPolicy()
     cluster = small_cluster(num_nodes=1, node_memory_mb=1024)
-    policy = BrainPolicy(min_grant_fraction=min_fraction)
-    return ElasticBrain(policy, cluster), cluster
+    rm = ResourceManager(cluster)
+    for _ in range(occupied):
+        if rm.try_allocate(cluster.min_allocation_mb) is None:
+            break
+    fractions = {}
+    for fraction in [1.0, *policy.shrink_ladder()]:
+        fractions.setdefault(
+            GrantedResource.of(IDEAL, fraction, cluster)
+            .container_request_mb(cluster),
+            fraction,
+        )
+    ideal_mb, *shrunk_mb = fractions
+    core = AdmissionCore(rm)
+    core.offer(1, None, ideal_mb, shrunk_mb)
+    for _request, (container,) in core.grant():
+        return fractions[container.memory_mb]
+    return None
 
 
 class TestControlLaw:
@@ -54,43 +79,26 @@ class TestAdmissionLadder:
     @given(occupied=st.integers(min_value=0, max_value=4))
     @settings(max_examples=20, deadline=None)
     def test_fraction_in_bounds_or_none(self, occupied):
-        brain, cluster = ladder_brain()
-        rm = ResourceManager(cluster)
-        for _ in range(occupied):
-            if rm.try_allocate(cluster.min_allocation_mb) is None:
-                break
-        fraction = brain.admission_fraction(IDEAL, rm)
+        fraction = granted_fraction(occupied)
         if fraction is not None:
-            assert (
-                brain.policy.min_grant_fraction <= fraction <= 1.0
-            )
+            assert BrainPolicy().min_grant_fraction <= fraction <= 1.0
 
     @given(fewer=st.integers(0, 3), extra=st.integers(0, 3))
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_free_capacity(self, fewer, extra):
         """More free memory never yields a smaller admitted fraction."""
-        def admitted(occupied):
-            brain, cluster = ladder_brain()
-            rm = ResourceManager(cluster)
-            for _ in range(occupied):
-                if rm.try_allocate(cluster.min_allocation_mb) is None:
-                    break
-            return brain.admission_fraction(IDEAL, rm)
-
-        roomy = admitted(fewer)
-        cramped = admitted(fewer + extra)
+        roomy = granted_fraction(fewer)
+        cramped = granted_fraction(fewer + extra)
         if cramped is not None:
             assert roomy is not None
             assert roomy >= cramped
 
     def test_strict_queueing_disables_ladder(self):
-        brain, cluster = ladder_brain()
-        brain.policy = BrainPolicy(elastic_admission=False)
-        rm = ResourceManager(cluster)
-        # fill the node so the ideal container cannot fit
-        while rm.try_allocate(cluster.min_allocation_mb) is not None:
-            pass
-        assert brain.admission_fraction(IDEAL, rm) is None
+        strict = BrainPolicy(elastic_admission=False)
+        assert strict.shrink_ladder() == []
+        # a full node: the ideal container cannot fit, so it queues
+        assert granted_fraction(4, strict) is None
+        assert granted_fraction(0, strict) == 1.0
 
 
 class TestTraceGeneration:

@@ -124,6 +124,22 @@ class TestComparison:
         assert brain.summary()["elastic_admissions"] > 0
         assert static.summary()["rescales"] == 0
 
+    def test_spill_gate_cuts_the_ladder_once_per_entry(self):
+        """A shrunk run is never predicted faster than the ideal one, so
+        a gate below 1x vetoes every rung: each entry queues for its
+        ideal container, and the veto is counted once per entry."""
+        from repro.elastic import BrainPolicy
+
+        result = TraceSimulator(
+            TRACE, cluster=tiny_cluster(), elastic=True,
+            brain_policy=BrainPolicy(max_spill_slowdown=0.99),
+        ).run()
+        assert len(result.runs) == len(TRACE.entries)
+        assert result.summary()["elastic_admissions"] == 0
+        assert result.counters["elastic.admission_vetoes"] == len(
+            TRACE.entries
+        )
+
     def test_outputs_identical_across_arms(self):
         static, brain = simulate_arms(TRACE, cluster=tiny_cluster())
         static_prints = {

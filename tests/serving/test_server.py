@@ -263,9 +263,14 @@ class TestLifecycleAndIsolation:
             resource=ResourceConfig(300, 300), adapt=False,
         ))
         deadline = time.monotonic() + 10
-        while time.monotonic() < deadline and ticket not in server._waiting:
+        while (
+            time.monotonic() < deadline
+            and server.stats()["serving.waiting"] < 1
+        ):
             time.sleep(0.01)
-        assert ticket in server._waiting, "submission never parked"
+        assert server.stats()["serving.waiting"] == 1, (
+            "submission never parked"
+        )
         # regression: this deadlocked while _acquire only watched
         # _granted — shutdown(wait=True) never returned
         server.shutdown(wait=True)
@@ -297,7 +302,7 @@ class TestLifecycleAndIsolation:
         deadline = time.monotonic() + 10
         while (
             time.monotonic() < deadline
-            and len(server._waiting) < len(tickets)
+            and server.stats()["serving.waiting"] < len(tickets)
         ):
             time.sleep(0.01)
         server.shutdown(wait=False)
@@ -502,25 +507,14 @@ class TestServingWorkerClamp:
     def test_explicit_arguments_override_everything(self):
         assert default_serving_workers(min_workers=3, max_workers=3) == 3
 
-    def test_config_fields_override_defaults(self):
-        config = SessionConfig(
-            serving_min_workers=1, serving_max_workers=1
-        )
-        assert default_serving_workers(config=config) == 1
-
     def test_invalid_clamp_rejected(self):
         with pytest.raises(ValueError):
             default_serving_workers(min_workers=0)
         with pytest.raises(ValueError):
             default_serving_workers(min_workers=4, max_workers=2)
 
-    def test_server_honors_config_clamp(self):
-        server = ElasticMLServer(
-            sample_cap=64,
-            config=SessionConfig(
-                serving_min_workers=1, serving_max_workers=1
-            ),
-        )
+    def test_server_honors_max_workers_argument(self):
+        server = ElasticMLServer(sample_cap=64, max_workers=1)
         try:
             assert server._executor._max_workers == 1
         finally:

@@ -267,6 +267,41 @@ class TestShardedLifecycle:
         # per-shard tracers are absorbed into the parent at shutdown
         assert server.tracer.counter("serving.completed") == 6
 
+    def test_result_reaches_the_parent_when_it_completes(self):
+        """Regression: a finished result sat in the shard until the
+        forwarder's poll on the *oldest* in-flight ticket timed out
+        twice (~0.4 s).  The completing thread ships it now."""
+        import time
+
+        server = ShardedElasticMLServer(
+            shards=1, max_workers=2, sample_cap=64
+        )
+        slow_args = prepare_inputs(
+            server.hdfs, "GLM", scenario("M", cols=100)
+        )
+        fast_args = prepare_inputs(
+            server.hdfs, "LinregDS", scenario("XS", cols=100)
+        )
+        fast = Submission(tenant="fast", script="LinregDS", args=fast_args)
+        try:
+            server.submit(fast)  # start the worker, warm its caches
+            server.drain()
+            older = server.submit(
+                Submission(tenant="slow", script="GLM", args=slow_args)
+            )
+            sent = time.monotonic()
+            ticket = server.submit(fast)
+            result = server.poll(ticket, timeout=60)
+            observed_s = time.monotonic() - sent
+            assert result is not None and result.ok
+            assert server.poll(older) is None, (
+                "the older ticket must still be in flight for this "
+                "test to measure anything"
+            )
+            assert observed_s - result.latency_s < 0.1
+        finally:
+            server.shutdown()
+
     def test_queue_limit_rejects_at_the_front_end(self):
         server = ShardedElasticMLServer(
             shards=2, sample_cap=64, queue_limit=2

@@ -301,3 +301,84 @@ class TestRunPipelineSeam:
             session.shutdown()
         assert served.outcome.chaos == outcome.chaos
         assert _canonical(served.outcome) == _canonical(outcome)
+
+
+class TestAdmissionSeam:
+    """Server, trace simulator and the Fig 12 event loop are drivers of
+    one :class:`repro.cluster.admission.AdmissionCore`; none allocates a
+    container on its own."""
+
+    @pytest.fixture
+    def admissions(self, monkeypatch):
+        """Tickets handed a container by ``AdmissionCore.grant``, and
+        every ``try_allocate`` call made outside it."""
+        from repro.cluster.admission import AdmissionCore
+        from repro.cluster.yarn import ResourceManager
+
+        granted, outside, depth = [], [], []
+        grant = AdmissionCore.grant
+        try_allocate = ResourceManager.try_allocate
+
+        def grant_spy(core):
+            inner = grant(core)
+            while True:
+                depth.append(core)
+                try:
+                    request, containers = next(inner)
+                except StopIteration:
+                    return
+                finally:
+                    depth.pop()
+                granted.append(request.ticket)
+                yield request, containers
+
+        def allocate_spy(rm, memory_mb, tenant=None):
+            if not depth:
+                outside.append(memory_mb)
+            return try_allocate(rm, memory_mb, tenant=tenant)
+
+        monkeypatch.setattr(AdmissionCore, "grant", grant_spy)
+        monkeypatch.setattr(ResourceManager, "try_allocate", allocate_spy)
+        return granted, outside
+
+    def test_every_driver_is_granted_by_the_core_once(self, admissions):
+        from repro import ElasticMLServer, Submission, small_cluster
+        from repro.cluster.events import simulate_throughput
+        from repro.elastic import ElasticTrace, TraceEntry, TraceSimulator
+        from repro.workloads import prepare_inputs, scenario
+
+        granted, outside = admissions
+        cluster = small_cluster()
+
+        server = ElasticMLServer(cluster=cluster, sample_cap=64)
+        args = prepare_inputs(
+            server.hdfs, "LinregDS", scenario("XS", cols=100)
+        )
+        try:
+            ticket = server.submit(
+                Submission(tenant="t", script="LinregDS", args=args)
+            )
+            (served,) = server.drain()
+        finally:
+            server.shutdown()
+        assert served.ok
+        assert granted == [ticket]
+
+        for elastic in (False, True):
+            del granted[:]
+            simulated = TraceSimulator(
+                ElasticTrace(entries=[
+                    TraceEntry(tenant="t", script="LinregDS")
+                ]),
+                cluster=cluster, elastic=elastic,
+            ).run()
+            assert len(simulated.runs) == 1
+            assert len(granted) == 1
+
+        del granted[:]
+        outcome = simulate_throughput(cluster, 3, 2, 10.0, 4096)
+        assert outcome.total_apps == 6
+        # one grant per application: three users, two rounds each
+        assert sorted(granted) == [0, 0, 1, 1, 2, 2]
+
+        assert outside == []
