@@ -10,6 +10,11 @@ Tracks p50/p95 latency of the code the grid search spends its time in:
 * ``plancache.lookup`` — one bucketed plan-cache probe (key + hit);
 * ``bufferpool.account`` — one buffer-pool insert into a full pool
   (accounting + LRU eviction, the `_make_room` hot path);
+* ``serving.program_get`` — one warm :class:`ProgramCache` hit
+  (LinregCG XS): the per-request program handout;
+* ``serving.warm_prepare`` — a warm request's whole prepare stage:
+  ``compile`` (program-cache hit) + ``optimize_cached`` (optimizer-cache
+  hit, plans installed);
 * ``optimizer.serial.{S,M,XL}`` — whole enumerations at grid
   resolutions m=5/15/31 (LinregCG, S-scenario data);
 * ``optimizer.process.M`` — the 2-worker process backend vs serial on
@@ -20,6 +25,11 @@ Every kernel carries a p95 budget (checked into the JSON); the bench
 fails when a measured p95 exceeds **2x** its budget, so CI catches
 order-of-magnitude regressions while tolerating runner noise.  Budgets
 are calibrated ~4x above a 1-CPU container's p95.
+
+The two serving kernels also record ``before_p95_us``: the same
+kernel measured at the last commit that deep-copied the master on every
+hit and regenerated plans on every optimizer-cache hit (PR 15, same
+2-vCPU host) — the before row of the handout change.
 
 Writes ``BENCH_microbench.json`` (override with ``--out``).  Runnable
 standalone: ``python benchmarks/bench_microbench.py [--quick]``.
@@ -36,6 +46,7 @@ import time
 import types
 
 from _lib import format_table, fresh_compiled
+from repro.api import SessionConfig
 from repro.cluster import ResourceConfig, paper_cluster
 from repro.compiler import compile_program
 from repro.compiler.plan_cache import PlanCache
@@ -43,9 +54,12 @@ from repro.cost import CostModel
 from repro.cost.constants import DEFAULT_PARAMETERS
 from repro.cost.mr_timing import grid_supported
 from repro.optimizer import ParallelResourceOptimizer, ResourceOptimizer
+from repro.pipeline import RunPipeline
 from repro.runtime import SimulatedHDFS
 from repro.runtime.bufferpool import BufferPool
-from repro.workloads import scenario
+from repro.scripts import load_script
+from repro.serving import ProgramCache
+from repro.workloads import prepare_inputs, scenario
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_microbench.json"
@@ -62,9 +76,18 @@ BUDGETS_P95_US = {
     "cost.estimate_block_loop512": 1_200_000,
     "plancache.lookup": 60,
     "bufferpool.account": 250,
+    "serving.program_get": 500,
+    "serving.warm_prepare": 1_500,
     "optimizer.serial.S": 400_000,
     "optimizer.serial.M": 1_600_000,
     "optimizer.serial.XL": 4_000_000,
+}
+
+#: p95 of the serving kernels at PR 15 (see the module docstring):
+#: the median of three 500-iteration runs of this file's kernels there
+BEFORE_P95_US = {
+    "serving.program_get": 11_064,
+    "serving.warm_prepare": 15_225,
 }
 
 #: grid resolutions of the enumeration kernels
@@ -212,6 +235,34 @@ def bench_bufferpool_account(iters):
     return {"bufferpool.account": _time_kernel(insert, iters)}
 
 
+# -- serving kernels ----------------------------------------------------------
+
+def bench_warm_handout(iters):
+    """The prepare stage of a repeat tenant's request (LinregCG XS)."""
+    hdfs = SimulatedHDFS(sample_cap=64)
+    pipeline = RunPipeline(
+        SessionConfig(), hdfs=hdfs, sample_cap=64,
+        program_cache=ProgramCache(),
+    )
+    source = load_script("LinregCG")
+    args = prepare_inputs(hdfs, "LinregCG", scenario("XS", cols=100))
+    input_meta = hdfs.input_meta()
+
+    def prepare():
+        compiled = pipeline.compile(source, args)
+        return pipeline.optimize_cached(source, args, compiled)
+
+    prepare()  # the cold request: compiles, optimizes, fills both caches
+    assert prepare().from_cache
+    return {
+        "serving.program_get": _time_kernel(
+            lambda: pipeline.program_cache.get(source, args, input_meta),
+            iters,
+        ),
+        "serving.warm_prepare": _time_kernel(prepare, iters),
+    }
+
+
 # -- enumeration kernels ------------------------------------------------------
 
 def bench_serial_enumeration(iters):
@@ -285,6 +336,7 @@ def run_experiment(quick=False):
     kernels.update(cost_kernels)
     kernels.update(bench_plancache_lookup(200 if quick else 1000))
     kernels.update(bench_bufferpool_account(100 if quick else 500))
+    kernels.update(bench_warm_handout(100 if quick else 500))
     kernels.update(bench_serial_enumeration(1 if quick else 3))
     process_kernels, process_vs_serial = bench_process_vs_serial(
         1 if quick else 2
@@ -293,6 +345,8 @@ def run_experiment(quick=False):
 
     for name, record in kernels.items():
         record["budget_p95_us"] = BUDGETS_P95_US.get(name)
+        if name in BEFORE_P95_US:
+            record["before_p95_us"] = BEFORE_P95_US[name]
     return {
         "bench": "microbench",
         "cpu_count": os.cpu_count(),

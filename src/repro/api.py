@@ -25,13 +25,11 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from repro.cluster import ResourceConfig
-from repro.compiler import hops as H
 from repro.compiler.pipeline import (
     CompiledProgram,
-    capture_plans,
     compile_plans,
     compile_program,
-    restore_plans,
+    plan_holders,
 )
 from repro.cost import CostModel
 from repro.obs import NULL_TRACER, Tracer, get_tracer, use_tracer
@@ -188,6 +186,13 @@ class OptimizerResultCache:
     stamped per process and differ between compilations of the same
     script); :meth:`lookup` remaps them onto the current compilation.
 
+    An entry also keeps the winning configuration's generated plans
+    (shared read-only, like a plan cache's), tagged with the block-id
+    tuple of the program they were generated from.  Ids are
+    process-unique, so an equal tuple means "a handout of the same
+    master" and :meth:`lookup` installs the plans; for any other
+    program (a session compiling from source every run) it regenerates.
+
     Lookup/store take an internal lock: one instance is shared by every
     tenant of an :class:`~repro.serving.ElasticMLServer`, where
     concurrent submissions hit it from worker threads.
@@ -206,40 +211,14 @@ class OptimizerResultCache:
         return len(self._entries)
 
     @staticmethod
-    def read_set(compiled):
-        """File paths the compiled program persistently reads.
-
-        Derived from the HOP DAG rather than from the argument values:
-        a script's *output* path is also an argument, and once the file
-        exists it shows up in ``input_meta`` — keying on it would
-        spuriously invalidate the cache after the first run.
-        """
-        reads = set()
-        for block in compiled.last_level_blocks():
-            for hop in H.iter_dag(block.hop_roots):
-                if (isinstance(hop, H.DataOp)
-                        and hop.kind is H.DataOpKind.PERSISTENT_READ
-                        and hop.fname):
-                    reads.add(hop.fname)
-        return reads
-
-    @staticmethod
     def signature(source, args, input_meta, cluster, params, options,
-                  compiled=None):
+                  compiled):
         """Hash of everything the optimization decision depends on."""
         args = args or {}
-        if compiled is not None:
-            referenced = OptimizerResultCache.read_set(compiled)
-        else:
-            referenced = {
-                name
-                for name in input_meta
-                if name in args.values() or name in source
-            }
         reads = sorted(
             (name, mc.rows, mc.cols, mc.nnz)
             for name, mc in input_meta.items()
-            if name in referenced
+            if name in compiled.reads
         )
         key_text = repr((
             source,
@@ -253,7 +232,8 @@ class OptimizerResultCache:
 
     def lookup(self, key, compiled):
         """Return a cached :class:`OptimizerResult` remapped onto
-        ``compiled``, or None on a miss."""
+        ``compiled``, or None on a miss.  A hit leaves ``compiled``
+        planned under the cached configuration."""
         order = [b.block_id for b in compiled.last_level_blocks()]
         with self._lock:
             entry = self._entries.get(key)
@@ -272,6 +252,16 @@ class OptimizerResultCache:
                 order[index]: ri for index, ri in entry["vector"]
             },
         )
+        block_ids, plans = entry["plans"]
+        if block_ids == _block_ids(compiled):
+            for holder, plan in zip(plan_holders(compiled), plans):
+                holder.plan = plan
+            compiled.resource = resource
+            compiled.planned = True
+        else:
+            # another compilation of the program (no program cache, or
+            # its master was evicted): regenerate, keep for its handouts
+            entry["plans"] = _generated_plans(compiled, resource)
         return OptimizerResult(
             resource=resource,
             cost=entry["cost"],
@@ -298,8 +288,12 @@ class OptimizerResultCache:
             if block_id not in index_of:
                 return False  # not a whole-program optimization
             vector.append((index_of[block_id], ri))
+        # the enumeration leaves plan-cache plans behind; a hit must
+        # install what a plain regeneration builds
+        plans = _generated_plans(compiled, result.resource)
         with self._lock:
             self._entries[key] = {
+                "plans": plans,
                 "cp_heap_mb": result.resource.cp_heap_mb,
                 "mr_heap_mb": result.resource.mr_heap_mb,
                 "vector": tuple(vector),
@@ -317,6 +311,20 @@ class OptimizerResultCache:
     def clear(self):
         with self._lock:
             self._entries.clear()
+
+
+def _block_ids(compiled):
+    return tuple(block.block_id for block in compiled.all_blocks())
+
+
+def _generated_plans(compiled, resource):
+    """Plan ``compiled`` under ``resource``; returns what an entry keeps:
+    (block-id tuple, the plans in :func:`plan_holders` order)."""
+    compile_plans(compiled, resource)
+    return (
+        _block_ids(compiled),
+        [holder.plan for holder in plan_holders(compiled)],
+    )
 
 
 class ElasticMLSession(RunPipeline):
@@ -521,16 +529,10 @@ class ElasticMLSession(RunPipeline):
     def estimate_cost(self, compiled, resource):
         """What-if cost of a program under a configuration (seconds).
 
-        Recompiles plans for ``resource``, costs them, and restores the
-        program's previous plans before returning, so the call has no
-        observable side effect on ``compiled`` (hop-level operator
-        annotations are re-derived by the next plan generation).
+        Plans and costs a handout of ``compiled``: the program itself —
+        plans, statistics, hop annotations — stays exactly as it was.
         """
-        snapshot = capture_plans(compiled)
-        try:
-            compile_plans(compiled, resource)
-            return CostModel(
-                self.cluster, self.model_params
-            ).estimate_program(compiled, resource)
-        finally:
-            restore_plans(compiled, snapshot)
+        what_if = compile_plans(compiled.handout(), resource)
+        return CostModel(
+            self.cluster, self.model_params
+        ).estimate_program(what_if, resource)

@@ -55,10 +55,6 @@ class ClusterConfig:
         return self.num_nodes * self.node_vcores
 
     @property
-    def total_physical_cores(self):
-        return self.num_nodes * self.node_physical_cores
-
-    @property
     def hdfs_block_size_bytes(self):
         return self.hdfs_block_size_mb * MB
 

@@ -252,13 +252,6 @@ class ResourceManager:
         """The tenant's quota in MB, or None when unbounded."""
         return self._tenant_quota_mb.get(tenant)
 
-    def tenant_quota_free_mb(self, tenant):
-        """Quota headroom in MB, or None when the tenant is unbounded."""
-        quota = self._tenant_quota_mb.get(tenant)
-        if quota is None:
-            return None
-        return max(0, quota - self._tenant_used_mb.get(tenant, 0))
-
     def quota_allows(self, tenant, request_mb):
         """Whether a request of ``request_mb`` stays within the tenant's
         quota (always true for quota-less tenants)."""

@@ -13,9 +13,10 @@ deliberately avoid touching DAG structure or size propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cluster.resources import ResourceConfig
+from repro.compiler import hops as H
 from repro.compiler import statement_blocks as SB
 from repro.compiler.hop_builder import build_hops
 from repro.compiler.memory_estimates import estimate_program_memory
@@ -97,6 +98,24 @@ class CompiledProgram:
     #: by the resource optimizer (None until one runs with caching on);
     #: dynamic recompilation invalidates through this reference
     plan_cache: object = field(default=None, repr=False, compare=False)
+    #: every plan is exactly what ``compile_plans(self, self.resource)``
+    #: generates (set there and by an optimizer-cache hit, cleared by
+    #: whatever replaces a single plan); lets ``Interpreter.run`` skip
+    #: its own regeneration
+    planned: bool = field(default=False, compare=False)
+    #: file paths the program persistently reads, from the freshly
+    #: compiled DAGs (not the arguments: an *output* path is one too,
+    #: and once written would spuriously invalidate a cache keyed on it)
+    reads: frozenset = frozenset()
+
+    def handout(self):
+        """A per-run shell (:meth:`BlockProgram.shell`) of this program:
+        own plans, ``resource``, ``stats`` and ``plan_cache`` over its
+        HOP DAGs, which the shell's writers copy first (``own_dag``)."""
+        return replace(
+            self, block_program=self.block_program.shell(),
+            stats=replace(self.stats), plan_cache=None,
+        )
 
     @property
     def blocks(self):
@@ -139,26 +158,18 @@ def build_and_analyze(source, script_args=None, input_meta=None):
 def compile_plans(compiled, resource):
     """Generate plans for every block under ``resource`` (in place)."""
     compiled.resource = resource
-    for block in compiled.all_blocks():
-        _compile_block(compiled, block, resource)
+    for holder in plan_holders(compiled):
+        if isinstance(holder, SB.GenericBlock):
+            recompile_block_plan(compiled, holder, resource)
+        else:
+            _compile_predicate(holder, resource)
+    compiled.planned = True
     return compiled
-
-
-def _compile_block(compiled, block, resource):
-    if isinstance(block, SB.GenericBlock):
-        recompile_block_plan(compiled, block, resource)
-    elif isinstance(block, SB.IfBlock):
-        _compile_predicate(block.predicate, resource)
-    elif isinstance(block, SB.WhileBlock):
-        _compile_predicate(block.predicate, resource)
-    elif isinstance(block, SB.ForBlock):
-        for holder in (block.from_holder, block.to_holder, block.incr_holder):
-            if holder is not None:
-                _compile_predicate(holder, resource)
 
 
 def _compile_predicate(holder, resource):
     # predicates evaluate in CP: compile with unconstrained CP budget
+    SB.own_dag(holder)
     select_operators([holder.hop_root], _INF, _INF)
     holder.plan = generate_predicate_plan(holder, resource)
 
@@ -174,6 +185,7 @@ def recompile_block_plan(compiled, block, resource, cache=None):
     generated plan without recompiling (and without counting a block
     compilation — ``stats.block_compilations`` reports real compiles).
     """
+    compiled.planned = False
     key = None
     if cache is not None:
         key = cache.key_for(block, resource)
@@ -181,6 +193,7 @@ def recompile_block_plan(compiled, block, resource, cache=None):
         if plan is not None:
             block.plan = plan
             return plan
+    SB.own_dag(block)
     select_operators(
         block.hop_roots,
         resource.cp_budget_bytes / block.budget_divisor,
@@ -194,7 +207,7 @@ def recompile_block_plan(compiled, block, resource, cache=None):
     return block.plan
 
 
-def _plan_holders(compiled):
+def plan_holders(compiled):
     """Yield every object carrying a compiled plan (blocks + predicates)."""
     for block in compiled.all_blocks():
         if isinstance(block, SB.GenericBlock):
@@ -206,31 +219,6 @@ def _plan_holders(compiled):
                            block.incr_holder):
                 if holder is not None:
                     yield holder
-
-
-def capture_plans(compiled):
-    """Snapshot the resource-dependent compilation state.
-
-    Returns an opaque token for :func:`restore_plans`; together they let
-    what-if analyses (``ElasticMLSession.estimate_cost``) recompile under
-    a hypothetical configuration and then put the program back exactly as
-    it was.
-    """
-    return (
-        compiled.resource,
-        compiled.stats.block_compilations,
-        [(holder, getattr(holder, "plan", None))
-         for holder in _plan_holders(compiled)],
-    )
-
-
-def restore_plans(compiled, snapshot):
-    """Undo plan mutations made since :func:`capture_plans`."""
-    resource, block_compilations, plans = snapshot
-    compiled.resource = resource
-    compiled.stats.block_compilations = block_compilations
-    for holder, plan in plans:
-        holder.plan = plan
 
 
 def compile_program(source, script_args=None, input_meta=None, resource=None):
@@ -245,6 +233,13 @@ def compile_program(source, script_args=None, input_meta=None, resource=None):
     block_program = build_and_analyze(source, script_args, input_meta)
     compiled = CompiledProgram(
         block_program=block_program, input_meta=dict(input_meta or {})
+    )
+    compiled.reads = frozenset(
+        hop.fname
+        for block in compiled.last_level_blocks()
+        for hop in H.iter_dag(block.hop_roots)
+        if isinstance(hop, H.DataOp) and hop.fname
+        and hop.kind is H.DataOpKind.PERSISTENT_READ
     )
     if resource is None:
         resource = ResourceConfig(cp_heap_mb=512.0, mr_heap_mb=512.0)

@@ -34,9 +34,9 @@ refresh: both update memory estimates, which moves the thresholds.
 
 Note: a cache hit returns the plan object generated at the *first*
 budget of the bucket, so ``BlockPlan.cp_heap_mb``/``mr_heap_mb`` record
-that generation-time configuration, not the current probe point; the
-instructions are identical either way, and execution paths
-(:meth:`Interpreter.run`) regenerate plans without the cache.
+that configuration, not the current probe point; the instructions are
+identical either way, and what executes is always a plain
+``compile_plans`` regeneration without the cache.
 """
 
 from __future__ import annotations
@@ -98,21 +98,22 @@ def block_thresholds(block):
 class PlanCache:
     """Cache of compiled block plans, keyed by budget buckets.
 
-    One instance serves one program (or one deep copy of it:
-    ``copy.deepcopy`` of a cache yields an *empty* cache with the same
-    thresholds, so deep-copying a :class:`CompiledProgram` — the
-    program cache's handout — does the right thing automatically).
+    One instance serves one set of block ids: the optimizer attaches a
+    fresh private one per enumeration, and a handout of a cached master
+    starts without one, so a run never sees the plans another run's
+    enumeration cached.
 
-    Unlike deep copy, *pickling* preserves the full cache state
-    (thresholds, plans, and counters): the parallel optimizer ships one
-    program snapshot — cache included — to each pool worker at startup,
-    and every worker then grows its own private copy, reporting its
-    hit/miss counts back with each chunk.
+    *Pickling* preserves the full cache state (thresholds, plans, and
+    counters): the parallel optimizer ships one program snapshot —
+    cache included — to each pool worker at startup, and every worker
+    then grows its own private copy, reporting its hit/miss counts back
+    with each chunk.
 
     All operations take an internal lock, so one instance can be shared
     by concurrent threads — the serving layer attaches a single cache to
-    every deep copy of a cached master program, and concurrent tenants
-    cannot observe (or produce) a torn state.  ``max_plans`` bounds the
+    every handout it executes (all handouts of a master carry its block
+    ids), and concurrent tenants cannot observe (or produce) a torn
+    state.  ``max_plans`` bounds the
     cache with LRU eviction (None = unbounded, the single-program
     optimizer default; long-lived cross-tenant caches should be
     bounded).
@@ -131,11 +132,6 @@ class PlanCache:
         self.evictions = 0
         self._lock = threading.Lock()
 
-    def __deepcopy__(self, memo):
-        clone = PlanCache(max_plans=self.max_plans)
-        clone.thresholds = self.thresholds  # shared, by design
-        return clone
-
     def __getstate__(self):
         # locks do not pickle; the unpickling process gets a fresh one
         state = self.__dict__.copy()
@@ -144,9 +140,6 @@ class PlanCache:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # pre-LRU pickles (older snapshots) lack the bound/counter
-        self.__dict__.setdefault("max_plans", None)
-        self.__dict__.setdefault("evictions", 0)
         self._lock = threading.Lock()
 
     # -- bucketing -----------------------------------------------------------

@@ -44,6 +44,7 @@ def recompile_block(compiled, block, resource, env):
     cache = getattr(compiled, "plan_cache", None)
     if cache is not None:
         cache.invalidate_block(block.block_id)
+    SB.own_dag(block)
     propagator = Propagator(compiled.block_program, compiled.input_meta)
     propagator.propagate_dag(block.hop_roots, env, update_env=False)
     block.hop_roots = apply_dynamic_simplifications(block.hop_roots)
@@ -57,6 +58,8 @@ def recompile_predicate(compiled, holder, resource, env):
     """Re-propagate and re-plan a predicate DAG with runtime knowledge."""
     from repro.compiler.pipeline import _compile_predicate
 
+    SB.own_dag(holder)
+    compiled.planned = False
     propagator = Propagator(compiled.block_program, compiled.input_meta)
     propagator.propagate_dag([holder.hop_root], env, update_env=False)
     estimate_dag_memory([holder.hop_root])

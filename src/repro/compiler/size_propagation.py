@@ -310,9 +310,13 @@ class Propagator:
             self.propagate_block(block, env)
 
     def propagate_block(self, block, env):
+        # sizes are written into every DAG walked; at runtime (adapter
+        # scope refresh, function bodies) it may still be a master's
         if isinstance(block, SB.GenericBlock):
+            SB.own_dag(block)
             self.propagate_dag(block.hop_roots, env, update_env=True)
         elif isinstance(block, SB.IfBlock):
+            SB.own_dag(block.predicate)
             self.propagate_dag([block.predicate.hop_root], env, update_env=False)
             then_env = env.copy()
             self.propagate_blocks(block.body, then_env)
@@ -326,10 +330,12 @@ class Propagator:
                 merged = merged.merge_with(env)
             env.vars = merged.vars
         elif isinstance(block, SB.WhileBlock):
+            SB.own_dag(block.predicate)
             self._propagate_loop(block, env, loop_var=None)
         elif isinstance(block, SB.ForBlock):
             for holder in (block.from_holder, block.to_holder, block.incr_holder):
                 if holder is not None:
+                    SB.own_dag(holder)
                     self.propagate_dag([holder.hop_root], env, update_env=False)
             block.known_iterations = self._trip_count(block)
             self._propagate_loop(block, env, loop_var=block.var)

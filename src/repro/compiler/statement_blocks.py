@@ -13,8 +13,9 @@ during HOP construction and the scoping of dynamic recompilation.
 
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.dml import ast
 
@@ -57,6 +58,8 @@ class GenericBlock(BlockBase):
     #: workers each hold their own intermediates (paper Section 6,
     #: "usually the degree of parallelism affects memory requirements")
     budget_divisor: int = 1
+    #: ``hop_roots`` belong to a frozen master (see :func:`own_dag`)
+    dag_shared: bool = False
 
 
 @dataclass
@@ -66,6 +69,8 @@ class PredicateHolder:
     expr: object = None
     hop_root: object = None
     read_vars: set = field(default_factory=set)
+    #: ``hop_root`` belongs to a frozen master (see :func:`own_dag`)
+    dag_shared: bool = False
 
 
 @dataclass
@@ -141,6 +146,54 @@ class BlockProgram:
 
     def num_blocks(self, include_functions=True):
         return sum(1 for _ in self.all_blocks(include_functions))
+
+    def shell(self):
+        """A per-run shell of this program: fresh block and holder
+        objects (same ``block_id``s) over this program's HOP DAGs.  What
+        a run rebinds — plans, ``requires_recompile``, the roots after
+        :func:`own_dag` — lands on the shell, never on the original."""
+        return replace(
+            self,
+            blocks=[_shell(block) for block in self.blocks],
+            functions={
+                name: replace(func, blocks=[_shell(b) for b in func.blocks])
+                for name, func in self.functions.items()
+            },
+        )
+
+
+def _shell(node):
+    shell = copy.copy(node)  # keeps the generated ``plan``
+    if isinstance(node, (GenericBlock, PredicateHolder)):
+        shell.dag_shared = True
+        return shell
+    for name, value in vars(node).items():
+        if isinstance(value, PredicateHolder):
+            setattr(shell, name, _shell(value))
+        elif name in ("body", "else_body"):
+            setattr(shell, name, [_shell(child) for child in value])
+    return shell
+
+
+def own_dag(holder):
+    """Make ``holder``'s HOP DAG private to this run: the only place a
+    DAG is ever copied.
+
+    **Who may write a DAG.**  A program-cache handout shares its DAGs
+    with a frozen master and every concurrent run of it, so whoever
+    writes a hop field calls this on the owning block or predicate
+    holder first.  Three writers exist: operator selection
+    (``recompile_block_plan``, ``_compile_predicate``), dynamic
+    recompilation (``recompile_block``, ``recompile_predicate``) and
+    size propagation's block walk (``Propagator.propagate_block``: the
+    adapter's scope refresh, and function bodies reached from either).
+    Everything else only reads.  Hops link only through ``inputs`` and
+    name functions by string, so a holder's DAG is self-contained.
+    """
+    if holder.dag_shared:
+        attr = "hop_roots" if isinstance(holder, GenericBlock) else "hop_root"
+        setattr(holder, attr, copy.deepcopy(getattr(holder, attr)))
+        holder.dag_shared = False
 
 
 # -- variable read/update analysis -------------------------------------------

@@ -43,7 +43,7 @@ import math
 import random
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from repro.cost.constants import DEFAULT_PARAMETERS, CostParameters
 from repro.obs.tracer import get_tracer
@@ -479,8 +479,3 @@ def resolve_profile(profile, cluster=None):
             f"cluster {cluster_signature(cluster)})"
         )
     return profile
-
-
-def parameter_fields():
-    """Names of all :class:`CostParameters` fields (for reporting)."""
-    return [f.name for f in fields(CostParameters)]

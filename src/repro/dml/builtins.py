@@ -104,14 +104,6 @@ BUILTINS = {spec.name: spec for spec in _SPECS}
 ZERO_PRESERVING_UNARY = {"sqrt", "abs", "round", "floor", "ceil", "sign"}
 
 
-def is_builtin(name):
-    return name in BUILTINS
-
-
-def get_builtin(name):
-    return BUILTINS.get(name)
-
-
 def infer_output_data_type(spec, arg_data_types):
     """Derive the output :class:`DataType` of a builtin call.
 

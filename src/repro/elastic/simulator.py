@@ -52,10 +52,6 @@ class SimulatedRun:
     decisions: list
     outcome: object
 
-    @property
-    def duration_s(self):
-        return self.finish_s - self.admitted_s
-
 
 @dataclass
 class SimulationResult:

@@ -17,9 +17,11 @@ Counter namespace (the load-bearing ones):
 ``optimizer.grid_points`` CP grid points enumerated
 ``optimizer.pruned_*``    blocks pruned as small / unknown (Section 3.4)
 ``rewrite.*``             compiler rewrite hits per rewrite family
-``recompile.dynamic``     runtime plan regenerations (AM-startup recompile
-                          under the final configuration + in-loop dynamic
-                          recompilation of unknown-size blocks)
+``recompile.dynamic``     plans regenerated at run time: one per generic
+                          block when the AM has to recompile under the final
+                          configuration (none when the program arrives
+                          planned under it) + in-loop dynamic recompilation
+                          of unknown-size blocks
 ``bufferpool.*``          hits / misses / evictions / writebacks / restores
 ``hdfs.bytes_read.*``     HDFS bytes read per file format
 ``runtime.*``             CP instructions, MR jobs, per-opcode simulated time

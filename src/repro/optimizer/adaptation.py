@@ -68,6 +68,7 @@ class ResourceAdapter:
         tracer.incr("adaptation.reoptimizations")
 
         # refresh scope sizes with actual runtime characteristics
+        # (propagate_block makes every DAG it walks private first)
         env = make_env_from_states(interp._var_states(frame))
         propagator = Propagator(compiled.block_program, compiled.input_meta)
         for scope_block in scope:

@@ -451,12 +451,6 @@ class OptimizerStats:
     #: MR grid points costed through the vectorized batch path
     mr_points_batched: int = 0
 
-    @property
-    def remaining_fraction(self):
-        if self.total_blocks == 0:
-            return 0.0
-        return self.remaining_blocks / self.total_blocks
-
     def add_work(self, other):
         """Add the work counters another enumeration context measured
         (a pool worker's chunk) to this one's."""

@@ -279,7 +279,10 @@ class ParallelResourceOptimizer(ResourceOptimizer):
                     raise
         finally:
             if mode == "fork":
-                _set_fork_snapshot(None)  # unpin the snapshot's memory
+                # unpin ours; a concurrent optimizer may have parked its own
+                with _FORK_LOCK:
+                    if _FORK_SNAPSHOT is state:
+                        _set_fork_snapshot(None)
         result.enumerate_s = time.perf_counter() - t0
         if len(by_rc) != len(src):
             raise OptimizationError(

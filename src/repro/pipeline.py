@@ -28,7 +28,7 @@ from dataclasses import replace
 
 from repro.chaos import FaultInjector
 from repro.cluster import paper_cluster
-from repro.compiler.pipeline import compile_plans, compile_program
+from repro.compiler.pipeline import compile_program
 from repro.cost.calibrate import (
     DEFAULT_MIN_SAMPLES,
     CalibrationCollector,
@@ -161,9 +161,9 @@ class RunPipeline:
         """Initial resource optimization, consulting the cross-run
         result cache.
 
-        On a hit the enumeration is skipped entirely: the program is
-        recompiled under the cached configuration and a result with
-        :attr:`OptimizerResult.from_cache` set is returned.
+        On a hit the enumeration is skipped entirely: the cache leaves
+        the program planned under the cached configuration and a result
+        with :attr:`OptimizerResult.from_cache` set is returned.
         """
         cache = self.opt_cache
         if cache is None:
@@ -174,7 +174,6 @@ class RunPipeline:
         )
         cached = cache.lookup(key, compiled)
         if cached is not None:
-            compile_plans(compiled, cached.resource)
             return cached
         result = self.make_optimizer().optimize(compiled)
         cache.store(key, compiled, result)

@@ -137,7 +137,8 @@ class Interpreter:
     def run(self, compiled, resource):
         """Execute the program under ``resource``; returns the result.
 
-        Plans are (re)generated for ``resource`` first, so callers may
+        Plans are (re)generated for ``resource`` first unless the
+        program arrives already planned under exactly it, so callers may
         pass a program compiled under any configuration.  With a fault
         injector, the AM container allocation itself may fail first:
         transient failures are retried with backoff, a denial falls back
@@ -162,14 +163,15 @@ class Interpreter:
                 )
             finally:
                 self.result.chaos = self.injector.report()
-        with tracer.span("runtime.generate_plans") as span:
-            compile_plans(compiled, self.resource)
-            if tracer.enabled:
-                # the AM recompiles the program under the final (dynamic)
-                # configuration before executing it
-                regenerated = sum(1 for _ in compiled.last_level_blocks())
-                span.set("blocks", regenerated)
-                tracer.incr("recompile.dynamic", regenerated)
+        if not (compiled.planned and compiled.resource == self.resource):
+            # the AM recompiles the program under the final (dynamic)
+            # configuration before executing it
+            with tracer.span("runtime.generate_plans") as span:
+                compile_plans(compiled, self.resource)
+                if tracer.enabled:
+                    regenerated = sum(1 for _ in compiled.last_level_blocks())
+                    span.set("blocks", regenerated)
+                    tracer.incr("recompile.dynamic", regenerated)
         if self.brain is not None:
             # a below-1.0 admission fraction takes effect before the
             # buffer pool is sized

@@ -126,10 +126,6 @@ class MatrixObject:
         """Logical in-memory size in bytes."""
         return self.mc.memory_estimate()
 
-    @property
-    def sample_shape(self):
-        return self.data.shape
-
     def refresh_nnz(self):
         """Re-measure logical nnz from the sample density."""
         cells = self.mc.cells or 0

@@ -4,10 +4,11 @@ One server owns one simulated cluster and HDFS and accepts concurrent
 tenant :class:`Submission`\\ s.  Each submission flows through
 
 1. **prepare** — the :class:`~repro.pipeline.RunPipeline` compile stage
-   (through a shared :class:`ProgramCache` of master programs, served as
-   deep copies so block identities are preserved across tenants) and
-   optimize stage (through one shared, locked
-   :class:`~repro.api.OptimizerResultCache`);
+   (through a shared :class:`ProgramCache` of frozen master programs,
+   handed out as per-run shells over the master's HOP DAGs: same block
+   identities for every tenant, nothing copied) and optimize stage
+   (through one shared, locked :class:`~repro.api.OptimizerResultCache`,
+   whose hit installs the winning configuration's plans);
 2. **admission** — block until the paper's 1.5x-heap AM container fits
    under the active :class:`~repro.serving.admission.AdmissionPolicy`
    (Section 5.3: allocated AM containers bound concurrency);
@@ -23,7 +24,6 @@ same run on a private :class:`~repro.api.ElasticMLSession`.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import threading
@@ -31,10 +31,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.api import OptimizerResultCache, RunOutcome, SessionConfig
+from repro.api import RunOutcome, SessionConfig
 from repro.cluster.admission import AdmissionCore
 from repro.cluster.yarn import ResourceManager
-from repro.compiler.pipeline import compile_plans
 from repro.compiler.plan_cache import PlanCache
 from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.pipeline import UNSET, RunPipeline
@@ -128,11 +127,13 @@ class ProgramCache:
 
     Keyed by (source, args) with a per-entry signature over the
     shape/sparsity metadata of the files the program *reads* (outputs a
-    run writes back to HDFS never invalidate).  Hits are served as
-    ``copy.deepcopy`` of the pristine master: a deep copy preserves
-    block identities, which is what lets every tenant of the same
-    program share one :class:`~repro.compiler.plan_cache.PlanCache` and
-    one :class:`~repro.api.OptimizerResultCache` remap.
+    run writes back to HDFS never invalidate).  A stored master is
+    frozen — nothing reachable from it is written again — and ``get``
+    and ``put`` return a ``CompiledProgram.handout()`` of it: a per-run
+    shell with the master's block ids, which is what lets every tenant
+    of the same program share one runtime ``PlanCache`` and the plans an
+    ``OptimizerResultCache`` entry keeps.  A run that must write a HOP
+    DAG copies that block's DAG first (``statement_blocks.own_dag``).
     """
 
     def __init__(self, max_programs=32):
@@ -164,34 +165,33 @@ class ProgramCache:
         return tuple(sig)
 
     def get(self, source, args, input_meta):
-        """A private deep copy of the cached master, or None."""
+        """A handout of the cached master, or None."""
         key = self._key(source, args)
         with self._lock:
-            entry = self._programs.get(key)
-            if entry is not None:
-                reads_sig, master = entry
-                if reads_sig == self._reads_sig(
-                    OptimizerResultCache.read_set(master), input_meta
-                ):
-                    self._programs[key] = self._programs.pop(key)
-                    self.hits += 1
-                    return copy.deepcopy(master)
+            reads_sig, master = self._programs.get(key, (None, None))
+            if master is not None and reads_sig != self._reads_sig(
+                master.reads, input_meta
+            ):
                 del self._programs[key]  # stale metadata
-            self.misses += 1
-            return None
+                master = None
+            if master is None:
+                self.misses += 1
+                return None
+            self._programs[key] = self._programs.pop(key)
+            self.hits += 1
+        return master.handout()
 
     def put(self, source, args, input_meta, master):
-        """Store a pristine master; returns a private deep copy."""
+        """Store a pristine master, frozen from here on (the caller
+        gives up the right to run or replan it); returns a handout."""
         key = self._key(source, args)
-        sig = self._reads_sig(
-            OptimizerResultCache.read_set(master), input_meta
-        )
+        sig = self._reads_sig(master.reads, input_meta)
         with self._lock:
             self._programs[key] = (sig, master)
             while len(self._programs) > self.max_programs:
                 self._programs.pop(next(iter(self._programs)))
                 self.evictions += 1
-            return copy.deepcopy(master)
+        return master.handout()
 
 
 class ElasticMLServer(RunPipeline):
@@ -220,8 +220,8 @@ class ElasticMLServer(RunPipeline):
             opt_cache=opt_cache, retry_policy=retry_policy,
             model_params=model_params, collector=collector,
             program_cache=ProgramCache(max_programs=program_cache_entries),
-            # runtime recompiles hit across tenants because the program
-            # cache's deep copies preserve block ids
+            # runtime recompiles hit across tenants because every
+            # handout of a master carries the master's block ids
             plan_cache=(
                 PlanCache(max_plans=plan_cache_entries)
                 if config.enable_plan_cache else None
@@ -437,7 +437,6 @@ class ElasticMLServer(RunPipeline):
             if submission.resource is not None:
                 optimizer_result = None
                 resource = submission.resource
-                compile_plans(compiled, resource)
             else:
                 optimizer_result = self.optimize_cached(
                     source, submission.args, compiled

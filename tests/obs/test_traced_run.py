@@ -42,16 +42,28 @@ class TestTracedRun:
     def test_counters_match_execution_result(self, traced_linregcg):
         trace = traced_linregcg.trace
         result = traced_linregcg.result
-        compiled = traced_linregcg.compiled
-        num_blocks = sum(1 for _ in compiled.last_level_blocks())
-        # recompile.dynamic = the AM-startup plan regeneration (one per
-        # generic block) + in-loop dynamic recompilations
-        assert trace.counter("recompile.dynamic") == (
-            num_blocks + result.recompilations
-        )
+        # recompile.dynamic counts plans actually regenerated at run
+        # time: this run arrived planned (the optimizer cache planned
+        # it when storing the decision), so only in-loop dynamic
+        # recompilations count
+        assert "runtime.generate_plans" not in _span_names(trace.roots)
+        assert trace.counter("recompile.dynamic") == result.recompilations
         assert trace.counter("bufferpool.evictions") == result.evictions
         assert trace.counter("bufferpool.restores") == result.buffer_restores
         assert trace.counter("runtime.mr_jobs") == result.mr_jobs
+
+    def test_am_startup_regeneration_is_counted_when_it_happens(self):
+        """Without the optimizer cache nothing plans the program under
+        the chosen configuration before the AM starts: one regeneration
+        per generic block, plus MLogreg's in-loop recompilations."""
+        session = ElasticMLSession(sample_cap=64, trace=True, opt_cache=None)
+        args = prepare_inputs(session.hdfs, "MLogreg", scenario("S", cols=100))
+        outcome = session.run("MLogreg", args)
+        num_blocks = sum(1 for _ in outcome.compiled.last_level_blocks())
+        assert outcome.result.recompilations > 0
+        assert outcome.trace.counter("recompile.dynamic") == (
+            num_blocks + outcome.result.recompilations
+        )
 
     def test_counters_match_optimizer_stats(self, traced_linregcg):
         trace = traced_linregcg.trace
@@ -69,7 +81,7 @@ class TestTracedRun:
         trace = traced_linregcg.trace
         assert trace.counter("cost.invocations") > 0
         assert trace.counter("bufferpool.hits") > 0
-        assert trace.counter("recompile.dynamic") > 0
+        assert trace.counter("compile.block_compilations") > 0
         assert trace.counter("runtime.cp_instructions") > 0
         assert any(
             name.startswith("hdfs.bytes_read.") and value > 0

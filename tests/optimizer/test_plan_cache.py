@@ -7,8 +7,6 @@ cache on/off choose the identical configuration on LinregCG (m = 15)
 while compilations and cost invocations drop at least 2x.
 """
 
-import copy
-
 import pytest
 
 from repro.cluster import ResourceConfig, paper_cluster
@@ -106,16 +104,15 @@ class TestBucketing:
                     fresh = recompile_block_plan(compiled, block, resource)
                     assert fp == _fingerprint(fresh), (rc, ri)
 
-    def test_deepcopy_shares_thresholds_but_not_plans(self):
-        compiled = compile_program(CG_STYLE, ARGS, BIG)
-        block = _mr_block(compiled)
-        cache = PlanCache()
-        recompile_block_plan(
-            compiled, block, ResourceConfig(512, 512), cache=cache
-        )
-        clone = copy.deepcopy(cache)
-        assert clone.plans == {}
-        assert clone.thresholds is cache.thresholds
+    def test_handout_never_sees_another_runs_plan_cache(self):
+        """The optimizer's private cache lands on the handout it ran
+        on: the master and the next handout stay without one."""
+        master = compile_program(CG_STYLE, ARGS, BIG)
+        first = master.handout()
+        ResourceOptimizer(paper_cluster()).optimize(first)
+        assert first.plan_cache.plans
+        assert master.plan_cache is None
+        assert master.handout().plan_cache is None
 
 
 class TestInvalidation:
@@ -359,11 +356,22 @@ class TestSharedCacheConcurrency:
         assert ("b", 0, 0) in cache.plans
         assert ("b", 0, 1) not in cache.plans
 
-    def test_deepcopy_preserves_bound(self):
-        cache = PlanCache(max_plans=7)
-        clone = copy.deepcopy(cache)
-        assert clone.max_plans == 7
-        assert clone.plans == {}
+    def test_handout_never_sees_another_runs_plans(self):
+        """Replanning one handout rebinds only its own holders: the
+        master and a sibling handout keep the master's plan objects."""
+        from repro.compiler.pipeline import compile_plans, plan_holders
+
+        master = compile_program(CG_STYLE, ARGS, BIG)
+        pristine = [holder.plan for holder in plan_holders(master)]
+        first, second = master.handout(), master.handout()
+        compile_plans(first, ResourceConfig(8192.0, 4096.0))
+        for mine, theirs, kept, was in zip(
+            plan_holders(first), plan_holders(second),
+            plan_holders(master), pristine,
+        ):
+            assert mine.plan is not was
+            assert theirs.plan is was
+            assert kept.plan is was
 
     def test_concurrent_store_lookup_not_torn(self):
         """Hammer one shared cache from many threads: every lookup

@@ -188,7 +188,7 @@ class TestEstimateCost:
         assert cost > 0
 
     def test_estimate_cost_has_no_side_effect(self, session):
-        from repro.compiler.pipeline import capture_plans
+        from repro.compiler.pipeline import plan_holders
 
         args = prepare_inputs(
             session.hdfs, "LinregCG", scenario("S", cols=100)
@@ -197,13 +197,14 @@ class TestEstimateCost:
             "LinregCG", args, ResourceConfig(4096, 1024)
         )
         resource_before = compiled.resource
-        _, compilations_before, plans_before = capture_plans(compiled)
+        compilations_before = compiled.stats.block_compilations
+        plans_before = [h.plan for h in plan_holders(compiled)]
         session.estimate_cost(compiled, ResourceConfig(512, 512))
-        _, compilations_after, plans_after = capture_plans(compiled)
         assert compiled.resource == resource_before
-        assert compilations_after == compilations_before
-        assert [id(p) for _, p in plans_after] == [
-            id(p) for _, p in plans_before
+        assert compiled.planned
+        assert compiled.stats.block_compilations == compilations_before
+        assert [id(h.plan) for h in plan_holders(compiled)] == [
+            id(p) for p in plans_before
         ]
 
     def test_estimate_cost_varies_with_resource(self, session):

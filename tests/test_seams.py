@@ -382,3 +382,95 @@ class TestAdmissionSeam:
         assert sorted(granted) == [0, 0, 1, 1, 2, 2]
 
         assert outside == []
+
+
+class TestHandoutSeam:
+    """A warm request is handed a shell of the frozen master and the
+    optimizer cache's plans: it copies no DAG and generates no plan.
+    Every other path still regenerates, through the same functions."""
+
+    SEED = 3
+
+    @pytest.fixture
+    def planning(self, monkeypatch):
+        """Call counts of the functions that write a DAG or generate a
+        plan, by name."""
+        import repro.api
+        from repro.compiler import pipeline as P
+        from repro.compiler import statement_blocks as SB
+
+        calls = {}
+
+        def spy(module, name, label=None):
+            original = getattr(module, name)
+            label = label or name
+
+            def counted(*args, **kwargs):
+                calls[label] = calls.get(label, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(P, "select_operators")
+        spy(P, "generate_block_plan")
+        spy(SB, "own_dag")
+        # compile_program's initial plans and Interpreter.run's
+        # regeneration resolve the name in the module at call time; the
+        # optimizer cache bound its own at import
+        spy(P, "compile_plans", "pipeline.compile_plans")
+        spy(repro.api, "compile_plans", "optcache.compile_plans")
+        return calls
+
+    def test_warm_hit_writes_no_dag_and_generates_no_plan(self, planning):
+        from repro import ElasticMLServer, Submission
+        from repro.workloads import prepare_inputs, scenario
+
+        server = ElasticMLServer(sample_cap=64)
+        args = prepare_inputs(
+            server.hdfs, "LinregCG", scenario("XS", cols=100)
+        )
+        submission = Submission(
+            tenant="t", script="LinregCG", args=args, seed=self.SEED
+        )
+        try:
+            server.submit(submission)
+            (cold,) = server.drain()
+            # compile_program planned the master, the store planned the
+            # handout under the winner; the AM did not replan it
+            assert planning["pipeline.compile_plans"] == 1
+            assert planning["optcache.compile_plans"] == 1
+            planning.clear()
+            server.submit(submission)
+            _, warm = server.drain()
+        finally:
+            server.shutdown()
+        assert warm.outcome.optimizer_result.from_cache
+        assert planning == {}
+        assert _canonical(warm.outcome) == _canonical(cold.outcome)
+        # same plan objects, not equal ones
+        assert [
+            block.plan for block in warm.outcome.compiled.last_level_blocks()
+        ] == [
+            block.plan for block in cold.outcome.compiled.last_level_blocks()
+        ]
+
+    def test_hit_for_another_compilation_regenerates_once(self, planning):
+        """A session without a program cache compiles from source every
+        run: the optimizer-cache entry's block ids never match, so the
+        hit regenerates the plans — once, not again at AM startup."""
+        from repro import ElasticMLSession
+        from repro.workloads import prepare_inputs, scenario
+
+        session = ElasticMLSession(sample_cap=64, seed=self.SEED)
+        args = prepare_inputs(
+            session.hdfs, "LinregCG", scenario("XS", cols=100)
+        )
+        first = session.run("LinregCG", args)
+        planning.clear()
+        second = session.run("LinregCG", args)
+        assert second.optimizer_result.from_cache
+        blocks = sum(1 for _ in second.compiled.last_level_blocks())
+        assert planning["pipeline.compile_plans"] == 1  # compile_program's
+        assert planning["optcache.compile_plans"] == 1
+        assert planning["generate_block_plan"] == 2 * blocks
+        assert _canonical(second) == _canonical(first)
