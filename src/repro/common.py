@@ -156,9 +156,7 @@ class MatrixCharacteristics:
     @property
     def is_vector(self):
         """True iff known to be a row or column vector."""
-        return (self.rows == 1 and self.rows is not None) or (
-            self.cols == 1 and self.cols is not None
-        )
+        return self.rows == 1 or self.cols == 1
 
     @property
     def is_column_vector(self):
@@ -183,11 +181,12 @@ class MatrixCharacteristics:
 
         An empty matrix (0 cells) reports sparsity 1.0 by convention.
         """
-        if not self.dims_known or self.nnz is None:
+        cells = self.cells
+        if cells is None or self.nnz is None:
             return None
-        if self.cells == 0:
+        if cells == 0:
             return 1.0
-        return min(1.0, self.nnz / self.cells)
+        return min(1.0, self.nnz / cells)
 
     def sparsity_or_default(self, default=1.0):
         sp = self.sparsity

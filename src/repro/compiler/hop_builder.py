@@ -437,6 +437,7 @@ class HopBuilder:
             return H.DataGenOp(
                 H.OpCode.RAND,
                 {"min": value, "max": value, "rows": rows, "cols": cols},
+                builtin="matrix",
             )
         if name == "rand":
             params = {}

@@ -312,10 +312,12 @@ class DataGenOp(Hop):
     from/to/incr) to input HOPs; the HOPs are also listed in ``inputs``.
     """
 
-    def __init__(self, method, params):
+    def __init__(self, method, params, builtin=None):
         super().__init__(list(params.values()), DataType.MATRIX)
         self.gen_method = method
         self.params = dict(params)
+        #: the DML builtin this came from, for error messages
+        self.builtin = builtin or method.value
 
     def param(self, key):
         return self.params.get(key)

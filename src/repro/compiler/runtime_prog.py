@@ -182,6 +182,7 @@ def _hop_attrs(hop):
     if isinstance(hop, H.DataGenOp):
         attrs["params"] = list(hop.params.keys())
         attrs["gen"] = hop.gen_method.value
+        attrs["builtin"] = hop.builtin
     elif isinstance(hop, (H.IndexingOp, H.LeftIndexingOp)):
         attrs["all_rows"] = hop.all_rows
         attrs["all_cols"] = hop.all_cols

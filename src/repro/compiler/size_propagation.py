@@ -34,6 +34,7 @@ from repro.common import (
 )
 from repro.compiler import hops as H
 from repro.compiler import statement_blocks as SB
+from repro.errors import CompilerError
 
 #: default loop trip count assumed when unknown (paper Section 3.1: "a
 #: constant which at least reflects that the body is executed multiple
@@ -632,6 +633,11 @@ class Propagator:
         cols_hop = hop.param("cols")
         rows = _as_int(rows_hop.const_value) if rows_hop is not None else None
         cols = _as_int(cols_hop.const_value) if cols_hop is not None else None
+        for dim, value in (("rows", rows), ("cols", cols)):
+            if value is not None and value < 0:
+                raise CompilerError(
+                    f"{hop.builtin}(): {dim} must be non-negative, got {value}"
+                )
         min_hop = hop.param("min")
         max_hop = hop.param("max")
         sp_hop = hop.param("sparsity")

@@ -23,7 +23,6 @@ live variables (paper Section 3.1):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.common import FileFormat, MatrixCharacteristics
 from repro.compiler import statement_blocks as SB
@@ -53,40 +52,156 @@ _METADATA_OPS = {
 }
 
 
-@dataclass
 class VarCostState:
-    """Tracked knowledge about one live variable during costing."""
+    """Tracked knowledge about one live variable during costing.
 
-    mc: MatrixCharacteristics
-    in_memory: bool = False
-    dirty: bool = False  # in-memory copy newer than its HDFS representation
-    fmt: object = FileFormat.BINARY_BLOCK
+    ``mc`` is shared with the instruction that declared it (the walk
+    never mutates characteristics) and ``size`` is its memory estimate,
+    computed once.  ``refs`` counts the names bound to this state in
+    its :class:`CostState` (``mvvar`` aliases); once bound, ``in_memory``
+    changes only through :meth:`CostState.set_in_memory`.
+    """
+
+    __slots__ = ("mc", "in_memory", "dirty", "fmt", "size", "refs")
+
+    def __init__(self, mc, in_memory=False, dirty=False,
+                 fmt=FileFormat.BINARY_BLOCK, size=None, refs=0):
+        self.mc = mc
+        self.in_memory = in_memory
+        self.dirty = dirty  # in-memory copy newer than its HDFS representation
+        self.fmt = fmt
+        self.size = mc.memory_estimate() if size is None else size
+        self.refs = refs
 
     def copy(self):
-        return VarCostState(self.mc.copy(), self.in_memory, self.dirty, self.fmt)
+        return VarCostState(
+            self.mc, self.in_memory, self.dirty, self.fmt, self.size
+        )
 
 
 class CostState(dict):
-    """Variable name -> VarCostState with branch-merge support."""
+    """Variable name -> VarCostState with branch-merge support.
+
+    ``total`` is a running float sum of the finite sizes of the
+    *distinct* resident states (an ``mvvar`` alias is one state under
+    two names: counted once, leaving when its last name is rebound).
+    Every residency change keeps it current — ``state[name] = vstate``,
+    :meth:`set_in_memory`, :meth:`merge_with`, :meth:`adopt` — so
+    ``CostModel._balance_pool`` re-sums only when :meth:`fits` cannot
+    rule out that the set is over budget.
+    """
+
+    __slots__ = ("total", "ops", "peak")
+
+    def __init__(self, items=()):
+        super().__init__()
+        self.anchor(0.0, 0, 0.0)
+        for name, vstate in dict(items).items():
+            self[name] = vstate
+
+    def anchor(self, total, ops, peak):
+        """``total`` was summed from 0.0 over the resident set in
+        ``ops`` float operations whose largest result was ``peak``."""
+        self.total = total
+        self.ops = ops
+        self.peak = peak
+
+    def _count(self, size):
+        if math.isfinite(size):
+            self.total = total = self.total + size
+            self.ops += 1
+            if total > self.peak:
+                self.peak = total
+
+    def __setitem__(self, name, vstate):
+        old = self.get(name)
+        if old is vstate:
+            return
+        if old is not None:
+            old.refs -= 1
+            if not old.refs and old.in_memory:
+                self._count(-old.size)
+        dict.__setitem__(self, name, vstate)
+        vstate.refs += 1
+        if vstate.refs == 1 and vstate.in_memory:
+            self._count(vstate.size)
+
+    def set_in_memory(self, vstate, in_memory):
+        """Flip the residency of a state bound in this mapping."""
+        if vstate.in_memory != in_memory:
+            vstate.in_memory = in_memory
+            self._count(vstate.size if in_memory else -vstate.size)
+
+    # the other dict mutators would bypass the bookkeeping
+    clear = update = pop = popitem = setdefault = __delitem__ = __ior__ = None
+
+    def slack(self):
+        """Upper bound on ``|total - S|``, where S is the sum
+        ``_balance_pool`` would compute now (from 0.0, over the distinct
+        resident finite sizes, in dict order).
+
+        Both are float sums of the same sizes f_i >= 0 (negative
+        dimensions are rejected; an int size converts to the same float
+        in either), with real sum T.  Let u = 2**-53 and n = len(self).
+        A float addition or subtraction errs by at most u times its
+        result, so ``total`` — reached from 0.0 in ``ops`` operations
+        whose results never exceeded ``peak`` — has |total - T| <=
+        ops*u*peak.  The peak, not what is resident now, sets the
+        error: a terabyte added and subtracted again leaves the rounding
+        its addition made.  S is at most n additions with results rising
+        to S, so |S - T| <= n*u*S and S <= peak*(1 + (ops + n)*u).
+        Hence |total - S| <= (ops + n)*u*peak*(1 + e), e < 2**-12 while
+        ops + n < 2**40.  Returned is four times (ops + n)*u*peak: one
+        for the bound, one for e and this product's two roundings, one
+        for the rounding of ``total + slack()`` in :meth:`fits`
+        (<= 1.001*u*peak), one spare — so ``fits(budget)`` implies
+        S <= budget.
+        """
+        return (self.ops + len(self)) * 2.0 ** -51 * self.peak
+
+    def fits(self, budget):
+        """True only if the re-summed working set is within ``budget``."""
+        return self.total + self.slack() <= budget
 
     def copy(self):
-        return CostState({k: v.copy() for k, v in self.items()})
+        """Branch fork.  Every name gets a state of its own, so ``mvvar``
+        aliases come apart and are counted once per name from here on."""
+        new = CostState()
+        dict.update(new, {  # VarCostState.copy inlined: the hottest loop
+            k: VarCostState(v.mc, v.in_memory, v.dirty, v.fmt, v.size, 1)
+            for k, v in self.items()
+        })
+        total = float(sum([
+            v.size for v in new.values()
+            if v.in_memory and math.isfinite(v.size)
+        ]))
+        new.anchor(total, len(new), total)
+        return new
 
     def merge_with(self, other):
-        merged = CostState()
+        """Branch merge, in place: this (then-arm) state becomes the
+        merged one — resident only if resident in both arms, dirty if
+        dirty in either, one state per name — and is returned."""
         for name, state in self.items():
+            if state.refs > 1:
+                self[name] = state = state.copy()
             o = other.get(name)
-            if o is None:
-                merged[name] = state.copy()
-                continue
-            m = state.copy()
-            m.in_memory = state.in_memory and o.in_memory
-            m.dirty = state.dirty or o.dirty
-            merged[name] = m
+            if o is not None:
+                if state.in_memory and not o.in_memory:
+                    self.set_in_memory(state, False)
+                if o.dirty:
+                    state.dirty = True
         for name, o in other.items():
             if name not in self:
-                merged[name] = o.copy()
-        return merged
+                self[name] = o.copy()
+        return self
+
+    def adopt(self, other):
+        """Become ``other`` (a branch state that is dropped afterwards):
+        its entries in its order, and its running total."""
+        dict.clear(self)
+        dict.update(self, other)
+        self.anchor(other.total, other.ops, other.peak)
 
 
 class CostModel:
@@ -111,16 +226,11 @@ class CostModel:
 
     # -- public API ----------------------------------------------------------
 
-    def estimate_program(self, compiled, resource, initial_state=None):
+    def estimate_program(self, compiled, resource):
         """Estimated execution time (seconds) of the whole program."""
-        self.invocations += 1
-        get_tracer().incr("cost.invocations")
-        state = initial_state.copy() if initial_state else CostState()
-        return self._cost_blocks(
-            compiled.blocks, resource, state, compiled, set()
-        )
+        return self.estimate_blocks(compiled, compiled.blocks, resource)
 
-    def estimate_components(self, compiled, resource, initial_state=None):
+    def estimate_components(self, compiled, resource):
         """Per-component estimated seconds for the whole program.
 
         The component names match :data:`repro.cost.calibrate.COMPONENTS`
@@ -130,21 +240,21 @@ class CostModel:
         """
         self.component_totals = {}
         try:
-            total = self.estimate_program(compiled, resource, initial_state)
+            total = self.estimate_program(compiled, resource)
         finally:
             totals, self.component_totals = self.component_totals, None
         totals["total"] = total
         return totals
 
-    def estimate_blocks(self, compiled, blocks, resource, initial_state=None):
+    def estimate_blocks(self, compiled, blocks, resource):
         """Estimated time of a block subsequence (re-optimization scope)."""
         self.invocations += 1
         get_tracer().incr("cost.invocations")
-        state = initial_state.copy() if initial_state else CostState()
-        return self._cost_blocks(blocks, resource, state, compiled, set())
+        return self._cost_blocks(
+            blocks, resource, CostState(), compiled, set()
+        )
 
-    def estimate_block(self, compiled, block, resource, initial_state=None,
-                       use_memo=False):
+    def estimate_block(self, compiled, block, resource, use_memo=False):
         """Estimated time of a single generic block's plan.
 
         With ``use_memo`` (the resource optimizer's plan-cache mode) the
@@ -153,7 +263,7 @@ class CostModel:
         the cost walk entirely and does not count as an invocation.
         """
         key = None
-        if use_memo and initial_state is None:
+        if use_memo:
             key = self._block_memo_key(block, resource)
             if key is not None and key in self._block_cost_memo:
                 self.memo_hits += 1
@@ -161,8 +271,9 @@ class CostModel:
                 return self._block_cost_memo[key]
         self.invocations += 1
         get_tracer().incr("cost.invocations")
-        state = initial_state.copy() if initial_state else CostState()
-        cost = self._cost_generic(block, resource, state, compiled, set())
+        cost = self._cost_generic(
+            block, resource, CostState(), compiled, set()
+        )
         if key is not None:
             self._block_cost_memo[key] = cost
             get_tracer().incr("costcache.misses")
@@ -205,21 +316,7 @@ class CostModel:
             self.invocations += 1
             tracer.incr("cost.invocations")
             return [0.0] * n
-        signature = getattr(plan, "signature", None)
-        if signature is not None:
-            has_fcall = self._plan_has_fcall.get(signature)
-            if has_fcall is None:
-                has_fcall = any(
-                    getattr(ins, "opcode", None) == "fcall"
-                    for ins in plan.instructions
-                )
-                self._plan_has_fcall[signature] = has_fcall
-        else:
-            has_fcall = any(
-                getattr(ins, "opcode", None) == "fcall"
-                for ins in plan.instructions
-            )
-        if has_fcall:
+        if self._has_fcall(plan):
             return None
         if any(getattr(r, "ideal", None) is not None for r in resources):
             return None
@@ -332,16 +429,7 @@ class CostModel:
         if plan is None:
             return None
         signature = getattr(plan, "signature", None)
-        if signature is None:
-            return None
-        has_fcall = self._plan_has_fcall.get(signature)
-        if has_fcall is None:
-            has_fcall = any(
-                getattr(ins, "opcode", None) == "fcall"
-                for ins in plan.instructions
-            )
-            self._plan_has_fcall[signature] = has_fcall
-        if has_fcall:
+        if signature is None or self._has_fcall(plan):
             return None
         mr_key = (
             self.mr_cost_signature(block.block_id, resource)
@@ -354,6 +442,19 @@ class CostModel:
             getattr(block, "budget_divisor", 1),
             mr_key,
         )
+
+    def _has_fcall(self, plan):
+        """Whether ``plan`` calls a function, remembered per signature."""
+        signature = getattr(plan, "signature", None)
+        has_fcall = self._plan_has_fcall.get(signature)
+        if has_fcall is None:
+            has_fcall = any(
+                getattr(ins, "opcode", None) == "fcall"
+                for ins in plan.instructions
+            )
+            if signature is not None:
+                self._plan_has_fcall[signature] = has_fcall
+        return has_fcall
 
     def clear_memo(self):
         """Drop all memoized block costs (plan signatures make stale
@@ -393,13 +494,12 @@ class CostModel:
             then_cost = self._cost_blocks(
                 block.body, resource, then_state, compiled, active_funcs
             )
-            else_state = state.copy()
+            # an empty else arm only lends its flags to the merge
+            else_state = state.copy() if block.else_body else state
             else_cost = self._cost_blocks(
                 block.else_body, resource, else_state, compiled, active_funcs
             )
-            merged = then_state.merge_with(else_state)
-            state.clear()
-            state.update(merged)
+            state.adopt(then_state.merge_with(else_state))
             return cost + 0.5 * then_cost + 0.5 * else_cost
         if isinstance(block, SB.WhileBlock):
             iterations = DEFAULT_LOOP_ITERATIONS
@@ -479,25 +579,22 @@ class CostModel:
                 total += self._cost_cp(ins, resource, state)
         return total
 
-    def _ensure_state(self, name, mc, resource):
-        """Default state for variables first seen mid-plan (partial
-        costing): resident in memory when they fit the CP budget."""
-        fits = mc.memory_estimate() <= resource.cp_budget_bytes
-        return VarCostState(mc.copy(), in_memory=fits, dirty=False)
-
     def _input_state(self, operand, mc, state, resource):
+        """The operand's state; a variable first seen mid-plan (partial
+        costing) is resident in memory when it fits the CP budget."""
         if operand.name is None:
             return None
         vstate = state.get(operand.name)
         if vstate is None:
-            vstate = self._ensure_state(operand.name, mc, resource)
+            vstate = VarCostState(mc)
+            vstate.in_memory = vstate.size <= resource.cp_budget_bytes
             state[operand.name] = vstate
         return vstate
 
     def _cost_cp(self, ins, resource, state):
         params = self.params
         if ins.opcode == "createvar":
-            state[ins.output] = VarCostState(ins.out_mc.copy())
+            state[ins.output] = VarCostState(ins.out_mc)
             fmt = ins.attrs.get("format")
             if fmt in ("text", "csv"):
                 state[ins.output].fmt = FileFormat.CSV
@@ -507,9 +604,8 @@ class CostModel:
             if src.name is not None and src.name in state:
                 state[ins.output] = state[src.name]
             else:
-                mc = ins.out_mc
                 state[ins.output] = VarCostState(
-                    mc.copy(), in_memory=True, dirty=True
+                    ins.out_mc, in_memory=True, dirty=True
                 )
             return 0.0
         if ins.opcode == "write":
@@ -546,23 +642,21 @@ class CostModel:
                 continue
             in_mcs.append(vstate.mc)
             pinned.append(vstate)
-            if vstate.mc.dims_known and vstate.mc.cells > 0 and not vstate.in_memory:
+            if not vstate.in_memory and vstate.mc.dims_known and vstate.mc.cells > 0:
                 io_time += io_model.hdfs_read_time(vstate.mc, params, vstate.fmt)
                 # the buffer pool retains only matrices that fit the CP
                 # budget; larger ones are streamed and re-read on the
                 # next access (the cost model's partial account of the
                 # buffer pool, paper Section 5)
-                vstate.in_memory = (
-                    vstate.mc.memory_estimate() <= resource.cp_budget_bytes
+                state.set_in_memory(
+                    vstate, vstate.size <= resource.cp_budget_bytes
                 )
 
         flops = operation_flops(ins.opcode, ins.out_mc, in_mcs, ins.attrs)
         compute_time = flops / params.cp_flops
         if ins.output is not None:
-            fits = ins.out_mc.memory_estimate() <= resource.cp_budget_bytes
-            vstate = VarCostState(
-                ins.out_mc.copy(), in_memory=fits, dirty=True
-            )
+            vstate = VarCostState(ins.out_mc, dirty=True)
+            vstate.in_memory = vstate.size <= resource.cp_budget_bytes
             state[ins.output] = vstate
             pinned.append(vstate)
         self._balance_pool(state, resource, pinned)
@@ -576,6 +670,8 @@ class CostModel:
         are dropped (their next access re-reads) — the cost model's
         partial account of buffer-pool evictions."""
         budget = resource.cp_budget_bytes
+        if state.fits(budget):
+            return  # the re-sum below could not come out over budget
         live = []
         seen = set()
         total = 0.0
@@ -584,21 +680,21 @@ class CostModel:
             if id(vstate) in seen or not vstate.in_memory:
                 continue
             seen.add(id(vstate))
-            size = vstate.mc.memory_estimate()
+            size = vstate.size
             if math.isfinite(size):
-                live.append((vstate, size))
+                live.append(vstate)
                 total += size
+        state.anchor(total, len(live), total)
         if total <= budget:
             return
         pinned_ids = {id(v) for v in pinned}
         # evict insertion-ordered (oldest first), keeping current operands
-        for vstate, size in live:
-            if total <= budget:
+        for vstate in live:
+            if state.total <= budget:
                 break
             if id(vstate) in pinned_ids:
                 continue
-            vstate.in_memory = False
-            total -= size
+            state.set_in_memory(vstate, False)
 
     def _cost_fcall(self, ins, resource, state, compiled, active_funcs):
         func_name = ins.attrs.get("func")
@@ -612,16 +708,17 @@ class CostModel:
         )
         for out in ins.attrs.get("outputs", []):
             state[out] = VarCostState(
-                ins.out_mc.copy(), in_memory=True, dirty=True
+                ins.out_mc, in_memory=True, dirty=True
             )
         return cost
 
     # -- MR job costing -------------------------------------------------
 
-    def _cost_mr_job(self, job, resource, state):
-        params = self.params
-        total = 0.0
-        # export dirty in-memory inputs to HDFS so the job can read them
+    def _job_inputs(self, job, state):
+        """Export dirty in-memory inputs to HDFS so the job can read
+        them; returns the export seconds and the job's view of the
+        state, ``mc_of(name)`` and ``fmt_of(name)``."""
+        exports = 0.0
         for name in list(job.input_vars) + list(job.broadcast_vars):
             vstate = state.get(name)
             if vstate is None:
@@ -629,9 +726,9 @@ class CostModel:
                 vstate = VarCostState(mc, in_memory=True, dirty=True)
                 state[name] = vstate
             if vstate.dirty and vstate.mc.dims_known:
-                export_time = io_model.hdfs_write_time(vstate.mc, params)
+                export_time = io_model.hdfs_write_time(vstate.mc, self.params)
                 self._add_component("hdfs_write", export_time)
-                total += export_time
+                exports += export_time
             vstate.dirty = False
 
         def mc_of(name):
@@ -642,6 +739,17 @@ class CostModel:
             vstate = state.get(name)
             return vstate.fmt if vstate is not None else FileFormat.BINARY_BLOCK
 
+        return exports, mc_of, fmt_of
+
+    def _job_outputs(self, job, state):
+        """Job outputs land on HDFS (clean, not in CP memory)."""
+        for step in job.steps:
+            if step.output in job.output_vars:
+                state[step.output] = VarCostState(step.out_mc)
+
+    def _cost_mr_job(self, job, resource, state):
+        params = self.params
+        total, mc_of, fmt_of = self._job_inputs(job, state)
         timing = time_mr_job(job, mc_of, fmt_of, resource, self.cluster, params)
         total += timing.total
         # memory-elastic grant: charge the modeled spill penalty for
@@ -675,13 +783,7 @@ class CostModel:
                 "mr_task_latency",
                 params.mr_task_latency * timing.task_latency_units,
             )
-
-        # job outputs land on HDFS (clean, not in CP memory)
-        for step in job.steps:
-            if step.output in job.output_vars:
-                state[step.output] = VarCostState(
-                    step.out_mc.copy(), in_memory=False, dirty=False
-                )
+        self._job_outputs(job, state)
         return total
 
     def _cost_mr_job_grid(self, job, resource, state, dop_base, thrash):
@@ -693,42 +795,16 @@ class CostModel:
         never reach here — :meth:`estimate_grid` falls back to the
         scalar path for those.
         """
-        params = self.params
-        exports = 0.0
-        # export dirty in-memory inputs to HDFS so the job can read them
-        for name in list(job.input_vars) + list(job.broadcast_vars):
-            vstate = state.get(name)
-            if vstate is None:
-                mc = self._find_job_input_mc(job, name)
-                vstate = VarCostState(mc, in_memory=True, dirty=True)
-                state[name] = vstate
-            if vstate.dirty and vstate.mc.dims_known:
-                exports += io_model.hdfs_write_time(vstate.mc, params)
-            vstate.dirty = False
-
-        def mc_of(name):
-            vstate = state.get(name)
-            return vstate.mc if vstate is not None else None
-
-        def fmt_of(name):
-            vstate = state.get(name)
-            return vstate.fmt if vstate is not None else FileFormat.BINARY_BLOCK
-
+        exports, mc_of, fmt_of = self._job_inputs(job, state)
         totals = exports + time_mr_job_grid(
-            job, mc_of, fmt_of, dop_base, thrash, self.cluster, params
+            job, mc_of, fmt_of, dop_base, thrash, self.cluster, self.params
         )
-
-        # job outputs land on HDFS (clean, not in CP memory)
-        for step in job.steps:
-            if step.output in job.output_vars:
-                state[step.output] = VarCostState(
-                    step.out_mc.copy(), in_memory=False, dirty=False
-                )
+        self._job_outputs(job, state)
         return totals
 
     def _find_job_input_mc(self, job, name):
         for step in job.steps:
             for operand, mc in zip(step.inputs, step.in_mcs):
                 if operand.name == name:
-                    return mc.copy()
+                    return mc
         return MatrixCharacteristics.unknown()

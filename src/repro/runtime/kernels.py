@@ -452,6 +452,12 @@ def _rand(opcode, inputs, attrs, rng, sample_cap):
     values = dict(zip(params, inputs))
     rows = _as_index(values.get("rows", 1))
     cols = _as_index(values.get("cols", 1))
+    for dim, value in (("rows", rows), ("cols", cols)):
+        if value < 0:
+            raise ExecutionError(
+                f"{attrs.get('builtin', opcode)}(): {dim} must be "
+                f"non-negative, got {value}"
+            )
     min_v = float(values.get("min", 0.0))
     max_v = float(values.get("max", 1.0))
     sparsity = float(values.get("sparsity", 1.0))

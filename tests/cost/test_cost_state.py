@@ -14,11 +14,52 @@ def state_of(rows=1000, cols=100, in_memory=False, dirty=False):
 
 
 class TestVarCostState:
-    def test_copy_is_deep_for_mc(self):
-        a = state_of()
-        b = a.copy()
-        b.mc.rows = 5
-        assert a.mc.rows == 1000
+    def test_walk_shares_characteristics_and_never_writes_them(self):
+        """States share the instructions' characteristics instead of
+        copying them, which is sound because the walk never writes one:
+        every ``out_mc`` / ``in_mcs`` / step ``out_mc`` of the plans is
+        field-for-field what it was, and every cached size is still the
+        estimate of the characteristics it was taken from."""
+        from repro import prepare_inputs, scenario
+        from repro.compiler import compile_program
+        from repro.compiler.runtime_prog import MRJobInstruction
+        from repro.runtime import SimulatedHDFS
+        from repro.scripts import load_script
+
+        def characteristics(compiled):
+            for block in compiled.last_level_blocks():
+                for ins in block.plan.instructions if block.plan else ():
+                    if isinstance(ins, MRJobInstruction):
+                        for step in ins.steps:
+                            yield step.out_mc
+                            yield from step.in_mcs
+                    else:
+                        yield ins.out_mc
+                        yield from ins.in_mcs
+
+        rc = ResourceConfig(2048, 1024)
+        for script in ("GLM", "MLogreg"):
+            hdfs = SimulatedHDFS(sample_cap=64)
+            args = prepare_inputs(hdfs, script, scenario("M", cols=1000))
+            compiled = compile_program(
+                load_script(script), args, hdfs.input_meta(), rc
+            )
+            model = CostModel(paper_cluster(), exclude_provisional=False)
+            before = [
+                (mc, (mc.rows, mc.cols, mc.nnz))
+                for mc in characteristics(compiled)
+            ]
+            assert before
+            model.estimate_program(compiled, rc)
+            state = CostState()
+            model._cost_blocks(compiled.blocks, rc, state, compiled, set())
+            assert [mc for mc, _ in before] == list(characteristics(compiled))
+            for mc, fields in before:
+                assert (mc.rows, mc.cols, mc.nnz) == fields
+            shared = {id(mc) for mc, _ in before}
+            assert any(id(v.mc) in shared for v in state.values())
+            for vstate in state.values():
+                assert vstate.size == vstate.mc.memory_estimate()
 
     def test_default_format(self):
         assert state_of().fmt is FileFormat.BINARY_BLOCK

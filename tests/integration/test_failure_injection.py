@@ -166,3 +166,55 @@ class TestNumericalRobustness:
         interp = Interpreter(paper_cluster(), hdfs=hdfs, sample_cap=32)
         result = interp.run(compiled, ResourceConfig(512, 512))
         assert np.isfinite(float(result.prints[0]))
+
+
+#: (script, typed error, the builtin and value its message must name)
+NEGATIVE_DIMENSIONS = [
+    ("X = rand(rows=-5, cols=3)\nprint(sum(X))",
+     CompilerError, r"rand\(\): rows .* -5"),
+    ("X = matrix(0, rows=-2, cols=2)\nprint(sum(X))",
+     CompilerError, r"matrix\(\): rows .* -2"),
+    ("n = -3; X = rand(rows=n, cols=3)\nprint(sum(X))",
+     CompilerError, r"rand\(\): rows .* -3"),
+    # only known once sum(A) has run
+    ("A = matrix(1, rows=4, cols=4)\nn = as.integer(sum(A)) - 20\n"
+     "X = matrix(1, rows=2, cols=n)\nprint(sum(X))",
+     ExecutionError, r"matrix\(\): cols .* -4"),
+]
+NEGATIVE_IDS = ["rand", "matrix", "constant", "runtime"]
+
+
+class TestNegativeDimensions:
+    """A negative rows/cols of a data-generating builtin is a typed
+    error naming the builtin and the value, never the bare ValueError
+    of the size model."""
+
+    @pytest.mark.parametrize(
+        "source,error,message", NEGATIVE_DIMENSIONS, ids=NEGATIVE_IDS
+    )
+    def test_session_raises(self, source, error, message):
+        from repro import ElasticMLSession
+
+        with pytest.raises(error, match=message):
+            ElasticMLSession(sample_cap=32).run(source, {})
+
+    @pytest.mark.parametrize(
+        "source,error,message", NEGATIVE_DIMENSIONS, ids=NEGATIVE_IDS
+    )
+    def test_server_fails(self, source, error, message):
+        from repro import ElasticMLServer, Submission
+
+        server = ElasticMLServer(sample_cap=32)
+        try:
+            server.submit(Submission(tenant="t", script=source, args={}))
+            (result,) = server.drain()
+        finally:
+            server.shutdown()
+        assert result.status == "failed"
+        assert result.error.startswith(error.__name__ + ": ")
+
+    def test_size_model_guard_stays(self):
+        from repro.common import estimate_matrix_memory
+
+        with pytest.raises(ValueError, match="negative matrix dimensions"):
+            estimate_matrix_memory(-5, 3)

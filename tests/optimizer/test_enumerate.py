@@ -125,8 +125,7 @@ class _NearTieCostModel:
         self.memo_hits = 0
         self.program_calls = 0
 
-    def estimate_block(self, compiled, block, resource, initial_state=None,
-                       use_memo=False):
+    def estimate_block(self, compiled, block, resource, use_memo=False):
         self.invocations += 1
         return 1.0
 

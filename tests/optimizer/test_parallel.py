@@ -79,7 +79,7 @@ class _RaisingCostModel(CostModel):
     """Fails the whole-program (agg) costing of every CP point; module
     level so the pickle transport can ship an instance to workers."""
 
-    def estimate_program(self, compiled, resource, initial_state=None):
+    def estimate_program(self, compiled, resource):
         raise _Boom("injected worker failure")
 
 
