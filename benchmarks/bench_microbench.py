@@ -15,7 +15,19 @@ Tracks p50/p95 latency of the code the grid search spends its time in:
   and that re-summed the working set instead;
 * ``plancache.lookup`` — one bucketed plan-cache probe (key + hit);
 * ``bufferpool.account`` — one buffer-pool insert into a full pool
-  (accounting + LRU eviction, the `_make_room` hot path);
+  (re-sum + LRU eviction: the exact path of ``_make_room``, which every
+  insert of this kernel takes and 0.3 % of a real program's do);
+* ``bufferpool.insert_resident`` — the insert requests actually make: a
+  fresh ``MatrixObject`` built and put into a pool holding 16 of them
+  far below capacity, then ``retain_only`` back to the 16 (the rmvar
+  sweep after a block);
+* ``runtime.interpret.L2SVM_XS`` — the interpretation stage of a warm
+  L2SVM XS request (two thirds of the ``serve_warm`` mix's time): the
+  program arrives planned from the caches, timed is ``execute_program``
+  alone — an ``Interpreter`` with the runtime adapter and one ``run``.
+  The row also records ``make_room_calls`` and
+  ``make_room_exact_share``, the share of ``BufferPool._make_room``
+  calls the running occupancy could not answer;
 * ``serving.program_get`` — one warm :class:`ProgramCache` hit
   (LinregCG XS): the per-request program handout;
 * ``serving.warm_prepare`` — a warm request's whole prepare stage:
@@ -35,7 +47,8 @@ Every kernel carries a p95 budget (checked into the JSON); the bench
 fails when a measured p95 exceeds **2x** its budget, so CI catches
 regressions of a small multiple while tolerating runner noise.  The
 budgets of the cost-walk and enumeration kernels are at most 3x the p95
-measured on the 2-vCPU build host (so the bench fails at ~6x); the
+measured on the 2-vCPU build host (so the bench fails at ~6x), and so
+are those of the three buffer-pool / interpretation kernels; the other
 microsecond-scale ones keep more room for timer and runner noise.
 
 Kernels a change was made for also record ``before_p95_us``, the same
@@ -43,7 +56,9 @@ kernel measured on the same host at the commit before that change: the
 two serving kernels at PR 15 (which deep-copied the master on every hit
 and regenerated plans on every optimizer-cache hit), the two
 whole-program walks at PR 16 (whose ``_balance_pool`` re-summed the
-working set after every CP instruction).
+working set after every CP instruction), the resident insert and the
+interpretation stage at PR 17 (whose ``_make_room`` re-summed the pool,
+re-deriving every size, on every insert).
 
 Writes ``BENCH_microbench.json`` (override with ``--out``).  Runnable
 standalone: ``python benchmarks/bench_microbench.py [--quick]``.
@@ -58,10 +73,14 @@ import statistics
 import sys
 import time
 import types
+from unittest import mock
+
+import numpy as np
 
 from _lib import format_table, fresh_compiled
 from repro.api import SessionConfig
 from repro.cluster import ResourceConfig, paper_cluster
+from repro.common import MatrixCharacteristics
 from repro.compiler import compile_program
 from repro.compiler.plan_cache import PlanCache
 from repro.cost import CostModel
@@ -70,7 +89,9 @@ from repro.cost.mr_timing import grid_supported
 from repro.optimizer import ParallelResourceOptimizer, ResourceOptimizer
 from repro.pipeline import RunPipeline
 from repro.runtime import SimulatedHDFS
+from repro.runtime import interpreter as interpreter_mod
 from repro.runtime.bufferpool import BufferPool
+from repro.runtime.matrix import MatrixObject
 from repro.scripts import load_script
 from repro.serving import ProgramCache
 from repro.workloads import prepare_inputs, scenario
@@ -91,7 +112,9 @@ BUDGETS_P95_US = {
     "cost.estimate_grid_512": 60_000,
     "cost.estimate_block_loop512": 1_200_000,
     "plancache.lookup": 60,
-    "bufferpool.account": 250,
+    "bufferpool.account": 28,
+    "bufferpool.insert_resident": 11,
+    "runtime.interpret.L2SVM_XS": 33_000,
     "serving.program_get": 500,
     "serving.warm_prepare": 1_500,
     "optimizer.serial.S": 30_000,
@@ -103,12 +126,15 @@ BUDGETS_P95_US = {
 #: p95 at the commit before the change a kernel was added for (see the
 #: module docstring), measured with this file's kernels on the build
 #: host: the median of three 500-iteration runs at PR 15 for the serving
-#: kernels, of six 100-iteration runs at PR 16 for the walks
+#: kernels, of six 100-iteration runs at PR 16 for the walks, of six
+#: runs at PR 17 (alternating with this commit's) for the last two
 BEFORE_P95_US = {
     "serving.program_get": 11_064,
     "serving.warm_prepare": 15_225,
     "cost.estimate_program.GLM_M": 72_000,
     "cost.estimate_program.L2SVM_M": 18_300,
+    "bufferpool.insert_resident": 27.2,
+    "runtime.interpret.L2SVM_XS": 18_900,
 }
 
 #: serial seconds (compile included) below which the process-vs-serial
@@ -142,12 +168,15 @@ def _percentiles_us(samples_s):
     }
 
 
-def _time_kernel(fn, iters):
-    fn()  # warmup: imports, allocator, caches
+def _time_kernel(fn, iters, setup=tuple):
+    """Percentiles of ``fn(*setup())`` over ``iters`` calls; ``setup``
+    runs outside the timer."""
+    fn(*setup())  # warmup: imports, allocator, caches
     samples = []
     for _ in range(iters):
+        args = setup()
         t0 = time.perf_counter()
-        fn()
+        fn(*args)
         samples.append(time.perf_counter() - t0)
     return _percentiles_us(samples)
 
@@ -298,18 +327,90 @@ def bench_bufferpool_account(iters):
     return {"bufferpool.account": _time_kernel(insert, iters)}
 
 
-# -- serving kernels ----------------------------------------------------------
+def bench_bufferpool_insert_resident(iters):
+    """A fresh matrix into a pool with room to spare, and out again."""
+    mc = MatrixCharacteristics.dense(10_000, 100)  # 8 MB each
+    sample = np.zeros((64, 100))
+    pool = BufferPool(1 << 34, DEFAULT_PARAMETERS, lambda s, cat: None)
+    live = set()
+    for _ in range(16):
+        obj = MatrixObject(sample, mc)
+        pool.put(obj)
+        live.add(id(obj))
+    resident = list(pool._entries.values())  # keeps the 16 ids alive
 
-def bench_warm_handout(iters):
-    """The prepare stage of a repeat tenant's request (LinregCG XS)."""
+    def insert():
+        pool.put(MatrixObject(sample, mc))
+        pool.retain_only(live)
+
+    record = _time_kernel(insert, iters)
+    assert list(pool._entries.values()) == resident and not pool.evictions
+    return {"bufferpool.insert_resident": record}
+
+
+# -- interpretation kernel ----------------------------------------------------
+
+def _warm_pipeline(script):
+    """(pipeline, source, args): a pipeline with both caches on and the
+    script's XS inputs on its file system."""
     hdfs = SimulatedHDFS(sample_cap=64)
     pipeline = RunPipeline(
         SessionConfig(), hdfs=hdfs, sample_cap=64,
         program_cache=ProgramCache(),
     )
-    source = load_script("LinregCG")
-    args = prepare_inputs(hdfs, "LinregCG", scenario("XS", cols=100))
-    input_meta = hdfs.input_meta()
+    args = prepare_inputs(hdfs, script, scenario("XS", cols=100))
+    return pipeline, load_script(script), args
+
+
+def interpret_fixture(script="L2SVM"):
+    """(prepare, run) of a warm request's two stages: ``prepare()``
+    returns the planned handout and its configuration from the caches,
+    ``run(compiled, resource)`` interprets it (adaptation on)."""
+    pipeline, source, args = _warm_pipeline(script)
+
+    def prepare():
+        compiled = pipeline.compile(source, args)
+        result = pipeline.optimize_cached(source, args, compiled)
+        return compiled, result.resource
+
+    pipeline.execute_program(*prepare())  # the cold request fills the caches
+    return prepare, pipeline.execute_program
+
+
+class _CountingPool(BufferPool):
+    """Counts the ``_make_room`` calls that have to re-sum."""
+
+    calls = exact = 0
+
+    def _make_room(self, needed):
+        self.calls += 1
+        self.exact += not self.fits(self.capacity, needed)
+        super()._make_room(needed)
+
+
+def bench_interpret(iters):
+    prepare, run = interpret_fixture()
+    record = _time_kernel(run, iters, setup=prepare)
+    pools = []
+
+    def counting_pool(*args, **kwargs):
+        pools.append(_CountingPool(*args, **kwargs))
+        return pools[-1]
+
+    with mock.patch.object(interpreter_mod, "BufferPool", counting_pool):
+        run(*prepare())
+    (pool,) = pools
+    record["make_room_calls"] = pool.calls
+    record["make_room_exact_share"] = pool.exact / pool.calls
+    return {"runtime.interpret.L2SVM_XS": record}
+
+
+# -- serving kernels ----------------------------------------------------------
+
+def bench_warm_handout(iters):
+    """The prepare stage of a repeat tenant's request (LinregCG XS)."""
+    pipeline, source, args = _warm_pipeline("LinregCG")
+    input_meta = pipeline.hdfs.input_meta()
 
     def prepare():
         compiled = pipeline.compile(source, args)
@@ -406,6 +507,8 @@ def run_experiment(quick=False):
     kernels.update(bench_program_walk(20 if quick else 100))
     kernels.update(bench_plancache_lookup(200 if quick else 1000))
     kernels.update(bench_bufferpool_account(100 if quick else 500))
+    kernels.update(bench_bufferpool_insert_resident(200 if quick else 1000))
+    kernels.update(bench_interpret(30 if quick else 100))
     kernels.update(bench_warm_handout(100 if quick else 500))
     kernels.update(bench_serial_enumeration(1 if quick else 3))
     process_kernels, process_vs_serial = bench_process_vs_serial(

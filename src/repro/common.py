@@ -276,3 +276,80 @@ def binary_nnz_estimate(op_preserves_zeros, left, right):
     else:
         sp = min(1.0, sp_l + sp_r)
     return int(math.ceil(sp * cells))
+
+
+class RunningTotal:
+    """Mixin: a running sum of byte sizes that knows how far it may be
+    from the same sizes summed afresh.
+
+    The cost walk's working set (:class:`repro.cost.model.CostState`)
+    and the runtime's :class:`~repro.runtime.bufferpool.BufferPool` both
+    evict when ``S + needed > budget``, S being their resident sizes
+    re-summed in container order.  Each keeps ``total`` current through
+    :meth:`_count` instead and re-sums only when :meth:`fits` cannot
+    rule out that S would come out over budget; the re-sum hands its
+    result back through :meth:`anchor`.  A user declares the slots
+    ``total``, ``ops`` and ``peak`` (a mixin beside ``dict`` cannot) and
+    a ``__len__`` counting the sizes a re-sum would add.
+    """
+
+    __slots__ = ()
+
+    def anchor(self, total, ops, peak):
+        """``total`` was summed from zero over the resident set in
+        ``ops`` operations whose largest result was ``peak``."""
+        self.total = total
+        self.ops = ops
+        self.peak = peak
+
+    def _count(self, size):
+        """A size enters (positive) or leaves (negative) the set."""
+        if math.isfinite(size):
+            self.total = total = self.total + size
+            self.ops += 1
+            if total > self.peak:
+                self.peak = total
+
+    def slack(self):
+        """Upper bound on ``|total - S|``, where S is the sum a fresh
+        pass would compute now (from zero, over the resident finite
+        sizes, in container order).
+
+        Both are sums of the same sizes f_i >= 0 (negative dimensions
+        are rejected), with real sum T.  Let u = 2**-53 and n =
+        len(self).  A size is a float, or an int when its matrix is
+        dense; ``total`` and S are Python numbers accordingly, int while
+        only ints were added since an int start.  Every byte count
+        compared here is taken to be below 2**53 (8 PiB), so an int, a
+        sum of ints, or an int converted for a mixed operation is its
+        own float: int arithmetic adds no error and no second rounding.
+        A float addition or subtraction errs by at most u times its
+        result, so ``total`` — reached from zero in ``ops`` operations
+        whose results never exceeded ``peak`` — has |total - T| <=
+        ops*u*peak.  The peak, not what is resident now, sets the
+        error: a terabyte added and subtracted again leaves the rounding
+        its addition made.  S is at most n additions with results rising
+        to S, so |S - T| <= n*u*S (``sum()`` is compensated from Python
+        3.12 on, which only tightens this; a ``+=`` loop and 3.11's
+        ``sum()`` are the naive case) and S <= peak*(1 + (ops + n)*u).
+        Hence |total - S| <= (ops + n)*u*peak*(1 + e), e < 2**-12 while
+        ops + n < 2**40.  Returned is four times (ops + n)*u*peak: one
+        for the bound, one for e and this product's two roundings, one
+        for the rounding of ``total + slack()`` in :meth:`fits`
+        (<= 1.001*u*peak), one spare.
+        """
+        return (self.ops + len(self)) * 2.0 ** -51 * self.peak
+
+    def fits(self, budget, needed=0.0):
+        """True only if ``S + needed <= budget`` as Python evaluates it
+        for the re-summed S: never true where ``S + needed > budget``.
+
+        By :meth:`slack`, W = ``total + slack()`` is a float >= S.
+        Rounding is monotone, so ``W + needed`` rounds to no less than
+        ``S + needed`` does — whether S is a float, an int converted to
+        add a float ``needed``, or an int added to an int exactly (below
+        2**53 that sum is its own float).  The order matters: ``needed``
+        may dwarf ``peak``, so its rounding has to be the same rounding
+        on both sides rather than something ``slack()`` covers.
+        """
+        return self.total + self.slack() + needed <= budget

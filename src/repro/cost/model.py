@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from repro.common import FileFormat, MatrixCharacteristics
+from repro.common import FileFormat, MatrixCharacteristics, RunningTotal
 from repro.compiler import statement_blocks as SB
 from repro.compiler.runtime_prog import CPInstruction, MRJobInstruction
 from repro.compiler.size_propagation import DEFAULT_LOOP_ITERATIONS
@@ -79,7 +79,7 @@ class VarCostState:
         )
 
 
-class CostState(dict):
+class CostState(dict, RunningTotal):
     """Variable name -> VarCostState with branch-merge support.
 
     ``total`` is a running float sum of the finite sizes of the
@@ -87,8 +87,9 @@ class CostState(dict):
     two names: counted once, leaving when its last name is rebound).
     Every residency change keeps it current — ``state[name] = vstate``,
     :meth:`set_in_memory`, :meth:`merge_with`, :meth:`adopt` — so
-    ``CostModel._balance_pool`` re-sums only when :meth:`fits` cannot
-    rule out that the set is over budget.
+    ``CostModel._balance_pool`` re-sums only when :meth:`fits` (the
+    :class:`~repro.common.RunningTotal` rule the runtime's buffer pool
+    shares) cannot rule out that the set is over budget.
     """
 
     __slots__ = ("total", "ops", "peak")
@@ -98,20 +99,6 @@ class CostState(dict):
         self.anchor(0.0, 0, 0.0)
         for name, vstate in dict(items).items():
             self[name] = vstate
-
-    def anchor(self, total, ops, peak):
-        """``total`` was summed from 0.0 over the resident set in
-        ``ops`` float operations whose largest result was ``peak``."""
-        self.total = total
-        self.ops = ops
-        self.peak = peak
-
-    def _count(self, size):
-        if math.isfinite(size):
-            self.total = total = self.total + size
-            self.ops += 1
-            if total > self.peak:
-                self.peak = total
 
     def __setitem__(self, name, vstate):
         old = self.get(name)
@@ -134,34 +121,6 @@ class CostState(dict):
 
     # the other dict mutators would bypass the bookkeeping
     clear = update = pop = popitem = setdefault = __delitem__ = __ior__ = None
-
-    def slack(self):
-        """Upper bound on ``|total - S|``, where S is the sum
-        ``_balance_pool`` would compute now (from 0.0, over the distinct
-        resident finite sizes, in dict order).
-
-        Both are float sums of the same sizes f_i >= 0 (negative
-        dimensions are rejected; an int size converts to the same float
-        in either), with real sum T.  Let u = 2**-53 and n = len(self).
-        A float addition or subtraction errs by at most u times its
-        result, so ``total`` — reached from 0.0 in ``ops`` operations
-        whose results never exceeded ``peak`` — has |total - T| <=
-        ops*u*peak.  The peak, not what is resident now, sets the
-        error: a terabyte added and subtracted again leaves the rounding
-        its addition made.  S is at most n additions with results rising
-        to S, so |S - T| <= n*u*S and S <= peak*(1 + (ops + n)*u).
-        Hence |total - S| <= (ops + n)*u*peak*(1 + e), e < 2**-12 while
-        ops + n < 2**40.  Returned is four times (ops + n)*u*peak: one
-        for the bound, one for e and this product's two roundings, one
-        for the rounding of ``total + slack()`` in :meth:`fits`
-        (<= 1.001*u*peak), one spare — so ``fits(budget)`` implies
-        S <= budget.
-        """
-        return (self.ops + len(self)) * 2.0 ** -51 * self.peak
-
-    def fits(self, budget):
-        """True only if the re-summed working set is within ``budget``."""
-        return self.total + self.slack() <= budget
 
     def copy(self):
         """Branch fork.  Every name gets a state of its own, so ``mvvar``

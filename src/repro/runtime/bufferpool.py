@@ -11,19 +11,31 @@ runtime, and intentionally not in :mod:`repro.cost.model`.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import attrgetter
 
+from repro.common import RunningTotal
 from repro.cost import io_model
 from repro.cost.calibrate import NULL_COLLECTOR
 from repro.obs import get_tracer
 
+#: the re-sum is nearly all of an evicting insert: read sizes in C
+_MEMORY_SIZE = attrgetter("memory_size")
 
-class BufferPool:
+
+class BufferPool(RunningTotal):
     """Tracks in-memory matrices of one CP process and charges IO.
 
     ``charge`` is a callable(seconds, category) advancing the virtual
     clock; categories are "eviction", "restore", and "read".
     ``collector`` is an optional calibration sample sink
     (:class:`repro.cost.calibrate.CalibrationCollector`).
+
+    ``total`` is the running sum of the entries' ``memory_size``, kept
+    by every residency change, so :meth:`_make_room` re-sums
+    :attr:`used_bytes` only when :meth:`fits` cannot rule out an
+    eviction.  An entry's size must not change while it is pooled (a
+    :class:`~repro.runtime.matrix.MatrixObject` fixes it at
+    construction).
     """
 
     def __init__(self, capacity_bytes, params, charge, collector=None):
@@ -32,13 +44,19 @@ class BufferPool:
         self.charge = charge
         self.collector = collector if collector is not None else NULL_COLLECTOR
         self._entries = OrderedDict()  # id(obj) -> obj
+        self.anchor(0, 0, 0)
         self.evictions = 0
         self.restores = 0
         self.bytes_evicted = 0.0
 
+    def __len__(self):
+        return len(self._entries)
+
     @property
     def used_bytes(self):
-        return sum(obj.memory_size for obj in self._entries.values())
+        """The occupancy, re-summed in LRU order: what evictions are
+        decided from (``total`` only says when that is unnecessary)."""
+        return sum(map(_MEMORY_SIZE, self._entries.values()))
 
     def set_capacity(self, capacity_bytes):
         """Resize the pool (CP migration); evicts down to the new size."""
@@ -93,19 +111,15 @@ class BufferPool:
     def release_all(self):
         """Drop all entries without IO (end of application)."""
         self._entries.clear()
-
-    def discard(self, obj):
-        """Remove a dead matrix from the pool without IO (rmvar): its
-        data will never be read again, so no writeback is needed."""
-        self._entries.pop(id(obj), None)
-        obj.in_memory = False
+        self.anchor(0, 0, 0)
 
     def retain_only(self, live_ids):
         """Discard every pooled matrix not in ``live_ids`` (rmvar sweep
-        at block boundaries)."""
+        at block boundaries): dead data needs no writeback."""
         for key in [k for k in self._entries if k not in live_ids]:
             victim = self._entries.pop(key)
             victim.in_memory = False
+            self._count(-victim.memory_size)
 
     def evict_all(self):
         """Flush everything (used before CP migration): dirty matrices
@@ -113,11 +127,17 @@ class BufferPool:
         residency state."""
         for obj in self._entries.values():
             obj.in_memory = False
-        self._entries.clear()
+        self.release_all()
 
     # -- internals ---------------------------------------------------------
 
     def _insert(self, obj):
+        key = id(obj)
+        if key in self._entries:
+            # a re-put of a pooled matrix is an LRU touch: its size is
+            # in the occupancy already and must not evict anything
+            self._entries.move_to_end(key)
+            return
         size = obj.memory_size
         if size > self.capacity:
             # too large to retain: operations stream it; charge nothing
@@ -125,14 +145,17 @@ class BufferPool:
             obj.in_memory = False
             return
         self._make_room(size)
-        self._entries[id(obj)] = obj
-        self._entries.move_to_end(id(obj))
+        self._entries[key] = obj
+        self._count(size)
 
     def _make_room(self, needed):
+        if self.fits(self.capacity, needed):
+            return  # the re-sum below could not come out over capacity
         tracer = get_tracer()
         # track the occupancy incrementally: recomputing used_bytes per
         # victim made eviction storms quadratic in the pool population
-        used = self.used_bytes
+        used = resummed = self.used_bytes
+        pooled = len(self._entries)
         while self._entries and used + needed > self.capacity:
             _, victim = self._entries.popitem(last=False)
             size = victim.memory_size
@@ -148,3 +171,7 @@ class BufferPool:
             self.evictions += 1
             tracer.incr("bufferpool.evictions")
             victim.in_memory = False
+        # ``used`` took one addition per size summed and one subtraction
+        # per victim, and none of them came out above the first sum
+        evicted = pooled - len(self._entries)
+        self.anchor(used, pooled + evicted, resummed)

@@ -46,6 +46,20 @@ def _sample(value):
     return value.data if _is_matrix(value) else value
 
 
+def _zero_nonfinite(out):
+    """``np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)`` for an
+    elementwise result: nan and +-inf become 0.0 in place, every finite
+    value (-0.0 and denormals included) keeps its bits.  A sample is
+    almost always all finite, which one ``isfinite`` pass finds out at a
+    sixth of ``nan_to_num``'s Python-level overhead."""
+    if type(out) is np.ndarray and out.dtype == np.float64:
+        finite = np.isfinite(out)
+        if not finite.all():
+            out[~finite] = 0.0
+        return out
+    return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
+
+
 def _display(value):
     """DML-style display rendering for print()."""
     if isinstance(value, bool):
@@ -156,8 +170,7 @@ def _binary(opcode, inputs, attrs):
     sa, sb = _align_elementwise(sa, sb)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if opcode in _BINARY_NUMPY:
-            out = _BINARY_NUMPY[opcode](sa, sb)
-            out = np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
+            out = _zero_nonfinite(_BINARY_NUMPY[opcode](sa, sb))
         elif opcode in _RELATIONAL_NUMPY:
             out = _RELATIONAL_NUMPY[opcode](sa, sb).astype(np.float64)
         elif opcode == "&":
@@ -233,8 +246,7 @@ def _unary(opcode, inputs, attrs):
     if not _is_matrix(a):
         return _scalar_result(_UNARY_SCALAR[opcode](a))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _UNARY_NUMPY[opcode](a.data)
-        out = np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
+        out = _zero_nonfinite(_UNARY_NUMPY[opcode](a.data))
     return _matrix_result(out, a.mc.rows, a.mc.cols)
 
 

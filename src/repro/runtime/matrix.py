@@ -35,11 +35,18 @@ def measure_nnz(data, logical_cells):
 
 
 class MatrixObject:
-    """A runtime matrix: sample data + logical metadata + residency state."""
+    """A runtime matrix: sample data + logical metadata + residency state.
+
+    ``mc`` is never mutated after construction (a result with other
+    characteristics is a new object), which is what lets
+    ``memory_size`` be computed once and the buffer pool keep a running
+    occupancy.
+    """
 
     __slots__ = (
         "data",
         "mc",
+        "memory_size",
         "fmt",
         "hdfs_path",
         "in_memory",
@@ -53,6 +60,8 @@ class MatrixObject:
             raise ExecutionError("matrix sample must be 2-dimensional")
         self.data = data
         self.mc = mc
+        #: logical in-memory size in bytes
+        self.memory_size = mc.memory_estimate()
         self.fmt = fmt
         #: backing file on simulated HDFS holding a clean copy (if any)
         self.hdfs_path = hdfs_path
@@ -118,19 +127,6 @@ class MatrixObject:
             values[k - 1, 0] = float(k)
         mc = MatrixCharacteristics(int(rows), 1, int(rows))
         return cls(values, mc)
-
-    # -- properties --------------------------------------------------------
-
-    @property
-    def memory_size(self):
-        """Logical in-memory size in bytes."""
-        return self.mc.memory_estimate()
-
-    def refresh_nnz(self):
-        """Re-measure logical nnz from the sample density."""
-        cells = self.mc.cells or 0
-        self.mc.nnz = measure_nnz(self.data, cells)
-        return self.mc.nnz
 
     def copy(self):
         clone = MatrixObject(

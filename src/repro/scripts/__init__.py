@@ -7,6 +7,7 @@ icpt=0, lambda=0.01, eps=1e-9, maxiter=5).
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from dataclasses import dataclass, field
 
@@ -82,6 +83,7 @@ SCRIPTS = {
 }
 
 
+@functools.cache  # package data: read once per process, not per request
 def load_script(name):
     """Return the DML source of a bundled script by registry name."""
     spec = SCRIPTS.get(name)

@@ -102,6 +102,20 @@ class TestResidency:
         pool.put(make_obj(10))
         assert a.in_memory and not b.in_memory
 
+    def test_reput_of_pooled_object_is_an_lru_touch(self, charger):
+        """A pooled object put again used to ask for its own size on top
+        of an occupancy that already held it, and evict itself."""
+        pool = make_pool(25, charger)
+        a, b = make_obj(10), make_obj(10)
+        pool.put(a)
+        pool.put(b)
+        pool.put(a)
+        assert pool.contains(a) and a.in_memory and a.dirty
+        assert pool.evictions == 0 and charger.total == 0.0
+        assert list(pool._entries) == [id(b), id(a)]  # a is now the MRU
+        # counted once
+        assert pool.total == pool.used_bytes == 2 * a.memory_size
+
 
 class TestCapacity:
     def test_oversized_object_not_retained(self, charger):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import ExecutionError
-from repro.runtime.kernels import display, execute_kernel
+from repro.runtime.kernels import _zero_nonfinite, display, execute_kernel
 from repro.runtime.matrix import MatrixObject
 
 
@@ -69,6 +72,64 @@ class TestElementwise:
         v = MatrixObject.generate(10**5, 1, sample_cap=16)
         _, _, mc = run("+", X, v)
         assert (mc.rows, mc.cols) == (10**5, 4)
+
+
+def _nan_to_num(out):
+    """The epilogue ``_binary`` / ``_unary`` used to run."""
+    return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
+
+
+class TestZeroNonfinite:
+    """``_zero_nonfinite`` is ``np.nan_to_num(..., posinf=0.0,
+    neginf=0.0)`` byte for byte, in place."""
+
+    SPECIALS = [
+        np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e-310,
+        2.2250738585072014e-308, 1.797e308, -1.797e308,
+    ]
+    shapes = st.one_of(
+        st.tuples(st.integers(1, 8), st.integers(2, 8)),  # (n, k)
+        st.tuples(st.integers(1, 8), st.just(1)),  # (n, 1)
+        st.just((1, 1)),
+        st.tuples(st.just(0), st.integers(1, 8)),  # (0, k)
+    )
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(arrays(
+        np.float64, shapes,
+        elements=st.one_of(st.sampled_from(SPECIALS), st.floats(width=64)),
+    ))
+    def test_same_bytes_same_object(self, array):
+        expected = _nan_to_num(array.copy())
+        assert _zero_nonfinite(array) is array
+        assert array.tobytes() == expected.tobytes()
+
+    def test_every_special_value(self):
+        array = np.array([self.SPECIALS])
+        _zero_nonfinite(array)
+        assert array[0, :3].tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(array[0, :3]).any()
+        assert array[0, 3:].tobytes() == np.array(self.SPECIALS[3:]).tobytes()
+
+    @pytest.mark.parametrize("value", [
+        np.array([[np.nan, 1.5, -np.inf]], dtype=np.float32),
+        np.array([[1, 2]]),
+        np.array([[np.nan, 1.5, np.inf]]).view(np.recarray),
+    ], ids=lambda value: type(value).__name__ + str(value.dtype))
+    def test_anything_else_falls_back_to_nan_to_num(self, value):
+        expected = _nan_to_num(value.copy())
+        out = _zero_nonfinite(value)
+        assert out is value and type(out) is type(expected)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_kernels_zero_what_they_used_to(self):
+        _, data, mc = run("/", mat([[1, 0, -1, 4]]), mat([[0, 0, 0, 2]]))
+        assert data.tolist() == [[0.0, 0.0, 0.0, 2.0]] and mc.nnz == 1
+        _, data, _ = run("log", mat([[0.0, 1.0, -1.0]]))
+        assert data.tolist() == [[0.0, 0.0, 0.0]]
+        _, data, _ = run("*", mat([[-1.0, 2.0]]), 0.0)
+        assert np.signbit(data).tolist() == [[True, False]]  # -0.0 stays
 
 
 class TestAggregates:

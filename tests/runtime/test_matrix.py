@@ -67,11 +67,23 @@ class TestNnzMeasurement:
     def test_empty_sample(self):
         assert measure_nnz(np.zeros((0, 1)), 0) == 0
 
-    def test_refresh_nnz(self):
-        obj = MatrixObject.from_sample(np.ones((4, 4)))
-        obj.data[:, :2] = 0.0
-        obj.refresh_nnz()
-        assert obj.mc.nnz == 8
+    def test_mc_and_memory_size_fixed_at_construction(self):
+        """Replaces ``test_refresh_nnz``: nnz is measured when an object
+        is built and nothing re-measures it in place — a runtime ``mc``
+        is immutable, so ``memory_size`` is computed once."""
+        obj = MatrixObject.from_sample(np.ones((4, 4)), logical_rows=4000)
+        assert obj.mc.nnz == 16000
+        size = obj.memory_size
+        assert size == obj.mc.memory_estimate() == 44 + 4000 * 4 * 8
+        obj.data[:, :3] = 0.0  # a sparser sample is not a resize
+        assert obj.mc.nnz == 16000 and obj.memory_size == size
+        assert not hasattr(obj, "refresh_nnz")
+        # a result with other characteristics is another object
+        sparser = MatrixObject.from_sample(obj.data, logical_rows=4000)
+        assert sparser.mc.nnz == 4000
+        assert sparser.memory_size == sparser.mc.memory_estimate() < size
+        clone = obj.copy()
+        assert clone.mc is not obj.mc and clone.memory_size == size
 
 
 class TestObjectSemantics:

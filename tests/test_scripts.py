@@ -50,8 +50,17 @@ def test_scripts_execute_end_to_end(name):
 
 
 def test_unknown_script_raises():
-    with pytest.raises(KeyError):
-        load_script("NoSuchScript")
+    for _ in range(2):  # a miss is not memoised
+        with pytest.raises(KeyError, match="unknown script 'NoSuchScript'"):
+            load_script("NoSuchScript")
+
+
+def test_script_source_is_read_once_per_process():
+    load_script.cache_clear()
+    source = load_script("L2SVM")
+    assert load_script("L2SVM") is source
+    info = load_script.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_table1_unknowns_flags():
