@@ -28,6 +28,18 @@ Tracks p50/p95 latency of the code the grid search spends its time in:
   The row also records ``make_room_calls`` and
   ``make_room_exact_share``, the share of ``BufferPool._make_room``
   calls the running occupancy could not answer;
+* ``serving.warm_request.MLogreg_M`` — a whole repeat request of the
+  program with unknown sizes (prepare from the caches + interpret, two
+  dynamic recompilations, two runtime re-optimizations, one CP
+  migration), every event looked up in the master's replay tree;
+  ``serving.recording_request.MLogreg_M`` is the request that records
+  it — a master's second (its first leaves the tree alone): what the
+  parent commit did on every request, plus one DAG copy per recorded
+  event;
+* ``runtime.reoptimize.MLogreg_M`` / ``runtime.recompile_block.
+  MLogreg_XS`` — one ``ResourceAdapter._reoptimize`` / one dynamic
+  recompilation (its ``replay.event``) inside such replayed requests
+  (the XS request makes 17);
 * ``serving.program_get`` — one warm :class:`ProgramCache` hit
   (LinregCG XS): the per-request program handout;
 * ``serving.warm_prepare`` — a warm request's whole prepare stage:
@@ -58,7 +70,9 @@ and regenerated plans on every optimizer-cache hit), the two
 whole-program walks at PR 16 (whose ``_balance_pool`` re-summed the
 working set after every CP instruction), the resident insert and the
 interpretation stage at PR 17 (whose ``_make_room`` re-summed the pool,
-re-deriving every size, on every insert).
+re-deriving every size, on every insert), the four run-replay kernels
+at PR 18 (which re-derived every recompilation and re-ran the optimizer
+twice per re-optimization on every request).
 
 Writes ``BENCH_microbench.json`` (override with ``--out``).  Runnable
 standalone: ``python benchmarks/bench_microbench.py [--quick]``.
@@ -83,10 +97,15 @@ from repro.cluster import ResourceConfig, paper_cluster
 from repro.common import MatrixCharacteristics
 from repro.compiler import compile_program
 from repro.compiler.plan_cache import PlanCache
+from repro.compiler import replay
 from repro.cost import CostModel
 from repro.cost.constants import DEFAULT_PARAMETERS
 from repro.cost.mr_timing import grid_supported
-from repro.optimizer import ParallelResourceOptimizer, ResourceOptimizer
+from repro.optimizer import (
+    ParallelResourceOptimizer,
+    ResourceAdapter,
+    ResourceOptimizer,
+)
 from repro.pipeline import RunPipeline
 from repro.runtime import SimulatedHDFS
 from repro.runtime import interpreter as interpreter_mod
@@ -115,6 +134,10 @@ BUDGETS_P95_US = {
     "bufferpool.account": 28,
     "bufferpool.insert_resident": 11,
     "runtime.interpret.L2SVM_XS": 33_000,
+    "runtime.reoptimize.MLogreg_M": 370,
+    "runtime.recompile_block.MLogreg_XS": 120,
+    "serving.warm_request.MLogreg_M": 16_000,
+    "serving.recording_request.MLogreg_M": 420_000,
     "serving.program_get": 500,
     "serving.warm_prepare": 1_500,
     "optimizer.serial.S": 30_000,
@@ -127,7 +150,11 @@ BUDGETS_P95_US = {
 #: module docstring), measured with this file's kernels on the build
 #: host: the median of three 500-iteration runs at PR 15 for the serving
 #: kernels, of six 100-iteration runs at PR 16 for the walks, of six
-#: runs at PR 17 (alternating with this commit's) for the last two
+#: runs at PR 17 (alternating with this commit's) for the next two, of
+#: three 60-iteration runs at PR 18 (alternating likewise) for the
+#: run-replay kernels — there ``recompile_block`` itself was timed, and
+#: the recording request's "before" is the warm request: without a tree
+#: every request derived everything
 BEFORE_P95_US = {
     "serving.program_get": 11_064,
     "serving.warm_prepare": 15_225,
@@ -135,6 +162,10 @@ BEFORE_P95_US = {
     "cost.estimate_program.L2SVM_M": 18_300,
     "bufferpool.insert_resident": 27.2,
     "runtime.interpret.L2SVM_XS": 18_900,
+    "runtime.reoptimize.MLogreg_M": 66_400,
+    "runtime.recompile_block.MLogreg_XS": 1_436,
+    "serving.warm_request.MLogreg_M": 136_100,
+    "serving.recording_request.MLogreg_M": 136_100,
 }
 
 #: serial seconds (compile included) below which the process-vs-serial
@@ -350,23 +381,23 @@ def bench_bufferpool_insert_resident(iters):
 
 # -- interpretation kernel ----------------------------------------------------
 
-def _warm_pipeline(script):
+def _warm_pipeline(script, scn=scenario("XS", cols=100)):
     """(pipeline, source, args): a pipeline with both caches on and the
-    script's XS inputs on its file system."""
+    script's inputs (XS unless told otherwise) on its file system."""
     hdfs = SimulatedHDFS(sample_cap=64)
     pipeline = RunPipeline(
         SessionConfig(), hdfs=hdfs, sample_cap=64,
         program_cache=ProgramCache(),
     )
-    args = prepare_inputs(hdfs, script, scenario("XS", cols=100))
+    args = prepare_inputs(hdfs, script, scn)
     return pipeline, load_script(script), args
 
 
-def interpret_fixture(script="L2SVM"):
+def interpret_fixture(script="L2SVM", scn=scenario("XS", cols=100)):
     """(prepare, run) of a warm request's two stages: ``prepare()``
     returns the planned handout and its configuration from the caches,
     ``run(compiled, resource)`` interprets it (adaptation on)."""
-    pipeline, source, args = _warm_pipeline(script)
+    pipeline, source, args = _warm_pipeline(script, scn)
 
     def prepare():
         compiled = pipeline.compile(source, args)
@@ -403,6 +434,70 @@ def bench_interpret(iters):
     record["make_room_calls"] = pool.calls
     record["make_room_exact_share"] = pool.exact / pool.calls
     return {"runtime.interpret.L2SVM_XS": record}
+
+
+# -- run-replay kernels -------------------------------------------------------
+
+def _warm_request(scn):
+    """(request, master): ``request()`` is one whole MLogreg request
+    through caches a first one has already filled."""
+    prepare, run = interpret_fixture("MLogreg", scn)
+    (_, master), = run.__self__.program_cache._programs.values()
+    return (lambda: run(*prepare())), master
+
+
+def _time_calls(owner, name, drive, iters, when=lambda *args: True):
+    """Percentiles of the calls of ``owner.name`` (those ``when`` is
+    true of) that ``drive()`` makes, over at least ``iters`` of them."""
+    samples = []
+    original = getattr(owner, name)
+
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            if when(*args):
+                samples.append(time.perf_counter() - t0)
+
+    drive()  # warmup
+    with mock.patch.object(owner, name, timed):
+        while len(samples) < iters:
+            drive()
+    return _percentiles_us(samples)
+
+
+def bench_replay(iters):
+    request, master = _warm_request(scenario("M"))  # seen once ...
+    result = request()  # ... recorded
+    assert (result.recompilations, result.migrations) == (2, 1)
+    kernels = {
+        "serving.warm_request.MLogreg_M": _time_kernel(request, iters),
+    }
+    # two recompilations; two re-optimizations of two edges each
+    tree = master.replay.tree
+    assert tree["misses"] == 6 and tree["hits"] == 6 * (iters + 1)
+
+    def seen_once():
+        master.replay = replay.ReplayNode()
+        request()  # recording starts at a master's second request
+        return ()
+
+    kernels["serving.recording_request.MLogreg_M"] = _time_kernel(
+        request, iters, setup=seen_once
+    )
+    assert master.replay.tree["misses"] == 6  # leaves the last tree recorded
+    kernels["runtime.reoptimize.MLogreg_M"] = _time_calls(
+        ResourceAdapter, "_reoptimize", request, iters
+    )
+    request, master = _warm_request(scenario("XS", cols=100))
+    assert request().recompilations == 17
+    kernels["runtime.recompile_block.MLogreg_XS"] = _time_calls(
+        replay, "event", request, 10 * iters,
+        when=lambda compiled, kind, *_: kind == "recompile",
+    )
+    assert master.replay.tree["misses"] == 19  # only the second request's
+    return kernels
 
 
 # -- serving kernels ----------------------------------------------------------
@@ -509,6 +604,7 @@ def run_experiment(quick=False):
     kernels.update(bench_bufferpool_account(100 if quick else 500))
     kernels.update(bench_bufferpool_insert_resident(200 if quick else 1000))
     kernels.update(bench_interpret(30 if quick else 100))
+    kernels.update(bench_replay(30 if quick else 100))
     kernels.update(bench_warm_handout(100 if quick else 500))
     kernels.update(bench_serial_enumeration(1 if quick else 3))
     process_kernels, process_vs_serial = bench_process_vs_serial(

@@ -152,7 +152,6 @@ def run_arm(label, tenants, policy, config, references, tenant_pool=16,
             "program_misses": stats["program_cache.misses"],
             "optimizer_hits": stats["optcache.hits"],
             "optimizer_misses": stats["optcache.misses"],
-            "plan_entries": stats["plan_cache.entries"],
         },
         "deterministic": True,
     }

@@ -83,7 +83,7 @@ from repro.serving import (
 )
 from repro.workloads import prepare_inputs, scenario
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "ElasticMLSession",

@@ -107,6 +107,9 @@ class CompiledProgram:
     #: compiled DAGs (not the arguments: an *output* path is one too,
     #: and once written would spuriously invalidate a cache keyed on it)
     reads: frozenset = frozenset()
+    #: cursor into the replay tree of the master this is a handout of
+    #: (:mod:`repro.compiler.replay`); None: nothing looked up or recorded
+    replay: object = field(default=None, repr=False, compare=False)
 
     def handout(self):
         """A per-run shell (:meth:`BlockProgram.shell`) of this program:
@@ -212,13 +215,8 @@ def plan_holders(compiled):
     for block in compiled.all_blocks():
         if isinstance(block, SB.GenericBlock):
             yield block
-        elif isinstance(block, (SB.IfBlock, SB.WhileBlock)):
-            yield block.predicate
-        elif isinstance(block, SB.ForBlock):
-            for holder in (block.from_holder, block.to_holder,
-                           block.incr_holder):
-                if holder is not None:
-                    yield holder
+        else:
+            yield from SB.predicate_holders(block)
 
 
 def compile_program(source, script_args=None, input_meta=None, resource=None):

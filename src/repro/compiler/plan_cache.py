@@ -29,8 +29,9 @@ mr_bucket)`` and :func:`repro.compiler.pipeline.recompile_block_plan`
 returns the cached plan without recompiling on a hit.
 
 Cached plans are invalidated per block by dynamic recompilation
-(:mod:`repro.compiler.recompile`) and by the runtime adapter's size
-refresh: both update memory estimates, which moves the thresholds.
+(:mod:`repro.compiler.recompile`), which updates memory estimates and
+so moves the thresholds (the runtime adapter's size refresh does too,
+but each of its optimizations starts a cache of its own).
 
 Note: a cache hit returns the plan object generated at the *first*
 budget of the bucket, so ``BlockPlan.cp_heap_mb``/``mr_heap_mb`` record
@@ -110,13 +111,9 @@ class PlanCache:
     with each chunk.
 
     All operations take an internal lock, so one instance can be shared
-    by concurrent threads — the serving layer attaches a single cache to
-    every handout it executes (all handouts of a master carry its block
-    ids), and concurrent tenants cannot observe (or produce) a torn
-    state.  ``max_plans`` bounds the
-    cache with LRU eviction (None = unbounded, the single-program
-    optimizer default; long-lived cross-tenant caches should be
-    bounded).
+    by concurrent threads (all handouts of a master carry its block
+    ids) without a torn state.  ``max_plans`` bounds the cache with LRU
+    eviction (None = unbounded, the single-program optimizer default).
     """
 
     def __init__(self, thresholds=None, max_plans=None):
@@ -210,8 +207,3 @@ class PlanCache:
             self.thresholds.pop(block_id, None)
             self.invalidations += 1
         get_tracer().incr("plancache.invalidations")
-
-    def clear(self):
-        with self._lock:
-            self.plans.clear()
-            self.thresholds.clear()

@@ -175,6 +175,11 @@ def _shell(node):
     return shell
 
 
+def predicate_holders(block):
+    """The predicate holders of a structured block, in field order."""
+    return [v for v in vars(block).values() if isinstance(v, PredicateHolder)]
+
+
 def own_dag(holder):
     """Make ``holder``'s HOP DAG private to this run: the only place a
     DAG is ever copied.
@@ -182,7 +187,9 @@ def own_dag(holder):
     **Who may write a DAG.**  A program-cache handout shares its DAGs
     with a frozen master and every concurrent run of it, so whoever
     writes a hop field calls this on the owning block or predicate
-    holder first.  Three writers exist: operator selection
+    holder first.  A DAG a run-replay node keeps is shared likewise:
+    recording an event marks what it wrote ``dag_shared`` again.  Three
+    writers exist: operator selection
     (``recompile_block_plan``, ``_compile_predicate``), dynamic
     recompilation (``recompile_block``, ``recompile_predicate``) and
     size propagation's block walk (``Propagator.propagate_block``: the

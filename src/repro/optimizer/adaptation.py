@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from repro.chaos import FaultKind
 from repro.cluster.resources import ResourceConfig
+from repro.compiler import replay
 from repro.compiler.memory_estimates import estimate_dag_memory
 from repro.compiler.pipeline import recompile_block_plan
 from repro.compiler.recompile import make_env_from_states
@@ -32,6 +33,7 @@ from repro.compiler import statement_blocks as SB
 from repro.compiler.size_propagation import Propagator
 from repro.cost import io_model
 from repro.obs import get_tracer
+from repro.runtime.matrix import MatrixObject
 
 
 class ResourceAdapter:
@@ -66,36 +68,55 @@ class ResourceAdapter:
         if not scope:
             return
         tracer.incr("adaptation.reoptimizations")
-
-        # refresh scope sizes with actual runtime characteristics
-        # (propagate_block makes every DAG it walks private first)
-        env = make_env_from_states(interp._var_states(frame))
-        propagator = Propagator(compiled.block_program, compiled.input_meta)
-        for scope_block in scope:
-            propagator.propagate_block(scope_block, env)
-        cache = getattr(compiled, "plan_cache", None)
-        for scope_block in _generic_blocks(scope):
-            # memory re-estimation with actual sizes; blocks whose sizes
-            # are now fully known drop their provisional flag so the
-            # what-if cost model includes them in the re-optimization
-            scope_block.requires_recompile = estimate_dag_memory(
-                scope_block.hop_roots
-            )
-            if cache is not None:
-                # refreshed estimates move the plan-cache thresholds
-                cache.invalidate_block(scope_block.block_id)
-
         current_cp = interp.resource.cp_heap_mb
         optimizer = self._select_optimizer(interp)
-        global_result = optimizer.optimize(compiled, scope_blocks=scope)
-        local_result = optimizer.optimize(
-            compiled, scope_blocks=scope, fixed_cp_mb=current_cp
+        states = interp._var_states(frame)
+
+        def decide():
+            """Refresh the scope with actual runtime characteristics
+            and re-optimize it; returns (R*, R*|rc)."""
+            # propagate_block makes every DAG it walks private first
+            env = make_env_from_states(states)
+            propagator = Propagator(
+                compiled.block_program, compiled.input_meta
+            )
+            for scope_block in scope:
+                propagator.propagate_block(scope_block, env)
+            for scope_block in _generic_blocks(scope):
+                # memory re-estimation with actual sizes; blocks whose
+                # sizes are now fully known drop their provisional flag
+                # so the what-if cost model includes them (and each
+                # optimization below starts a plan cache of its own)
+                scope_block.requires_recompile = estimate_dag_memory(
+                    scope_block.hop_roots
+                )
+            return (
+                optimizer.optimize(compiled, scope_blocks=scope),
+                optimizer.optimize(
+                    compiled, scope_blocks=scope, fixed_cp_mb=current_cp
+                ),
+            )
+
+        # two run-replay events (compiler.replay): first the decisions,
+        # keyed on all they read from outside the program
+        if optimizer.time_budget is not None:
+            compiled.replay = None  # ... but never on the wall clock
+        compiled.stats.reset()  # as each optimization does
+        (global_result, local_result), looked_up = replay.event(
+            compiled, "reoptimize",
+            lambda: (
+                block.block_id, replay.frame_key(states),
+                repr(interp.resource), repr(optimizer.cluster),
+                repr(optimizer.cost_model.params),
+                optimizer.options.decision_signature(), self.max_migrations,
+            ),
+            (), decide,
         )
         if global_result.resource is None or local_result.resource is None:
             return
 
         benefit = local_result.cost - global_result.cost  # = -delta C >= 0
-        migration_cost = self._migration_cost(interp, frame)
+        migration_cost = self._migration_cost(interp)
         should_migrate = (
             benefit > migration_cost
             and global_result.resource.cp_heap_mb != current_cp
@@ -113,9 +134,7 @@ class ResourceAdapter:
                 cp_target_mb=global_result.resource.cp_heap_mb,
             )
 
-        migrated = should_migrate and self._migrate(
-            interp, frame, migration_cost
-        )
+        migrated = should_migrate and self._migrate(interp, migration_cost)
         if migrated:
             new_resource = ResourceConfig(
                 cp_heap_mb=global_result.resource.cp_heap_mb,
@@ -139,10 +158,22 @@ class ResourceAdapter:
 
         interp.resource = new_resource
         interp.pool.set_capacity(new_resource.cp_budget_bytes)
-        # regenerate plans program-wide under the new configuration (the
-        # original script recompiles to the same plan the optimizer saw)
-        for any_block in compiled.last_level_blocks():
-            recompile_block_plan(compiled, any_block, new_resource)
+
+        def replan():
+            if looked_up:
+                decide()  # the decisions were looked up, not their sizes
+            # regenerate plans program-wide under the new configuration
+            # (the original script recompiles to the same plan the
+            # optimizer saw)
+            for any_block in compiled.last_level_blocks():
+                recompile_block_plan(compiled, any_block, new_resource)
+
+        # ... then, the migration having been decided live (it reads
+        # dirty state, the migration count, the injector), its outcome
+        replay.event(
+            compiled, "replan", lambda: (repr(new_resource),),
+            replay.holders(compiled), replan,
+        )
         compiled.resource = new_resource
 
     # -- scope ----------------------------------------------------------
@@ -163,13 +194,11 @@ class ResourceAdapter:
 
     # -- migration ----------------------------------------------------------
 
-    def _migration_cost(self, interp, frame):
+    def _migration_cost(self, interp):
         """Live-variable export IO plus container allocation latency."""
-        from repro.runtime.matrix import MatrixObject
-
         io_cost = 0.0
-        for value in frame.values():
-            if isinstance(value, MatrixObject) and value.dirty:
+        for _, value in _live_matrices(interp):
+            if value.dirty:
                 io_cost += io_model.hdfs_write_time(value.mc, interp.params)
         latency = (
             interp.params.container_alloc_latency
@@ -177,7 +206,7 @@ class ResourceAdapter:
         )
         return io_cost + latency
 
-    def _migrate(self, interp, frame, migration_cost):
+    def _migrate(self, interp, migration_cost):
         """Write dirty state, move to the new container, restart the
         buffer pool (matrices are re-read on next access).
 
@@ -188,8 +217,6 @@ class ResourceAdapter:
         failed attempt's cost (the wasted export IO plus allocation
         latency) is charged.
         """
-        from repro.runtime.matrix import MatrixObject
-
         injector = getattr(interp, "injector", None)
         if injector is not None:
             fault = injector.fire(
@@ -208,9 +235,7 @@ class ResourceAdapter:
                 return False
 
         interp.charge(migration_cost, "migration")
-        for name, value in frame.items():
-            if not isinstance(value, MatrixObject):
-                continue
+        for name, value in _live_matrices(interp):
             if value.dirty:
                 path = interp._scratch_path(f"migrate_{name}")
                 interp.hdfs.write_matrix(path, value)
@@ -222,6 +247,17 @@ class ResourceAdapter:
         interp.result.migrations += 1
         get_tracer().incr("adaptation.migrations")
         return True
+
+
+def _live_matrices(interp):
+    """``(name, matrix)`` of every frame's live matrices — the process
+    moves, not the innermost call — each object once (parameters alias)."""
+    seen = set()
+    for frame in interp._frames:
+        for name, value in frame.items():
+            if isinstance(value, MatrixObject) and id(value) not in seen:
+                seen.add(id(value))
+                yield name, value
 
 
 def _generic_blocks(blocks):

@@ -61,7 +61,7 @@ class RunPipeline:
     def __init__(self, config, cluster=None, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, *, opt_cache=UNSET,
                  retry_policy=None, model_params=None, collector=UNSET,
-                 program_cache=None, plan_cache=None):
+                 program_cache=None):
         #: consolidated knobs (:class:`~repro.api.SessionConfig`)
         self.config = config
         self.cluster = cluster if cluster is not None else paper_cluster()
@@ -104,9 +104,6 @@ class RunPipeline:
         #: shared master programs (:class:`~repro.serving.ProgramCache`);
         #: None compiles every run from source
         self.program_cache = program_cache
-        #: shared runtime plan memo swapped into every executed program
-        #: (None keeps the program's own)
-        self.plan_cache = plan_cache
         #: telemetry of the owner; fits are recorded on it when enabled
         self.tracer = None
 
@@ -213,9 +210,10 @@ class RunPipeline:
             FaultInjector(chaos, retry_policy=self.retry_policy)
             if chaos is not None else None
         )
-        if self.plan_cache is not None:
-            # the optimizer attaches a private memo during enumeration
-            compiled.plan_cache = self.plan_cache
+        # the enumeration's plan memo cannot hit at run time (a dynamic
+        # recompilation invalidates before it looks up): not kept alive
+        # for as long as a RunOutcome keeps the program
+        compiled.plan_cache = None
         interpreter = Interpreter(
             self.cluster,
             params=self.params,

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.chaos import FaultKind
 from repro.common import DataType, FileFormat, MatrixCharacteristics
+from repro.compiler import replay
 from repro.compiler import statement_blocks as SB
 from repro.compiler.recompile import make_env_from_states, recompile_block
 from repro.compiler.runtime_prog import CPInstruction, MRJobInstruction
@@ -163,6 +164,15 @@ class Interpreter:
                 )
             finally:
                 self.result.chaos = self.injector.report()
+        cursor = compiled.replay
+        if cursor is not None:
+            # run replay, from a master's second run under this
+            # configuration on: a program seen once leaves its mark and
+            # does not pay for recording what nobody will replay
+            label = ("start", repr(self.resource))
+            compiled.replay = cursor.children.get(label)
+            if compiled.replay is None:
+                cursor.attach(label)
         if not (compiled.planned and compiled.resource == self.resource):
             # the AM recompiles the program under the final (dynamic)
             # configuration before executing it
@@ -385,8 +395,20 @@ class Interpreter:
         if self.enable_recompile and block.requires_recompile:
             mr_jobs_before = plan.num_mr_jobs if plan is not None else 0
             mem_before = _peak_mem_estimate(block) if tracer.enabled else 0.0
-            env = make_env_from_states(self._var_states(frame))
-            plan = recompile_block(self.compiled, block, self.resource, env)
+            states = self._var_states(frame)
+            # a run-replay event: looked up where a run of the same
+            # master met the same runtime knowledge, else derived
+            replay.event(
+                self.compiled, "recompile",
+                lambda: (block.block_id, replay.frame_key(states),
+                         repr(self.resource)),
+                replay.holders(self.compiled, block),
+                lambda: recompile_block(
+                    self.compiled, block, self.resource,
+                    make_env_from_states(states),
+                ),
+            )
+            plan = block.plan
             self.result.recompilations += 1
             tracer.incr("recompile.dynamic")
             if tracer.enabled:

@@ -256,7 +256,7 @@ class ConsistentHashRouter:
     * **affine** — with ``affinity="tenant"`` all submissions of one
       tenant share a shard; with ``"program"`` all tenants of one
       (script, args) program do, which concentrates
-      ``ProgramCache``/``OptimizerResultCache``/``PlanCache`` hits;
+      ``ProgramCache``/``OptimizerResultCache``/replay-tree hits;
     * **stable** — adding a shard moves only ~1/N of the keyspace.
 
     :meth:`pin` installs explicit overrides (used by the rebalancer);

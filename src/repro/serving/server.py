@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.api import RunOutcome, SessionConfig
 from repro.cluster.admission import AdmissionCore
 from repro.cluster.yarn import ResourceManager
-from repro.compiler.plan_cache import PlanCache
+from repro.compiler.replay import ReplayNode
 from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.pipeline import UNSET, RunPipeline
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
@@ -131,9 +131,11 @@ class ProgramCache:
     frozen — nothing reachable from it is written again — and ``get``
     and ``put`` return a ``CompiledProgram.handout()`` of it: a per-run
     shell with the master's block ids, which is what lets every tenant
-    of the same program share one runtime ``PlanCache`` and the plans an
-    ``OptimizerResultCache`` entry keeps.  A run that must write a HOP
-    DAG copies that block's DAG first (``statement_blocks.own_dag``).
+    of the same program share the plans an ``OptimizerResultCache``
+    entry keeps and the master's run-replay tree
+    (:mod:`repro.compiler.replay`), which lives and dies with it.  A run
+    that must write a HOP DAG copies that block's DAG first
+    (``statement_blocks.own_dag``).
     """
 
     def __init__(self, max_programs=32):
@@ -186,6 +188,9 @@ class ProgramCache:
         gives up the right to run or replan it); returns a handout."""
         key = self._key(source, args)
         sig = self._reads_sig(master.reads, input_meta)
+        if any(b.requires_recompile for b in master.last_level_blocks()):
+            # only a program with unknown sizes has events to replay
+            master.replay = ReplayNode()
         with self._lock:
             self._programs[key] = (sig, master)
             while len(self._programs) > self.max_programs:
@@ -203,29 +208,22 @@ class ElasticMLServer(RunPipeline):
     surface :class:`SubmissionResult` records.  Every tenant runs
     through the server's own :class:`~repro.pipeline.RunPipeline`
     stages, so all of them share its belief, calibration collector,
-    :class:`ProgramCache`, :class:`OptimizerResultCache`, and runtime
-    :class:`PlanCache` (each internally locked).
+    :class:`ProgramCache` (with each master's run-replay tree) and
+    :class:`OptimizerResultCache` (each internally locked).
     """
 
     def __init__(self, cluster=None, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, config=None,
                  opt_cache=UNSET, policy=None, max_workers=None,
                  queue_limit=1024, retry_policy=None, trace=False,
-                 program_cache_entries=32, plan_cache_entries=4096,
-                 model_params=None, collector=UNSET, recorder=None,
-                 admission_cluster=None):
+                 program_cache_entries=32, model_params=None,
+                 collector=UNSET, recorder=None, admission_cluster=None):
         config = config if config is not None else SessionConfig()
         super().__init__(
             config, cluster, params, hdfs, sample_cap,
             opt_cache=opt_cache, retry_policy=retry_policy,
             model_params=model_params, collector=collector,
             program_cache=ProgramCache(max_programs=program_cache_entries),
-            # runtime recompiles hit across tenants because every
-            # handout of a master carries the master's block ids
-            plan_cache=(
-                PlanCache(max_plans=plan_cache_entries)
-                if config.enable_plan_cache else None
-            ),
         )
         #: the capacity admission runs against.  Normally the full
         #: cluster; a :class:`~repro.serving.shard.ShardedElasticMLServer`
@@ -369,9 +367,15 @@ class ElasticMLServer(RunPipeline):
                 self.opt_cache.hits if self.opt_cache else 0,
             "optcache.misses":
                 self.opt_cache.misses if self.opt_cache else 0,
-            "plan_cache.entries":
-                len(self.plan_cache.plans) if self.plan_cache else 0,
         })
+        # run replay, summed over the trees of the live masters
+        with self.program_cache._lock:
+            masters = list(self.program_cache._programs.values())
+        for name in ("hits", "misses", "nodes"):
+            counters[f"replay.{name}"] = sum(
+                master.replay.tree[name] for _, master in masters
+                if master.replay is not None
+            )
         counters["serving.waiting"] = len(self.core.waiting)
         counters["tenant_usage_mb"] = self.rm.usage_by_tenant()
         for name in (

@@ -18,7 +18,7 @@ Architecture::
 * **Routing** is deterministic: a :class:`ConsistentHashRouter` maps the
   tenant (or the program, with ``affinity="program"``) to a shard, so a
   tenant's repeat submissions always land where its
-  ``ProgramCache``/``OptimizerResultCache``/``PlanCache`` entries live.
+  ``ProgramCache``/``OptimizerResultCache`` entries and replay trees live.
 * **Determinism**: each shard server optimizes and executes against the
   *full* cluster config — only its admission ``ResourceManager`` sees
   the shard's node partition (``admission_cluster``).  Simulated

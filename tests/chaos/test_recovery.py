@@ -170,17 +170,23 @@ class TestMigrationFailure:
         clean.hdfs_path = "data/clean"
         return {"D": dirty, "C": clean}
 
+    def push_frame(self, interp):
+        """The live frame a migration walks (``interp._frames``)."""
+        frame = self.make_frame()
+        interp._frames = [frame]
+        return frame
+
     def test_failed_migration_rolls_back(self):
         injector = FaultInjector(FaultPlan.from_faults(
             FaultSpec(FaultKind.MIGRATION_FAILURE, at=0)
         ))
         interp = self.setup_interp(injector)
         adapter = ResourceAdapter(None)
-        frame = self.make_frame()
+        frame = self.push_frame(interp)
         clock_before = interp.clock
         pool_state = dict(interp.pool._entries)
 
-        migrated = adapter._migrate(interp, frame, migration_cost=12.5)
+        migrated = adapter._migrate(interp, migration_cost=12.5)
 
         assert migrated is False
         # live variables untouched: still dirty, still in memory
@@ -203,11 +209,11 @@ class TestMigrationFailure:
         ))
         interp = self.setup_interp(injector)
         adapter = ResourceAdapter(None)
-        frame = self.make_frame()
+        frame = self.push_frame(interp)
 
-        assert adapter._migrate(interp, frame, migration_cost=1.0) is False
+        assert adapter._migrate(interp, migration_cost=1.0) is False
         # the second attempt (visit 1) is not scripted: it succeeds
-        assert adapter._migrate(interp, frame, migration_cost=1.0) is True
+        assert adapter._migrate(interp, migration_cost=1.0) is True
         assert interp.result.migrations == 1
         assert frame["D"].dirty is False
         assert frame["D"].in_memory is False

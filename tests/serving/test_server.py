@@ -134,7 +134,6 @@ class TestSharedCaches:
         )
         try:
             assert server.opt_cache is None
-            assert server.plan_cache is None
             args = prepare_inputs(
                 server.hdfs, "LinregDS", scenario("XS", cols=100)
             )

@@ -474,3 +474,60 @@ class TestHandoutSeam:
         assert planning["optcache.compile_plans"] == 1
         assert planning["generate_block_plan"] == 2 * blocks
         assert _canonical(second) == _canonical(first)
+
+
+class TestReplaySeam:
+    """A repeat request of a program with unknown sizes looks its
+    dynamic recompilations and re-optimizations up in its master's
+    replay tree: none of the functions that derive them runs."""
+
+    def test_third_submission_of_mlogreg_derives_nothing(self, monkeypatch):
+        from repro import ElasticMLServer, Submission
+        from repro.compiler import statement_blocks as SB
+        from repro.compiler.size_propagation import Propagator
+        from repro.runtime import interpreter
+        from repro.workloads import prepare_inputs, scenario
+
+        calls = {}
+
+        def spy(owner, name, counts=lambda *args: True):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                if counts(*args):
+                    calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(ResourceOptimizer, "optimize")
+        spy(interpreter, "recompile_block")
+        spy(Propagator, "propagate_block")
+        # own_dag is called by every writer; it copies a shared DAG only
+        spy(SB, "own_dag", counts=lambda holder: holder.dag_shared)
+
+        server = ElasticMLServer(sample_cap=64, max_workers=1)
+        args = prepare_inputs(server.hdfs, "MLogreg", scenario("M"))
+        submission = Submission(tenant="t", script="MLogreg", args=args, seed=3)
+        try:
+            for _ in range(2):
+                server.submit(submission)
+            first, second = server.drain()
+            # seen once, then recorded: both runs derived everything
+            # (after one initial optimization: R* and R*|rc, twice each)
+            assert calls["optimize"] == 1 + 2 * (2 * 2)
+            assert calls["recompile_block"] == 2 * 2
+            assert first.outcome.result.recompilations == 2
+            calls.clear()
+            server.submit(submission)
+            third = server.drain()[2]
+            stats = server.stats()
+        finally:
+            server.shutdown()
+        assert calls == {}
+        assert third.outcome.result.recompilations == 2
+        assert third.outcome.migrations == first.outcome.migrations == 1
+        assert _canonical(third.outcome) == _canonical(first.outcome)
+        assert _canonical(second.outcome) == _canonical(first.outcome)
+        # two recompilations; two re-optimizations of two edges each
+        assert (stats["replay.hits"], stats["replay.misses"]) == (6, 6)
