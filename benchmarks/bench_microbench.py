@@ -12,7 +12,11 @@ Tracks p50/p95 latency of the code the grid search spends its time in:
   what the optimizer runs once per CP grid point.  Each row also records
   ``balance_pool_calls`` and ``balance_pool_exact_share``, the share of
   ``CostModel._balance_pool`` calls the running total could not answer
-  and that re-summed the working set instead;
+  and that re-summed the working set instead.  These call
+  ``estimate_program`` without ``use_memo`` and stay real walks
+  (``memo_hits == 0`` is asserted); ``cost.estimate_program.repeat.
+  GLM_M`` is the same estimate asked again with it — the whole-walk
+  memo's hit path: build the key, test the interval;
 * ``plancache.lookup`` — one bucketed plan-cache probe (key + hit);
 * ``bufferpool.account`` — one buffer-pool insert into a full pool
   (re-sum + LRU eviction: the exact path of ``_make_room``, which every
@@ -33,9 +37,10 @@ Tracks p50/p95 latency of the code the grid search spends its time in:
   dynamic recompilations, two runtime re-optimizations, one CP
   migration), every event looked up in the master's replay tree;
   ``serving.recording_request.MLogreg_M`` is the request that records
-  it — a master's second (its first leaves the tree alone): what the
-  parent commit did on every request, plus one DAG copy per recorded
-  event;
+  it — a master's second (its first leaves the tree alone): every
+  event derived (what a request with a warm program cache and fresh
+  data pays: four scope enumerations through the cost walk), plus one
+  DAG copy per recorded event;
 * ``runtime.reoptimize.MLogreg_M`` / ``runtime.recompile_block.
   MLogreg_XS`` — one ``ResourceAdapter._reoptimize`` / one dynamic
   recompilation (its ``replay.event``) inside such replayed requests
@@ -72,7 +77,9 @@ working set after every CP instruction), the resident insert and the
 interpretation stage at PR 17 (whose ``_make_room`` re-summed the pool,
 re-deriving every size, on every insert), the four run-replay kernels
 at PR 18 (which re-derived every recompilation and re-ran the optimizer
-twice per re-optimization on every request).
+twice per re-optimization on every request), the four serial
+enumerations and the recording request at PR 19 (whose every CP point
+regenerated the arrival plans and walked every cost again).
 
 Writes ``BENCH_microbench.json`` (override with ``--out``).  Runnable
 standalone: ``python benchmarks/bench_microbench.py [--quick]``.
@@ -128,6 +135,7 @@ BUDGETS_P95_US = {
     "cost.estimate_block": 210,
     "cost.estimate_program.GLM_M": 17_000,
     "cost.estimate_program.L2SVM_M": 4_000,
+    "cost.estimate_program.repeat.GLM_M": 150,
     "cost.estimate_grid_512": 60_000,
     "cost.estimate_block_loop512": 1_200_000,
     "plancache.lookup": 60,
@@ -137,13 +145,13 @@ BUDGETS_P95_US = {
     "runtime.reoptimize.MLogreg_M": 370,
     "runtime.recompile_block.MLogreg_XS": 120,
     "serving.warm_request.MLogreg_M": 16_000,
-    "serving.recording_request.MLogreg_M": 420_000,
+    "serving.recording_request.MLogreg_M": 330_000,
     "serving.program_get": 500,
     "serving.warm_prepare": 1_500,
-    "optimizer.serial.S": 30_000,
-    "optimizer.serial.M": 45_000,
-    "optimizer.serial.XL": 66_000,
-    "optimizer.serial.GLM_M": 480_000,
+    "optimizer.serial.S": 24_000,
+    "optimizer.serial.M": 24_000,
+    "optimizer.serial.XL": 30_000,
+    "optimizer.serial.GLM_M": 300_000,
 }
 
 #: p95 at the commit before the change a kernel was added for (see the
@@ -152,9 +160,11 @@ BUDGETS_P95_US = {
 #: kernels, of six 100-iteration runs at PR 16 for the walks, of six
 #: runs at PR 17 (alternating with this commit's) for the next two, of
 #: three 60-iteration runs at PR 18 (alternating likewise) for the
-#: run-replay kernels — there ``recompile_block`` itself was timed, and
-#: the recording request's "before" is the warm request: without a tree
-#: every request derived everything
+#: run-replay kernels — there ``recompile_block`` itself was timed —
+#: and of three full runs at PR 19 (alternating likewise) for the four
+#: serial enumerations (three iterations each, so p95 is their slowest)
+#: and the recording request, which re-optimizes through the walks the
+#: interval memo answers: the warm-cache / fresh-data regime
 BEFORE_P95_US = {
     "serving.program_get": 11_064,
     "serving.warm_prepare": 15_225,
@@ -165,7 +175,11 @@ BEFORE_P95_US = {
     "runtime.reoptimize.MLogreg_M": 66_400,
     "runtime.recompile_block.MLogreg_XS": 1_436,
     "serving.warm_request.MLogreg_M": 136_100,
-    "serving.recording_request.MLogreg_M": 136_100,
+    "serving.recording_request.MLogreg_M": 140_800,
+    "optimizer.serial.S": 34_400,
+    "optimizer.serial.M": 13_400,
+    "optimizer.serial.XL": 20_300,
+    "optimizer.serial.GLM_M": 158_800,
 }
 
 #: serial seconds (compile included) below which the process-vs-serial
@@ -314,6 +328,15 @@ def bench_program_walk(iters):
         record = _time_kernel(
             lambda: model.estimate_program(compiled, rc), iters
         )
+        assert model.memo_hits == 0, "the walk kernel must time walks"
+        if script == "GLM":
+            kernels["cost.estimate_program.repeat.GLM_M"] = _time_kernel(
+                lambda: model.estimate_program(compiled, rc, use_memo=True),
+                10 * iters,
+            )
+            # one walk to fill the memo (the warm-up call), then answers
+            assert model.invocations == iters + 2
+            assert model.memo_hits == 10 * iters
         counting = _CountingModel(cluster, DEFAULT_PARAMETERS)
         counting.estimate_program(compiled, rc)
         record["balance_pool_calls"] = counting.calls

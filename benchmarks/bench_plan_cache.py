@@ -18,6 +18,7 @@ import sys
 
 from _lib import format_table, fresh_compiled
 from repro.cluster import paper_cluster
+from repro.compiler.pipeline import compile_plans
 from repro.optimizer import ResourceOptimizer
 from repro.workloads import scenario
 
@@ -41,7 +42,11 @@ def cache_table():
             # by a per-process counter, so per-block MR vectors are only
             # comparable within the same compilation
             compiled, _, _ = fresh_compiled(script, scenario(size, cols=1000))
+            arrival = compiled.resource
             off = run_point(compiled, enable_plan_cache=False)
+            # ... planned again as it arrived (a request's program is):
+            # the cached enumeration starts from those plans
+            compile_plans(compiled, arrival)
             on = run_point(compiled, enable_plan_cache=True)
             results[(script, size)] = (off, on)
             rows.append([

@@ -141,6 +141,9 @@ class SessionConfig:
     #: many shard worker processes
     serving_shards: int = 1
 
+    def __post_init__(self):
+        self.optimizer_options()  # an unknown grid name is a typed error here
+
     def optimizer_options(self):
         """This configuration as :class:`OptimizerOptions`."""
         return OptimizerOptions(

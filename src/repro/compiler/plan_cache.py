@@ -34,10 +34,11 @@ so moves the thresholds (the runtime adapter's size refresh does too,
 but each of its optimizations starts a cache of its own).
 
 Note: a cache hit returns the plan object generated at the *first*
-budget of the bucket, so ``BlockPlan.cp_heap_mb``/``mr_heap_mb`` record
-that configuration, not the current probe point; the instructions are
-identical either way, and what executes is always a plain
-``compile_plans`` regeneration without the cache.
+budget of the bucket — or the one the program arrived with, which the
+resource optimizer stores under its bucket before it searches — so a
+plan carries no configuration of its own; the instructions are identical
+either way, and what executes is always a plain ``compile_plans``
+regeneration without the cache.
 """
 
 from __future__ import annotations

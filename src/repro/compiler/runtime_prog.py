@@ -18,6 +18,7 @@ entries (semantic opcode + physical method + phase) so that
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 from repro.common import DataType, ExecType, MatrixCharacteristics
@@ -103,8 +104,11 @@ class MRJobInstruction:
 #: monotonically increasing ids stamped on every generated plan; two
 #: plans share a signature iff they are the same generation (the plan
 #: cache returns one object for a whole budget bucket), which lets the
-#: cost model memoize per-plan costs without structural hashing
-_plan_signatures = itertools.count(1)
+#: cost model memoize per-plan costs without structural hashing.  They
+#: start at the pid, so the plans a pool worker's snapshot brings from
+#: the master cannot share one with a plan the worker generates, whether
+#: it was forked (and inherits this counter) or imported this afresh
+_plan_signatures = itertools.count(os.getpid() << 40)
 
 
 @dataclass
@@ -113,8 +117,6 @@ class BlockPlan:
 
     instructions: list = field(default_factory=list)
     num_mr_jobs: int = 0
-    cp_heap_mb: float = 0.0
-    mr_heap_mb: float = 0.0
     #: structural identity for plan-signature memoization (see above)
     signature: int = field(default_factory=lambda: next(_plan_signatures))
 
@@ -126,6 +128,7 @@ class BlockPlan:
 class PredicatePlan:
     instructions: list = field(default_factory=list)
     result: Operand = None
+    signature: int = field(default_factory=lambda: next(_plan_signatures))
 
 
 # -- opcode mapping ------------------------------------------------------
@@ -484,15 +487,12 @@ def generate_block_plan(block, resource, cluster=None):
         block_id=block.block_id,
     )
     instructions = gen.generate()
-    plan = BlockPlan(
+    return BlockPlan(
         instructions=instructions,
         num_mr_jobs=sum(
             1 for ins in instructions if isinstance(ins, MRJobInstruction)
         ),
-        cp_heap_mb=resource.cp_heap_mb,
-        mr_heap_mb=resource.mr_heap_for_block(block.block_id),
     )
-    return plan
 
 
 def generate_predicate_plan(holder, resource):

@@ -22,6 +22,7 @@ live variables (paper Section 3.1):
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from repro.common import FileFormat, MatrixCharacteristics, RunningTotal
@@ -174,20 +175,27 @@ class CostModel:
         #: exclude blocks marked for dynamic recompilation from
         #: program-level aggregation (ablation switch; see _cost_block)
         self.exclude_provisional = exclude_provisional
-        #: plan-signature block-cost memo (see :meth:`estimate_block`)
-        self._block_cost_memo = {}
+        #: what-if memo: key -> [(lo, hi, cost), ...], a walk's cost on
+        #: every CP budget in [lo, hi) (see :meth:`_holds`)
+        self._memo = {}
+        self._scopes = {}
         self._plan_has_fcall = {}
         #: memo hits (returned without counting an invocation)
         self.memo_hits = 0
+        #: the CP budgets [lo, hi) on which the walk in progress takes
+        #: every decision it has taken so far
+        self._lo, self._hi = -math.inf, math.inf
         #: when set (a dict), the cost walk accumulates estimated seconds
         #: per calibration component into it (see estimate_components)
         self.component_totals = None
 
     # -- public API ----------------------------------------------------------
 
-    def estimate_program(self, compiled, resource):
+    def estimate_program(self, compiled, resource, use_memo=False):
         """Estimated execution time (seconds) of the whole program."""
-        return self.estimate_blocks(compiled, compiled.blocks, resource)
+        return self.estimate_blocks(
+            compiled, compiled.blocks, resource, use_memo
+        )
 
     def estimate_components(self, compiled, resource):
         """Per-component estimated seconds for the whole program.
@@ -205,38 +213,30 @@ class CostModel:
         totals["total"] = total
         return totals
 
-    def estimate_blocks(self, compiled, blocks, resource):
-        """Estimated time of a block subsequence (re-optimization scope)."""
-        self.invocations += 1
-        get_tracer().incr("cost.invocations")
-        return self._cost_blocks(
+    def estimate_blocks(self, compiled, blocks, resource, use_memo=False):
+        """Estimated time of a block subsequence (re-optimization scope).
+
+        With ``use_memo`` the whole walk is memoized like a single
+        block's (:meth:`estimate_block`), under :meth:`_walk_key`.
+        """
+        key = self._walk_key(compiled, blocks, resource) if use_memo else None
+        return self._memoized(key, resource, lambda: self._cost_blocks(
             blocks, resource, CostState(), compiled, set()
-        )
+        ))
 
     def estimate_block(self, compiled, block, resource, use_memo=False):
         """Estimated time of a single generic block's plan.
 
         With ``use_memo`` (the resource optimizer's plan-cache mode) the
-        result is memoized on the plan's signature plus the exact
-        projection of ``resource`` the cost depends on — a memo hit skips
-        the cost walk entirely and does not count as an invocation.
+        result is memoized on the plan's signature, the exact projection
+        of ``resource`` MR timing depends on, and the interval of CP
+        budgets the walk held on (:meth:`_holds`) — a memo hit skips the
+        cost walk entirely and does not count as an invocation.
         """
-        key = None
-        if use_memo:
-            key = self._block_memo_key(block, resource)
-            if key is not None and key in self._block_cost_memo:
-                self.memo_hits += 1
-                get_tracer().incr("costcache.hits")
-                return self._block_cost_memo[key]
-        self.invocations += 1
-        get_tracer().incr("cost.invocations")
-        cost = self._cost_generic(
+        key = self._block_memo_key(block, resource) if use_memo else None
+        return self._memoized(key, resource, lambda: self._cost_generic(
             block, resource, CostState(), compiled, set()
-        )
-        if key is not None:
-            self._block_cost_memo[key] = cost
-            get_tracer().incr("costcache.misses")
-        return cost
+        ))
 
     def estimate_grid(self, compiled, block, resources, use_memo=False):
         """Batch :meth:`estimate_block` over many MR points of one plan.
@@ -268,51 +268,30 @@ class CostModel:
             return None
         if self.component_totals is not None:
             return None
-        n = len(resources)
-        tracer = get_tracer()
         plan = block.plan
         if plan is None:
-            self.invocations += 1
-            tracer.incr("cost.invocations")
-            return [0.0] * n
+            self._begin_walk()
+            return [0.0] * len(resources)
         if self._has_fcall(plan):
             return None
         if any(getattr(r, "ideal", None) is not None for r in resources):
             return None
 
-        keys = (
-            [self._block_memo_key(block, r) for r in resources]
-            if use_memo else [None] * n
-        )
-        memo = self._block_cost_memo
-        results = [None] * n
-        pending = []
-        hits = 0
-        for i, key in enumerate(keys):
-            if key is not None and key in memo:
-                results[i] = memo[key]
-                hits += 1
-            else:
-                pending.append(i)
-        if hits:
-            self.memo_hits += hits
-            tracer.incr("costcache.hits", hits)
+        keys = [
+            self._block_memo_key(block, r) if use_memo else None
+            for r in resources
+        ]
+        results = [self._recall(key, r) for key, r in zip(keys, resources)]
+        pending = [i for i, cost in enumerate(results) if cost is None]
         if not pending:
             return results
-
-        self.invocations += 1
-        tracer.incr("cost.invocations")
+        self._begin_walk()
         totals = self._grid_totals(block, resources)
-        stores = 0
         for i in pending:
-            cost = float(totals[i])
-            results[i] = cost
-            key = keys[i]
-            if key is not None and key not in memo:
-                memo[key] = cost
-                stores += 1
-        if stores:
-            tracer.incr("costcache.misses", stores)
+            results[i] = float(totals[i])
+        # one walk, one interval; points with one signature share an entry
+        for key, cost in {keys[i]: results[i] for i in pending}.items():
+            self._remember(key, cost)
         return results
 
     def _grid_totals(self, block, resources):
@@ -349,13 +328,63 @@ class CostModel:
                 acc = acc + self._cost_cp(ins, rep, state)
         return acc
 
-    # -- block-cost memoization ---------------------------------------------
+    # -- what-if memoization -------------------------------------------------
+    #
+    # The cost of a fixed plan is piecewise constant in the CP budget: a
+    # walk reads the budget only through :meth:`_holds`, so a finished
+    # walk knows the interval of budgets on which it would have decided,
+    # and hence summed, exactly the same (DESIGN.md section 16).
+
+    def _holds(self, x, resource):
+        """``x <= resource.cp_budget_bytes`` — the walk's only reading of
+        the CP budget — narrowing ``[_lo, _hi)`` to the budgets B' that
+        compare the same: a true one keeps ``x <= _lo <= B'``, a false
+        one ``B' < _hi <= x``, and ``x`` never depends on the budget."""
+        if x <= resource.cp_budget_bytes:
+            if x > self._lo:
+                self._lo = x
+            return True
+        if x < self._hi:
+            self._hi = x
+        return False
+
+    def _recall(self, key, resource):
+        """The cost memoized under ``key`` by a walk that holds on
+        ``resource``'s CP budget, else None.  A hit is not an invocation."""
+        if key is not None:
+            budget = resource.cp_budget_bytes
+            for lo, hi, cost in self._memo.get(key, ()):
+                if lo <= budget < hi:
+                    self.memo_hits += 1
+                    get_tracer().incr("costcache.hits")
+                    return cost
+        return None
+
+    def _begin_walk(self):
+        self.invocations += 1
+        get_tracer().incr("cost.invocations")
+        self._lo, self._hi = -math.inf, math.inf
+
+    def _remember(self, key, cost):
+        if key is not None:
+            self._memo.setdefault(key, []).append((self._lo, self._hi, cost))
+            get_tracer().incr("costcache.misses")
+
+    def _memoized(self, key, resource, walk):
+        if self.component_totals is not None:
+            key = None  # per-component accounting: the point is the walk
+        cost = self._recall(key, resource)
+        if cost is None:
+            self._begin_walk()
+            cost = walk()
+            self._remember(key, cost)
+        return cost
 
     def mr_cost_signature(self, block_id, resource):
         """Exact projection of ``resource`` that MR-job timing depends
         on for one block: the raw map-task parallelism and the
         small-heap thrash flag (see :func:`repro.cost.mr_timing.time_mr_job`
-        — every other term is determined by the plan and the CP heap)."""
+        — every other term is determined by the plan and the cost state)."""
         mr_heap = resource.mr_heap_for_block(block_id)
         cp_container = self.cluster.container_mb_for_heap(resource.cp_heap_mb)
         # a Brain grant adds a spill term that depends on the ideal heap
@@ -371,11 +400,12 @@ class CostModel:
     def _block_memo_key(self, block, resource):
         """Memo key, or None when memoization would be unsound.
 
-        A block cost is a pure function of (plan, cp_heap, budget
+        A block cost is a pure function of (plan, CP budget, budget
         divisor, MR cost signature) — except plans calling functions,
         whose cost also depends on the callee blocks' current plans, so
         those are never memoized.  CP-only plans drop the MR component
-        entirely (their cost is independent of the task heap).
+        entirely (their cost is independent of the task heap); the CP
+        budget is the entry's interval, not part of the key.
 
         The budget divisor is defense-in-depth: plan signatures are
         unique per generated plan and the cost walk itself uses the
@@ -395,11 +425,54 @@ class CostModel:
             if plan.num_mr_jobs
             else None
         )
+        return (signature, getattr(block, "budget_divisor", 1), mr_key)
+
+    def _walk_key(self, compiled, blocks, resource):
+        """Memo key of a whole walk of ``blocks`` — everything but the CP
+        budget that such a walk reads — or None when a plan is missing.
+
+        The scope itself; the identity of every plan a walk can reach
+        (generic blocks and predicates, function bodies included: they
+        are what :meth:`_block_memo_key` cannot name);
+        ``requires_recompile`` (a provisional block costs nothing); a
+        for loop's known iterations; and the MR cost signature of every
+        block whose plan has jobs (which blocks those are, the plan
+        identities fix)."""
+        ids = tuple(map(id, blocks))
+        scope = self._scopes.get(ids)
+        if scope is None:
+            # flattened once per memo lifetime; the entry keeps ``blocks``
+            # so that none of ``ids`` can be reused while it lives
+            functions = compiled.functions.values() if compiled else ()
+            generic, holders, loops = [], [], []
+            for top in itertools.chain(
+                blocks, *(func.blocks for func in functions)
+            ):
+                for block in top.all_blocks():
+                    if isinstance(block, SB.GenericBlock):
+                        generic.append(block)
+                    else:
+                        holders.extend(SB.predicate_holders(block))
+                        if isinstance(block, SB.ForBlock):
+                            loops.append(block)
+            scope = self._scopes[ids] = (
+                generic, holders, loops, tuple(blocks)
+            )
+        generic, holders, loops, _ = scope
+        try:
+            plans = [block.plan for block in generic]
+            signatures = tuple([plan.signature for plan in plans])
+            predicates = tuple([holder.plan.signature for holder in holders])
+        except AttributeError:  # a holder without a (signed) plan
+            return None
         return (
-            signature,
-            resource.cp_heap_mb,
-            getattr(block, "budget_divisor", 1),
-            mr_key,
+            ids, signatures, predicates,
+            tuple([block.requires_recompile for block in generic]),
+            tuple([block.known_iterations for block in loops]),
+            tuple([
+                self.mr_cost_signature(block.block_id, resource)
+                for block, plan in zip(generic, plans) if plan.num_mr_jobs
+            ]),
         )
 
     def _has_fcall(self, plan):
@@ -416,9 +489,10 @@ class CostModel:
         return has_fcall
 
     def clear_memo(self):
-        """Drop all memoized block costs (plan signatures make stale
-        entries unreachable anyway; this just frees memory)."""
-        self._block_cost_memo.clear()
+        """Drop all memoized costs (plan signatures make stale entries
+        unreachable anyway; this frees the memory and the scopes' blocks)."""
+        self._memo.clear()
+        self._scopes.clear()
         self._plan_has_fcall.clear()
 
     def _add_component(self, name, seconds):
@@ -546,7 +620,7 @@ class CostModel:
         vstate = state.get(operand.name)
         if vstate is None:
             vstate = VarCostState(mc)
-            vstate.in_memory = vstate.size <= resource.cp_budget_bytes
+            vstate.in_memory = self._holds(vstate.size, resource)
             state[operand.name] = vstate
         return vstate
 
@@ -608,14 +682,14 @@ class CostModel:
                 # next access (the cost model's partial account of the
                 # buffer pool, paper Section 5)
                 state.set_in_memory(
-                    vstate, vstate.size <= resource.cp_budget_bytes
+                    vstate, self._holds(vstate.size, resource)
                 )
 
         flops = operation_flops(ins.opcode, ins.out_mc, in_mcs, ins.attrs)
         compute_time = flops / params.cp_flops
         if ins.output is not None:
             vstate = VarCostState(ins.out_mc, dirty=True)
-            vstate.in_memory = vstate.size <= resource.cp_budget_bytes
+            vstate.in_memory = self._holds(vstate.size, resource)
             state[ins.output] = vstate
             pinned.append(vstate)
         self._balance_pool(state, resource, pinned)
@@ -628,8 +702,9 @@ class CostModel:
         variables exceed the CP budget, the least recently touched ones
         are dropped (their next access re-reads) — the cost model's
         partial account of buffer-pool evictions."""
-        budget = resource.cp_budget_bytes
-        if state.fits(budget):
+        # ``state.fits(budget)``, its compared value recorded on both
+        # outcomes: the O(1) return and the re-sum stay one path per entry
+        if self._holds(state.total + state.slack(), resource):
             return  # the re-sum below could not come out over budget
         live = []
         seen = set()
@@ -644,12 +719,12 @@ class CostModel:
                 live.append(vstate)
                 total += size
         state.anchor(total, len(live), total)
-        if total <= budget:
+        if self._holds(total, resource):
             return
         pinned_ids = {id(v) for v in pinned}
         # evict insertion-ordered (oldest first), keeping current operands
         for vstate in live:
-            if state.total <= budget:
+            if self._holds(state.total, resource):
                 break
             if id(vstate) in pinned_ids:
                 continue

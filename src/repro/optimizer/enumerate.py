@@ -36,7 +36,11 @@ from repro.compiler.plan_cache import PlanCache
 from repro.cost import CostModel
 from repro.errors import OptimizationError
 from repro.obs import get_tracer
-from repro.optimizer.grids import collect_memory_estimates_mb, generate_grid
+from repro.optimizer.grids import (
+    check_grid,
+    collect_memory_estimates_mb,
+    generate_grid,
+)
 from repro.optimizer.pruning import prune_program_blocks
 
 #: relative tolerance for "equal" program costs: two grid points whose
@@ -278,10 +282,13 @@ def enumerate_cp_point(compiled, blocks, rc, min_mb, srm, cost_model, cache,
     )
     for block in blocks:
         recompile_block_plan(compiled, block, chosen, cache=cache)
+    use_memo = cache is not None
     if cost_blocks is None:
-        cost = cost_model.estimate_program(compiled, chosen)
+        cost = cost_model.estimate_program(compiled, chosen, use_memo)
     else:
-        cost = cost_model.estimate_blocks(compiled, cost_blocks, chosen)
+        cost = cost_model.estimate_blocks(
+            compiled, cost_blocks, chosen, use_memo
+        )
     t2 = time.perf_counter()
     return CPPoint(
         rc, tuple(chosen.mr_heap_per_block.items()), cost,
@@ -406,6 +413,10 @@ class OptimizerOptions:
     #: ``"pickle"``
     snapshot: str = "auto"
 
+    def __post_init__(self):
+        check_grid(self.grid_cp)
+        check_grid(self.grid_mr)
+
     def decision_signature(self):
         """The subset of fields the optimization *decision* depends on.
 
@@ -429,7 +440,10 @@ class OptimizerOptions:
 class OptimizerStats:
     """Counters reported in Table 3."""
 
+    #: plans really generated (a plan-cache hit is none, and neither is
+    #: a bucket seeded with the plan the program arrived with)
     block_compilations: int = 0
+    #: cost walks really made (a memo hit is none)
     cost_invocations: int = 0
     optimization_time: float = 0.0
     cp_points: int = 0
@@ -443,7 +457,8 @@ class OptimizerStats:
     #: plan-cache bucket hits / misses during this optimization
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: block-cost estimates answered from the cost memo
+    #: estimates answered from the cost memo: per MR point of a block,
+    #: and per CP point the whole-program (or scope) walk
     cost_memo_hits: int = 0
     #: MR grid points skipped because a same-bucket point with at least
     #: as much task parallelism was already costed (dominance)
@@ -492,8 +507,8 @@ class ResourceOptimizer:
             enable_plan_cache = options.enable_plan_cache
             enable_vector_costing = options.enable_vector_costing
         self.cluster = cluster
-        self.grid_cp = grid_cp
-        self.grid_mr = grid_mr
+        self.grid_cp = check_grid(grid_cp)
+        self.grid_mr = check_grid(grid_mr)
         self.m = m
         self.w = w
         #: optional wall-clock budget in seconds for the enumeration
@@ -575,6 +590,14 @@ class ResourceOptimizer:
             if scope_blocks is None
             else _last_level(scope_blocks)
         )
+        if cache is not None and scope_blocks is None and compiled.planned:
+            # the plans the program arrives with are the plans of their
+            # buckets (the cache's own invariant): neither a compilation
+            # nor a lookup, and never what executes (see fold_cp_points)
+            for block in blocks:
+                cache.store(
+                    cache.key_for(block, compiled.resource), block.plan
+                )
         cost_blocks = (
             None if scope_blocks is None else list(scope_blocks)
         )

@@ -22,6 +22,7 @@ from repro.cluster.config import BUDGET_FRACTION
 from repro.common import MB
 from repro.compiler import hops as H
 from repro.compiler import statement_blocks as SB
+from repro.errors import OptimizationError
 
 
 def equi_grid(min_mb, max_mb, m=15):
@@ -107,14 +108,23 @@ def collect_memory_estimates_mb(compiled):
 GENERATORS = {"equi", "exp", "mem", "hybrid"}
 
 
+def check_grid(kind):
+    """``kind`` if it names a generator; a typed error where the name
+    enters (a configuration's construction), not mid-request."""
+    if kind not in GENERATORS:
+        raise OptimizationError(
+            f"unknown grid generator {kind!r}; one of {sorted(GENERATORS)}"
+        )
+    return kind
+
+
 def generate_grid(kind, min_mb, max_mb, estimates_mb=(), m=15, w=2.0):
     """Dispatch by generator name."""
+    check_grid(kind)
     if kind == "equi":
         return equi_grid(min_mb, max_mb, m)
     if kind == "exp":
         return exp_grid(min_mb, max_mb, w)
     if kind == "mem":
         return memory_grid(min_mb, max_mb, estimates_mb, m)
-    if kind == "hybrid":
-        return hybrid_grid(min_mb, max_mb, estimates_mb, m, w)
-    raise KeyError(f"unknown grid generator {kind!r}; one of {GENERATORS}")
+    return hybrid_grid(min_mb, max_mb, estimates_mb, m, w)

@@ -207,8 +207,9 @@ class ParallelResourceOptimizer(ResourceOptimizer):
         """Enumerate ``src`` on the pool and fold the points."""
         result.backend = "process"
         result.num_workers = self.num_workers
-        # one snapshot reaches every worker; the freshly attached
-        # (empty) plan cache rides along inside ``compiled``
+        # one snapshot reaches every worker; the freshly attached plan
+        # cache (holding the plans the program arrived with) rides along
+        # inside ``compiled``, the cost model's emptied memo beside it
         state = {
             "compiled": compiled,
             "cost_model": self.cost_model,

@@ -109,10 +109,16 @@ def _oracle_balance_pool(self, state, resource, pinned):
 @contextlib.contextmanager
 def oracle_walk():
     """Every cost walk inside runs the oracle: any ``CostModel``, so the
-    optimizer, the session and runtime re-optimization included."""
+    optimizer, the session and runtime re-optimization included.
+
+    The reference must be a walk, never an answer: the oracle body reads
+    the budget without ``CostModel._holds``, so the interval it would
+    leave behind is too wide, and nothing is recalled from the memo."""
     with mock.patch.object(model_mod, "CostState", OracleState), \
             mock.patch.object(CostModel, "_balance_pool",
-                              _oracle_balance_pool):
+                              _oracle_balance_pool), \
+            mock.patch.object(CostModel, "_recall",
+                              lambda self, key, resource: None):
         yield
 
 

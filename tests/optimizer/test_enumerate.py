@@ -129,7 +129,7 @@ class _NearTieCostModel:
         self.invocations += 1
         return 1.0
 
-    def estimate_program(self, compiled, resource):
+    def estimate_program(self, compiled, resource, use_memo=False):
         self.invocations += 1
         self.program_calls += 1
         return 1.0 + 1e-12 if self.program_calls == 1 else 1.0

@@ -1,9 +1,12 @@
 """Unit tests for grid point generators (Section 3.3.2)."""
 
+import functools
+
 import pytest
 
 from repro.common import MatrixCharacteristics
 from repro.compiler.pipeline import build_and_analyze
+from repro.errors import OptimizationError, ReproError
 from repro.optimizer.grids import (
     collect_memory_estimates_mb,
     equi_grid,
@@ -117,10 +120,57 @@ class TestHybridGrid:
             assert len(points) >= 1
 
     def test_unknown_kind_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(OptimizationError, match="'bogus'.*equi.*hybrid"):
             generate_grid("bogus", 512, 54613)
 
     def test_all_points_in_bounds(self):
         for kind in ("equi", "exp", "mem", "hybrid"):
             points = generate_grid(kind, 512, 54613, [100.0, 9999.0, 10**8])
             assert all(512 <= p <= 54613.001 for p in points)
+
+
+class TestUnknownGridIsATypedErrorWhereTheNameEnters:
+    """It used to be accepted at construction and raise a builtin
+    ``KeyError`` mid-request, after the program had compiled."""
+
+    @pytest.mark.parametrize("field", ["grid_cp", "grid_mr"])
+    def test_every_door(self, field):
+        from repro import SessionConfig
+        from repro.cluster import paper_cluster
+        from repro.optimizer import OptimizerOptions, ResourceOptimizer
+
+        for door in (
+            SessionConfig, OptimizerOptions,
+            functools.partial(ResourceOptimizer, paper_cluster()),
+        ):
+            with pytest.raises(OptimizationError) as caught:
+                door(**{field: "nope"})
+            assert isinstance(caught.value, ReproError)
+            for name in ("'nope'", "equi", "exp", "hybrid", "mem"):
+                assert name in str(caught.value)
+
+    def test_server_rejects_the_configuration_or_fails_the_submission_typed(
+            self):
+        from repro import (
+            ElasticMLServer, SessionConfig, Submission, prepare_inputs,
+            scenario,
+        )
+
+        with pytest.raises(OptimizationError):
+            ElasticMLServer(config=SessionConfig(grid_cp="nope"))
+        server = ElasticMLServer(sample_cap=64)
+        try:
+            # past the constructor (what ``replace`` would refuse too)
+            object.__setattr__(server.config, "grid_mr", "nope")
+            args = prepare_inputs(
+                server.hdfs, "LinregDS", scenario("XS", cols=100)
+            )
+            ticket = server.submit(
+                Submission(tenant="t", script="LinregDS", args=args)
+            )
+            result = server.poll(ticket, timeout=60)
+        finally:
+            server.shutdown()
+        assert result.status == "failed"
+        assert result.error.startswith("OptimizationError: unknown grid")
+        assert "KeyError" not in result.error

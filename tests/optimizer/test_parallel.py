@@ -79,7 +79,7 @@ class _RaisingCostModel(CostModel):
     """Fails the whole-program (agg) costing of every CP point; module
     level so the pickle transport can ship an instance to workers."""
 
-    def estimate_program(self, compiled, resource):
+    def estimate_program(self, compiled, resource, use_memo=False):
         raise _Boom("injected worker failure")
 
 

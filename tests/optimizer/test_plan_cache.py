@@ -266,6 +266,159 @@ class TestAcceptance:
         assert parallel.stats.plan_cache_hits > 0
 
 
+class TestSeeding:
+    """The enumeration's cache starts from the plans the program arrives
+    with — when, and only when, they are ``compile_plans``' plans for
+    ``compiled.resource`` and the search covers the whole program."""
+
+    @staticmethod
+    def _plans(compiled):
+        """The plan objects the blocks hold now (held, so that identity
+        stays meaningful after the blocks move on)."""
+        return [b.plan for b in compiled.last_level_blocks()]
+
+    @staticmethod
+    def _shared(plans, others):
+        """How many of ``plans`` are, by identity, among ``others``."""
+        return sum(any(p is q for q in others) for p in plans)
+
+    def _seeds(self, arrival, compiled):
+        return self._shared(arrival, compiled.plan_cache.plans.values())
+
+    def test_planned_arrival_seeds_every_bucket_without_counting(
+            self, cluster):
+        compiled = compile_program(CG_STYLE, ARGS, BIG)
+        assert compiled.planned
+        arrival = self._plans(compiled)
+        seeded = ResourceOptimizer(cluster).optimize(compiled)
+        assert self._seeds(arrival, compiled) == len(arrival)
+
+        unplanned = compile_program(CG_STYLE, ARGS, BIG)
+        unplanned.planned = False
+        arrival = self._plans(unplanned)
+        plain = ResourceOptimizer(cluster).optimize(unplanned)
+        assert self._seeds(arrival, unplanned) == 0
+
+        # neither a compilation nor a lookup: the lookups are the same,
+        # one per block fewer of them misses and compiles
+        blocks = seeded.stats.total_blocks
+        assert seeded.stats.block_compilations == (
+            plain.stats.block_compilations - blocks
+        )
+        assert seeded.stats.plan_cache_misses == (
+            plain.stats.plan_cache_misses - blocks
+        )
+        assert seeded.stats.plan_cache_hits == (
+            plain.stats.plan_cache_hits + blocks
+        )
+        assert (seeded.resource, seeded.cost, seeded.cp_profile) == (
+            plain.resource, plain.cost, plain.cp_profile
+        )
+
+    def test_a_seed_is_the_plan_its_bucket_would_generate(self, cluster):
+        """Arriving planned under a configuration off the grid: every
+        seed sits where a regeneration under that configuration lands."""
+        odd = ResourceConfig(3333.0, 777.0)
+        compiled = compile_program(CG_STYLE, ARGS, BIG, odd)
+        ResourceOptimizer(cluster).optimize(compiled)
+        cache = compiled.plan_cache
+        for block in compiled.last_level_blocks():
+            seed = cache.plans[cache.key_for(block, odd)]
+            regenerated = recompile_block_plan(compiled, block, odd)
+            assert regenerated is not seed
+            assert _fingerprint(regenerated) == _fingerprint(seed)
+
+    def test_a_scope_seeds_nothing(self, cluster):
+        compiled = compile_program(CG_STYLE, ARGS, BIG)
+        assert compiled.planned
+        arrival = self._plans(compiled)
+        ResourceOptimizer(cluster).optimize(
+            compiled, scope_blocks=compiled.blocks[1:]
+        )
+        assert self._seeds(arrival, compiled) == 0
+
+    def test_the_adapters_reoptimizations_seed_nothing(self):
+        """Their scope's sizes were just refreshed: whatever plans the
+        blocks hold were generated from other memory estimates."""
+        from unittest import mock
+
+        from repro import ElasticMLSession, prepare_inputs, scenario
+
+        seen = []
+        original = ResourceOptimizer._optimize
+
+        def spy(optimizer, compiled, scope_blocks, fixed_cp_mb):
+            arrival = self._plans(compiled)
+            result = original(optimizer, compiled, scope_blocks, fixed_cp_mb)
+            seen.append((
+                scope_blocks is None, self._seeds(arrival, compiled) > 0,
+            ))
+            return result
+
+        session = ElasticMLSession(sample_cap=64)
+        args = prepare_inputs(session.hdfs, "MLogreg", scenario("M"))
+        with mock.patch.object(ResourceOptimizer, "_optimize", spy):
+            outcome = session.run("MLogreg", args)
+        assert outcome.migrations >= 1
+        assert seen[0] == (True, True)  # the initial optimization
+        assert len(seen) >= 3 and all(
+            not whole and not seeded for whole, seeded in seen[1:]
+        )
+
+    @pytest.mark.parametrize("opt_cache", [True, False])
+    def test_a_masters_plan_left_on_a_handout_never_executes(
+            self, opt_cache):
+        """``fold_cp_points`` may leave a seed — the frozen master's own
+        plan object — on the handout; ``planned`` is off by then, so the
+        optimizer result cache's store, or else ``Interpreter.run``,
+        regenerates before anything executes."""
+        from unittest import mock
+
+        from repro.api import SessionConfig
+        from repro.pipeline import RunPipeline
+        from repro.runtime import Interpreter, SimulatedHDFS
+        from repro.scripts import load_script
+        from repro.serving import ProgramCache
+        from repro.workloads import prepare_inputs, scenario
+
+        hdfs = SimulatedHDFS(sample_cap=64)
+        pipeline = RunPipeline(
+            SessionConfig(opt_cache=opt_cache), hdfs=hdfs, sample_cap=64,
+            program_cache=ProgramCache(),
+        )
+        args = prepare_inputs(hdfs, "LinregDS", scenario("XS", cols=100))
+        source = load_script("LinregDS")
+        handout = pipeline.compile(source, args)
+        (_, master), = pipeline.program_cache._programs.values()
+        masters = self._plans(master)
+        assert self._shared(self._plans(handout), masters) == len(masters)
+
+        folded = []
+        original = ResourceOptimizer._optimize
+
+        def spy(optimizer, compiled, scope_blocks, fixed_cp_mb):
+            result = original(optimizer, compiled, scope_blocks, fixed_cp_mb)
+            folded.append((self._plans(compiled), compiled.planned))
+            return result
+
+        executed = []
+        run_blocks = Interpreter._exec_blocks
+
+        def exec_spy(interp, blocks, *args, **kwargs):
+            executed.append(self._plans(interp.compiled))
+            return run_blocks(interp, blocks, *args, **kwargs)
+
+        with mock.patch.object(ResourceOptimizer, "_optimize", spy), \
+                mock.patch.object(Interpreter, "_exec_blocks", exec_spy):
+            result = pipeline.optimize_cached(source, args, handout)
+            pipeline.execute_program(handout, result.resource)
+        (left, planned), = folded
+        assert self._shared(left, masters) and not planned  # the case
+        assert executed and self._shared(executed[0], masters) == 0
+        # ... and the master is frozen
+        assert all(p is q for p, q in zip(self._plans(master), masters))
+
+
 class TestPickleAndMerge:
     """Pool contracts: pickling preserves the full cache state (the
     snapshot each worker receives), and the master merges the workers'
@@ -288,8 +441,9 @@ class TestPickleAndMerge:
         expected = asdict(serial.stats)
         merged = asdict(pooled.stats)
         # same lookups; but the fold recompiles the winner against the
-        # master's own, still empty cache where the serial loop's warm
-        # one hits, so up to one lookup per block turns into a compile
+        # master's own cache, which holds the seeds and nothing else,
+        # where the serial loop's warm one hits, so up to one lookup per
+        # block turns into a compile
         refolded = (
             merged["plan_cache_misses"] - expected["plan_cache_misses"]
         )
@@ -305,6 +459,24 @@ class TestPickleAndMerge:
                      "plan_cache_hits", "plan_cache_misses"):
             del expected[name], merged[name]
         assert merged == expected
+
+    def test_plan_signatures_of_two_processes_never_meet(self):
+        """A worker that imports the program afresh (no fork) receives
+        the master's plans — seeds included — by pickle and keys its cost
+        memo on their signatures next to those of the plans it generates
+        itself: the two ranges must be disjoint."""
+        import subprocess
+        import sys
+
+        from repro.compiler.runtime_prog import BlockPlan
+
+        theirs = int(subprocess.run(
+            [sys.executable, "-c",
+             "from repro.compiler.runtime_prog import BlockPlan\n"
+             "print(BlockPlan().signature)"],
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout)
+        assert theirs >> 40 != BlockPlan().signature >> 40
 
     def _warm_cache(self):
         compiled = compile_program(CG_STYLE, ARGS, BIG)

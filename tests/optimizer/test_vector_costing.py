@@ -149,9 +149,18 @@ class TestBatchedMemoKeys:
         grid = model.estimate_grid(
             compiled, block, resources, use_memo=True
         )
-        assert model._block_cost_memo[k1] == grid[0]
-        assert model._block_cost_memo[k2] == grid[1]
+        # one walk, one interval, an entry per signature: each point
+        # reads back its own float and neither reads the other's
+        (lo1, hi1, cost1), = model._memo[k1]
+        (lo2, hi2, cost2), = model._memo[k2]
+        assert (lo1, hi1) == (lo2, hi2)
+        assert lo1 <= resources[0].cp_budget_bytes < hi1
+        assert (cost1, cost2) == (grid[0], grid[1])
         assert grid[0] != grid[1]
+        for resource, expected in zip(resources, grid):
+            assert model._recall(
+                model._block_memo_key(block, resource), resource
+            ) == expected
 
     def test_scalar_readback_after_batched_store(self):
         """estimate_block must answer from the batch-stored memo with
