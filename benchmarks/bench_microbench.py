@@ -52,13 +52,8 @@ Tracks p50/p95 latency of the code the grid search spends its time in:
   hit, plans installed);
 * ``optimizer.serial.{S,M,XL}`` — whole enumerations at grid
   resolutions m=5/15/31 (LinregCG, S-scenario data);
-* ``optimizer.process.M`` — the 2-worker process backend vs serial on
-  the M-scenario GLM enumeration.  Asserted >= 1.0x when the host has
-  >= 2 CPUs *and* the serial run is long enough for a per-call pool to
-  amortize (``POOL_AMORTIZES_S``); an explicit ``skipped_reason``
-  otherwise.  Since the incremental cost state the serial run is ~0.2 s
-  (0.74 s before), which a pool forked per call, one private plan cache
-  per worker, no longer beats — the ratio is still measured and shown.
+* ``optimizer.serial.GLM_M`` — the M-scenario GLM enumeration (m=15),
+  compilation included.
 
 Every kernel carries a p95 budget (checked into the JSON); the bench
 fails when a measured p95 exceeds **2x** its budget, so CI catches
@@ -108,11 +103,7 @@ from repro.compiler import replay
 from repro.cost import CostModel
 from repro.cost.constants import DEFAULT_PARAMETERS
 from repro.cost.mr_timing import grid_supported
-from repro.optimizer import (
-    ParallelResourceOptimizer,
-    ResourceAdapter,
-    ResourceOptimizer,
-)
+from repro.optimizer import ResourceAdapter, ResourceOptimizer
 from repro.pipeline import RunPipeline
 from repro.runtime import SimulatedHDFS
 from repro.runtime import interpreter as interpreter_mod
@@ -181,11 +172,6 @@ BEFORE_P95_US = {
     "optimizer.serial.XL": 20_300,
     "optimizer.serial.GLM_M": 158_800,
 }
-
-#: serial seconds (compile included) below which the process-vs-serial
-#: ratio is reported but not asserted: forking the pool and warming one
-#: plan cache per worker is a fixed ~0.1 s on the build host
-POOL_AMORTIZES_S = 0.5
 
 #: scripts whose whole-program walk is a kernel
 WALK_SCRIPTS = ("GLM", "L2SVM")
@@ -566,16 +552,9 @@ def bench_serial_enumeration(iters):
     return kernels
 
 
-def bench_process_vs_serial(iters):
-    """Serial vs 2-worker process backend, M-scenario GLM (m=15)."""
-    outcome = {
-        "speedup": None, "serial_s": None, "process_s": None,
-        "workers": 2, "asserted": False, "skipped_reason": None,
-    }
-    cpus = os.cpu_count() or 1
-    if cpus < 2:
-        outcome["skipped_reason"] = f"host has {cpus} CPU(s), need >= 2"
-        return {}, outcome
+def bench_serial_glm(iters):
+    """One whole serial enumeration of the M-scenario GLM (m=15),
+    compilation included."""
     cluster = paper_cluster()
     scn = scenario("M", cols=1000)
 
@@ -583,33 +562,7 @@ def bench_process_vs_serial(iters):
         compiled, _, _ = fresh_compiled("GLM", scn)
         ResourceOptimizer(cluster, m=15).optimize(compiled)
 
-    def process():
-        compiled, _, _ = fresh_compiled("GLM", scn)
-        ParallelResourceOptimizer(
-            cluster, m=15, num_workers=2
-        ).optimize(compiled)
-
-    kernels = {
-        "optimizer.serial.GLM_M": _time_kernel(serial, iters),
-        "optimizer.process.GLM_M_x2": _time_kernel(process, iters),
-    }
-    outcome["serial_s"] = kernels["optimizer.serial.GLM_M"]["p50_us"] / 1e6
-    outcome["process_s"] = (
-        kernels["optimizer.process.GLM_M_x2"]["p50_us"] / 1e6
-    )
-    outcome["speedup"] = outcome["serial_s"] / outcome["process_s"]
-    if outcome["serial_s"] < POOL_AMORTIZES_S:
-        outcome["skipped_reason"] = (
-            f"serial run takes {outcome['serial_s']:.2f} s "
-            f"(< {POOL_AMORTIZES_S} s): too short for a per-call pool"
-        )
-        return kernels, outcome
-    assert outcome["speedup"] >= 1.0, (
-        f"process backend must not lose to serial at 2 workers on >= 2 "
-        f"CPUs: got {outcome['speedup']:.2f}x"
-    )
-    outcome["asserted"] = True
-    return kernels, outcome
+    return {"optimizer.serial.GLM_M": _time_kernel(serial, iters)}
 
 
 # -- harness ------------------------------------------------------------------
@@ -630,10 +583,7 @@ def run_experiment(quick=False):
     kernels.update(bench_replay(30 if quick else 100))
     kernels.update(bench_warm_handout(100 if quick else 500))
     kernels.update(bench_serial_enumeration(1 if quick else 3))
-    process_kernels, process_vs_serial = bench_process_vs_serial(
-        1 if quick else 2
-    )
-    kernels.update(process_kernels)
+    kernels.update(bench_serial_glm(1 if quick else 2))
 
     for name, record in kernels.items():
         record["budget_p95_us"] = BUDGETS_P95_US.get(name)
@@ -645,7 +595,6 @@ def run_experiment(quick=False):
         "quick": quick,
         "kernels": kernels,
         "grid_speedup": grid_speedup,
-        "process_vs_serial": process_vs_serial,
     }
 
 
@@ -675,7 +624,6 @@ def render(data):
             str(record["iterations"]),
         ])
     grid = data["grid_speedup"]
-    proc = data["process_vs_serial"]
     grid_line = (
         f"estimate_grid speedup over scalar loop "
         f"({grid['points']} pts): "
@@ -683,22 +631,13 @@ def render(data):
            if grid["speedup"] is not None
            else f"skipped: {grid['skipped_reason']}")
     )
-    proc_line = (
-        "process x2 vs serial (GLM M): "
-        + (f"skipped: {proc['skipped_reason']}"
-           if proc["speedup"] is None
-           else f"{proc['speedup']:.2f}x (asserted >= 1.0x)"
-           if proc["asserted"]
-           else f"{proc['speedup']:.2f}x (not asserted: "
-                f"{proc['skipped_reason']})")
-    )
     return format_table(
         ["kernel", "p50 (us)", "p95 (us)", "budget p95", "iters"],
         rows,
         title=(
             f"Hot-kernel microbenchmarks; host has {data['cpu_count']} "
             f"CPUs{' (quick)' if data['quick'] else ''}\n"
-            f"{grid_line}\n{proc_line}"
+            f"{grid_line}"
         ),
     )
 

@@ -1,44 +1,37 @@
-"""Measured optimizer wall clock: serial vs process-pool enumeration.
+"""Measured optimizer wall clock and the cross-run result cache.
 
-Figure 18 reports a *modeled* makespan beyond the cores this host
-has.  The pool runs `recompile_block_plan` +
-`CostModel.estimate_block` in real OS processes, so this benchmark
-measures actual wall clock: serial vs process workers at 1/2/4 on the
-M-scenario GLM and MLogreg enumerations (Hybrid m=15), then exercises
-the cross-run optimizer result cache through a traced session.
-
-Invariants asserted at any worker count (CI-safe on small hosts):
-
-* every backend chooses the byte-identical ``(resource, cost)``;
-* ``optpar.tasks`` is populated by a parallel session run;
-* the second ``session.run`` of the same (script, scenario) hits the
-  cross-run cache (``optcache.hits >= 1``) and skips enumeration.
-
-The >= 2x speedup at 4 process workers is asserted only when the host
-actually has >= 4 CPUs — on fewer cores there is nothing to run on.
+Times the in-process enumeration (Algorithm 1) on the M-scenario GLM
+and MLogreg programs (Hybrid m=15) — the median of :data:`REPEATS`
+fresh compilations, each of which must choose the identical
+``(resource, cost)`` — then exercises the cross-run optimizer result
+cache through a traced session: the second ``session.run`` of the same
+(script, scenario) hits the cache (``optcache.hits >= 1``) and skips
+enumeration.
 
 Writes ``BENCH_optimizer.json`` (override with ``--out``) to seed the
 perf trajectory.  Also runnable standalone:
-``python benchmarks/bench_opt_wallclock.py [--workers N] [--out PATH]``.
+``python benchmarks/bench_opt_wallclock.py [--out PATH]``.
 """
 
 import argparse
 import json
 import os
 import pathlib
+import statistics
 import sys
 import time
 
 from _lib import format_table, fresh_compiled
-from repro.api import ElasticMLSession, SessionConfig
+from repro.api import ElasticMLSession
 from repro.cluster import paper_cluster
 from repro.obs import Tracer
-from repro.optimizer import ParallelResourceOptimizer, ResourceOptimizer
+from repro.optimizer import ResourceOptimizer
 from repro.workloads import prepare_inputs, scenario
 
 SCRIPTS = ["GLM", "MLogreg"]
-WORKER_STEPS = [1, 2, 4]
 M = 15
+#: timed enumerations per script (each on a fresh compilation)
+REPEATS = 5
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_optimizer.json"
 )
@@ -64,63 +57,31 @@ def _normalized(compiled, result):
     )
 
 
-def measure_script(script, max_workers):
-    """Serial + process-backend wall clocks for one script; asserts
-    every backend picks the identical configuration."""
+def measure_script(script):
+    """Serial enumeration wall clock for one script; asserts every
+    repeat picks the identical configuration."""
     cluster = paper_cluster()
     scn = scenario("M", cols=1000)
-
-    compiled, _, _ = fresh_compiled(script, scn)
-    start = time.perf_counter()
-    serial = ResourceOptimizer(cluster, m=M).optimize(compiled)
-    serial_s = time.perf_counter() - start
-    golden = _normalized(compiled, serial)
-
-    process_s = {}
-    phases = {}
-    start_method = None
-    for workers in [w for w in WORKER_STEPS if w <= max_workers]:
-        compiled_k, _, _ = fresh_compiled(script, scn)
-        optimizer = ParallelResourceOptimizer(
-            cluster, m=M, num_workers=workers
-        )
+    runs, chosen = [], set()
+    for _ in range(REPEATS):
+        compiled, _, _ = fresh_compiled(script, scn)
         start = time.perf_counter()
-        result = optimizer.optimize(compiled_k)
-        process_s[workers] = time.perf_counter() - start
-        got = _normalized(compiled_k, result)
-        assert got == golden, (
-            f"{script}: process x{workers} diverged from serial: "
-            f"{got} != {golden}"
-        )
-        start_method = result.start_method
-        phases[workers] = {
-            "snapshot_s": result.snapshot_s,
-            "snapshot_bytes": result.snapshot_bytes,
-            "dispatch_s": result.dispatch_s,
-            "enumerate_s": result.enumerate_s,
-            "fold_s": result.fold_s,
-            "chunk_points": result.chunk_points,
-            "chunks": result.tasks_dispatched,
-        }
+        result = ResourceOptimizer(cluster, m=M).optimize(compiled)
+        runs.append(time.perf_counter() - start)
+        chosen.add(_normalized(compiled, result))
+    assert len(chosen) == 1, f"{script}: repeats diverged: {chosen}"
     return {
-        "serial_s": serial_s,
-        "process_s": process_s,
-        "speedup": {k: serial_s / v for k, v in process_s.items()},
-        "phases": phases,
-        "start_method": start_method,
-        "cost_s": serial.cost,
-        "resource": serial.resource.describe(),
+        "serial_s": statistics.median(runs),
+        "serial_runs_s": runs,
+        "cost_s": result.cost,
+        "resource": result.resource.describe(),
     }
 
 
-def measure_cache(max_workers):
+def measure_cache():
     """Cross-run result cache through the session API, traced."""
     tracer = Tracer()
-    workers = 2 if max_workers >= 2 else 0
-    session = ElasticMLSession(
-        sample_cap=256, trace=tracer,
-        config=SessionConfig(opt_workers=workers),
-    )
+    session = ElasticMLSession(sample_cap=256, trace=tracer)
     args = prepare_inputs(session.hdfs, "GLM", scenario("M", cols=1000),
                           glm_family=2, seed=7)
     start = time.perf_counter()
@@ -137,68 +98,35 @@ def measure_cache(max_workers):
     assert tracer.counter("optcache.misses") >= 1
     assert tracer.counter("optcache.hits") >= 1
     assert second.resource == first.resource
-    if workers:
-        assert tracer.counter("optpar.tasks") > 0, (
-            "parallel run must dispatch enumeration tasks"
-        )
     return {
         "first_run_s": first_s,
         "second_run_s": second_s,
         "optcache_hits": tracer.counter("optcache.hits"),
-        "optpar_tasks": tracer.counter("optpar.tasks"),
     }
 
 
-def run_experiment(max_workers=4):
-    records = {script: measure_script(script, max_workers)
-               for script in SCRIPTS}
-    cache = measure_cache(max_workers)
+def run_experiment():
     return {
         "bench": "optimizer_wallclock",
         "scenario": "M dense1000 (Hybrid m=15)",
         "cpu_count": os.cpu_count(),
-        "max_workers": max_workers,
-        "start_method": next(
-            iter(records.values())
-        )["start_method"],
-        "scripts": records,
-        "cache": cache,
+        "scripts": {script: measure_script(script) for script in SCRIPTS},
+        "cache": measure_cache(),
     }
 
 
 def render(data):
-    rows = []
-    for script, rec in data["scripts"].items():
-        row = [script, f"{rec['serial_s']:.3f}s"]
-        for workers in WORKER_STEPS:
-            if workers in rec["process_s"]:
-                row.append(
-                    f"{rec['process_s'][workers]:.3f}s "
-                    f"({rec['speedup'][workers]:.2f}x)"
-                )
-            else:
-                row.append("-")
-        row.append(rec["resource"])
-        rows.append(row)
+    rows = [
+        [script, f"{rec['serial_s']:.3f}s", rec["resource"]]
+        for script, rec in data["scripts"].items()
+    ]
     cache = data["cache"]
-    for script, rec in data["scripts"].items():
-        for workers, phase in sorted(rec.get("phases", {}).items()):
-            rows.append([
-                f"{script} x{workers}",
-                f"snap {phase['snapshot_s'] * 1e3:.1f}ms"
-                f"/{phase['snapshot_bytes'] / 1024:.0f}KiB",
-                f"disp {phase['dispatch_s'] * 1e3:.1f}ms",
-                f"enum {phase['enumerate_s'] * 1e3:.1f}ms",
-                f"fold {phase['fold_s'] * 1e3:.1f}ms",
-                f"{phase['chunks']} chunks x{phase['chunk_points']}rc",
-            ])
     return format_table(
-        ["Prog.", "serial", "proc x1", "proc x2", "proc x4", "chosen"],
+        ["Prog.", f"serial (median of {REPEATS})", "chosen"],
         rows,
         title=(
             f"Optimizer wall clock, {data['scenario']}; host has "
-            f"{data['cpu_count']} CPUs, start method "
-            f"{data['start_method']}\ncross-run cache: first run "
+            f"{data['cpu_count']} CPUs\ncross-run cache: first run "
             f"{cache['first_run_s']:.3f}s -> cached run "
             f"{cache['second_run_s']:.3f}s "
             f"({cache['optcache_hits']} hit(s), enumeration skipped)"
@@ -206,45 +134,19 @@ def render(data):
     )
 
 
-def check_speedup(data):
-    """>= 2x at 4 process workers — only meaningful with >= 4 CPUs.
-
-    Returns ``(asserted, skipped_reason)`` so the report records *why*
-    the assertion did not run instead of a silent ``False``.
-    """
-    if data["cpu_count"] < 4:
-        return False, (
-            f"host has {data['cpu_count']} CPUs, need >= 4"
-        )
-    if data["max_workers"] < 4:
-        return False, (
-            f"measured up to {data['max_workers']} workers, need 4 "
-            f"(pass --workers 4)"
-        )
-    for script, rec in data["scripts"].items():
-        assert rec["speedup"][4] >= 2.0, (
-            f"{script}: expected >= 2x at 4 workers, got "
-            f"{rec['speedup'][4]:.2f}x"
-        )
-    return True, None
+def write_json(data, path):
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=4,
-                        help="max process workers to measure (default 4)")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT,
                         help="where to write BENCH_optimizer.json")
     args = parser.parse_args(argv)
-    data = run_experiment(args.workers)
+    data = run_experiment()
     print(render(data))
-    checked, skipped_reason = check_speedup(data)
-    data["speedup_asserted"] = checked
-    data["skipped_reason"] = skipped_reason
-    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.out}"
-          + ("" if checked else
-             f" (speedup not asserted: {skipped_reason})"))
+    write_json(data, args.out)
+    print(f"\nwrote {args.out}")
     return 0
 
 
@@ -257,16 +159,9 @@ if pytest is not None:
 
     @pytest.mark.repro
     def test_opt_wallclock(benchmark, report):
-        data = benchmark.pedantic(
-            run_experiment, args=(4,), rounds=1, iterations=1
-        )
-        asserted, skipped_reason = check_speedup(data)
-        data["speedup_asserted"] = asserted
-        data["skipped_reason"] = skipped_reason
+        data = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
         report("optimizer_wallclock", render(data))
-        DEFAULT_OUT.write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(data, DEFAULT_OUT)
 
 
 if __name__ == "__main__":

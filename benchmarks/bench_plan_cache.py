@@ -25,6 +25,18 @@ from repro.workloads import scenario
 SIZES = ["S", "M"]
 SCRIPTS = ["LinregDS", "LinregCG", "L2SVM"]
 
+#: the deterministic columns of the results file — block compilations
+#: and cost invocations (cache off, cache on) and plan-cache hits — so a
+#: counter that moves fails the benchmark, not just a reader
+EXPECTED_COUNTS = {
+    ("LinregDS", "S"): (173, 7, 54, 12, 136),
+    ("LinregDS", "M"): (340, 7, 192, 14, 198),
+    ("LinregCG", "S"): (143, 9, 63, 12, 98),
+    ("LinregCG", "M"): (323, 9, 228, 15, 152),
+    ("L2SVM", "S"): (238, 9, 63, 12, 193),
+    ("L2SVM", "M"): (448, 9, 228, 15, 277),
+}
+
 
 def run_point(compiled, enable_plan_cache):
     optimizer = ResourceOptimizer(
@@ -82,6 +94,12 @@ def check(results):
         assert on.resource == off.resource, label
         assert on.cost == off.cost, label
         assert on.stats.plan_cache_hits > 0, label
+        counts = (
+            off.stats.block_compilations, on.stats.block_compilations,
+            off.stats.cost_invocations, on.stats.cost_invocations,
+            on.stats.plan_cache_hits,
+        )
+        assert counts == EXPECTED_COUNTS[(script, size)], (label, counts)
     # the headline acceptance point: LinregCG, m=15
     for size in SIZES:
         off, on = results[("LinregCG", size)]

@@ -249,7 +249,7 @@ def main(argv=None):
     parser.add_argument("--shards", default="1,4",
                         help="comma-separated shard counts for the "
                              "sharded arms (default 1,4)")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=None,
                         help="server thread-pool size (default: one per "
                              "CPU, clamped to [2, 8])")
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
@@ -274,12 +274,12 @@ def main(argv=None):
 
     arms = [
         run_arm("shared-caches/heap-rule", args.tenants, HeapRulePolicy(),
-                shared_config, references, workers=args.workers),
+                shared_config, references, workers=args.threads),
         run_arm("shared-caches/packing", args.tenants, PackingPolicy(),
-                shared_config, references, workers=args.workers),
+                shared_config, references, workers=args.threads),
         run_arm("no-cache-sharing/heap-rule", args.tenants,
                 HeapRulePolicy(), unshared_config, references,
-                workers=args.workers),
+                workers=args.threads),
     ]
     shared, _, unshared = arms
     assert shared["caches"]["optimizer_hits"] > 0, (
@@ -294,7 +294,7 @@ def main(argv=None):
     baseline, baseline_canonicals = run_sharded_arm(
         f"single-process/{args.sharded_tenants}",
         args.sharded_tenants, 0, shared_config, references,
-        workers=args.workers,
+        workers=args.threads,
     )
     sharded_arms = [baseline]
     by_shards = {}
@@ -302,7 +302,7 @@ def main(argv=None):
         arm, canonicals = run_sharded_arm(
             f"sharded-{shards}/{args.sharded_tenants}",
             args.sharded_tenants, shards, shared_config, references,
-            workers=args.workers,
+            workers=args.threads,
         )
         assert canonicals == baseline_canonicals, (
             f"{shards}-shard results diverged from the single-process "

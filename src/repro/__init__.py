@@ -5,9 +5,9 @@ The package implements the full SystemML-style stack the paper builds
 on — a DML compiler producing memory-sensitive hybrid CP/MR runtime
 plans, a simulated YARN/MapReduce/HDFS cluster substrate, and a white-box
 cost model — plus the paper's contributions: the grid-enumeration
-resource optimizer with program-aware pruning (Section 3), its
-task-parallel variant (Appendix C), and runtime resource adaptation with
-CP application-master migration (Section 4).
+resource optimizer with program-aware pruning (Section 3), a schedule
+model of its task-parallel variant (Appendix C), and runtime resource
+adaptation with CP application-master migration (Section 4).
 
 Entry points:
 
@@ -64,7 +64,6 @@ from repro.obs import Tracer, get_tracer, use_tracer
 from repro.optimizer import (
     OptimizerOptions,
     OptimizerResult,
-    ParallelResourceOptimizer,
     ResourceAdapter,
     ResourceOptimizer,
 )
@@ -83,7 +82,7 @@ from repro.serving import (
 )
 from repro.workloads import prepare_inputs, scenario
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "ElasticMLSession",
@@ -131,7 +130,6 @@ __all__ = [
     "ResourceOptimizer",
     "OptimizerOptions",
     "OptimizerResult",
-    "ParallelResourceOptimizer",
     "ResourceAdapter",
     "Interpreter",
     "SimulatedHDFS",

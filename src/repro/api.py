@@ -33,11 +33,7 @@ from repro.compiler.pipeline import (
 )
 from repro.cost import CostModel
 from repro.obs import NULL_TRACER, Tracer, get_tracer, use_tracer
-from repro.optimizer import (
-    DEFAULT_AUTO_SERIAL_POINTS,
-    OptimizerOptions,
-    OptimizerResult,
-)
+from repro.optimizer import OptimizerOptions, OptimizerResult
 from repro.pipeline import UNSET, RunPipeline
 from repro.runtime import ExecutionResult
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
@@ -101,12 +97,6 @@ class SessionConfig:
     grid_cp: str = "hybrid"
     grid_mr: str = "hybrid"
     grid_m: int = 15
-    # -- parallel enumeration ----------------------------------------------
-    #: enumeration worker processes (0/1 = in-process serial optimizer)
-    opt_workers: int = 0
-    #: below this many enumeration points a parallel optimizer
-    #: enumerates in-process instead of starting its pool (0 disables)
-    auto_serial_points: int = DEFAULT_AUTO_SERIAL_POINTS
     # -- caches -------------------------------------------------------------
     #: ablation switch: disable the memoizing plan/cost cache
     enable_plan_cache: bool = True
@@ -150,10 +140,7 @@ class SessionConfig:
             grid_cp=self.grid_cp,
             grid_mr=self.grid_mr,
             m=self.grid_m,
-            parallel=self.opt_workers > 1,
-            num_workers=self.opt_workers if self.opt_workers > 1 else 4,
             enable_plan_cache=self.enable_plan_cache,
-            auto_serial_points=self.auto_serial_points,
             enable_vector_costing=self.enable_vector_costing,
         )
 

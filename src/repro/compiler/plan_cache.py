@@ -106,10 +106,7 @@ class PlanCache:
     enumeration cached.
 
     *Pickling* preserves the full cache state (thresholds, plans, and
-    counters): the parallel optimizer ships one program snapshot —
-    cache included — to each pool worker at startup, and every worker
-    then grows its own private copy, reporting its hit/miss counts back
-    with each chunk.
+    counters), so a program pickled with its cache attached keeps it.
 
     All operations take an internal lock, so one instance can be shared
     by concurrent threads (all handouts of a master carry its block

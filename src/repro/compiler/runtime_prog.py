@@ -105,9 +105,10 @@ class MRJobInstruction:
 #: plans share a signature iff they are the same generation (the plan
 #: cache returns one object for a whole budget bucket), which lets the
 #: cost model memoize per-plan costs without structural hashing.  They
-#: start at the pid, so the plans a pool worker's snapshot brings from
-#: the master cannot share one with a plan the worker generates, whether
-#: it was forked (and inherits this counter) or imported this afresh
+#: start at the pid, so the plans a shard worker started without fork
+#: ships back (``ShardedElasticMLServer(result_detail="full")`` returns
+#: ``outcome.compiled``) cannot share one with a plan the parent
+#: generates when it optimizes that program again
 _plan_signatures = itertools.count(os.getpid() << 40)
 
 

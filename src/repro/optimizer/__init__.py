@@ -7,8 +7,8 @@
 * :mod:`repro.optimizer.enumerate` — the overall grid enumeration
   algorithm (Algorithm 1) solving the ML Program Resource Allocation
   Problem (Definition 1);
-* :mod:`repro.optimizer.parallel` — the task-parallel optimizer
-  (Appendix C);
+* :mod:`repro.optimizer.parallel` — Appendix C's task-parallel
+  optimizer as a schedule model over the enumeration's task durations;
 * :mod:`repro.optimizer.adaptation` — runtime resource adaptation and
   CP migration (Section 4).
 """
@@ -27,21 +27,13 @@ from repro.optimizer.grids import (
     memory_grid,
 )
 from repro.optimizer.adaptation import ResourceAdapter
-from repro.optimizer.parallel import (
-    DEFAULT_AUTO_SERIAL_POINTS,
-    ParallelOptimizerResult,
-    ParallelResourceOptimizer,
-)
 from repro.optimizer.utilization import UtilizationAwareAdapter
 
 __all__ = [
-    "DEFAULT_AUTO_SERIAL_POINTS",
     "ResourceOptimizer",
     "OptimizerOptions",
     "OptimizerResult",
     "OptimizerStats",
-    "ParallelOptimizerResult",
-    "ParallelResourceOptimizer",
     "ResourceAdapter",
     "UtilizationAwareAdapter",
     "equi_grid",

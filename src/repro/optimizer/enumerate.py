@@ -13,9 +13,9 @@ the minimal resource configuration with minimal estimated cost, by
    it end-to-end to account for the control structure;
 4. returning the cheapest (ties broken towards minimal resources).
 
-Steps 2-3 are :func:`enumerate_cp_point` — the one definition the
-serial loop and the pool workers of :mod:`repro.optimizer.parallel`
-share — and step 4 is :func:`fold_cp_points`.
+Steps 2-3 are :func:`enumerate_cp_point` and step 4 is
+:func:`fold_cp_points`; the points also carry the task durations
+:mod:`repro.optimizer.parallel` models Appendix C's schedule from.
 
 Costing always happens on generated runtime plans, which automatically
 reflects every compilation phase (rewrites, operator selection,
@@ -63,7 +63,7 @@ def update_best(best_resource, best_cost, chosen, cost):
     """One step of Definition 1's selection rule: cheapest configuration,
     near-ties broken towards minimal resources.  Returns the updated
     ``(best_resource, best_cost)``; :func:`fold_cp_points` replays it
-    over serial and pool-enumerated points alike."""
+    over the enumerated points."""
     if best_resource is None:
         return chosen, cost
     if costs_tie(cost, best_cost):
@@ -200,8 +200,7 @@ def _enumerate_block_mr_grid(compiled, block, rc, min_mb, srm, cost_model,
 
 
 class CPPoint(NamedTuple):
-    """What enumerating one CP grid point yields (a tuple, so a pool
-    worker's reply stays small on the wire)."""
+    """What enumerating one CP grid point yields."""
 
     rc: float
     #: ``((block_id, r_i), ...)``: memoized best MR heap per remaining block
@@ -229,10 +228,8 @@ def enumerate_cp_point(compiled, blocks, rc, min_mb, srm, cost_model, cache,
     cost is independent of MR resources (Section 3.4, unless ``prune`` is
     off), enumerates the MR grid per remaining block, recompiles under
     the memoized vector and costs the generated plan end to end
-    (``cost_blocks`` restricts costing to a block scope).  The serial
-    optimizer loops over this function and pool workers map it over
-    their chunk of the CP grid, so both compute the identical floats.
-    Mutates ``compiled``'s block plans; returns a :class:`CPPoint`.
+    (``cost_blocks`` restricts costing to a block scope).  Mutates
+    ``compiled``'s block plans; returns a :class:`CPPoint`.
     """
     t0 = time.perf_counter()
     baseline = ResourceConfig(cp_heap_mb=rc, mr_heap_mb=min_mb)
@@ -303,9 +300,8 @@ def fold_cp_points(result, points, compiled, blocks, min_mb, cache,
     """Fold enumerated CP points, in ascending ``rc`` order, into ``result``.
 
     Replays Definition 1's selection rule (:func:`update_best`) over the
-    points, so any producer of the same points — the serial loop or a
-    worker pool — selects identically; then leaves ``compiled`` under
-    the *returned* configuration, not whatever grid point ran last.
+    points, then leaves ``compiled`` under the *returned* configuration,
+    not whatever grid point ran last.
     """
     tracer = get_tracer()
     stats = result.stats
@@ -359,8 +355,7 @@ def _work_counters(compiled, cost_model, cache):
 @contextmanager
 def count_work(stats, compiled, cost_model, cache):
     """Add the block compilations, cost-model invocations and cache
-    traffic of the ``with`` body to ``stats`` — as deltas, so a pool
-    worker can report per chunk and the master can sum."""
+    traffic of the ``with`` body to ``stats``."""
     before = _work_counters(compiled, cost_model, cache)
     yield
     after = _work_counters(compiled, cost_model, cache)
@@ -387,45 +382,28 @@ class OptimizerOptions:
     enable_pruning: bool = True
     #: ablation switch: disable the memoizing plan/cost cache
     enable_plan_cache: bool = True
-    #: run grid enumeration on a pool of worker processes (Appendix C);
-    #: when set, :meth:`ElasticMLSession.make_optimizer` builds a
-    #: :class:`~repro.optimizer.parallel.ParallelResourceOptimizer`
+    #: may only be False: the process-pool enumeration is gone.  Kept
+    #: because the repo benchmark's layer replay passes
+    #: ``parallel=False``; the benchmark-v2 change deletes the field
     parallel: bool = False
-    #: worker count of the parallel enumeration
-    num_workers: int = 4
-    #: when the enumeration work (CP points x MR points x blocks) is
-    #: below this threshold, the parallel optimizer enumerates
-    #: in-process — pool startup and snapshot pickling dominate tiny
-    #: grids.  0 disables the rule (always use the pool); the session
-    #: default enables it
-    auto_serial_points: int = 0
     #: ablation switch: batch MR-grid costing with numpy
     #: (:meth:`CostModel.estimate_grid`); chosen configurations are
     #: byte-identical either way (parity-tested), the switch exists for
     #: ablation benchmarks and as an escape hatch
     enable_vector_costing: bool = True
-    #: r_c points per parallel-enumeration chunk; ``None`` sizes chunks
-    #: adaptively to ``grid_work / (workers * target_chunks_per_worker)``
-    #: (the parity suite pins it to prove chunking never moves a decision)
-    chunk_points: int | None = None
-    #: worker snapshot transport of the pool: ``"auto"`` (fork
-    #: inheritance when the platform supports it), ``"fork"``, or
-    #: ``"pickle"``
-    snapshot: str = "auto"
 
     def __post_init__(self):
         check_grid(self.grid_cp)
         check_grid(self.grid_mr)
+        if self.parallel:
+            raise OptimizationError(
+                "parallel=True: the process-pool enumeration was removed; "
+                "the in-process enumeration is the only one"
+            )
 
     def decision_signature(self):
-        """The subset of fields the optimization *decision* depends on.
-
-        Parallelism knobs (worker count, the auto-serial rule, chunk
-        sizing, and the snapshot transport) are excluded: the pool maps
-        the serial loop's own :func:`enumerate_cp_point` over the CP
-        grid and so chooses the identical configuration (the parity
-        regression test enforces this); the cross-run result cache keys
-        on this signature and serial and pool runs share entries.
+        """The fields the optimization *decision* depends on: the
+        cross-run result cache keys on this signature.
         ``enable_vector_costing`` is *included* even though the two
         paths are parity-tested bit-identical: the ablation switch must
         observably run the path it names, not replay a cached result
@@ -466,13 +444,6 @@ class OptimizerStats:
     #: MR grid points costed through the vectorized batch path
     mr_points_batched: int = 0
 
-    def add_work(self, other):
-        """Add the work counters another enumeration context measured
-        (a pool worker's chunk) to this one's."""
-        for name in _WORK_COUNTERS + ("mr_points_skipped",
-                                      "mr_points_batched"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
 
 @dataclass
 class OptimizerResult:
@@ -486,13 +457,14 @@ class OptimizerResult:
     #: True when this result was answered by the session's cross-run
     #: optimizer result cache (no enumeration ran)
     from_cache: bool = False
+    #: the enumerated :class:`CPPoint` records, in ascending ``rc``
+    #: order (empty on a cache hit); Figure 18 schedules their task
+    #: durations with :func:`~repro.optimizer.parallel.task_records`
+    points: list = field(default_factory=list)
 
 
 class ResourceOptimizer:
     """Cost-based optimizer for CP/MR memory configurations."""
-
-    #: the result type :meth:`optimize` returns
-    result_class = OptimizerResult
 
     def __init__(self, cluster, params=None, grid_cp="hybrid",
                  grid_mr="hybrid", m=15, w=2.0, time_budget=None,
@@ -602,38 +574,30 @@ class ResourceOptimizer:
             None if scope_blocks is None else list(scope_blocks)
         )
 
-        result = self.result_class()
+        result = OptimizerResult()
         result.stats.cp_points = len(src)
         result.stats.mr_points = len(srm)
         result.stats.total_blocks = len(blocks)
         deadline = (
             start + self.time_budget if self.time_budget is not None else None
         )
+        points = result.points
+        # the CP grid in ascending order, stopping at the first point
+        # the deadline cut short
         with count_work(result.stats, compiled, self.cost_model, cache):
-            self._search(compiled, blocks, src, srm, cache, cost_blocks,
-                         deadline, result)
+            for rc in src:
+                points.append(enumerate_cp_point(
+                    compiled, blocks, rc, min_mb, srm, self.cost_model,
+                    cache, prune=self.enable_pruning,
+                    vectorize=self.enable_vector_costing, deadline=deadline,
+                    stats=result.stats, cost_blocks=cost_blocks,
+                ))
+                if points[-1].exhausted:
+                    break
+            fold_cp_points(result, points, compiled, blocks, min_mb, cache,
+                           program_scope=cost_blocks is None)
         result.stats.optimization_time = time.perf_counter() - start
         return result
-
-    def _search(self, compiled, blocks, src, srm, cache, cost_blocks,
-                deadline, result):
-        """Enumerate the CP grid in ascending order (stopping at the
-        first point the deadline cut short) and fold the points into
-        ``result``; returns the points."""
-        min_mb = self.cluster.min_heap_mb
-        points = []
-        for rc in src:
-            points.append(enumerate_cp_point(
-                compiled, blocks, rc, min_mb, srm, self.cost_model, cache,
-                prune=self.enable_pruning,
-                vectorize=self.enable_vector_costing, deadline=deadline,
-                stats=result.stats, cost_blocks=cost_blocks,
-            ))
-            if points[-1].exhausted:
-                break
-        fold_cp_points(result, points, compiled, blocks, min_mb, cache,
-                       program_scope=cost_blocks is None)
-        return points
 
 
 def _last_level(blocks):

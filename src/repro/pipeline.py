@@ -38,11 +38,7 @@ from repro.cost.calibrate import (
 )
 from repro.cost.constants import DEFAULT_PARAMETERS
 from repro.obs import get_tracer, use_tracer
-from repro.optimizer import (
-    ParallelResourceOptimizer,
-    ResourceAdapter,
-    ResourceOptimizer,
-)
+from repro.optimizer import ResourceAdapter, ResourceOptimizer
 from repro.runtime import Interpreter, SimulatedHDFS
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 
@@ -135,21 +131,11 @@ class RunPipeline:
 
         ``options`` replaces the defaults wholesale; keyword overrides
         (``grid_cp``, ``grid_mr``, ``m``, ``w``, ``time_budget``,
-        ``enable_pruning``, ``parallel``, ``num_workers``) patch
-        individual fields of either.  With ``parallel`` enabled
-        (implied by a ``num_workers`` override > 1) the result is a
-        :class:`~repro.optimizer.parallel.ParallelResourceOptimizer`;
-        otherwise the serial :class:`ResourceOptimizer`.
+        ``enable_pruning``) patch individual fields of either.
         """
         opts = options if options is not None else self.optimizer_options
         if overrides:
-            if "num_workers" in overrides and "parallel" not in overrides:
-                overrides["parallel"] = overrides["num_workers"] > 1
             opts = replace(opts, **overrides)
-        if opts.parallel and opts.num_workers > 1:
-            return ParallelResourceOptimizer(
-                self.cluster, self.model_params, options=opts
-            )
         return ResourceOptimizer(
             self.cluster, self.model_params, options=opts
         )
@@ -219,12 +205,8 @@ class RunPipeline:
             params=self.params,
             hdfs=self.hdfs.view(injector=injector),
             sample_cap=self.sample_cap,
-            # runtime adaptation re-optimizes tiny block scopes, which
-            # never fan out to a pool, so the adapter always gets the
-            # serial optimizer
             adapter=(
-                ResourceAdapter(self.make_optimizer(parallel=False))
-                if adapt else None
+                ResourceAdapter(self.make_optimizer()) if adapt else None
             ),
             seed=seed,
             cluster_load=load,

@@ -111,14 +111,19 @@ def plan_rebalance(shard_loads, key_loads, factor=REBALANCE_FACTOR):
 
 def _ship_result(result, global_ticket, detail):
     """Rewrite a shard-local result for the parent: global ticket, and
-    (in the default "light" detail) without the compiled program and
-    per-submission tracer — the heavyweight fields nobody polls across
-    a process boundary.  The canonical identity fields
-    (``outcome.result``, ``outcome.resource``) always survive."""
+    (in the default "light" detail) without the compiled program, the
+    per-submission tracer and the optimizer's CP-point records — the
+    heavyweight fields nobody polls across a process boundary.  The
+    canonical identity fields (``outcome.result``, ``outcome.resource``)
+    always survive."""
     result = replace(result, ticket=global_ticket)
     if detail == "full" or result.outcome is None:
         return result
-    outcome = replace(result.outcome, compiled=None, trace=None)
+    opt = result.outcome.optimizer_result
+    outcome = replace(
+        result.outcome, compiled=None, trace=None,
+        optimizer_result=None if opt is None else replace(opt, points=[]),
+    )
     return replace(result, outcome=outcome)
 
 
@@ -131,18 +136,12 @@ def _shard_worker_main(payload, cmd_queue, event_queue):
 
     spec = pickle.loads(payload) if isinstance(payload, bytes) else payload
     shard_id = spec["shard_id"]
-    config = spec["config"]
-    if config.opt_workers > 1:
-        # shard workers are daemonic and cannot fork a pool of their
-        # own; in-process enumeration chooses byte-identical
-        # configurations
-        config = replace(config, opt_workers=0)
     server = ElasticMLServer(
         cluster=spec["cluster"],
         params=spec["params"],
         hdfs=spec["hdfs"],
         sample_cap=spec["sample_cap"],
-        config=config,
+        config=spec["config"],
         policy=spec["policy"],
         max_workers=spec["max_workers"],
         queue_limit=0,  # the parent enforces the global queue bound

@@ -4,7 +4,6 @@ Mirrors how SystemML's YARN client is driven from the shell:
 
     python -m repro run script.dml -arg X=data/X -arg Y=data/y [--static CP,MR]
     python -m repro optimize script.dml -arg X=data/X ...   # alias: opt
-    python -m repro opt script.dml ... --workers 4   # pool enumeration
     python -m repro explain script.dml -arg X=data/X [--level hops]
     python -m repro whatif script.dml ... [--cp 1,10,20 --mr 1,5]
     python -m repro scripts                     # list bundled ML programs
@@ -111,44 +110,24 @@ def _apply_calibration_flag(session, args):
 
 
 def _add_opt_flags(parser):
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="optimizer worker processes (default and "
-                             "0/1: in-process serial enumeration)")
-    parser.add_argument("--auto-serial-points", type=int, default=None,
-                        metavar="N",
-                        help="grid-work threshold below which --workers N "
-                             "still enumerates in-process (0 disables)")
     parser.add_argument("--no-vector-costing", action="store_true",
                         help="disable vectorized MR-grid batch costing "
                              "(ablation; chosen configs are identical)")
 
 
 def _apply_opt_flags(session, args):
-    """Translate --workers/--auto-serial-points/... into the session
-    config."""
-    knobs = {}
-    auto = getattr(args, "auto_serial_points", None)
-    if auto is not None:
-        knobs["auto_serial_points"] = auto
+    """Translate the optimizer flags into the session config."""
     if getattr(args, "no_vector_costing", False):
-        knobs["enable_vector_costing"] = False
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        knobs["opt_workers"] = workers
-    session.config = replace(session.config, **knobs)
+        session.config = replace(session.config, enable_vector_costing=False)
 
 
 def _describe_optimizer(result):
-    """One-line backend summary for run/optimize/trace output."""
+    """One-line optimizer summary for run/optimize/trace output."""
     if result is None:
         return None
-    if getattr(result, "from_cache", False):
+    if result.from_cache:
         return "cached (enumeration skipped)"
-    backend = getattr(result, "backend", None)
-    if backend is None:
-        return "serial"
-    return (f"{backend} ({result.num_workers} workers, "
-            f"{result.tasks_dispatched} tasks)")
+    return "serial"
 
 
 def _add_chaos(parser):

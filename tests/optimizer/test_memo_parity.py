@@ -9,9 +9,7 @@ and simulate the same seconds — ``==`` on hex strings, not approximately:
 
 * a fresh session with the cache on (interval memo, seeded plan cache);
 * one ``ElasticMLServer`` serving all of them (handouts of frozen
-  masters: the seeds are the *master's* plan objects);
-* a 2-worker process pool (a worker's snapshot carries the seeded cache
-  and the cost model; its memo is private).
+  masters: the seeds are the *master's* plan objects).
 
 The programs are ``benchmarks/e2e``'s 84 ``serve_cold`` ones plus the XL
 scenario of every script.  CI's ``microbench-smoke`` runs this file by
@@ -40,8 +38,6 @@ PROGRAMS = tuple(
     (script, "XL", 1000, sparse)
     for script in SCRIPTS for sparse in (False, True)
 )
-#: the pool arm forks per program: one program per script, M dense
-POOL_PROGRAMS = tuple(p for p in PROGRAMS if p[1:] == ("M", 1000, False))
 
 
 def _inputs(hdfs, program):
@@ -119,13 +115,3 @@ def test_one_server_with_handouts_and_seeded_caches(reference):
     identities = {p: _identity(r.outcome) for p, r in results.items()}
     assert _differing(reference, identities) == []
 
-
-def test_two_worker_pool(reference):
-    config = SessionConfig(opt_workers=2, auto_serial_points=0)
-    identities = {}
-    for program in POOL_PROGRAMS:
-        outcome = _session_run(program, config)
-        assert outcome.optimizer_result.backend == "process"
-        assert outcome.optimizer_result.stats.cost_memo_hits > 0
-        identities[program] = _identity(outcome)
-    assert _differing(reference, identities) == []

@@ -1,23 +1,22 @@
-"""Unit tests for the task-parallel optimizer (Appendix C)."""
+"""Unit tests for the Appendix C schedule model over the serial run's
+measured task durations."""
 
-import multiprocessing as mp
-import time
-from concurrent.futures.process import BrokenProcessPool
+import dataclasses
 
 import pytest
 
+from repro import ElasticMLSession, prepare_inputs, scenario
+from repro.api import SessionConfig
 from repro.cluster import paper_cluster
 from repro.common import MatrixCharacteristics
 from repro.compiler.pipeline import compile_program
-from repro.cost import CostModel
-from repro.optimizer import (
-    OptimizerOptions,
-    ParallelResourceOptimizer,
-    ResourceOptimizer,
+from repro.errors import OptimizationError
+from repro.optimizer import OptimizerOptions, ResourceOptimizer
+from repro.optimizer.parallel import (
+    TaskRecord,
+    schedule_makespan,
+    task_records,
 )
-from repro.optimizer.parallel import schedule_makespan
-
-_HAS_FORK = "fork" in mp.get_all_start_methods()
 
 BIG = {
     "X": MatrixCharacteristics(10**6, 1000, 10**9),
@@ -43,179 +42,73 @@ def cluster():
     return paper_cluster()
 
 
-class TestParallelOptimizer:
-    def test_same_choice_as_serial(self, cluster):
-        compiled = compile_program(SOURCE, ARGS, BIG)
-        serial = ResourceOptimizer(cluster).optimize(compiled)
-        compiled2 = compile_program(SOURCE, ARGS, BIG)
-        parallel = ParallelResourceOptimizer(
-            cluster, num_workers=3
-        ).optimize(compiled2)
-        assert parallel.resource.cp_heap_mb == serial.resource.cp_heap_mb
-        assert parallel.cost == pytest.approx(serial.cost, rel=0.01)
-
-    def test_task_records_collected(self, cluster):
-        compiled = compile_program(SOURCE, ARGS, BIG)
-        result = ParallelResourceOptimizer(
-            cluster, num_workers=2
-        ).optimize(compiled)
-        kinds = {rec.kind for rec in result.task_records}
-        assert "baseline" in kinds
-        assert "agg" in kinds
-
-    def test_single_worker_works(self, cluster):
-        compiled = compile_program(SOURCE, ARGS, BIG)
-        result = ParallelResourceOptimizer(
-            cluster, num_workers=1
-        ).optimize(compiled)
-        assert result.resource is not None
+@pytest.fixture(scope="module")
+def result(cluster):
+    return ResourceOptimizer(cluster).optimize(
+        compile_program(SOURCE, ARGS, BIG)
+    )
 
 
-class _Boom(RuntimeError):
-    pass
+class TestTaskRecords:
+    def test_task_records_collected(self, result):
+        records = task_records(result.points)
+        kinds = [rec.kind for rec in records]
+        assert kinds.count("baseline") == len(result.points)
+        assert kinds.count("agg") == len(result.points)
+        assert [p.rc for p in result.points] == [
+            rc for rc, _ in result.cp_profile
+        ]
 
-
-class _RaisingCostModel(CostModel):
-    """Fails the whole-program (agg) costing of every CP point; module
-    level so the pickle transport can ship an instance to workers."""
-
-    def estimate_program(self, compiled, resource, use_memo=False):
-        raise _Boom("injected worker failure")
-
-
-def _unpicklable_in_worker():
-    raise _Boom("injected worker setup failure")
-
-
-class _BreaksWorkerSetup:
-    """Rides in the pickled snapshot and blows up when a worker's pool
-    initializer unpickles it."""
-
-    def __reduce__(self):
-        return (_unpicklable_in_worker, ())
-
-
-def _optimize_with_timeout(optimizer, compiled, timeout=60.0):
-    """Run optimize on a thread so a pool that never shuts down fails
-    the test instead of hanging the suite."""
-    import threading
-
-    outcome = {}
-
-    def run():
-        try:
-            outcome["result"] = optimizer.optimize(compiled)
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), "parallel optimizer hung"
-    return outcome
-
-
-def _no_live_children(timeout=10.0):
-    """True once every pool worker has been reaped."""
-    deadline = time.monotonic() + timeout
-    while mp.active_children() and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return not mp.active_children()
-
-
-class TestWorkerFailure:
-    """Pool failure semantics: a worker's exception reaches the caller
-    as itself, the remaining chunks are cancelled, and no child process
-    outlives ``optimize``."""
-
-    def test_task_exception_propagates_without_hang(self, cluster):
-        modes = ["pickle"] + (["fork"] if _HAS_FORK else [])
-        for mode in modes:
-            # one CP point per chunk: most chunks are still queued when
-            # the first one fails, so shutdown must cancel them
-            optimizer = ParallelResourceOptimizer(
-                cluster, num_workers=2, snapshot=mode, chunk_points=1
-            )
-            optimizer.cost_model = _RaisingCostModel(cluster)
-            outcome = _optimize_with_timeout(
-                optimizer, compile_program(SOURCE, ARGS, BIG)
-            )
-            assert type(outcome.get("error")) is _Boom, mode
-            assert _no_live_children(), mode
-
-    def test_worker_setup_failure_propagates_without_hang(self, cluster):
-        """A worker dying in its pool initializer (before its first
-        chunk) breaks the pool; the master must report that instead of
-        waiting for results that never come."""
-        optimizer = ParallelResourceOptimizer(
-            cluster, num_workers=2, snapshot="pickle"
-        )
-        optimizer.cost_model.poison = _BreaksWorkerSetup()
-        outcome = _optimize_with_timeout(
-            optimizer, compile_program(SOURCE, ARGS, BIG)
-        )
-        assert isinstance(outcome.get("error"), BrokenProcessPool)
-        assert _no_live_children()
+    def test_cache_hits_carry_no_points(self):
+        session = ElasticMLSession(sample_cap=64)
+        args = prepare_inputs(session.hdfs, "LinregDS", scenario("XS"))
+        first = session.run("LinregDS", args).optimizer_result
+        second = session.run("LinregDS", args).optimizer_result
+        assert first.points and not first.from_cache
+        assert second.from_cache and second.points == []
 
 
 class TestMakespanModel:
-    def _records(self, cluster):
-        compiled = compile_program(SOURCE, ARGS, BIG)
-        return ParallelResourceOptimizer(
-            cluster, num_workers=1
-        ).optimize(compiled).task_records
-
-    def test_more_workers_never_slower(self, cluster):
-        records = self._records(cluster)
+    def test_more_workers_never_slower(self, result):
+        records = task_records(result.points)
         times = [
             schedule_makespan(records, k) for k in (1, 2, 4, 8)
         ]
         for earlier, later in zip(times, times[1:]):
             assert later <= earlier + 1e-9
 
-    def test_pipelining_helps(self, cluster):
-        records = self._records(cluster)
+    def test_pipelining_helps(self, result):
+        records = task_records(result.points)
         with_pipe = schedule_makespan(records, 1, include_pipelining=True)
         without = schedule_makespan(records, 1, include_pipelining=False)
         assert with_pipe <= without
 
+    def test_fully_pruned_points_count_the_master_once(self):
+        """Two CP points whose blocks were all pruned (no enum tasks):
+        unpipelined, the master compiles both baselines (2.0 s) and a
+        worker then runs both aggs (0.2 s); pipelined, each agg runs
+        as soon as its baseline is done."""
+        records = [
+            TaskRecord("baseline", 1.0, 0, 1.0),
+            TaskRecord("agg", 1.0, 0, 0.1),
+            TaskRecord("baseline", 2.0, 0, 1.0),
+            TaskRecord("agg", 2.0, 0, 0.1),
+        ]
+        assert schedule_makespan(
+            records, 1, include_pipelining=False
+        ) == pytest.approx(2.2)
+        assert schedule_makespan(records, 1) == pytest.approx(2.1)
 
-class TestAutoSerialPolicy:
-    """Below the enumeration work threshold the parallel optimizer
-    enumerates in-process instead of starting its pool."""
 
-    def _optimizer(self, cluster, threshold):
-        return ParallelResourceOptimizer(
-            cluster, num_workers=2, auto_serial_points=threshold,
-        )
+class TestPoolRemoved:
+    def test_parallel_options_are_refused(self):
+        with pytest.raises(OptimizationError, match="removed"):
+            OptimizerOptions(parallel=True)
+        assert not OptimizerOptions().parallel
 
-    def test_small_grid_falls_back_to_serial(self, cluster):
-        compiled = compile_program(SOURCE, ARGS, BIG)
-        result = self._optimizer(cluster, 10**9).optimize(compiled)
-        assert result.backend == "serial"
-        assert result.num_workers == 1
-        assert result.tasks_dispatched == 0
-        assert result.resource is not None
-
-    def test_fallback_matches_forced_process_choice(self, cluster):
-        auto = self._optimizer(cluster, 10**9).optimize(
-            compile_program(SOURCE, ARGS, BIG)
-        )
-        forced = self._optimizer(cluster, 0).optimize(
-            compile_program(SOURCE, ARGS, BIG)
-        )
-        assert forced.backend == "process"
-        assert auto.resource.cp_heap_mb == forced.resource.cp_heap_mb
-        assert auto.cost == pytest.approx(forced.cost)
-
-    def test_zero_threshold_disables_fallback(self, cluster):
-        compiled = compile_program(SOURCE, ARGS, BIG)
-        result = self._optimizer(cluster, 0).optimize(compiled)
-        assert result.backend == "process"
-
-    def test_options_carry_the_threshold(self, cluster):
-        options = OptimizerOptions(
-            parallel=True, num_workers=2, auto_serial_points=123,
-        )
-        optimizer = ParallelResourceOptimizer(cluster, options=options)
-        assert optimizer.auto_serial_points == 123
+    def test_session_config_has_no_pool_knobs(self):
+        names = [f.name for f in dataclasses.fields(SessionConfig)]
+        assert len(names) == 12
+        assert not [name for name in names if "worker" in name]
+        with pytest.raises(TypeError):
+            SessionConfig(workers=2)

@@ -15,7 +15,7 @@ from repro.compiler.pipeline import compile_program, recompile_block_plan
 from repro.compiler.plan_cache import PlanCache, block_thresholds
 from repro.compiler.recompile import make_env_from_states, recompile_block
 from repro.cost import CostModel
-from repro.optimizer import ParallelResourceOptimizer, ResourceOptimizer
+from repro.optimizer import ResourceOptimizer
 
 BIG = {
     "X": MatrixCharacteristics(10**6, 1000, 10**9),
@@ -255,16 +255,6 @@ class TestAcceptance:
         assert on.stats.plan_cache_hits > 0
         assert off.stats.plan_cache_hits == 0
 
-    def test_serial_parallel_parity_with_cache(self, cluster):
-        compiled = compile_program(CG_STYLE, ARGS, BIG)
-        serial = ResourceOptimizer(cluster, m=15).optimize(compiled)
-        parallel = ParallelResourceOptimizer(
-            cluster, m=15, num_workers=3
-        ).optimize(compiled)
-        assert parallel.resource == serial.resource
-        assert parallel.cost == serial.cost
-        assert parallel.stats.plan_cache_hits > 0
-
 
 class TestSeeding:
     """The enumeration's cache starts from the plans the program arrives
@@ -420,51 +410,15 @@ class TestSeeding:
 
 
 class TestPickleAndMerge:
-    """Pool contracts: pickling preserves the full cache state (the
-    snapshot each worker receives), and the master merges the workers'
-    cache and work counters into its own."""
-
-    def test_single_chunk_pool_merges_to_serial_counters(self, cluster):
-        """One worker enumerating the whole grid as one chunk replays
-        the serial loop's exact lookup sequence, so its deltas plus the
-        master's fold must account for every serial counter."""
-        from dataclasses import asdict
-
-        serial = ResourceOptimizer(cluster, m=15).optimize(
-            compile_program(CG_STYLE, ARGS, BIG)
-        )
-        pooled = ParallelResourceOptimizer(
-            cluster, m=15, num_workers=1, chunk_points=10**6,
-        ).optimize(compile_program(CG_STYLE, ARGS, BIG))
-        assert pooled.backend == "process"
-        assert pooled.tasks_dispatched == 1
-        expected = asdict(serial.stats)
-        merged = asdict(pooled.stats)
-        # same lookups; but the fold recompiles the winner against the
-        # master's own cache, which holds the seeds and nothing else,
-        # where the serial loop's warm one hits, so up to one lookup per
-        # block turns into a compile
-        refolded = (
-            merged["plan_cache_misses"] - expected["plan_cache_misses"]
-        )
-        assert 0 <= refolded <= serial.stats.total_blocks
-        assert (
-            merged["plan_cache_hits"] == expected["plan_cache_hits"] - refolded
-        )
-        assert (
-            merged["block_compilations"]
-            == expected["block_compilations"] + refolded
-        )
-        for name in ("optimization_time", "block_compilations",
-                     "plan_cache_hits", "plan_cache_misses"):
-            del expected[name], merged[name]
-        assert merged == expected
+    """Cross-process contracts: pickling preserves the full cache state,
+    and plans generated in two processes never share a signature."""
 
     def test_plan_signatures_of_two_processes_never_meet(self):
-        """A worker that imports the program afresh (no fork) receives
-        the master's plans — seeds included — by pickle and keys its cost
-        memo on their signatures next to those of the plans it generates
-        itself: the two ranges must be disjoint."""
+        """A shard worker started without fork ships its plans back to
+        the parent (``result_detail="full"``), where re-optimizing that
+        program seeds them and keys the cost memo on their signatures
+        next to those of the plans the parent generates: the two ranges
+        must be disjoint."""
         import subprocess
         import sys
 

@@ -287,8 +287,3 @@ class TestOptimizerIntegration:
         on = OptimizerOptions(enable_vector_costing=True)
         off = OptimizerOptions(enable_vector_costing=False)
         assert on.decision_signature() != off.decision_signature()
-
-    def test_chunk_and_snapshot_knobs_excluded_from_signature(self):
-        base = OptimizerOptions()
-        tweaked = OptimizerOptions(chunk_points=3, snapshot="pickle")
-        assert base.decision_signature() == tweaked.decision_signature()

@@ -199,35 +199,6 @@ class TestShardedDeterminism:
         assert all(r.ok for r in results)
         assert len({_canonical(r.outcome) for r in results}) == 1
 
-    def test_parallel_optimizer_config_enumerates_in_process_in_shards(self):
-        """Shard workers are daemonic and cannot fork an optimizer pool:
-        a config that asks for one must still complete there, with the
-        results the single-process server (which does fork the pool)
-        produces."""
-        config = SessionConfig(opt_workers=2, auto_serial_points=0)
-        names = ["LinregDS", "LinregCG", "LinregDS", "LinregCG"]
-        canonical = {}
-        for label, server in (
-            ("single", ElasticMLServer(sample_cap=64, config=config)),
-            ("sharded", ShardedElasticMLServer(
-                shards=2, sample_cap=64, config=config)),
-        ):
-            args = {
-                name: prepare_inputs(
-                    server.hdfs, name, scenario("XS", cols=50)
-                )
-                for name in set(names)
-            }
-            for i, name in enumerate(names):
-                server.submit(Submission(
-                    tenant=f"tenant-{i}", script=name, args=args[name],
-                ))
-            results = server.drain()
-            server.shutdown()
-            assert [r.status for r in results] == ["completed"] * 4, label
-            canonical[label] = [_canonical(r.outcome) for r in results]
-        assert canonical["sharded"] == canonical["single"]
-
     def test_oversized_container_rejected_like_unsharded(self):
         server = ShardedElasticMLServer(shards=2, sample_cap=64)
         args = prepare_inputs(

@@ -117,14 +117,14 @@ class TestRemovedEntryPoints:
 
 class TestSessionConfig:
     def test_config_object_drives_knobs(self):
-        config = SessionConfig(grid_cp="equi", grid_m=5, opt_workers=2,
-                               auto_serial_points=0)
+        config = SessionConfig(grid_cp="equi", grid_m=5,
+                               enable_vector_costing=False)
         session = ElasticMLSession(config=config, sample_cap=64)
         assert session.config.grid_cp == "equi"
         assert session.config.grid_m == 5
         opts = session.optimizer_options
-        assert opts.parallel and opts.num_workers == 2
-        assert opts.auto_serial_points == 0
+        assert (opts.grid_cp, opts.m) == ("equi", 5)
+        assert not opts.enable_vector_costing
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

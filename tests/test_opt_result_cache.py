@@ -1,4 +1,4 @@
-"""Cross-run optimizer result cache + parallel-optimizer API wiring.
+"""Cross-run optimizer result cache + optimizer construction wiring.
 
 The cache keys an optimization decision by everything it depends on
 (script, args, read-input metadata, cluster, cost parameters, grid
@@ -10,8 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import ElasticMLSession, OptimizerResultCache, SessionConfig
-from repro.optimizer import ParallelResourceOptimizer, ResourceOptimizer
+from repro.api import ElasticMLSession, OptimizerResultCache
+from repro.optimizer import ResourceOptimizer
 from repro.workloads import prepare_inputs, scenario
 
 
@@ -79,18 +79,6 @@ class TestCrossRunCache:
         assert session.opt_cache.hits == 0
         assert session.opt_cache.misses == 2
 
-    def test_parallel_knobs_do_not_invalidate(self):
-        """The pool chooses what the serial loop chooses, so
-        parallelism is excluded from the decision signature."""
-        session = _session()
-        args = _linreg_args(session)
-        session.run("LinregDS", args)
-        session.config = replace(
-            session.config, opt_workers=2, auto_serial_points=0
-        )
-        outcome = session.run("LinregDS", args)
-        assert outcome.optimizer_result.from_cache is True
-
     def test_disabled_cache_always_enumerates(self):
         session = _session(opt_cache=None)
         args = _linreg_args(session)
@@ -126,55 +114,7 @@ class TestMakeOptimizerDispatch:
         opt = session.make_optimizer()
         assert type(opt) is ResourceOptimizer
 
-    def test_opt_workers_selects_parallel(self):
-        session = _session(
-            config=SessionConfig(opt_workers=3, auto_serial_points=17)
-        )
-        opt = session.make_optimizer()
-        assert type(opt) is ParallelResourceOptimizer
-        assert opt.num_workers == 3
-        assert opt.auto_serial_points == 17
-
-    def test_num_workers_override_implies_parallel(self):
-        session = _session()
-        opt = session.make_optimizer(num_workers=2)
-        assert type(opt) is ParallelResourceOptimizer
-        assert opt.num_workers == 2
-
     def test_parallel_false_override_wins(self):
-        session = _session(config=SessionConfig(opt_workers=4))
+        session = _session()
         opt = session.make_optimizer(parallel=False)
         assert type(opt) is ResourceOptimizer
-
-    def test_parallel_session_run_populates_counters(self):
-        session = _session(
-            config=SessionConfig(opt_workers=2, auto_serial_points=0),
-            trace=True,
-        )
-        args = _linreg_args(session)
-        outcome = session.run("LinregDS", args)
-        assert outcome.optimizer_result.backend == "process"
-        assert session.tracer.counter("optpar.tasks") > 0
-        assert session.tracer.gauges["optpar.workers"] == 2
-
-    def test_small_grid_auto_falls_back_to_serial(self):
-        """Session default auto-serial policy: the XS LinregDS grid is
-        far below the threshold, so the process backend never spawns."""
-        session = _session(config=SessionConfig(opt_workers=2), trace=True)
-        args = _linreg_args(session)
-        outcome = session.run("LinregDS", args)
-        assert outcome.optimizer_result.backend == "serial"
-        assert outcome.optimizer_result.tasks_dispatched == 0
-        assert session.tracer.counter("optpar.auto_serial") == 1
-        assert session.tracer.counter("optpar.tasks") == 0
-
-    def test_auto_serial_matches_process_decision(self):
-        config = SessionConfig(opt_workers=2)
-        serial = _session(config=config)
-        forced = _session(config=replace(config, auto_serial_points=0))
-        a1 = _linreg_args(serial)
-        a2 = _linreg_args(forced)
-        r1 = serial.run("LinregDS", a1)
-        r2 = forced.run("LinregDS", a2)
-        assert r1.resource == r2.resource
-        assert r1.optimizer_result.cost == r2.optimizer_result.cost

@@ -91,29 +91,15 @@ class TestCLI:
         assert "chosen configuration" in out
         assert "CP profile" in out
 
-    def test_opt_alias_with_workers(self, capsys):
+    def test_opt_alias(self, capsys):
         code = main([
             "opt", "LinregDS",
             "--gen", "gx=50000x100", "--gen", "gy=50000x1",
             "-arg", "X=gx", "-arg", "Y=gy", "-arg", "B=out",
-            "--workers", "2", "--auto-serial-points", "0",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "chosen configuration" in out
-        assert "backend: process (2 workers" in out
-
-    def test_opt_small_grid_auto_falls_back_to_serial(self, capsys):
-        """Without --auto-serial-points 0, the XS-sized grid is below
-        the default threshold and enumeration stays serial."""
-        code = main([
-            "opt", "LinregDS",
-            "--gen", "gx=50000x100", "--gen", "gy=50000x1",
-            "-arg", "X=gx", "-arg", "Y=gy", "-arg", "B=out",
-            "--workers", "2",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
         assert "backend: serial" in out
 
     def test_optimize_serial_backend_reported(self, capsys):
@@ -121,21 +107,19 @@ class TestCLI:
             "optimize", "LinregDS",
             "--gen", "gx=50000x100", "--gen", "gy=50000x1",
             "-arg", "X=gx", "-arg", "Y=gy", "-arg", "B=out",
-            "--workers", "1",
+            "--no-vector-costing",
         ])
         assert code == 0
         assert "backend: serial" in capsys.readouterr().out
 
-    def test_run_with_process_backend(self, capsys):
+    def test_run_reports_the_optimizer(self, capsys):
         code = main([
             "run", "LinregDS",
             "--gen", "gx=50000x100", "--gen", "gy=50000x1",
             "-arg", "X=gx", "-arg", "Y=gy", "-arg", "B=out",
-            "--workers", "2", "--auto-serial-points", "0",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "optimizer: process (2 workers" in out
+        assert "optimizer: serial" in capsys.readouterr().out
 
     def test_explain_command(self, capsys):
         code = main([
