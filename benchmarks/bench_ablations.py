@@ -91,6 +91,11 @@ def test_ablation_pruning(benchmark, report):
     )
     with_p = results["with pruning"]
     without = results["without"]
+    # the deterministic columns (compilations, costings) of both rows
+    assert (with_p.stats.block_compilations,
+            with_p.stats.cost_invocations) == (11, 15)
+    assert (without.stats.block_compilations,
+            without.stats.cost_invocations) == (19, 76)
     # identical allocation, far less work
     assert with_p.resource.cp_heap_mb == without.resource.cp_heap_mb
     assert with_p.stats.cost_invocations < 0.5 * without.stats.cost_invocations

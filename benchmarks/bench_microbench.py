@@ -2,11 +2,8 @@
 
 Tracks p50/p95 latency of the code the grid search spends its time in:
 
-* ``cost.estimate_block`` — one scalar block costing (the inner kernel
-  of the pre-vectorization optimizer);
-* ``cost.estimate_grid_512`` — one *batched* costing of 512 MR points
-  against the same plan, and the scalar 512-point loop it replaces (the
-  vectorization speedup is asserted >= 3x);
+* ``cost.estimate_block`` — one block costing (the inner kernel of the
+  MR-grid enumeration);
 * ``cost.estimate_program.{GLM_M,L2SVM_M}`` — one whole-program cost
   walk (M scenario, 1000 columns, plans compiled at CP 2 GB / MR 1 GB):
   what the optimizer runs once per CP grid point.  Each row also records
@@ -102,7 +99,6 @@ from repro.compiler.plan_cache import PlanCache
 from repro.compiler import replay
 from repro.cost import CostModel
 from repro.cost.constants import DEFAULT_PARAMETERS
-from repro.cost.mr_timing import grid_supported
 from repro.optimizer import ResourceAdapter, ResourceOptimizer
 from repro.pipeline import RunPipeline
 from repro.runtime import SimulatedHDFS
@@ -117,9 +113,6 @@ DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_microbench.json"
 )
 
-#: MR points in the batched-costing kernel (the "XL grid")
-GRID_POINTS = 512
-
 #: p95 budgets in microseconds — the regression contract.  A kernel
 #: fails the bench when its measured p95 exceeds 2x its budget.
 BUDGETS_P95_US = {
@@ -127,8 +120,6 @@ BUDGETS_P95_US = {
     "cost.estimate_program.GLM_M": 17_000,
     "cost.estimate_program.L2SVM_M": 4_000,
     "cost.estimate_program.repeat.GLM_M": 150,
-    "cost.estimate_grid_512": 60_000,
-    "cost.estimate_block_loop512": 1_200_000,
     "plancache.lookup": 60,
     "bufferpool.account": 28,
     "bufferpool.insert_resident": 11,
@@ -215,8 +206,8 @@ def _time_kernel(fn, iters, setup=tuple):
 # -- cost-model kernels -------------------------------------------------------
 
 def _cost_fixture():
-    """A compiled program whose plan contains MR jobs (tight CP heap)
-    plus a geometric 512-point MR-heap grid."""
+    """A compiled program whose plan contains MR jobs (tight CP heap),
+    its first MR block, and a configuration at the minimal task heap."""
     cluster = paper_cluster()
     hdfs = SimulatedHDFS(sample_cap=64)
     hdfs.create_dense_input("data/X", 400000, 500)  # ~1.6 GB dense
@@ -227,65 +218,20 @@ def _cost_fixture():
         b for b in compiled.last_level_blocks()
         if b.plan is not None and b.plan.num_mr_jobs
     )
-    lo, hi = cluster.min_heap_mb, cluster.max_heap_mb
-    heaps = [
-        lo * (hi / lo) ** (i / (GRID_POINTS - 1))
-        for i in range(GRID_POINTS)
-    ]
-    resources = [
-        ResourceConfig(cp_heap_mb=512, mr_heap_mb=lo,
-                       mr_heap_per_block={block.block_id: ri})
-        for ri in heaps
-    ]
-    return cluster, compiled, block, resources
+    lo = cluster.min_heap_mb
+    resource = ResourceConfig(cp_heap_mb=512, mr_heap_mb=lo,
+                              mr_heap_per_block={block.block_id: lo})
+    return cluster, compiled, block, resource
 
 
-def bench_cost_kernels(iters_block, iters_grid, iters_loop):
-    cluster, compiled, block, resources = _cost_fixture()
+def bench_cost_kernels(iters):
+    cluster, compiled, block, resource = _cost_fixture()
     model = CostModel(cluster, DEFAULT_PARAMETERS)
-
-    kernels = {
+    return {
         "cost.estimate_block": _time_kernel(
-            lambda: model.estimate_block(compiled, block, resources[0]),
-            iters_block,
+            lambda: model.estimate_block(compiled, block, resource), iters
         )
     }
-
-    grid_speedup = {
-        "points": GRID_POINTS, "speedup": None,
-        "asserted": False, "skipped_reason": None,
-    }
-    if not grid_supported():
-        grid_speedup["skipped_reason"] = "numpy unavailable"
-    else:
-        kernels["cost.estimate_grid_512"] = _time_kernel(
-            lambda: model.estimate_grid(compiled, block, resources),
-            iters_grid,
-        )
-        kernels["cost.estimate_block_loop512"] = _time_kernel(
-            lambda: [
-                model.estimate_block(compiled, block, r)
-                for r in resources
-            ],
-            iters_loop,
-        )
-        # sanity: the batch must match the scalar loop bit-for-bit
-        grid = model.estimate_grid(compiled, block, resources)
-        loop = [
-            model.estimate_block(compiled, block, r) for r in resources
-        ]
-        assert grid == loop, "estimate_grid diverged from estimate_block"
-        speedup = (
-            kernels["cost.estimate_block_loop512"]["p50_us"]
-            / kernels["cost.estimate_grid_512"]["p50_us"]
-        )
-        grid_speedup["speedup"] = speedup
-        assert speedup >= 3.0, (
-            f"estimate_grid only {speedup:.2f}x faster than the scalar "
-            f"512-point loop; the vectorized path must be >= 3x"
-        )
-        grid_speedup["asserted"] = True
-    return kernels, grid_speedup
 
 
 class _CountingModel(CostModel):
@@ -334,13 +280,13 @@ def bench_program_walk(iters):
 # -- plan-cache kernel --------------------------------------------------------
 
 def bench_plancache_lookup(iters):
-    cluster, compiled, block, resources = _cost_fixture()
+    cluster, compiled, block, resource = _cost_fixture()
     cache = PlanCache()
-    key = cache.key_for(block, resources[0])
+    key = cache.key_for(block, resource)
     cache.store(key, block.plan)
 
     def probe():
-        hit = cache.lookup(cache.key_for(block, resources[0]))
+        hit = cache.lookup(cache.key_for(block, resource))
         assert hit is not None
 
     return {"plancache.lookup": _time_kernel(probe, iters)}
@@ -568,13 +514,7 @@ def bench_serial_glm(iters):
 # -- harness ------------------------------------------------------------------
 
 def run_experiment(quick=False):
-    kernels = {}
-    cost_kernels, grid_speedup = bench_cost_kernels(
-        iters_block=50 if quick else 200,
-        iters_grid=3 if quick else 10,
-        iters_loop=2 if quick else 5,
-    )
-    kernels.update(cost_kernels)
+    kernels = bench_cost_kernels(50 if quick else 200)
     kernels.update(bench_program_walk(20 if quick else 100))
     kernels.update(bench_plancache_lookup(200 if quick else 1000))
     kernels.update(bench_bufferpool_account(100 if quick else 500))
@@ -594,7 +534,6 @@ def run_experiment(quick=False):
         "cpu_count": os.cpu_count(),
         "quick": quick,
         "kernels": kernels,
-        "grid_speedup": grid_speedup,
     }
 
 
@@ -623,21 +562,12 @@ def render(data):
             str(budget) if budget is not None else "-",
             str(record["iterations"]),
         ])
-    grid = data["grid_speedup"]
-    grid_line = (
-        f"estimate_grid speedup over scalar loop "
-        f"({grid['points']} pts): "
-        + (f"{grid['speedup']:.1f}x (asserted >= 3x)"
-           if grid["speedup"] is not None
-           else f"skipped: {grid['skipped_reason']}")
-    )
     return format_table(
         ["kernel", "p50 (us)", "p95 (us)", "budget p95", "iters"],
         rows,
         title=(
             f"Hot-kernel microbenchmarks; host has {data['cpu_count']} "
-            f"CPUs{' (quick)' if data['quick'] else ''}\n"
-            f"{grid_line}"
+            f"CPUs{' (quick)' if data['quick'] else ''}"
         ),
     )
 

@@ -26,15 +26,16 @@ SIZES = ["S", "M"]
 SCRIPTS = ["LinregDS", "LinregCG", "L2SVM"]
 
 #: the deterministic columns of the results file — block compilations
-#: and cost invocations (cache off, cache on) and plan-cache hits — so a
-#: counter that moves fails the benchmark, not just a reader
+#: and cost invocations (cache off, cache on), plan-cache hits and
+#: skipped MR points — so a counter that moves fails the benchmark, not
+#: just a reader
 EXPECTED_COUNTS = {
-    ("LinregDS", "S"): (173, 7, 54, 12, 136),
-    ("LinregDS", "M"): (340, 7, 192, 14, 198),
-    ("LinregCG", "S"): (143, 9, 63, 12, 98),
-    ("LinregCG", "M"): (323, 9, 228, 15, 152),
-    ("L2SVM", "S"): (238, 9, 63, 12, 193),
-    ("L2SVM", "M"): (448, 9, 228, 15, 277),
+    ("LinregDS", "S"): (173, 7, 54, 12, 136, 30),
+    ("LinregDS", "M"): (340, 7, 192, 12, 198, 135),
+    ("LinregCG", "S"): (143, 9, 63, 12, 98, 36),
+    ("LinregCG", "M"): (323, 9, 228, 12, 152, 162),
+    ("L2SVM", "S"): (238, 9, 63, 12, 193, 36),
+    ("L2SVM", "M"): (448, 9, 228, 12, 277, 162),
 }
 
 
@@ -97,7 +98,7 @@ def check(results):
         counts = (
             off.stats.block_compilations, on.stats.block_compilations,
             off.stats.cost_invocations, on.stats.cost_invocations,
-            on.stats.plan_cache_hits,
+            on.stats.plan_cache_hits, on.stats.mr_points_skipped,
         )
         assert counts == EXPECTED_COUNTS[(script, size)], (label, counts)
     # the headline acceptance point: LinregCG, m=15

@@ -19,6 +19,22 @@ from repro.workloads import scenario
 SIZES = ["XS", "S", "M", "L"]
 SCRIPTS = ["LinregDS", "LinregCG", "L2SVM", "MLogreg", "GLM"]
 
+#: the deterministic columns of the results file — ``# Comp.`` and
+#: ``# Cost.`` per row — so a counter that moves fails the benchmark,
+#: not just a reader (the wall-clock columns keep the file off ``git diff``)
+EXPECTED = {
+    ("LinregDS", "XS"): (0, 1), ("LinregDS", "S"): (7, 12),
+    ("LinregDS", "M"): (7, 12), ("LinregDS", "L"): (1, 6),
+    ("LinregCG", "XS"): (0, 1), ("LinregCG", "S"): (9, 12),
+    ("LinregCG", "M"): (9, 12), ("LinregCG", "L"): (1, 13),
+    ("L2SVM", "XS"): (0, 1), ("L2SVM", "S"): (9, 12),
+    ("L2SVM", "M"): (9, 12), ("L2SVM", "L"): (1, 15),
+    ("MLogreg", "XS"): (0, 1), ("MLogreg", "S"): (11, 15),
+    ("MLogreg", "M"): (11, 15), ("MLogreg", "L"): (0, 5),
+    ("GLM", "XS"): (0, 1), ("GLM", "S"): (11, 15),
+    ("GLM", "M"): (11, 15), ("GLM", "L"): (0, 12),
+}
+
 
 def overhead_table():
     cluster = paper_cluster()
@@ -58,6 +74,11 @@ def test_table3_optimization_overhead(benchmark, report):
             title="Table 3: optimization details, dense1000 (Hybrid m=15)",
         ),
     )
+    counts = {
+        key: (s.block_compilations, s.cost_invocations)
+        for key, s in stats.items()
+    }
+    assert counts == EXPECTED
     # GLM (largest program) asks for the most recompilations; how many
     # of them are real ("# Comp.") is the plan cache's doing — at L every
     # bucket GLM visits holds the plan it arrived with

@@ -100,9 +100,6 @@ class SessionConfig:
     # -- caches -------------------------------------------------------------
     #: ablation switch: disable the memoizing plan/cost cache
     enable_plan_cache: bool = True
-    #: ablation switch: disable vectorized MR-grid batch costing
-    #: (chosen configurations are byte-identical either way)
-    enable_vector_costing: bool = True
     #: build a cross-run :class:`OptimizerResultCache` for the session
     opt_cache: bool = True
     #: LRU bound of the default cross-run cache
@@ -141,7 +138,6 @@ class SessionConfig:
             grid_mr=self.grid_mr,
             m=self.grid_m,
             enable_plan_cache=self.enable_plan_cache,
-            enable_vector_costing=self.enable_vector_costing,
         )
 
     def build_opt_cache(self):

@@ -32,19 +32,8 @@ from repro.compiler.size_propagation import DEFAULT_LOOP_ITERATIONS
 from repro.cost import io_model
 from repro.cost.compute_model import operation_flops
 from repro.cost.constants import DEFAULT_PARAMETERS
-from repro.cost.mr_timing import (
-    grid_supported,
-    job_input_bytes,
-    spill_penalty_time,
-    time_mr_job,
-    time_mr_job_grid,
-)
+from repro.cost.mr_timing import job_input_bytes, spill_penalty_time, time_mr_job
 from repro.obs import get_tracer
-
-try:  # vectorized grid costing only; the scalar paths never need numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 #: instruction opcodes that neither read matrix data nor compute
 _METADATA_OPS = {
@@ -237,96 +226,6 @@ class CostModel:
         return self._memoized(key, resource, lambda: self._cost_generic(
             block, resource, CostState(), compiled, set()
         ))
-
-    def estimate_grid(self, compiled, block, resources, use_memo=False):
-        """Batch :meth:`estimate_block` over many MR points of one plan.
-
-        The vectorized fast path of the resource optimizer: every
-        ``resources`` entry must share the block's *current* plan (the
-        caller recompiles once per plan-cache bucket) and the same CP
-        heap — only the block's MR heap varies across points.  One cost
-        walk hoists the per-plan invariants (instruction list, operand
-        metadata, state evolution, which is MR-point-independent) and
-        batches the per-instruction MR arithmetic over the point vector
-        with numpy.
-
-        Returns a list of per-point costs bit-identical to calling
-        :meth:`estimate_block` per point, or ``None`` when the batch is
-        structurally resource-dependent and the caller must fall back to
-        the scalar path: plans calling functions (callee plans vary),
-        granted resources (spill depends on the ideal config),
-        per-component accounting, or numpy unavailable.
-
-        With ``use_memo``, memo keys are computed *per point* via
-        :meth:`_block_memo_key` — never one key for the whole batch —
-        so two points whose MR cost signatures differ can never share a
-        memo entry (see the batched-memo regression tests).  The whole
-        batch counts as a single cost invocation; memo hits are counted
-        per point.
-        """
-        if not grid_supported() or _np is None:
-            return None
-        if self.component_totals is not None:
-            return None
-        plan = block.plan
-        if plan is None:
-            self._begin_walk()
-            return [0.0] * len(resources)
-        if self._has_fcall(plan):
-            return None
-        if any(getattr(r, "ideal", None) is not None for r in resources):
-            return None
-
-        keys = [
-            self._block_memo_key(block, r) if use_memo else None
-            for r in resources
-        ]
-        results = [self._recall(key, r) for key, r in zip(keys, resources)]
-        pending = [i for i, cost in enumerate(results) if cost is None]
-        if not pending:
-            return results
-        self._begin_walk()
-        totals = self._grid_totals(block, resources)
-        for i in pending:
-            results[i] = float(totals[i])
-        # one walk, one interval; points with one signature share an entry
-        for key, cost in {keys[i]: results[i] for i in pending}.items():
-            self._remember(key, cost)
-        return results
-
-    def _grid_totals(self, block, resources):
-        """One vectorized cost walk of ``block``'s plan over the batch.
-
-        CP instruction costs and the cost-state evolution depend only on
-        the shared CP heap, so they are computed once (as scalars) and
-        broadcast; MR jobs are batched over the hoisted per-point
-        parallelism/thrash vectors.  Accumulation follows the scalar
-        walk's instruction order for bitwise parity.
-        """
-        plan = block.plan
-        rep = resources[0]
-        block_id = block.block_id
-        cp_container = self.cluster.container_mb_for_heap(rep.cp_heap_mb)
-        mr_heaps = [r.mr_heap_for_block(block_id) for r in resources]
-        dop_base = _np.array(
-            [float(max(1, self.cluster.map_task_parallelism(h, cp_container)))
-             for h in mr_heaps],
-            dtype=_np.float64,
-        )
-        thrash = _np.array(
-            [h < self.params.small_task_thrash_heap_mb for h in mr_heaps],
-            dtype=bool,
-        )
-        state = CostState()
-        acc = _np.zeros(len(resources), dtype=_np.float64)
-        for ins in plan.instructions:
-            if isinstance(ins, MRJobInstruction):
-                acc = acc + self._cost_mr_job_grid(
-                    ins, rep, state, dop_base, thrash
-                )
-            else:
-                acc = acc + self._cost_cp(ins, rep, state)
-        return acc
 
     # -- what-if memoization -------------------------------------------------
     #
@@ -748,11 +647,10 @@ class CostModel:
 
     # -- MR job costing -------------------------------------------------
 
-    def _job_inputs(self, job, state):
-        """Export dirty in-memory inputs to HDFS so the job can read
-        them; returns the export seconds and the job's view of the
-        state, ``mc_of(name)`` and ``fmt_of(name)``."""
-        exports = 0.0
+    def _cost_mr_job(self, job, resource, state):
+        params = self.params
+        # export dirty in-memory inputs to HDFS so the job can read them
+        total = 0.0
         for name in list(job.input_vars) + list(job.broadcast_vars):
             vstate = state.get(name)
             if vstate is None:
@@ -760,9 +658,9 @@ class CostModel:
                 vstate = VarCostState(mc, in_memory=True, dirty=True)
                 state[name] = vstate
             if vstate.dirty and vstate.mc.dims_known:
-                export_time = io_model.hdfs_write_time(vstate.mc, self.params)
+                export_time = io_model.hdfs_write_time(vstate.mc, params)
                 self._add_component("hdfs_write", export_time)
-                exports += export_time
+                total += export_time
             vstate.dirty = False
 
         def mc_of(name):
@@ -773,17 +671,6 @@ class CostModel:
             vstate = state.get(name)
             return vstate.fmt if vstate is not None else FileFormat.BINARY_BLOCK
 
-        return exports, mc_of, fmt_of
-
-    def _job_outputs(self, job, state):
-        """Job outputs land on HDFS (clean, not in CP memory)."""
-        for step in job.steps:
-            if step.output in job.output_vars:
-                state[step.output] = VarCostState(step.out_mc)
-
-    def _cost_mr_job(self, job, resource, state):
-        params = self.params
-        total, mc_of, fmt_of = self._job_inputs(job, state)
         timing = time_mr_job(job, mc_of, fmt_of, resource, self.cluster, params)
         total += timing.total
         # memory-elastic grant: charge the modeled spill penalty for
@@ -817,24 +704,11 @@ class CostModel:
                 "mr_task_latency",
                 params.mr_task_latency * timing.task_latency_units,
             )
-        self._job_outputs(job, state)
+        # job outputs land on HDFS (clean, not in CP memory)
+        for step in job.steps:
+            if step.output in job.output_vars:
+                state[step.output] = VarCostState(step.out_mc)
         return total
-
-    def _cost_mr_job_grid(self, job, resource, state, dop_base, thrash):
-        """Grid variant of :meth:`_cost_mr_job`.
-
-        Exports and state updates are MR-point-independent (they depend
-        on the cost state and the shared CP heap only), so they run once;
-        the job timing is batched.  Grants and per-component accounting
-        never reach here — :meth:`estimate_grid` falls back to the
-        scalar path for those.
-        """
-        exports, mc_of, fmt_of = self._job_inputs(job, state)
-        totals = exports + time_mr_job_grid(
-            job, mc_of, fmt_of, dop_base, thrash, self.cluster, self.params
-        )
-        self._job_outputs(job, state)
-        return totals
 
     def _find_job_input_mc(self, job, name):
         for step in job.steps:

@@ -16,20 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.common import FileFormat
 from repro.compiler.lops import Phase
 from repro.cost import io_model
 from repro.cost.compute_model import operation_flops
-
-try:  # the vectorized grid path needs numpy; scalar costing does not
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-
-def grid_supported():
-    """True when the vectorized grid-costing fast path is available."""
-    return _np is not None
 
 #: cap on the number of partial aggregates merged in the reduce phase
 #: (combiners bound the fan-in in real MR deployments)
@@ -189,97 +178,3 @@ def time_mr_job(job, mc_of, fmt_of, resource, cluster, params):
     timing.latency += params.mr_task_latency * timing.task_latency_units
     return timing
 
-
-def time_mr_job_grid(job, mc_of, fmt_of, dop_base, thrash, cluster, params):
-    """Vectorized :func:`time_mr_job` totals over a vector of MR points.
-
-    ``dop_base`` is the per-point ``max(1, map_task_parallelism(...))``
-    as a float64 array and ``thrash`` the per-point small-heap flag;
-    both are hoisted by the caller because every MR job of a block
-    shares the block's MR heap.  Everything else about a job — input
-    bytes, task count, flops, shuffle volume, reducer count — is
-    plan-determined, so it is computed once and broadcast.
-
-    Parity contract: this mirrors the scalar op sequence elementwise in
-    float64 — the same IEEE operations in the same order, with no
-    reassociation — so each point's total is bit-identical to the
-    ``MRJobTiming.total`` :func:`time_mr_job` returns for that point.
-    """
-    input_bytes = job_input_bytes(job, mc_of, fmt_of)
-    n_tasks = max(1, int(math.ceil(input_bytes / cluster.hdfs_block_size_bytes)))
-    dop = _np.minimum(dop_base, float(n_tasks))
-    waves = _np.ceil(n_tasks / dop)
-    eff_dop = n_tasks / waves
-    eff_clamped = _np.maximum(eff_dop, 1.0)
-
-    # map-phase IO: one vectorized quotient per input, accumulated in
-    # input order exactly like the scalar loop
-    map_read = _np.zeros_like(dop)
-    for name in job.input_vars:
-        mc = mc_of(name)
-        if mc is not None and mc.dims_known:
-            fmt = fmt_of(name)
-            num = (io_model.serialized_bytes(mc, fmt)
-                   * io_model._io_factor(mc, fmt, params))
-            map_read = map_read + num / (params.hdfs_read_bw * eff_clamped)
-    broadcast_bytes = 0.0
-    for name in job.broadcast_vars:
-        mc = mc_of(name)
-        if mc is not None and mc.dims_known:
-            broadcast_bytes += io_model.serialized_bytes(mc)
-    broadcast_read = waves * (broadcast_bytes / params.local_disk_bw)
-
-    # phase compute and data volumes (all point-independent except the
-    # eff_dop divisor of map writes)
-    map_flops = 0.0
-    reduce_flops = 0.0
-    shuffle_bytes = 0.0
-    reducers = min(cluster.num_reducers, max(1, n_tasks))
-    map_write = _np.zeros_like(dop)
-    reduce_write = 0.0
-    for step in job.steps:
-        flops = operation_flops(step.opcode, step.out_mc, step.in_mcs, step.attrs)
-        if step.phase is Phase.MAP:
-            map_flops += flops
-            if step.output in job.output_vars and step.out_mc.dims_known:
-                num = (io_model.serialized_bytes(step.out_mc)
-                       * io_model._io_factor(
-                           step.out_mc, FileFormat.BINARY_BLOCK, params))
-                map_write = map_write + num / (
-                    params.hdfs_write_bw * eff_clamped
-                )
-        elif step.phase is Phase.SHUFFLE:
-            map_flops += flops
-            for mc in step.in_mcs:
-                if mc.dims_known and mc.cells and mc.cells > 0:
-                    shuffle_bytes += io_model.serialized_bytes(mc)
-            if step.output in job.output_vars and step.out_mc.dims_known:
-                reduce_write += io_model.hdfs_write_time(
-                    step.out_mc, params, parallelism=reducers
-                )
-        else:  # REDUCE
-            reduce_flops += flops
-            if step.method in _AGG_METHODS and step.out_mc.dims_known:
-                partials = min(n_tasks, _AGG_PARTIAL_CAP)
-                shuffle_bytes += io_model.serialized_bytes(step.out_mc) * partials
-                reduce_flops += (step.out_mc.cells or 0) * partials
-            if step.output in job.output_vars and step.out_mc.dims_known:
-                reduce_write += io_model.hdfs_write_time(
-                    step.out_mc, params, parallelism=reducers
-                )
-
-    map_compute = map_flops / (params.mr_task_flops * eff_dop)
-    map_compute = _np.where(
-        thrash, map_compute * params.thrash_penalty, map_compute
-    )
-    reduce_compute = reduce_flops / (params.mr_task_flops * reducers)
-    shuffle = io_model.shuffle_time(
-        shuffle_bytes, params, min(cluster.num_nodes, reducers)
-    )
-
-    task_units = waves + 1.0 if shuffle_bytes > 0 or reduce_flops > 0 else waves
-    latency = (params.mr_job_latency * (1 + job.extra_job_latency)
-               + params.mr_task_latency * task_units)
-    # same accumulation order as MRJobTiming.total
-    return (latency + map_read + broadcast_read + map_compute + map_write
-            + shuffle + reduce_compute + reduce_write)

@@ -76,8 +76,7 @@ def update_best(best_resource, best_cost, chosen, cost):
 
 
 def enumerate_block_mr(compiled, block, rc, min_mb, srm, cost_model,
-                       baseline_cost, cache=None, deadline=None, stats=None,
-                       vectorize=False):
+                       baseline_cost, cache=None, deadline=None, stats=None):
     """Enumerate the MR grid for one block at fixed CP memory ``rc``.
 
     Implements the inner loop of Algorithm 1's semi-independent
@@ -85,29 +84,17 @@ def enumerate_block_mr(compiled, block, rc, min_mb, srm, cost_model,
     Returns ``((best_ri, best_cost), exhausted)`` where ``exhausted``
     reports hitting ``deadline`` mid-enumeration.
 
-    With ``vectorize`` (and a plan cache, no deadline), the whole MR
-    grid is costed in one batched pass per plan-cache bucket via
-    :meth:`CostModel.estimate_grid`; the scalar loop below remains the
-    fallback for structurally resource-dependent blocks and is the
-    bitwise-parity reference (see ``tests/optimizer/test_vector_costing``).
-
-    With a plan cache, points whose budget stays in an already-visited
-    ``(mr_bucket, thrash)`` class with no more task parallelism than a
-    visited point are skipped outright: the plan is identical (same
-    bucket) and its MR cost is weakly increasing as parallelism drops,
-    so the skipped point can never *strictly* beat the memoized best —
-    and the strict ``<`` keeps the earlier, smaller r_i on exact ties,
-    matching the uncached enumeration.  (The vectorized path costs the
-    skipped points too — they lose the same strict-``<`` selection, so
-    both paths choose identically.)
+    Each point is recompiled and costed with one
+    :meth:`CostModel.estimate_block` walk; a strict ``<`` in ``srm``
+    order selects the best, so an exact tie keeps the smaller r_i.
+    With a plan cache, the costs are memoized, and a point whose budget
+    stays in an already-visited ``(mr_bucket, thrash)`` class with no
+    more task parallelism than a visited point is skipped outright: the
+    plan is identical (same bucket) and its MR cost is weakly increasing
+    as parallelism drops, so the skipped point can never *strictly* beat
+    the best so far — the uncached enumeration, which costs it, selects
+    the same r_i (DESIGN.md section 6).
     """
-    if vectorize and cache is not None and deadline is None:
-        best = _enumerate_block_mr_grid(
-            compiled, block, rc, min_mb, srm, cost_model,
-            baseline_cost, cache, stats,
-        )
-        if best is not None:
-            return best, False
     best = (min_mb, baseline_cost)
     use_memo = cache is not None
     #: (mr_bucket, thrash) -> max map-task parallelism already costed
@@ -150,55 +137,6 @@ def enumerate_block_mr(compiled, block, rc, min_mb, srm, cost_model,
     return best, False
 
 
-def _enumerate_block_mr_grid(compiled, block, rc, min_mb, srm, cost_model,
-                             baseline_cost, cache, stats):
-    """Vectorized MR enumeration for one block: one recompilation and
-    one batched costing call per plan-cache bucket.
-
-    Returns ``(best_ri, best_cost)``, or ``None`` when any batch is
-    structurally resource-dependent (function calls, grants, component
-    accounting, numpy unavailable) and the caller must fall back to the
-    scalar loop.  Selection replays the scalar rule — strict ``<`` in
-    ``srm`` order against the baseline — over the batched costs, which
-    :meth:`CostModel.estimate_grid` guarantees are bit-identical to
-    per-point :meth:`CostModel.estimate_block`.
-    """
-    block_id = block.block_id
-    groups = {}  # mr_bucket -> [(ri, candidate), ...]; insertion-ordered
-    for ri in srm:
-        if ri == min_mb:
-            continue
-        candidate = ResourceConfig(
-            cp_heap_mb=rc,
-            mr_heap_mb=min_mb,
-            mr_heap_per_block={block_id: ri},
-        )
-        groups.setdefault(cache.mr_bucket(block, candidate), []).append(
-            (ri, candidate)
-        )
-    costs = {}
-    for group in groups.values():
-        # same bucket -> identical recompiled plan, so one compilation
-        # covers the whole group
-        recompile_block_plan(compiled, block, group[0][1], cache=cache)
-        batch = cost_model.estimate_grid(
-            compiled, block, [cand for _, cand in group], use_memo=True
-        )
-        if batch is None:
-            return None
-        for (ri, _), cost in zip(group, batch):
-            costs[ri] = cost
-    if stats is not None:
-        stats.mr_points_batched += len(costs)
-    best = (min_mb, baseline_cost)
-    for ri in srm:
-        if ri == min_mb:
-            continue
-        if costs[ri] < best[1]:
-            best = (ri, costs[ri])
-    return best
-
-
 class CPPoint(NamedTuple):
     """What enumerating one CP grid point yields."""
 
@@ -220,7 +158,7 @@ class CPPoint(NamedTuple):
 
 
 def enumerate_cp_point(compiled, blocks, rc, min_mb, srm, cost_model, cache,
-                       *, prune=True, vectorize=False, deadline=None,
+                       *, prune=True, deadline=None,
                        stats=None, cost_blocks=None):
     """The body of Algorithm 1's outer loop: everything at one CP budget.
 
@@ -261,7 +199,7 @@ def enumerate_cp_point(compiled, blocks, rc, min_mb, srm, cost_model, cache,
             memo[block.block_id], exhausted = enumerate_block_mr(
                 compiled, block, rc, min_mb, srm, cost_model,
                 memo[block.block_id][1], cache=cache, deadline=deadline,
-                stats=stats, vectorize=vectorize,
+                stats=stats,
             )
             t2 = time.perf_counter()
             enum_s.append((block.block_id, t2 - t1))
@@ -386,11 +324,6 @@ class OptimizerOptions:
     #: because the repo benchmark's layer replay passes
     #: ``parallel=False``; the benchmark-v2 change deletes the field
     parallel: bool = False
-    #: ablation switch: batch MR-grid costing with numpy
-    #: (:meth:`CostModel.estimate_grid`); chosen configurations are
-    #: byte-identical either way (parity-tested), the switch exists for
-    #: ablation benchmarks and as an escape hatch
-    enable_vector_costing: bool = True
 
     def __post_init__(self):
         check_grid(self.grid_cp)
@@ -403,15 +336,10 @@ class OptimizerOptions:
 
     def decision_signature(self):
         """The fields the optimization *decision* depends on: the
-        cross-run result cache keys on this signature.
-        ``enable_vector_costing`` is *included* even though the two
-        paths are parity-tested bit-identical: the ablation switch must
-        observably run the path it names, not replay a cached result
-        computed by the other one.
-        """
+        cross-run result cache keys on this signature."""
         return (self.grid_cp, self.grid_mr, self.m, self.w,
                 self.time_budget, self.enable_pruning,
-                self.enable_plan_cache, self.enable_vector_costing)
+                self.enable_plan_cache)
 
 
 @dataclass
@@ -441,8 +369,6 @@ class OptimizerStats:
     #: MR grid points skipped because a same-bucket point with at least
     #: as much task parallelism was already costed (dominance)
     mr_points_skipped: int = 0
-    #: MR grid points costed through the vectorized batch path
-    mr_points_batched: int = 0
 
 
 @dataclass
@@ -469,15 +395,13 @@ class ResourceOptimizer:
     def __init__(self, cluster, params=None, grid_cp="hybrid",
                  grid_mr="hybrid", m=15, w=2.0, time_budget=None,
                  cost_model=None, enable_pruning=True,
-                 enable_plan_cache=True, enable_vector_costing=True,
-                 options=None):
+                 enable_plan_cache=True, options=None):
         if options is not None:
             grid_cp, grid_mr = options.grid_cp, options.grid_mr
             m, w = options.m, options.w
             time_budget = options.time_budget
             enable_pruning = options.enable_pruning
             enable_plan_cache = options.enable_plan_cache
-            enable_vector_costing = options.enable_vector_costing
         self.cluster = cluster
         self.grid_cp = check_grid(grid_cp)
         self.grid_mr = check_grid(grid_mr)
@@ -490,8 +414,6 @@ class ResourceOptimizer:
         self.enable_pruning = enable_pruning
         #: ablation switch: disable the memoizing plan/cost cache
         self.enable_plan_cache = enable_plan_cache
-        #: ablation switch: disable vectorized MR-grid batch costing
-        self.enable_vector_costing = enable_vector_costing
 
     @property
     def options(self):
@@ -504,7 +426,6 @@ class ResourceOptimizer:
             time_budget=self.time_budget,
             enable_pruning=self.enable_pruning,
             enable_plan_cache=self.enable_plan_cache,
-            enable_vector_costing=self.enable_vector_costing,
         )
 
     # -- public API ----------------------------------------------------------
@@ -588,8 +509,7 @@ class ResourceOptimizer:
             for rc in src:
                 points.append(enumerate_cp_point(
                     compiled, blocks, rc, min_mb, srm, self.cost_model,
-                    cache, prune=self.enable_pruning,
-                    vectorize=self.enable_vector_costing, deadline=deadline,
+                    cache, prune=self.enable_pruning, deadline=deadline,
                     stats=result.stats, cost_blocks=cost_blocks,
                 ))
                 if points[-1].exhausted:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from dataclasses import replace
 
 from repro.api import ElasticMLSession
 from repro.cluster import ResourceConfig
@@ -109,18 +108,6 @@ def _apply_calibration_flag(session, args):
         session.apply_calibration(profile)
 
 
-def _add_opt_flags(parser):
-    parser.add_argument("--no-vector-costing", action="store_true",
-                        help="disable vectorized MR-grid batch costing "
-                             "(ablation; chosen configs are identical)")
-
-
-def _apply_opt_flags(session, args):
-    """Translate the optimizer flags into the session config."""
-    if getattr(args, "no_vector_costing", False):
-        session.config = replace(session.config, enable_vector_costing=False)
-
-
 def _describe_optimizer(result):
     """One-line optimizer summary for run/optimize/trace output."""
     if result is None:
@@ -185,7 +172,6 @@ def build_parser():
                      help="skip the optimizer; use a static configuration")
     run.add_argument("--no-adapt", action="store_true",
                      help="disable runtime resource adaptation")
-    _add_opt_flags(run)
     _add_chaos(run)
     _add_calibration_flag(run)
 
@@ -195,7 +181,6 @@ def build_parser():
     opt.add_argument("--grid", default="hybrid",
                      choices=["equi", "exp", "mem", "hybrid"])
     opt.add_argument("-m", type=int, default=15, help="base grid points")
-    _add_opt_flags(opt)
     _add_calibration_flag(opt)
 
     explain = sub.add_parser("explain", help="print the compiled plan")
@@ -261,7 +246,6 @@ def build_parser():
                        help="interpreter seed for every submission")
     serve.add_argument("--json", action="store_true",
                        help="dump serving stats as JSON instead of text")
-    _add_opt_flags(serve)
 
     elastic = sub.add_parser(
         "elastic",
@@ -327,7 +311,6 @@ def build_parser():
                        help="disable runtime resource adaptation")
     trace.add_argument("--json", action="store_true",
                        help="dump the raw trace as JSON instead of text")
-    _add_opt_flags(trace)
     _add_chaos(trace)
 
     calibrate = sub.add_parser(
@@ -363,7 +346,6 @@ def build_parser():
 
 def cmd_run(args, session):
     _parse_gen(session, args.gen)
-    _apply_opt_flags(session, args)
     _apply_calibration_flag(session, args)
     source = _load_source(args.script)
     script_args = _parse_args_list(args.args)
@@ -392,7 +374,6 @@ def cmd_run(args, session):
 
 def cmd_optimize(args, session):
     _parse_gen(session, args.gen)
-    _apply_opt_flags(session, args)
     _apply_calibration_flag(session, args)
     source = _load_source(args.script)
     compiled = session.compile_script(source, _parse_args_list(args.args))
@@ -479,7 +460,6 @@ def cmd_serve(args, session):
         make_policy,
     )
 
-    _apply_opt_flags(session, args)
     if args.shards > 1:
         server = ShardedElasticMLServer(
             shards=args.shards,
@@ -646,7 +626,6 @@ def cmd_elastic(args, session):
 
 def cmd_trace(args, session):
     session.trace = True
-    _apply_opt_flags(session, args)
     scn = scenario(args.scenario, cols=args.cols, sparse=args.sparse)
     script_args = prepare_inputs(session.hdfs, args.script, scn)
     resource = _static_resource(args.static) if args.static else None

@@ -137,7 +137,7 @@ class TestEveryComparisonIsRecorded:
         assert_interval_is_what_the_spy_saw(*spied_walk(blocks, budget))
 
     @pytest.mark.parametrize("script", ["L2SVM", "GLM", "MLogreg"])
-    def test_real_programs_whole_walk_block_walk_and_batch(self, script):
+    def test_real_programs_whole_walk_and_block_walk(self, script):
         hdfs = SimulatedHDFS(sample_cap=64)
         args = prepare_inputs(hdfs, script, scenario("M", cols=1000))
         compiled = compile_program(
@@ -161,11 +161,6 @@ class TestEveryComparisonIsRecorded:
         spied = resource()
         model.estimate_block(compiled, block, spied)
         assert assert_interval_is_what_the_spy_saw(model, spied.budget)
-        batch = [resource(512), resource(4096)]
-        assert model.estimate_grid(compiled, block, batch) is not None
-        # the walk reads the batch's shared CP budget off its first point
-        assert assert_interval_is_what_the_spy_saw(model, batch[0].budget)
-        assert not batch[1].budget.log
 
 
 # -- (c) the interval is right --------------------------------------------------

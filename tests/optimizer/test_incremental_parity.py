@@ -4,8 +4,9 @@ walk (``tests/cost/test_cost_state_oracle.py``: the pre-change state and
 and the simulated runtime must be equal — ``==``, not approximately.
 
 The run is the whole pipeline (compile, optimize, execute with runtime
-re-optimization), so the scalar walk, ``estimate_grid`` and the
-adapter's ``estimate_blocks`` are all covered by the one comparison.
+re-optimization), so the per-block walk (``estimate_block``), the
+whole-program walk and the adapter's ``estimate_blocks`` are all covered
+by the one comparison.
 """
 
 import pytest

@@ -92,7 +92,7 @@ def test_fresh_sessions_with_the_memo(reference):
         hits += outcome.optimizer_result.stats.cost_memo_hits
         identities[program] = _identity(outcome)
     assert _differing(reference, identities) == []
-    assert hits > 6000  # the comparison is of answers, not of walks
+    assert hits >= 3000  # the comparison is of answers, not of walks
 
 
 def test_one_server_with_handouts_and_seeded_caches(reference):

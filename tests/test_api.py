@@ -117,14 +117,27 @@ class TestRemovedEntryPoints:
 
 class TestSessionConfig:
     def test_config_object_drives_knobs(self):
-        config = SessionConfig(grid_cp="equi", grid_m=5,
-                               enable_vector_costing=False)
+        config = SessionConfig(grid_cp="equi", grid_m=5)
         session = ElasticMLSession(config=config, sample_cap=64)
         assert session.config.grid_cp == "equi"
         assert session.config.grid_m == 5
         opts = session.optimizer_options
         assert (opts.grid_cp, opts.m) == ("equi", 5)
-        assert not opts.enable_vector_costing
+
+    def test_vector_costing_knob_is_gone(self):
+        # the scalar walk is the only MR-grid costing: no knob selects it
+        with pytest.raises(TypeError):
+            SessionConfig(enable_vector_costing=False)
+        with pytest.raises(TypeError):
+            OptimizerOptions(enable_vector_costing=False)
+
+    def test_cli_rejects_the_vector_costing_flag(self, capsys):
+        from repro.tools.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["optimize", "LinregDS", "--no-vector-costing"])
+        assert exit_info.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -107,7 +107,6 @@ class TestCLI:
             "optimize", "LinregDS",
             "--gen", "gx=50000x100", "--gen", "gy=50000x1",
             "-arg", "X=gx", "-arg", "Y=gy", "-arg", "B=out",
-            "--no-vector-costing",
         ])
         assert code == 0
         assert "backend: serial" in capsys.readouterr().out
