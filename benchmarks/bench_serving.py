@@ -234,8 +234,6 @@ def run_sharded_arm(label, tenants, shards, config, references,
     if shards > 0:
         arm["start_method"] = server.start_method
         arm["snapshot_bytes"] = server.snapshot_bytes
-        arm["rebalances"] = stats["shard.rebalances"]
-        arm["predictor_observations"] = stats["predictor.observations"]
     return arm, canonicals
 
 

@@ -71,11 +71,9 @@ from repro.runtime import ExecutionResult, Interpreter, SimulatedHDFS
 from repro.scripts import SCRIPTS, load_script
 from repro.serving import (
     ConsistentHashRouter,
-    DemandPredictor,
     ElasticMLServer,
     HeapRulePolicy,
     PackingPolicy,
-    PredictivePackingPolicy,
     ShardedElasticMLServer,
     Submission,
     SubmissionResult,
@@ -90,11 +88,9 @@ __all__ = [
     "RunOutcome",
     "SessionConfig",
     "ConsistentHashRouter",
-    "DemandPredictor",
     "ElasticMLServer",
     "HeapRulePolicy",
     "PackingPolicy",
-    "PredictivePackingPolicy",
     "ShardedElasticMLServer",
     "Submission",
     "SubmissionResult",

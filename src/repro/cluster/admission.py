@@ -70,13 +70,6 @@ class AdmissionPolicy:
     def admitted(self, request):
         """Hook invoked after ``request`` was granted its container."""
 
-    def observe(self, tenant, container_mb, runtime_s):
-        """Completion feedback: the tenant's granted container size and
-        simulated runtime.  The server calls this under its admission
-        lock after every successful execution; the base policies ignore
-        it, :class:`~repro.serving.admission.PredictivePackingPolicy`
-        feeds its predictor."""
-
 
 class HeapRulePolicy(AdmissionPolicy):
     """FIFO admission under the 1.5x-heap container rule.

@@ -11,11 +11,9 @@ deterministic per submission regardless of interleaving.
 from repro.serving.admission import (
     AdmissionPolicy,
     ConsistentHashRouter,
-    DemandPredictor,
     HeapRulePolicy,
     PackingPolicy,
     PendingRequest,
-    PredictivePackingPolicy,
     make_policy,
 )
 from repro.serving.server import (
@@ -32,12 +30,10 @@ __all__ = [
     "AdmissionCancelled",
     "AdmissionPolicy",
     "ConsistentHashRouter",
-    "DemandPredictor",
     "ElasticMLServer",
     "HeapRulePolicy",
     "PackingPolicy",
     "PendingRequest",
-    "PredictivePackingPolicy",
     "ProgramCache",
     "ShardedElasticMLServer",
     "Submission",

@@ -14,12 +14,6 @@ the core's own FIFO :class:`~repro.cluster.admission.HeapRulePolicy`
   (smallest leftover on its best node, minimizing fragmentation),
   with deficit-round-robin credits per tenant so a cheap-to-pack tenant
   cannot starve the others.
-* :class:`PredictivePackingPolicy` — packing fed by a
-  :class:`DemandPredictor` (per-tenant EWMA over observed container
-  demand and runtime): the fragmentation score uses the tenant's
-  *forecast* demand rather than only the instantaneous request, and
-  shorter predicted runtimes break deficit ties (shortest-job-first
-  flavor, per the fine-grained demand-modeling literature).
 
 This module also hosts the sharding primitives used by
 :class:`~repro.serving.shard.ShardedElasticMLServer`: the deterministic
@@ -32,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import threading
 
 # PendingRequest is re-exported: callers that build requests by hand
 # import it from here, next to the policies
@@ -63,22 +56,18 @@ class PackingPolicy(AdmissionPolicy):
         #: tenant -> accumulated deficit credit (MB)
         self.deficits = {}
 
-    def _fit(self, request, rm):
-        """``(normalized MB, leftover MB on the tightest node)`` for the
-        size the request would be granted now, or None if none fits."""
+    def _residual(self, request, rm):
+        """Leftover MB on the tightest node for the size the request
+        would be granted now, or None if none fits."""
         memory_mb = fitting_mb(request, rm)
         if memory_mb is None:
             return None
         need = rm.normalize_request(memory_mb)
-        return need, min(
+        return min(
             node.available_mb - need
             for node in rm.nodes
             if node.can_allocate(need)
         )
-
-    def _score(self, request, rm, need, residual):
-        """Tie-break among equal deficits (smaller wins)."""
-        return (residual,)
 
     def select(self, waiting, rm):
         if not waiting:
@@ -89,12 +78,12 @@ class PackingPolicy(AdmissionPolicy):
             )
         scored = []
         for request in waiting:
-            fit = self._fit(request, rm)
-            if fit is None:
+            residual = self._residual(request, rm)
+            if residual is None:
                 continue
             scored.append((
                 -self.deficits.get(request.tenant, 0.0),
-                *self._score(request, rm, *fit),
+                residual,
                 request.order,
                 request,
             ))
@@ -108,134 +97,18 @@ class PackingPolicy(AdmissionPolicy):
         )
 
 
-class DemandPredictor:
-    """Per-tenant EWMA forecast of container demand and runtime.
-
-    After each completed execution the server reports the tenant's
-    granted container size and simulated runtime; the predictor keeps
-    one exponentially weighted moving average per signal:
-
-        ``ewma <- alpha * observed + (1 - alpha) * ewma``
-
-    seeded by the first observation.  Forecasts for unseen tenants fall
-    back to the caller-supplied default, so prediction never *blocks* a
-    request — it only reorders the packing score.  Internally locked
-    (the sharded front end feeds it from a collector thread while the
-    router reads it); picklable (the lock is dropped and rebuilt).
-    """
-
-    def __init__(self, alpha=0.3):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-        self.observations = 0
-        self._demand_mb = {}
-        self._runtime_s = {}
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    def observe(self, tenant, container_mb, runtime_s):
-        with self._lock:
-            self.observations += 1
-            prev_mb = self._demand_mb.get(tenant)
-            self._demand_mb[tenant] = (
-                float(container_mb) if prev_mb is None
-                else self.alpha * container_mb + (1 - self.alpha) * prev_mb
-            )
-            prev_s = self._runtime_s.get(tenant)
-            self._runtime_s[tenant] = (
-                float(runtime_s) if prev_s is None
-                else self.alpha * runtime_s + (1 - self.alpha) * prev_s
-            )
-
-    def predicted_demand_mb(self, tenant, default=0.0):
-        with self._lock:
-            return self._demand_mb.get(tenant, default)
-
-    def predicted_runtime_s(self, tenant, default=0.0):
-        with self._lock:
-            return self._runtime_s.get(tenant, default)
-
-    def snapshot(self):
-        """Counters for ``stats()``: tenants tracked + observations."""
-        with self._lock:
-            return {
-                "tenants": len(self._demand_mb),
-                "observations": self.observations,
-            }
-
-
-class PredictivePackingPolicy(PackingPolicy):
-    """:class:`PackingPolicy` scored by predicted demand and runtime.
-
-    DRR deficits and the fit test are unchanged — a request is only
-    admissible if its *actual* container fits right now.  The score
-    differs in two ways:
-
-    * the fragmentation residual is computed against the tenant's
-      forecast demand (``max(actual, predicted)``), so a tenant whose
-      history says it will soon ask for more is packed as if it already
-      had — leaving contiguous room for genuinely small tenants;
-    * at equal deficit, shorter predicted runtimes win (SJF tie-break),
-      which drains the queue faster without starving anyone (the
-      deficit term still dominates).
-
-    A forecast larger than every node falls back to the actual
-    residual: prediction shapes placement, never admissibility.
-    """
-
-    name = "predictive"
-
-    def __init__(self, quantum_mb=1024, predictor=None, alpha=0.3):
-        super().__init__(quantum_mb=quantum_mb)
-        self.predictor = (
-            predictor if predictor is not None
-            else DemandPredictor(alpha=alpha)
-        )
-
-    def observe(self, tenant, container_mb, runtime_s):
-        self.predictor.observe(tenant, container_mb, runtime_s)
-
-    def _score(self, request, rm, need, residual):
-        forecast = self.predictor.predicted_demand_mb(
-            request.tenant, default=need
-        )
-        want = max(need, forecast)
-        fits = [
-            node.available_mb - want
-            for node in rm.nodes
-            if node.available_mb >= want and node.can_allocate(need)
-        ]
-        return (
-            round(self.predictor.predicted_runtime_s(
-                request.tenant, default=0.0
-            ), 9),
-            min(fits) if fits else residual,
-        )
-
-
 #: admission policy registry: lets a policy choice travel to a shard
 #: worker process as a plain string (instances do not pickle portably
-#: once they hold deficits/predictor state)
-POLICIES = ("heap-rule", "packing", "predictive")
+#: once they hold deficit state)
+POLICIES = ("heap-rule", "packing")
 
 
-def make_policy(name, quantum_mb=1024, alpha=0.3):
+def make_policy(name):
     """Instantiate a registered admission policy by name."""
     if name == "heap-rule":
         return HeapRulePolicy()
     if name == "packing":
-        return PackingPolicy(quantum_mb=quantum_mb)
-    if name == "predictive":
-        return PredictivePackingPolicy(quantum_mb=quantum_mb, alpha=alpha)
+        return PackingPolicy()
     raise ValueError(
         f"unknown admission policy {name!r}; expected one of {POLICIES}"
     )
@@ -258,9 +131,6 @@ class ConsistentHashRouter:
       (script, args) program do, which concentrates
       ``ProgramCache``/``OptimizerResultCache``/replay-tree hits;
     * **stable** — adding a shard moves only ~1/N of the keyspace.
-
-    :meth:`pin` installs explicit overrides (used by the rebalancer);
-    pins win over the ring.
     """
 
     AFFINITIES = ("tenant", "program")
@@ -276,7 +146,6 @@ class ConsistentHashRouter:
         self.num_shards = shards
         self.affinity = affinity
         self.replicas = replicas
-        self._pins = {}
         ring = []
         for shard in range(shards):
             for replica in range(replicas):
@@ -303,9 +172,6 @@ class ConsistentHashRouter:
         ).hexdigest()[:16]
 
     def shard_for(self, key):
-        pinned = self._pins.get(key)
-        if pinned is not None:
-            return pinned
         index = bisect.bisect_right(self._points, self._hash(key))
         return self._owners[index % len(self._owners)]
 
@@ -313,16 +179,3 @@ class ConsistentHashRouter:
         """(routing key, shard id) for a submission."""
         key = self.key_for(submission)
         return key, self.shard_for(key)
-
-    def pin(self, key, shard):
-        """Override the ring for one key (rebalancer hook)."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"shard {shard} out of range")
-        self._pins[key] = shard
-
-    def unpin(self, key):
-        self._pins.pop(key, None)
-
-    @property
-    def pins(self):
-        return dict(self._pins)

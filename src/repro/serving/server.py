@@ -489,12 +489,6 @@ class ElasticMLServer(RunPipeline):
         finally:
             self._release(container)
         tracer.incr("serving.completed")
-        with self._cond:
-            # demand feedback for predictive policies (no-op otherwise)
-            self.core.policy.observe(
-                submission.tenant, container.memory_mb,
-                exec_result.total_time,
-            )
         outcome = RunOutcome(
             result=exec_result,
             resource=exec_result.final_resource,

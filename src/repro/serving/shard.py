@@ -31,12 +31,6 @@ Architecture::
   copy-on-write for free; ``pickle`` ships an explicit snapshot for
   spawn-only platforms.  Workers start lazily on the first
   ``submit()``, so all inputs must be prepared on ``hdfs`` before then.
-* **Prediction & rebalancing**: the parent feeds a per-tenant EWMA
-  :class:`~repro.serving.admission.DemandPredictor` from completed
-  results; every ``rebalance_every`` completions it compares predicted
-  outstanding seconds per shard and pins the hottest routing key of the
-  most loaded shard onto the least loaded one.  Shard-local
-  ``predictive`` admission policies keep their own predictors.
 * **Telemetry**: each shard runs its own tracer; at shutdown the final
   per-shard tracer dicts are absorbed into the parent tracer via
   :meth:`~repro.obs.Tracer.absorb`, whose counter/gauge merges are
@@ -55,7 +49,7 @@ from repro.api import SessionConfig
 from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import SimulatedHDFS
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
-from repro.serving.admission import ConsistentHashRouter, DemandPredictor
+from repro.serving.admission import ConsistentHashRouter, make_policy
 from repro.serving.server import (
     SubmissionResult,
     default_serving_workers,
@@ -65,11 +59,6 @@ from repro.serving.server import (
 #: "fork" inherits it copy-on-write, "pickle" ships explicit bytes,
 #: "auto" picks fork when the platform has it
 START_METHODS = ("auto", "fork", "pickle")
-
-#: default load-imbalance trigger: rebalance when the most loaded
-#: shard's predicted outstanding seconds exceed this multiple of the
-#: least loaded shard's
-REBALANCE_FACTOR = 1.5
 
 
 def _resolve_start_method(mode):
@@ -82,31 +71,6 @@ def _resolve_start_method(mode):
     import multiprocessing as mp
 
     return "fork" if "fork" in mp.get_all_start_methods() else "pickle"
-
-
-def plan_rebalance(shard_loads, key_loads, factor=REBALANCE_FACTOR):
-    """Pick one routing-key move that evens predicted load, or None.
-
-    ``shard_loads`` maps shard id -> predicted outstanding seconds;
-    ``key_loads`` maps shard id -> {routing key -> predicted seconds}.
-    Returns ``(key, src, dst)`` moving the hottest key of the most
-    loaded shard to the least loaded one, but only when the imbalance
-    exceeds ``factor`` — small skews are not worth breaking affinity
-    (a moved key restarts cold on the destination shard's caches).
-    Pure and deterministic (ties break on ids) so it unit-tests without
-    processes.
-    """
-    if len(shard_loads) < 2:
-        return None
-    src = max(sorted(shard_loads), key=lambda s: shard_loads[s])
-    dst = min(sorted(shard_loads), key=lambda s: shard_loads[s])
-    if src == dst or shard_loads[src] <= factor * shard_loads[dst] + 1e-9:
-        return None
-    candidates = key_loads.get(src)
-    if not candidates:
-        return None
-    key = max(sorted(candidates), key=lambda k: candidates[k])
-    return key, src, dst
 
 
 def _ship_result(result, global_ticket, detail):
@@ -215,8 +179,7 @@ class ShardedElasticMLServer:
                  sample_cap=DEFAULT_SAMPLE_CAP, config=None,
                  policy="heap-rule", max_workers=None, queue_limit=1024,
                  retry_policy=None, trace=False, model_params=None,
-                 recorder=None, affinity="tenant", rebalance_every=64,
-                 rebalance_factor=REBALANCE_FACTOR, start_method="auto",
+                 recorder=None, affinity="tenant", start_method="auto",
                  result_detail="light"):
         from repro.cluster import paper_cluster
 
@@ -227,6 +190,8 @@ class ShardedElasticMLServer:
                 f"result_detail must be 'light' or 'full', "
                 f"got {result_detail!r}"
             )
+        if isinstance(policy, str):
+            make_policy(policy)  # fail here, not in every shard worker
         self.config = config if config is not None else SessionConfig()
         self.cluster = cluster if cluster is not None else paper_cluster()
         self.params = params
@@ -250,16 +215,12 @@ class ShardedElasticMLServer:
         #: explicit spec bytes shipped to workers (0 under fork)
         self.snapshot_bytes = 0
         self.router = ConsistentHashRouter(shards, affinity=affinity)
-        self.predictor = DemandPredictor()
-        #: completions between load-rebalancing checks (0 disables)
-        self.rebalance_every = rebalance_every
-        self.rebalance_factor = rebalance_factor
 
         self._cond = threading.Condition()
         self._tickets = itertools.count(1)
         self._order = []
         self._results = {}
-        #: global ticket -> (shard, routing key, tenant) while in flight
+        #: global ticket -> (shard, tenant) while in flight
         self._inflight = {}
         self._closed = False
         self._started = False
@@ -273,10 +234,7 @@ class ShardedElasticMLServer:
         self._final_stats = {}
         self._finals = threading.Event()
         self._joined = False
-        self._rebalances = 0
-        self._parent_submitted = 0
         self._parent_rejected = 0
-        self._completed_since_rebalance = 0
 
     # -- worker lifecycle ---------------------------------------------------
 
@@ -376,9 +334,7 @@ class ShardedElasticMLServer:
                     continue
                 self._final_stats[shard_id] = {}
                 reaped += 1
-                for ticket, (shard, _key, tenant) in list(
-                    self._inflight.items()
-                ):
+                for ticket, (shard, tenant) in list(self._inflight.items()):
                     if shard != shard_id:
                         continue
                     del self._inflight[ticket]
@@ -391,48 +347,9 @@ class ShardedElasticMLServer:
 
     def _on_result(self, result):
         with self._cond:
-            entry = self._inflight.pop(result.ticket, None)
+            self._inflight.pop(result.ticket, None)
             self._results[result.ticket] = result
-            if result.status == "completed" and entry is not None:
-                self.predictor.observe(
-                    entry[2], result.container_mb, result.total_time or 0.0
-                )
-                self._completed_since_rebalance += 1
-                if (
-                    self.rebalance_every
-                    and self._completed_since_rebalance
-                    >= self.rebalance_every
-                ):
-                    self._completed_since_rebalance = 0
-                    self._rebalance_locked()
             self._cond.notify_all()
-
-    def _rebalance_locked(self):
-        shard_loads = {shard: 0.0 for shard in range(self.num_shards)}
-        key_loads = {}
-        for _ticket, (shard, key, tenant) in self._inflight.items():
-            weight = max(
-                self.predictor.predicted_runtime_s(tenant, default=1.0),
-                1e-6,
-            )
-            shard_loads[shard] += weight
-            key_loads.setdefault(shard, {})
-            key_loads[shard][key] = key_loads[shard].get(key, 0.0) + weight
-        move = plan_rebalance(
-            shard_loads, key_loads, factor=self.rebalance_factor
-        )
-        if move is None:
-            return
-        key, src, dst = move
-        self.router.pin(key, dst)
-        self._rebalances += 1
-        if self.tracer.enabled:
-            self.tracer.incr("shard.rebalances")
-            self.tracer.event(
-                "shard.rebalance", key=key, source=src, destination=dst,
-                source_load_s=round(shard_loads[src], 3),
-                destination_load_s=round(shard_loads[dst], 3),
-            )
 
     # -- submission lifecycle -----------------------------------------------
 
@@ -447,7 +364,6 @@ class ShardedElasticMLServer:
                 self._start_locked()
             ticket = next(self._tickets)
             self._order.append(ticket)
-            self._parent_submitted += 1
             backlog = len(self._order) - len(self._results)
             if self.queue_limit and backlog > self.queue_limit:
                 self._parent_rejected += 1
@@ -458,8 +374,8 @@ class ShardedElasticMLServer:
                 )
                 self._cond.notify_all()
                 return ticket
-            key, shard = self.router.route(submission)
-            self._inflight[ticket] = (shard, key, submission.tenant)
+            _key, shard = self.router.route(submission)
+            self._inflight[ticket] = (shard, submission.tenant)
         if self.recorder is not None:
             self.recorder.record(submission)
         self._cmds[shard].put(("submit", ticket, submission))
@@ -536,9 +452,7 @@ class ShardedElasticMLServer:
             # anything still unresolved after every shard finalized
             # (worker died mid-flight) gets a terminal failure so
             # drain() cannot hang
-            for ticket, (shard, _key, tenant) in list(
-                self._inflight.items()
-            ):
+            for ticket, (shard, tenant) in list(self._inflight.items()):
                 del self._inflight[ticket]
                 self._results[ticket] = SubmissionResult(
                     ticket=ticket, tenant=tenant, status="failed",
@@ -551,7 +465,7 @@ class ShardedElasticMLServer:
     def stats(self):
         """Aggregated serving counters: the per-shard
         ``ElasticMLServer.stats()`` dicts summed key-wise, plus the
-        front end's own routing/prediction/rebalancing counters and the
+        front end's own shard and queue counters and the
         raw per-shard dicts under ``"per_shard"``."""
         per_shard = self._snapshot_shard_stats()
         merged = {}
@@ -571,13 +485,8 @@ class ShardedElasticMLServer:
                 merged.get("serving.rejected", 0) + self._parent_rejected
             )
             merged["shard.count"] = self.num_shards
-            merged["shard.rebalances"] = self._rebalances
             merged["shard.start_method"] = self.start_method
             merged["shard.snapshot_bytes"] = self.snapshot_bytes
-            merged["router.pins"] = len(self.router.pins)
-            prediction = self.predictor.snapshot()
-            merged["predictor.tenants"] = prediction["tenants"]
-            merged["predictor.observations"] = prediction["observations"]
             merged["per_shard"] = {
                 shard: dict(stats) for shard, stats in per_shard.items()
             }

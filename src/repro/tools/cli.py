@@ -227,7 +227,7 @@ def build_parser():
     serve.add_argument("--cols", type=int, default=100,
                        help="feature columns of generated inputs")
     serve.add_argument("--policy", default="heap-rule",
-                       choices=["heap-rule", "packing", "predictive"],
+                       choices=["heap-rule", "packing"],
                        help="admission policy (default heap-rule)")
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="shard the server across N worker processes "

@@ -26,7 +26,7 @@ from repro.cluster.admission import (
     HeapRulePolicy,
     fitting_mb,
 )
-from repro.serving import PackingPolicy, PredictivePackingPolicy
+from repro.serving import PackingPolicy
 
 TENANTS = (None, "a", "b", "c")
 #: below the 256 MB min allocation up to above the 1024 MB max
@@ -185,7 +185,6 @@ def _machine_for(policy_type):
 TestHeapRuleCore = _machine_for(HeapRulePolicy)
 TestFirstFitCore = _machine_for(FirstFitPolicy)
 TestPackingCore = _machine_for(PackingPolicy)
-TestPredictivePackingCore = _machine_for(PredictivePackingPolicy)
 
 
 class _DenyNth:

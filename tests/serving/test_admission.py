@@ -5,11 +5,9 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.cluster.yarn import ResourceManager
 from repro.serving import (
-    DemandPredictor,
     HeapRulePolicy,
     PackingPolicy,
     PendingRequest,
-    PredictivePackingPolicy,
     make_policy,
 )
 
@@ -119,112 +117,21 @@ class TestPackingPolicy:
         assert policy.select([old, fresh], rm).tenant == "old"
 
 
-class TestDemandPredictor:
-    def test_first_observation_seeds_the_average(self):
-        predictor = DemandPredictor(alpha=0.5)
-        predictor.observe("a", 1000, 10.0)
-        assert predictor.predicted_demand_mb("a") == 1000.0
-        assert predictor.predicted_runtime_s("a") == 10.0
-
-    def test_ewma_update_math(self):
-        predictor = DemandPredictor(alpha=0.5)
-        predictor.observe("a", 1000, 10.0)
-        predictor.observe("a", 2000, 20.0)
-        assert predictor.predicted_demand_mb("a") == pytest.approx(1500.0)
-        assert predictor.predicted_runtime_s("a") == pytest.approx(15.0)
-
-    def test_unseen_tenant_falls_back_to_default(self):
-        predictor = DemandPredictor()
-        assert predictor.predicted_demand_mb("ghost", default=512) == 512
-        assert predictor.predicted_runtime_s("ghost") == 0.0
-
-    def test_snapshot_counts_tenants_and_observations(self):
-        predictor = DemandPredictor()
-        predictor.observe("a", 100, 1.0)
-        predictor.observe("a", 100, 1.0)
-        predictor.observe("b", 100, 1.0)
-        assert predictor.snapshot() == {
-            "tenants": 2, "observations": 3
-        }
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            DemandPredictor(alpha=0.0)
-        with pytest.raises(ValueError):
-            DemandPredictor(alpha=1.5)
-
-    def test_predictor_survives_pickling(self):
-        import pickle
-
-        predictor = DemandPredictor(alpha=0.4)
-        predictor.observe("a", 1000, 5.0)
-        clone = pickle.loads(pickle.dumps(predictor))
-        assert clone.alpha == 0.4
-        assert clone.predicted_demand_mb("a") == 1000.0
-        clone.observe("a", 2000, 5.0)  # lock was rebuilt
-
-
-class TestPredictivePackingPolicy:
-    def test_shorter_predicted_runtime_breaks_deficit_ties(self):
-        rm = _rm()
-        policy = PredictivePackingPolicy(quantum_mb=1024)
-        policy.observe("slow", 1024, 100.0)
-        policy.observe("fast", 1024, 1.0)
-        waiting = [
-            _req(1, "slow", 1024, order=1),
-            _req(2, "fast", 1024, order=2),
-        ]
-        assert policy.select(waiting, rm).tenant == "fast"
-
-    def test_observe_feeds_the_predictor(self):
-        policy = PredictivePackingPolicy()
-        policy.observe("a", 2048, 3.0)
-        assert policy.predictor.predicted_demand_mb("a") == 2048.0
-
-    def test_forecast_larger_than_any_node_does_not_block(self):
-        rm = _rm(num_nodes=1, node_mb=4096)
-        policy = PredictivePackingPolicy()
-        policy.observe("a", 100 * 4096, 1.0)  # absurd forecast
-        request = _req(1, "a", 1024)
-        assert policy.select([request], rm).ticket == 1
-
-    def test_without_history_behaves_like_packing(self):
-        rm = _rm()
-        predictive = PredictivePackingPolicy(quantum_mb=512)
-        packing = PackingPolicy(quantum_mb=512)
-        waiting = [
-            _req(1, "a", 2048, order=1),
-            _req(2, "b", 512, order=2),
-        ]
-        assert (
-            predictive.select(list(waiting), rm).ticket
-            == packing.select(list(waiting), rm).ticket
-        )
-
-    def test_deficit_still_dominates_runtime(self):
-        """A starved tenant outranks a fast-but-fresh one: fairness
-        first, SJF only on ties."""
-        full = _rm(num_nodes=1, node_mb=4096)
-        full.try_allocate(4096, tenant="x")
-        rm = _rm()
-        policy = PredictivePackingPolicy(quantum_mb=256)
-        policy.observe("old", 1024, 50.0)
-        policy.observe("fresh", 1024, 0.5)
-        old = _req(1, "old", 1024, order=1)
-        for _ in range(3):
-            assert policy.select([old], full) is None
-        fresh = _req(2, "fresh", 1024, order=0)
-        assert policy.select([old, fresh], rm).tenant == "old"
-
-
 class TestMakePolicy:
     def test_registry_round_trip(self):
         assert make_policy("heap-rule").name == "heap-rule"
-        assert make_policy("packing", quantum_mb=2048).quantum_mb == 2048
-        predictive = make_policy("predictive", alpha=0.5)
-        assert predictive.name == "predictive"
-        assert predictive.predictor.alpha == 0.5
+        assert make_policy("packing").name == "packing"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_policy("fifo")
+
+    def test_predictive_policy_is_gone(self):
+        import repro
+        import repro.serving
+
+        with pytest.raises(ValueError, match="unknown admission policy"):
+            make_policy("predictive")
+        for name in ("DemandPredictor", "PredictivePackingPolicy"):
+            assert not hasattr(repro.serving, name)
+            assert not hasattr(repro, name)

@@ -20,7 +20,6 @@ from repro import (
 from repro.cluster import ResourceConfig
 from repro.errors import ClusterError
 from repro.serving import ConsistentHashRouter
-from repro.serving.shard import plan_rebalance
 from repro.workloads import prepare_inputs, scenario
 
 
@@ -102,44 +101,11 @@ class TestConsistentHashRouter:
         }
         assert used == {0, 1, 2, 3}
 
-    def test_pin_overrides_the_ring_and_unpin_restores_it(self):
-        router = ConsistentHashRouter(4)
-        key = "tenant:alpha"
-        natural = router.shard_for(key)
-        target = (natural + 1) % 4
-        router.pin(key, target)
-        assert router.shard_for(key) == target
-        assert router.pins == {key: target}
-        router.unpin(key)
-        assert router.shard_for(key) == natural
-
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             ConsistentHashRouter(0)
         with pytest.raises(ValueError):
             ConsistentHashRouter(2, affinity="random")
-        with pytest.raises(ValueError):
-            ConsistentHashRouter(2).pin("k", 5)
-
-
-class TestPlanRebalance:
-    def test_no_move_when_balanced(self):
-        assert plan_rebalance(
-            {0: 10.0, 1: 9.0}, {0: {"a": 10.0}, 1: {"b": 9.0}}
-        ) is None
-
-    def test_moves_hottest_key_from_most_to_least_loaded(self):
-        move = plan_rebalance(
-            {0: 30.0, 1: 5.0},
-            {0: {"a": 10.0, "b": 20.0}, 1: {"c": 5.0}},
-        )
-        assert move == ("b", 0, 1)
-
-    def test_single_shard_never_moves(self):
-        assert plan_rebalance({0: 100.0}, {0: {"a": 100.0}}) is None
-
-    def test_no_move_without_candidate_keys(self):
-        assert plan_rebalance({0: 30.0, 1: 0.0}, {}) is None
 
 
 class TestShardedDeterminism:
@@ -183,9 +149,9 @@ class TestShardedDeterminism:
             per_count[shards] = [_canonical(r.outcome) for r in results]
         assert per_count[1] == per_count[2]
 
-    def test_predictive_policy_preserves_determinism(self):
+    def test_packing_policy_preserves_determinism(self):
         server = ShardedElasticMLServer(
-            shards=2, sample_cap=64, policy="predictive",
+            shards=2, sample_cap=64, policy="packing",
         )
         args = prepare_inputs(
             server.hdfs, "LinregDS", scenario("XS", cols=50)
@@ -234,7 +200,6 @@ class TestShardedLifecycle:
             assert stats["serving.completed"] == 6
             assert stats["shard.count"] == 2
             assert len(stats["per_shard"]) == 2
-            assert stats["predictor.observations"] == 6
         # per-shard tracers are absorbed into the parent at shutdown
         assert server.tracer.counter("serving.completed") == 6
 
@@ -300,6 +265,16 @@ class TestShardedLifecycle:
         server.shutdown()
         with pytest.raises(RuntimeError):
             server.submit(Submission(tenant="t", script="LinregDS"))
+
+    def test_unknown_policy_rejected_at_construction_like_unsharded(self):
+        """Regression: a bad policy name used to kill every shard worker
+        on the first submit, and the request came back failed only
+        after the reaper's timeout."""
+        with pytest.raises(ValueError) as plain:
+            ElasticMLServer(sample_cap=64, policy="bogus")
+        with pytest.raises(ValueError) as sharded:
+            ShardedElasticMLServer(shards=2, sample_cap=64, policy="bogus")
+        assert str(sharded.value) == str(plain.value)
 
     def test_shutdown_before_first_submit_is_clean(self):
         server = ShardedElasticMLServer(shards=2, sample_cap=64)

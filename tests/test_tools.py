@@ -143,6 +143,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["run", "nosuch.dml"])
 
+    def test_predictive_policy_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--tenants", "1", "--policy", "predictive"])
+        assert exit_info.value.code == 2  # argparse usage error
+        assert "invalid choice: 'predictive'" in capsys.readouterr().err
+
     def test_bad_static_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "LinregDS", "--static", "2048"])
