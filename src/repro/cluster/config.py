@@ -73,7 +73,9 @@ class ClusterConfig:
 
     @property
     def min_heap_mb(self):
-        """Smallest useful heap: the one fitting a min-size container."""
+        """The one CP heap floor: the min allocation itself (the paper's
+        "minimum of 512 MB").  The optimizer's grid, elastic grants, the
+        adapter's fallback and the baselines all start here."""
         return float(self.min_allocation_mb)
 
     @property

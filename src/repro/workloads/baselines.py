@@ -24,7 +24,7 @@ def max_parallel_task_heap_mb(cluster):
 
 def paper_baselines(cluster):
     """The four static baselines, in the paper's order."""
-    small = float(cluster.min_allocation_mb)
+    small = cluster.min_heap_mb
     large_cp = cluster.max_heap_mb
     large_mr = max_parallel_task_heap_mb(cluster)
     return {
