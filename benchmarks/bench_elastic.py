@@ -1,29 +1,34 @@
-"""Continuous-elasticity benchmark: autoscaling Brain vs static admission.
+"""Memory-elastic admission benchmark: elastic vs static admission.
 
-Replays a bursty multi-tenant trace (three arrival bursts against a
-deliberately small one-node cluster, plus a background load spike) twice
-through the deterministic virtual-time :class:`repro.elastic
-.TraceSimulator` — once with plain static admission and once with the
-autoscaling Brain (memory-elastic admission ladder + mid-run rescaling)
-— and compares makespan, utilization, and admission wait.
+Replays two bursty multi-tenant traces through the deterministic
+virtual-time :class:`repro.elastic.TraceSimulator` — once with the
+paper's static admission (queue until the ideal AM container fits) and
+once with memory-elastic admission (run now on the largest smaller
+container of the shrink ladder that fits, at that fraction of the ideal
+configuration until the run ends) — and compares makespan, utilization
+and admission wait.
 
-Invariants asserted on every run:
+* **room** — S-L data on 2 x 8 GB: ideal CP heaps sit well above the
+  CP floor (``ClusterConfig.min_heap_mb``), so the ladder has smaller
+  containers to offer.  Elastic admission must beat static makespan by
+  at least :data:`MIN_ROOM_SPEEDUP`.
+* **no room** — XS data on 1 x 1 GB: every ideal heap already sits at
+  the floor, so there is no smaller container to admit.  The elastic
+  arm must equal the static arm exactly; the row keeps that finding
+  visible.
 
-* every trace entry completes in both arms (nothing rejected);
+Invariants asserted on every arm of every trace:
+
+* every trace entry completes (nothing rejected);
 * **byte-identical outputs** — every simulated run's prints and MR-job
   count equal a private single-tenant serial session on the same
-  recipe, in both arms, and the written output matrices are
-  ``np.array_equal`` to the serial ones (elasticity perturbs time only,
-  never numerics);
-* **fidelity ablation** — with the Brain off, every run's simulated
-  duration is *exactly* the serial session's total time (the static arm
-  is plain v1.5 behavior);
-* the Brain arm beats the static arm on makespan or utilization, with
-  ``elastic.rescales > 0`` and at least one below-ideal elastic
-  admission.
+  recipe, and the written output matrices are ``np.array_equal`` to the
+  serial ones (elasticity perturbs time only, never numerics);
+* **fidelity ablation** — in the static arm, every run's simulated
+  duration is *exactly* the serial session's total time.
 
 Writes ``BENCH_elastic.json`` (override with ``--out``).  Standalone:
-``python benchmarks/bench_elastic.py [--quick] [--out PATH]``.
+``python benchmarks/bench_elastic.py [--out PATH]``.
 """
 
 import argparse
@@ -34,41 +39,42 @@ import sys
 import numpy as np
 
 from repro.api import ElasticMLSession
-from repro.cluster import ClusterLoad, small_cluster
+from repro.cluster import small_cluster
 from repro.elastic import TraceSimulator, bursty_trace
 from repro.workloads import prepare_inputs, scenario
 
-#: workload mix cycled across the trace (XS keeps runs CP-only, so the
-#: fidelity ablation below can demand *exact* duration equality)
-MIX = (("LinregDS", "XS", 100), ("LinregCG", "XS", 100))
 SEED = 11
 SAMPLE_CAP = 64
+#: the room trace's elastic arm must beat static makespan by this factor
+MIN_ROOM_SPEEDUP = 1.30
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / (
     "BENCH_elastic.json"
 )
 
+#: name -> (workload mix cycled across the trace, nodes, node MB,
+#: bursty_trace gaps)
+TRACES = {
+    "room": (
+        (("LinregDS", "L", 1000), ("LinregCG", "M", 1000),
+         ("L2SVM", "L", 1000), ("GLM", "S", 1000), ("MLogreg", "M", 1000)),
+        2, 8192, {},
+    ),
+    "no_room": (
+        (("LinregDS", "XS", 100), ("LinregCG", "XS", 100)),
+        1, 1024, {"burst_gap_s": 150.0, "intra_gap_s": 1.5},
+    ),
+}
 
-def make_cluster():
-    """One node, 1 GB: two ideal AM containers fit; a third only fits
-    when the Brain admits below ideal."""
-    return small_cluster(num_nodes=1, node_memory_mb=1024)
 
-
-def make_background():
-    """Background load spike around the second burst — pressures
-    running Brains into mid-run shrinks."""
-    return ClusterLoad(schedule=[(0.0, 0.0), (150.0, 0.8), (185.0, 0.0)])
-
-
-def serial_references():
+def serial_references(mix, cluster):
     """Canonical single-tenant results per recipe: prints, MR jobs,
     total time, and the written output matrix."""
     refs = {}
-    for script, size, cols in MIX:
-        session = ElasticMLSession(
-            cluster=make_cluster(), sample_cap=SAMPLE_CAP
+    for script, size, cols in mix:
+        session = ElasticMLSession(cluster=cluster, sample_cap=SAMPLE_CAP)
+        args = prepare_inputs(
+            session.hdfs, script, scenario(size, cols=cols)
         )
-        args = prepare_inputs(session.hdfs, script, scenario(size, cols=cols))
         outcome = session.run(script, args, adapt=False)
         out_path = args.get("B") or args.get("model") or args.get("C")
         refs[script] = {
@@ -105,93 +111,97 @@ def check_arm(result, trace, refs, hdfs, *, fidelity):
             assert got.total_time == ref["total_time"], (
                 f"{result.label}: {run.entry.tenant} simulated time "
                 f"{got.total_time} != serial {ref['total_time']} "
-                "(static arm must be exactly v1.5 behavior)"
+                "(static arm must be exactly the serial session)"
             )
-    for script, _, _ in MIX:
-        ref = refs[script]
+    for script, ref in refs.items():
         written = np.array(hdfs.get(ref["out_path"]).data)
         assert np.array_equal(written, ref["matrix"]), (
             f"{result.label}: output matrix of {script} diverged"
         )
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small trace for CI smoke (10 tenants, "
-                             "2 bursts)")
-    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
-    args = parser.parse_args(argv)
-
-    tenants, bursts = (10, 2) if args.quick else (24, 3)
-    trace = bursty_trace(
-        seed=SEED, tenants=tenants, bursts=bursts,
-        burst_gap_s=150.0, intra_gap_s=1.5, mix=MIX,
-    )
-    refs = serial_references()
-
+def measure(name):
+    """Both arms of one trace, checked; returns ``(static, brain,
+    row)`` with the trace's JSON row."""
+    mix, nodes, node_mb, gaps = TRACES[name]
+    cluster = small_cluster(num_nodes=nodes, node_memory_mb=node_mb)
+    trace = bursty_trace(seed=SEED, tenants=24, bursts=3, mix=mix, **gaps)
+    refs = serial_references(mix, cluster)
     arms = {}
-    hdfs_by_arm = {}
     for elastic in (False, True):
         sim = TraceSimulator(
-            trace, cluster=make_cluster(), elastic=elastic,
-            background=make_background(), sample_cap=SAMPLE_CAP,
+            trace, cluster=cluster, elastic=elastic, sample_cap=SAMPLE_CAP,
         )
         result = sim.run()
+        check_arm(result, trace, refs, sim.session.hdfs,
+                  fidelity=not elastic)
         arms[result.label] = result
-        hdfs_by_arm[result.label] = sim.session.hdfs
     static, brain = arms["static"], arms["brain"]
-
-    check_arm(static, trace, refs, hdfs_by_arm["static"], fidelity=True)
-    check_arm(brain, trace, refs, hdfs_by_arm["brain"], fidelity=False)
-
-    assert (
-        brain.makespan_s < static.makespan_s
-        or brain.utilization > static.utilization
-    ), (
-        f"Brain arm won neither makespan ({brain.makespan_s} vs "
-        f"{static.makespan_s}) nor utilization ({brain.utilization} vs "
-        f"{static.utilization})"
-    )
-    brain_summary = brain.summary()
-    assert brain_summary["rescales"] > 0, "Brain never rescaled a run"
-    assert brain_summary["elastic_admissions"] > 0, (
-        "Brain never admitted below ideal"
-    )
-
-    speedup = static.makespan_s / brain.makespan_s
-    payload = {
-        "benchmark": "elastic",
+    return static, brain, {
         "trace": {
             "name": trace.name,
             "entries": len(trace.entries),
-            "bursts": bursts,
-            "mix": [f"{s}:{size}" for s, size, _ in MIX],
+            "bursts": 3,
+            "mix": [f"{s}:{size}:{cols}" for s, size, cols in mix],
         },
-        "cluster": {"nodes": 1, "node_memory_mb": 1024},
+        "cluster": {"nodes": nodes, "node_memory_mb": node_mb},
         "static": static.summary(),
-        "brain": brain_summary,
-        "makespan_speedup": round(speedup, 4),
+        "brain": brain.summary(),
+        "makespan_speedup": round(static.makespan_s / brain.makespan_s, 4),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
+    args = parser.parse_args(argv)
+
+    static, brain, room = measure("room")
+    speedup = static.makespan_s / brain.makespan_s
+    assert speedup >= MIN_ROOM_SPEEDUP, (
+        f"room trace: elastic admission makespan speedup {speedup:.4f}x "
+        f"below {MIN_ROOM_SPEEDUP}x ({brain.makespan_s} vs "
+        f"{static.makespan_s})"
+    )
+    assert room["brain"]["elastic_admissions"] > 0, (
+        "room trace: nothing was admitted below ideal"
+    )
+
+    static, brain, no_room = measure("no_room")
+    assert brain.summary()["elastic_admissions"] == 0
+    assert [
+        (run.admitted_s, run.finish_s, run.container_mb) for run in brain.runs
+    ] == [
+        (run.admitted_s, run.finish_s, run.container_mb)
+        for run in static.runs
+    ], "no-room trace: elastic admission changed a run at the CP floor"
+
+    payload = {
+        "benchmark": "elastic",
+        "room": room,
+        "no_room": no_room,
         "byte_identical_outputs": True,
         "fidelity_ablation": (
-            "brain off: every run's duration exactly equals its serial "
+            "static arm: every run's duration exactly equals its serial "
             "single-tenant session"
         ),
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
 
-    print(f"trace {trace.name}: {len(trace.entries)} entries, "
-          f"{bursts} bursts, 1x1024MB cluster")
-    for label in ("static", "brain"):
-        s = arms[label].summary()
-        print(f"{label:8} makespan {s['makespan_s']:8.1f}s  "
-              f"util {s['utilization']:.3f}  "
-              f"mean wait {s['mean_wait_s']:6.1f}s  "
-              f"rescales {s['rescales']:3d}  "
-              f"elastic adm {s['elastic_admissions']}")
-    print(f"\nmakespan speedup: {speedup:.3f}x  "
-          f"(outputs byte-identical in both arms; static arm exactly "
-          f"serial)")
+    for name, row in (("room", room), ("no room", no_room)):
+        cluster = row["cluster"]
+        print(f"{name}: trace {row['trace']['name']}, "
+              f"{row['trace']['entries']} entries, "
+              f"{cluster['nodes']}x{cluster['node_memory_mb']}MB")
+        for label in ("static", "brain"):
+            s = row[label]
+            print(f"  {label:8} makespan {s['makespan_s']:9.1f}s  "
+                  f"util {s['utilization']:.3f}  "
+                  f"mean wait {s['mean_wait_s']:7.1f}s  "
+                  f"spill {s['total_spill_s']:6.1f}s  "
+                  f"elastic adm {s['elastic_admissions']}")
+        print(f"  makespan speedup: {row['makespan_speedup']:.3f}x")
+    print("outputs byte-identical in every arm; static arms exactly serial")
     print(f"wrote {args.out}")
     return 0
 

@@ -50,8 +50,6 @@ from repro.cost import (
     fit_profile,
 )
 from repro.elastic import (
-    BrainPolicy,
-    ElasticBrain,
     ElasticTrace,
     TraceEntry,
     TraceRecorder,
@@ -106,8 +104,6 @@ __all__ = [
     "ResourceConfig",
     "paper_cluster",
     "small_cluster",
-    "BrainPolicy",
-    "ElasticBrain",
     "ElasticTrace",
     "TraceEntry",
     "TraceRecorder",

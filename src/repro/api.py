@@ -113,12 +113,7 @@ class SessionConfig:
     #: cost model's *belief*; the simulated hardware truth (``params``)
     #: is unaffected
     calibration_profile: object = None
-    # -- continuous elasticity (repro.elastic) ------------------------------
-    #: attach an autoscaling Brain to every execution: mid-run
-    #: grow/shrink of the granted memory under load.  Time-only — plans
-    #: always compile against the ideal config, outputs stay
-    #: byte-identical (off reproduces pre-Brain behavior exactly)
-    elastic: bool = False
+    # -- multi-tenant serving ----------------------------------------------
     #: per-tenant memory quota as a fraction of total cluster memory,
     #: enforced by the serving resource manager (None = no quotas)
     tenant_quota_share: float | None = None
@@ -345,12 +340,8 @@ class ElasticMLSession(RunPipeline):
         #: applied to every run unless overridden per call
         self.chaos = chaos
         #: background cluster-load model (:class:`repro.cluster.load
-        #: .ClusterLoad`): slows MR phases and feeds the Brain's
-        #: utilization signal when ``config.elastic`` is set
+        #: .ClusterLoad`): slows MR phases
         self.load = load
-        #: the :class:`~repro.elastic.ElasticBrain` of the most recent
-        #: execution (None when ``config.elastic`` is off)
-        self.last_brain = None
         self._server = None
 
     # -- compilation -----------------------------------------------------
@@ -378,13 +369,10 @@ class ElasticMLSession(RunPipeline):
         session default; fault schedules restart deterministically at
         every run.
         """
-        self.last_brain = self.make_brain(
-            self.load.utilization if self.load is not None else None
-        )
         return self.execute_program(
             compiled, resource, seed=self.seed, adapt=adapt,
             chaos=chaos if chaos is not None else self.chaos,
-            load=self.load, brain=self.last_brain,
+            load=self.load,
         )
 
     def run(self, script_or_name, args=None, *, resource=None, adapt=True,

@@ -114,15 +114,6 @@ class ResourceManager:
         return sum(node.available_mb for node in self.nodes)
 
     @property
-    def utilization(self):
-        """Fraction of total cluster memory currently allocated — the
-        load signal the elasticity Brain polls."""
-        total = self.cluster.total_memory_mb
-        if total <= 0:
-            return 0.0
-        return self.used_mb / total
-
-    @property
     def used_mb(self):
         return sum(node.used_mb for node in self.nodes)
 

@@ -286,7 +286,7 @@ class CostModel:
         — every other term is determined by the plan and the cost state)."""
         mr_heap = resource.mr_heap_for_block(block_id)
         cp_container = self.cluster.container_mb_for_heap(resource.cp_heap_mb)
-        # a Brain grant adds a spill term that depends on the ideal heap
+        # an elastic grant adds a spill term that depends on the ideal heap
         # too, so grants get a distinct memo signature
         ideal = getattr(resource, "ideal", None)
         return (

@@ -1,18 +1,16 @@
-"""Continuous resource elasticity: the autoscaling Brain.
+"""Memory-elastic admission over multi-tenant traces.
 
-This package closes the monitor→decide→rescale loop over the paper's
-one-shot resource optimization: a deterministic controller
-(:class:`ElasticBrain`) polls a cluster-load signal at statement-block
-boundaries and grows/shrinks the *granted* fraction of a run's ideal
-resource configuration — memory-elastic execution with a cost-model
-spill penalty charged to time only, never to numerics.  The trace
-module records/generates multi-tenant load traces and the simulator
-replays them in deterministic virtual time (the substrate of
-``bench_elastic`` and the scenario/property test harness).
+The paper's FIFO admission queues a run until its ideal AM container
+fits.  Elastic admission (:func:`~repro.elastic.brain.shrink_ladder`)
+also accepts a smaller container right now — a fixed fraction of the
+run's ideal resource configuration, with a cost-model spill penalty
+charged to time only, never to numerics.  The trace module
+records/generates multi-tenant load traces and the simulator replays
+them in deterministic virtual time (the substrate of ``bench_elastic``
+and the scenario/property test harness).
 """
 
 from repro.cluster.resources import GrantedResource
-from repro.elastic.brain import BrainPolicy, ElasticBrain
 from repro.elastic.simulator import (
     SimulatedRun,
     SimulationResult,
@@ -27,8 +25,6 @@ from repro.elastic.trace import (
 )
 
 __all__ = [
-    "BrainPolicy",
-    "ElasticBrain",
     "GrantedResource",
     "ElasticTrace",
     "TraceEntry",

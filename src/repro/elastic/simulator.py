@@ -4,18 +4,20 @@ A :class:`TraceSimulator` replays an :class:`~repro.elastic.trace
 .ElasticTrace` against a single :class:`~repro.cluster.yarn
 .ResourceManager` in *virtual* time: a single-threaded event loop over
 arrival and finish events, FIFO admission under the paper's
-1.5x-heap-container rule, and — with ``elastic=True`` — the Brain's
-memory-elastic admission ladder plus mid-run rescaling driven by the
-simulated cluster occupancy.  Runs execute eagerly (the simulated
+1.5x-heap-container rule, and — with ``elastic=True`` — the
+memory-elastic admission ladder (:func:`~repro.elastic.brain
+.shrink_ladder`): an entry whose ideal container does not fit runs now
+on the largest smaller one that does, at that fraction of its ideal
+configuration until it ends.  Runs execute eagerly (the simulated
 interpreter) at their admission instant; their simulated duration
 schedules the finish event.
 
 Everything is deterministic: no wall clock, no threads, no RNG beyond
 the seeded trace and the seeded kernels — so two simulations of the
-same (trace, cluster, policy) are identical down to every rescale
-decision, which is what the replay harness and the property suite
-assert.  The elastic and static arms of ``bench_elastic`` are two
-simulations differing only in the ``elastic`` flag.
+same (trace, cluster) are identical down to every admission, which is
+what the replay harness and the property suite assert.  The elastic
+and static arms of ``bench_elastic`` are two simulations differing only
+in the ``elastic`` flag.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.cluster import ResourceManager, small_cluster
 from repro.cluster.admission import AdmissionCore
 from repro.cluster.resources import GrantedResource
 from repro.cost import CostModel
-from repro.elastic.brain import BrainPolicy, ElasticBrain
+from repro.elastic.brain import MAX_SPILL_SLOWDOWN, shrink_ladder
 from repro.obs import Tracer, use_tracer
 from repro.scripts import SCRIPTS, load_script
 from repro.workloads import prepare_inputs, scenario
@@ -44,12 +46,8 @@ class SimulatedRun:
     finish_s: float
     wait_s: float
     container_mb: int
-    #: granted fraction at admission (1.0 = ideal)
+    #: granted fraction of the ideal configuration (1.0 = ideal)
     fraction: float
-    #: mid-run rescale decisions taken by this run's Brain
-    rescales: int
-    #: (time, utilization, fraction) per Brain poll
-    decisions: list
     outcome: object
 
 
@@ -92,7 +90,6 @@ class SimulationResult:
             "utilization": round(self.utilization, 4),
             "mean_wait_s": round(self.mean_wait_s, 3),
             "total_spill_s": round(self.total_spill_s, 3),
-            "rescales": int(self.counters.get("elastic.rescales", 0)),
             "elastic_admissions": int(
                 self.counters.get("elastic.elastic_admissions", 0)
             ),
@@ -101,26 +98,16 @@ class SimulationResult:
 
 
 class TraceSimulator:
-    """Virtual-time replay of a trace on one simulated cluster.
-
-    The occupancy signal fed to each run's Brain is the sum of the AM
-    containers of runs admitted *before* it (plus any ``background``
-    load schedule) — a run never observes later admissions, which keeps
-    the loop causal and deterministic.
-    """
+    """Virtual-time replay of a trace on one simulated cluster."""
 
     def __init__(self, trace, *, cluster=None, params=None, config=None,
-                 elastic=False, brain_policy=None, background=None,
-                 quota_share=None, sample_cap=64, session=None):
+                 elastic=False, quota_share=None, sample_cap=64,
+                 session=None):
         from repro.api import ElasticMLSession, SessionConfig
 
         self.trace = trace
         self.cluster = cluster if cluster is not None else small_cluster()
         self.elastic = elastic
-        self.brain_policy = (
-            brain_policy if brain_policy is not None else BrainPolicy()
-        )
-        self.background = background
         self.quota_share = quota_share
         self.tracer = Tracer()
         self.session = session if session is not None else ElasticMLSession(
@@ -159,14 +146,6 @@ class TraceSimulator:
         rm = ResourceManager(self.cluster)
         total_mb = float(self.cluster.total_memory_mb)
         intervals = []  # (admit_s, finish_s, container_mb)
-
-        def occupancy(t):
-            used = sum(mb for start, end, mb in intervals if start <= t < end)
-            load = used / total_mb if total_mb > 0 else 0.0
-            if self.background is not None:
-                load += self.background.utilization(t)
-            return min(load, 1.0)
-
         if self.quota_share:
             quota_mb = max(
                 self.cluster.min_allocation_mb,
@@ -200,9 +179,7 @@ class TraceSimulator:
                 else:
                     offered[ticket] = offer
             for request, (container,) in core.grant():
-                run = self._start(
-                    *offered.pop(request.ticket), container, clock, occupancy
-                )
+                run = self._start(*offered.pop(request.ticket), container, clock)
                 result.runs.append(run)
                 intervals.append((clock, run.finish_s, container.memory_mb))
                 heapq.heappush(
@@ -230,8 +207,8 @@ class TraceSimulator:
     def _offer(self, entry, ticket, core):
         """An entry arrives: compile and optimize it (the pipeline's
         first two stages, once per entry) and queue it for its AM
-        container.  With ``elastic=True`` the Brain's shrink ladder —
-        cut where the predicted spill slowdown becomes unacceptable —
+        container.  With ``elastic=True`` the shrink ladder — cut where
+        the predicted spill slowdown becomes unacceptable —
         rides along as the request's smaller acceptable sizes.  Returns
         what :meth:`_start` needs, or None when the entry can never be
         placed."""
@@ -250,11 +227,11 @@ class TraceSimulator:
             # timing + spill term) beyond ``max_spill_slowdown`` of the
             # ideal estimate cuts the ladder — queue instead
             est_ideal = self._estimate(compiled, ideal)
-            for fraction in self.brain_policy.shrink_ladder():
+            for fraction in shrink_ladder():
                 granted = GrantedResource.of(ideal, fraction, self.cluster)
                 if est_ideal > 0 and (
                     self._estimate(compiled, granted) / est_ideal
-                    > self.brain_policy.max_spill_slowdown
+                    > MAX_SPILL_SLOWDOWN
                 ):
                     self.tracer.incr("elastic.admission_vetoes")
                     break
@@ -267,21 +244,15 @@ class TraceSimulator:
         return entry, compiled, opt_result, fractions
 
     def _start(self, entry, compiled, opt_result, fractions, container,
-               clock, occupancy):
-        """Execute an admitted entry at its admission instant; returns
-        its :class:`SimulatedRun`."""
+               clock):
+        """Execute an admitted entry at its admission instant, at the
+        fraction its container was granted; returns its
+        :class:`SimulatedRun`."""
         from repro.api import RunOutcome
 
         fraction = fractions[container.memory_mb]
-        brain = None
-        if self.elastic:
-            brain = ElasticBrain(
-                policy=self.brain_policy, cluster=self.cluster,
-                utilization=occupancy, tenant=entry.tenant,
-                base_time=clock, fraction=fraction,
-            )
-            if fraction < 1.0:
-                self.tracer.incr("elastic.elastic_admissions")
+        if fraction < 1.0:
+            self.tracer.incr("elastic.elastic_admissions")
         exec_result = self.session.execute_program(
             compiled, opt_result.resource, seed=entry.seed,
             adapt=entry.adapt,
@@ -289,7 +260,7 @@ class TraceSimulator:
                 FaultPlan.from_rate(entry.chaos_seed, entry.fault_rate)
                 if entry.chaos_seed is not None else None
             ),
-            load=self.background, brain=brain,
+            fraction=fraction,
         )
         return SimulatedRun(
             entry=entry,
@@ -298,8 +269,6 @@ class TraceSimulator:
             wait_s=clock - entry.arrival_s,
             container_mb=container.memory_mb,
             fraction=fraction,
-            rescales=brain.rescales if brain is not None else 0,
-            decisions=list(brain.decisions) if brain is not None else [],
             outcome=RunOutcome(
                 result=exec_result,
                 resource=exec_result.final_resource,
@@ -317,19 +286,15 @@ class TraceSimulator:
 
 
 def simulate_arms(trace, *, cluster=None, params=None, config=None,
-                  brain_policy=None, background=None, quota_share=None,
-                  sample_cap=64):
-    """Run the static and Brain arms of a trace; returns
-    ``(static, brain)`` :class:`SimulationResult` pairs — the benchmark
-    comparison in one call."""
-    static = TraceSimulator(
-        trace, cluster=cluster, params=params, config=config,
-        elastic=False, background=background, quota_share=quota_share,
-        sample_cap=sample_cap,
-    ).run()
-    brain = TraceSimulator(
-        trace, cluster=cluster, params=params, config=config,
-        elastic=True, brain_policy=brain_policy, background=background,
-        quota_share=quota_share, sample_cap=sample_cap,
-    ).run()
-    return static, brain
+                  quota_share=None, sample_cap=64):
+    """Run the static and elastic-admission arms of a trace; returns
+    the ``(static, elastic)`` :class:`SimulationResult` pair — the
+    benchmark comparison in one call."""
+    return tuple(
+        TraceSimulator(
+            trace, cluster=cluster, params=params, config=config,
+            elastic=elastic, quota_share=quota_share,
+            sample_cap=sample_cap,
+        ).run()
+        for elastic in (False, True)
+    )

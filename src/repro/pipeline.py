@@ -17,7 +17,7 @@ server and the trace simulator are callers that add only what is theirs
   to an :class:`~repro.runtime.Interpreter`.
 
 Everything that differs between callers is an argument of
-``execute_program`` (``seed``, ``load``, an already-built ``brain``);
+``execute_program`` (``seed``, ``load``, an admitted ``fraction``);
 the pipeline never asks who is calling and emits no spans of its own.
 """
 
@@ -164,22 +164,8 @@ class RunPipeline:
 
     # -- execute -------------------------------------------------------------
 
-    def make_brain(self, utilization, tenant=None, base_time=0.0):
-        """An :class:`~repro.elastic.ElasticBrain` polling
-        ``utilization(t)``, or None when ``config.elastic`` is off."""
-        if not self.config.elastic:
-            return None
-        # local import: keeps the elastic subsystem optional at
-        # construction time
-        from repro.elastic import ElasticBrain
-
-        return ElasticBrain(
-            cluster=self.cluster, utilization=utilization, tenant=tenant,
-            base_time=base_time,
-        )
-
     def execute_program(self, compiled, resource, *, seed=0, adapt=True,
-                        chaos=None, load=None, brain=None):
+                        chaos=None, load=None, fraction=1.0):
         """Execute ``compiled`` under ``resource``; returns the
         :class:`~repro.runtime.ExecutionResult`.
 
@@ -189,8 +175,9 @@ class RunPipeline:
         private HDFS *view*: the file namespace stays shared, the
         injector slot does not, so one run's read faults never fire in
         another's.  ``load`` is a background
-        :class:`~repro.cluster.load.ClusterLoad`, ``brain`` an already
-        built Brain (see :meth:`make_brain`).
+        :class:`~repro.cluster.load.ClusterLoad`; ``fraction`` the share
+        of ``resource`` an elastic admission granted (see
+        :mod:`repro.elastic.brain`).
         """
         injector = (
             FaultInjector(chaos, retry_policy=self.retry_policy)
@@ -211,7 +198,7 @@ class RunPipeline:
             seed=seed,
             cluster_load=load,
             injector=injector,
-            brain=brain,
+            fraction=fraction,
         )
         if self.calibration is None:
             return interpreter.run(compiled, resource)

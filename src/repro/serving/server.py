@@ -378,13 +378,9 @@ class ElasticMLServer(RunPipeline):
             )
         counters["serving.waiting"] = len(self.core.waiting)
         counters["tenant_usage_mb"] = self.rm.usage_by_tenant()
-        for name in (
-            "elastic.polls", "elastic.rescales", "elastic.grows",
-            "elastic.shrinks", "elastic.spilled_jobs",
-            "yarn.quota_denials",
-        ):
-            counters[name] = self.tracer.counter(name)
-        counters["elastic.spill_s"] = self.tracer.counter("elastic.spill_s")
+        counters["yarn.quota_denials"] = self.tracer.counter(
+            "yarn.quota_denials"
+        )
         counters["calib.samples"] = (
             self.calibration.total_samples
             if self.calibration is not None else 0
@@ -476,15 +472,6 @@ class ElasticMLServer(RunPipeline):
                 exec_result = self.execute_program(
                     compiled, resource, seed=submission.seed,
                     adapt=submission.adapt, chaos=submission.chaos,
-                    # live load signal: the RM's instantaneous
-                    # utilization.  Poll times are wall-clock dependent,
-                    # so the *decisions* are not reproducible across
-                    # runs — but every decision is a time-only
-                    # perturbation, so outputs stay byte-identical.
-                    brain=self.make_brain(
-                        lambda _t: self.rm.utilization,
-                        tenant=submission.tenant,
-                    ),
                 )
         finally:
             self._release(container)

@@ -13,7 +13,7 @@ Mirrors how SystemML's YARN client is driven from the shell:
                                                 # multi-tenant serving trace
     python -m repro elastic --tenants 24 --bursts 3 [--json]
                                                 # bursty trace: static vs
-                                                # autoscaling-Brain arms
+                                                # elastic-admission arms
     python -m repro calibrate LinregDS S --runs 3 --drift 42 --out prof.json
                                                 # fit cost constants from
                                                 # traced actuals
@@ -37,6 +37,7 @@ from repro.cluster import ResourceConfig
 from repro.scripts import SCRIPTS, load_script
 from repro.tools.explain import explain_program
 from repro.workloads import prepare_inputs, scenario
+from repro.workloads.scenarios import SCENARIO_CELLS
 
 
 def _parse_value(text):
@@ -86,6 +87,33 @@ def _static_resource(text):
     if len(parts) != 2:
         raise SystemExit("--static expects CP_MB,MR_MB")
     return ResourceConfig(float(parts[0]), float(parts[1]))
+
+
+def _mix(text):
+    """``SCRIPT:SIZE[,SCRIPT:SIZE...]`` as (script, size) pairs; an
+    argparse type, so a bad entry is a usage error."""
+    mix = []
+    for entry in text.split(","):
+        name, sep, size = entry.partition(":")
+        if not sep:
+            raise argparse.ArgumentTypeError(
+                f"expected SCRIPT:SIZE, got {entry!r}"
+            )
+        if name not in SCRIPTS:
+            raise argparse.ArgumentTypeError(f"unknown script {name!r}")
+        if size not in SCENARIO_CELLS:
+            raise argparse.ArgumentTypeError(
+                f"unknown size {size!r} (one of {', '.join(SCENARIO_CELLS)})"
+            )
+        mix.append((name, size))
+    return mix
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(parser):
@@ -220,7 +248,7 @@ def build_parser():
     serve.add_argument("--tenant-pool", type=int, default=8, metavar="K",
                        help="distinct tenant identities, assigned "
                             "round-robin (default 8)")
-    serve.add_argument("--mix", default="LinregDS:XS",
+    serve.add_argument("--mix", type=_mix, default="LinregDS:XS",
                        metavar="SCRIPT:SIZE[,SCRIPT:SIZE...]",
                        help="submission mix, cycled in order "
                             "(default LinregDS:XS)")
@@ -250,49 +278,49 @@ def build_parser():
     elastic = sub.add_parser(
         "elastic",
         help="replay a bursty multi-tenant trace through the "
-             "deterministic virtual-time simulator, comparing a static "
-             "admission arm against the autoscaling Brain",
+             "deterministic virtual-time simulator, comparing static "
+             "admission against memory-elastic admission",
     )
-    elastic.add_argument("--tenants", type=int, default=24, metavar="N",
+    elastic.add_argument("--tenants", type=_positive_int, default=24,
+                         metavar="N",
                          help="submissions in the generated trace "
                               "(default 24)")
-    elastic.add_argument("--bursts", type=int, default=3,
+    elastic.add_argument("--bursts", type=_positive_int, default=3,
                          help="arrival bursts (default 3)")
-    elastic.add_argument("--burst-gap", type=float, default=150.0,
+    elastic.add_argument("--burst-gap", type=float, default=480.0,
                          metavar="S",
-                         help="seconds between bursts (default 150)")
-    elastic.add_argument("--intra-gap", type=float, default=1.5,
+                         help="seconds between bursts (default 480)")
+    elastic.add_argument("--intra-gap", type=float, default=3.0,
                          metavar="S",
                          help="mean arrival gap within a burst "
-                              "(default 1.5)")
+                              "(default 3)")
     elastic.add_argument("--tenant-pool", type=int, default=8, metavar="K",
                          help="distinct tenant identities (default 8)")
-    elastic.add_argument("--mix", default="LinregDS:XS,LinregCG:XS",
+    elastic.add_argument("--mix", type=_mix,
+                         default="LinregDS:L,LinregCG:M,L2SVM:L,GLM:S,"
+                                 "MLogreg:M",
                          metavar="SCRIPT:SIZE[,SCRIPT:SIZE...]",
-                         help="workload mix cycled across the trace")
-    elastic.add_argument("--cols", type=int, default=100,
-                         help="feature columns of generated inputs")
+                         help="workload mix cycled across the trace "
+                              "(default: S-L data, whose ideal heaps "
+                              "leave the ladder room above the floor)")
+    elastic.add_argument("--cols", type=int, default=1000,
+                         help="feature columns of generated inputs "
+                              "(default 1000)")
     elastic.add_argument("--seed", type=int, default=11,
                          help="trace generation seed (default 11)")
-    elastic.add_argument("--nodes", type=int, default=1,
-                         help="simulated cluster nodes (default 1)")
-    elastic.add_argument("--node-mem", type=int, default=1024, metavar="MB",
-                         help="memory per node (default 1024)")
+    elastic.add_argument("--nodes", type=int, default=2,
+                         help="simulated cluster nodes (default 2)")
+    elastic.add_argument("--node-mem", type=int, default=8192, metavar="MB",
+                         help="memory per node (default 8192)")
     elastic.add_argument("--quota-share", type=float, default=None,
                          metavar="F",
                          help="per-tenant capacity quota as a fraction "
                               "of total memory (default: no quotas)")
-    elastic.add_argument("--no-background", action="store_true",
-                         help="drop the background load spike that "
-                              "exercises mid-run shrinks")
     elastic.add_argument("--record", metavar="PATH", default=None,
                          help="save the generated trace as JSON")
     elastic.add_argument("--replay", metavar="PATH", default=None,
                          help="replay a recorded trace JSON instead of "
                               "generating one")
-    elastic.add_argument("--quick", action="store_true",
-                         help="small trace for CI smoke (10 tenants, "
-                              "2 bursts)")
     elastic.add_argument("--json", action="store_true",
                          help="dump the comparison as JSON")
 
@@ -478,14 +506,7 @@ def cmd_serve(args, session):
             queue_limit=args.queue_limit,
             trace=True,
         )
-    mix = []
-    for entry in args.mix.split(","):
-        if ":" not in entry:
-            raise SystemExit(f"--mix expects SCRIPT:SIZE, got {entry!r}")
-        name, size = entry.split(":", 1)
-        if name not in SCRIPTS:
-            raise SystemExit(f"unknown script {name!r} in --mix")
-        mix.append((name, scenario(size, cols=args.cols)))
+    mix = [(name, scenario(size, cols=args.cols)) for name, size in args.mix]
     prepared = {
         (name, scn.label): prepare_inputs(server.hdfs, name, scn)
         for name, scn in mix
@@ -550,43 +571,25 @@ def cmd_serve(args, session):
 def cmd_elastic(args, session):
     import json
 
-    from repro.cluster import ClusterLoad, small_cluster
+    from repro.cluster import small_cluster
     from repro.elastic import ElasticTrace, bursty_trace, simulate_arms
 
-    tenants = 10 if args.quick else args.tenants
-    bursts = 2 if args.quick else args.bursts
-    mix = []
-    for entry in args.mix.split(","):
-        if ":" not in entry:
-            raise SystemExit(f"--mix expects SCRIPT:SIZE, got {entry!r}")
-        name, size = entry.split(":", 1)
-        if name not in SCRIPTS:
-            raise SystemExit(f"unknown script {name!r} in --mix")
-        mix.append((name, size, args.cols))
     if args.replay:
         trace = ElasticTrace.load(args.replay)
     else:
         trace = bursty_trace(
-            seed=args.seed, tenants=tenants, bursts=bursts,
+            seed=args.seed, tenants=args.tenants, bursts=args.bursts,
             burst_gap_s=args.burst_gap, intra_gap_s=args.intra_gap,
-            tenant_pool=args.tenant_pool, mix=tuple(mix),
+            tenant_pool=args.tenant_pool,
+            mix=tuple((name, size, args.cols) for name, size in args.mix),
         )
     if args.record:
         trace.save(args.record)
     cluster = small_cluster(
         num_nodes=args.nodes, node_memory_mb=args.node_mem
     )
-    background = None
-    if not args.no_background:
-        # load spike around the second burst: pressures running Brains
-        # into mid-run shrinks
-        spike_at = args.burst_gap
-        background = ClusterLoad(schedule=[
-            (0.0, 0.0), (spike_at, 0.8), (spike_at + 35.0, 0.0),
-        ])
     static, brain = simulate_arms(
-        trace, cluster=cluster, background=background,
-        quota_share=args.quota_share,
+        trace, cluster=cluster, quota_share=args.quota_share,
     )
     speedup = (
         static.makespan_s / brain.makespan_s if brain.makespan_s else 0.0
@@ -617,10 +620,9 @@ def cmd_elastic(args, session):
               f"utilization: {s['utilization']:.3f}  "
               f"mean wait: {s['mean_wait_s']:.1f}s")
         if arm.elastic:
-            print(f"  rescales: {s['rescales']}  "
-                  f"elastic admissions: {s['elastic_admissions']}  "
+            print(f"  elastic admissions: {s['elastic_admissions']}  "
                   f"spill: {s['total_spill_s']:.1f}s")
-    print(f"\nmakespan speedup (brain vs static): {speedup:.3f}x")
+    print(f"\nmakespan speedup (elastic vs static): {speedup:.3f}x")
     return 0
 
 

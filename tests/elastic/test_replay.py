@@ -3,7 +3,8 @@ JSON trace, then replay them as a deterministic simulator fixture."""
 
 import pytest
 
-from repro.api import ElasticMLSession, SessionConfig
+from repro.api import ElasticMLSession
+from repro.chaos import FaultKind, FaultPlan, FaultSpec
 from repro.cluster import small_cluster
 from repro.elastic import (
     ElasticTrace,
@@ -21,8 +22,7 @@ def recorded():
     cluster = small_cluster(num_nodes=2, node_memory_mb=2048)
     recorder = TraceRecorder({"LinregDS": ("XS", 100)})
     server = ElasticMLServer(
-        cluster=cluster, config=SessionConfig(elastic=True),
-        trace=True, recorder=recorder, sample_cap=64,
+        cluster=cluster, trace=True, recorder=recorder, sample_cap=64,
     )
     args = prepare_inputs(
         server.hdfs, "LinregDS", scenario("XS", cols=100)
@@ -60,6 +60,35 @@ class TestRecorder:
         with pytest.raises(KeyError):
             recorder.record(Submission(tenant="t", script="KMeans"))
 
+    def test_chaos_submission_replays_its_own_fault_plan(self):
+        """A recorded chaos submission keeps its plan's rate, so replay
+        rebuilds the very plan the live run drew faults from."""
+        recorder = TraceRecorder({"LinregDS": ("XS", 100)})
+        recorder.record(Submission(
+            tenant="t", script="LinregDS",
+            chaos=FaultPlan.from_rate(5, 0.5),
+        ))
+        loaded = ElasticTrace.from_payload(recorder.trace().to_payload())
+        (entry,) = loaded.entries
+        assert (entry.chaos_seed, entry.fault_rate) == (5, 0.5)
+        replayed = FaultPlan.from_rate(entry.chaos_seed, entry.fault_rate)
+        assert replayed.rates == FaultPlan.from_rate(5, 0.5).rates
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan.from_faults(FaultSpec(FaultKind.CONTAINER_KILL, at=0)),
+        FaultPlan.from_rate(5, 0.5, kinds=[FaultKind.CONTAINER_KILL]),
+        FaultPlan(seed=5, rates={
+            FaultKind.CONTAINER_KILL: 0.5, FaultKind.NODE_LOSS: 0.1,
+        }),
+    ], ids=["scripted", "one-kind", "mixed-rates"])
+    def test_plan_replay_cannot_rebuild_is_refused(self, plan):
+        recorder = TraceRecorder({"LinregDS": ("XS", 100)})
+        with pytest.raises(ValueError, match="uniform-rate"):
+            recorder.record(Submission(
+                tenant="t", script="LinregDS", chaos=plan,
+            ))
+        assert len(recorder) == 0
+
 
 class TestJSONRoundtrip:
     def test_save_load_roundtrip(self, recorded, tmp_path):
@@ -84,12 +113,10 @@ class TestReplay:
         ]
         assert first.summary() == second.summary()
         assert [
-            (r.entry.tenant, r.admitted_s, r.finish_s, r.fraction,
-             tuple(r.decisions))
+            (r.entry.tenant, r.admitted_s, r.finish_s, r.fraction)
             for r in first.runs
         ] == [
-            (r.entry.tenant, r.admitted_s, r.finish_s, r.fraction,
-             tuple(r.decisions))
+            (r.entry.tenant, r.admitted_s, r.finish_s, r.fraction)
             for r in second.runs
         ]
 

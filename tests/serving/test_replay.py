@@ -356,27 +356,6 @@ class TestOffTheRecordedPath:
             assert all(id(node) in seen for node in nodes[1:])
 
 
-class TestElasticServerReplays:
-    def test_brain_polled_runs_equal_the_elastic_session(self):
-        config = SessionConfig(elastic=True)
-        session = ElasticMLSession(sample_cap=64, seed=SEED, config=config)
-        reference = _identity(session.run("MLogreg", prepare_inputs(
-            session.hdfs, "MLogreg", SCN
-        )))
-        server = ElasticMLServer(
-            sample_cap=64, max_workers=1, config=config, trace=True
-        )
-        try:
-            args = prepare_inputs(server.hdfs, "MLogreg", SCN)
-            for _ in range(4):  # first sight, recording, two replays
-                assert _identity(_serve(server, "MLogreg", args)) == reference
-            assert server.stats()["elastic.polls"] > 0
-            hits, misses, _ = _replay_stats(server)
-            assert hits == 2 * misses > 0
-        finally:
-            server.shutdown()
-
-
 # -- exact keys -------------------------------------------------------------------
 
 #: v is TRUE, 1 or 1.0 depending on X[1,1]; nothing else in the frame

@@ -153,6 +153,27 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["run", "LinregDS", "--static", "2048"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--bursts", "0"], "must be at least 1"),
+        (["--tenants", "-3"], "must be at least 1"),
+        (["--mix", "LinregDS:ZZ"], "unknown size 'ZZ'"),
+        (["--mix", "NoSuch:XS"], "unknown script 'NoSuch'"),
+        (["--mix", "LinregDS"], "expected SCRIPT:SIZE"),
+    ])
+    def test_bad_elastic_trace_shape_is_a_usage_error(
+        self, capsys, argv, message
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["elastic", *argv])
+        assert exit_info.value.code == 2  # argparse usage error
+        assert message in capsys.readouterr().err
+
+    def test_bad_serve_mix_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--tenants", "1", "--mix", "LinregDS:ZZ"])
+        assert exit_info.value.code == 2
+        assert "unknown size 'ZZ'" in capsys.readouterr().err
+
 
 class TestWhatIf:
     def compiled_cg(self):
