@@ -34,7 +34,6 @@ from repro.chaos import (
 )
 from repro.cluster import (
     ClusterConfig,
-    GrantedResource,
     ResourceConfig,
     paper_cluster,
     small_cluster,
@@ -78,7 +77,7 @@ from repro.serving import (
 )
 from repro.workloads import prepare_inputs, scenario
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "ElasticMLSession",
@@ -100,7 +99,6 @@ __all__ = [
     "RetryPolicy",
     "ExecutionResult",
     "ClusterConfig",
-    "GrantedResource",
     "ResourceConfig",
     "paper_cluster",
     "small_cluster",

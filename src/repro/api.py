@@ -163,9 +163,11 @@ class OptimizerResultCache:
     parameters, or the grid options produces a *different* key and
     re-runs the optimizer.  Stale entries age out of the LRU bound.
 
-    Per-block MR heaps are stored by *block position* (block ids are
-    stamped per process and differ between compilations of the same
-    script); :meth:`lookup` remaps them onto the current compilation.
+    Per-block MR heaps — the winner's and those of every point of its
+    cost frontier (:attr:`OptimizerResult.frontier`) — are stored by
+    *block position* (block ids are stamped per process and differ
+    between compilations of the same script); :meth:`lookup` remaps
+    them onto the current compilation.
 
     An entry also keeps the winning configuration's generated plans
     (shared read-only, like a plan cache's), tagged with the block-id
@@ -226,12 +228,14 @@ class OptimizerResultCache:
             self._entries[key] = self._entries.pop(key)
             self.hits += 1
         get_tracer().incr("optcache.hits")
+
+        def by_id(vector):
+            return tuple((order[index], ri) for index, ri in vector)
+
         resource = ResourceConfig(
             cp_heap_mb=entry["cp_heap_mb"],
             mr_heap_mb=entry["mr_heap_mb"],
-            mr_heap_per_block={
-                order[index]: ri for index, ri in entry["vector"]
-            },
+            mr_heap_per_block=dict(by_id(entry["vector"])),
         )
         block_ids, plans = entry["plans"]
         if block_ids == _block_ids(compiled):
@@ -249,6 +253,10 @@ class OptimizerResultCache:
             stats=replace(entry["stats"]),
             cp_profile=list(entry["cp_profile"]),
             from_cache=True,
+            frontier=[
+                (rc, cost, by_id(vector))
+                for rc, cost, vector in entry["frontier"]
+            ],
         )
 
     def store(self, key, compiled, result):
@@ -264,11 +272,15 @@ class OptimizerResultCache:
             b.block_id: i
             for i, b in enumerate(compiled.last_level_blocks())
         }
-        vector = []
-        for block_id, ri in sorted(result.resource.mr_heap_per_block.items()):
-            if block_id not in index_of:
-                return False  # not a whole-program optimization
-            vector.append((index_of[block_id], ri))
+
+        def by_position(pairs):
+            return tuple((index_of[block_id], ri) for block_id, ri in pairs)
+
+        vectors = [sorted(result.resource.mr_heap_per_block.items())]
+        vectors += [vector for _, _, vector in result.frontier]
+        if any(block_id not in index_of
+               for vector in vectors for block_id, _ in vector):
+            return False  # not a whole-program optimization
         # the enumeration leaves plan-cache plans behind; a hit must
         # install what a plain regeneration builds
         plans = _generated_plans(compiled, result.resource)
@@ -277,7 +289,11 @@ class OptimizerResultCache:
                 "plans": plans,
                 "cp_heap_mb": result.resource.cp_heap_mb,
                 "mr_heap_mb": result.resource.mr_heap_mb,
-                "vector": tuple(vector),
+                "vector": by_position(vectors[0]),
+                "frontier": tuple(
+                    (rc, cost, by_position(vector))
+                    for rc, cost, vector in result.frontier
+                ),
                 "num_blocks": len(index_of),
                 "cost": result.cost,
                 "stats": replace(result.stats),

@@ -6,12 +6,11 @@ multi-application simulator for throughput experiments.
 from repro.cluster.config import ClusterConfig, paper_cluster, small_cluster
 from repro.cluster.load import ClusterLoad, mr_slowdown
 from repro.cluster.mesos import OfferBasedAllocator, OfferStream, ResourceOffer
-from repro.cluster.resources import GrantedResource, ResourceConfig
+from repro.cluster.resources import ResourceConfig
 from repro.cluster.yarn import Container, NodeManager, ResourceManager
 
 __all__ = [
     "ClusterConfig",
-    "GrantedResource",
     "ResourceConfig",
     "Container",
     "NodeManager",

@@ -10,8 +10,8 @@ variable), the virtual-time trace simulator
 loop (:mod:`repro.cluster.events`) all drive the same mechanism.
 
 A request may name smaller *acceptable sizes* (``shrunk_mb``): an
-under-provisioned grant is one more size of the same request, not a
-second admission path ("Don't cry over spilled records").
+admission below ideal, at a cheaper point of the run's cost frontier,
+is one more size of the same request, not a second admission path.
 """
 
 from __future__ import annotations

@@ -84,50 +84,3 @@ class ResourceConfig:
 
     def __str__(self):
         return self.describe()
-
-
-@dataclass
-class GrantedResource(ResourceConfig):
-    """A below-ideal grant issued by memory-elastic admission.
-
-    Behaves as a regular :class:`ResourceConfig` (its heaps are the
-    *granted* ones) but remembers the ``ideal`` configuration the run was
-    optimized for and the grant ``fraction``.  The cost model and runtime
-    detect a grant via the ``ideal`` attribute and charge the
-    memory-elastic spill penalty for heaps below ideal — a time-only
-    perturbation; plans are always compiled against the ideal config.
-    """
-
-    ideal: ResourceConfig | None = None
-    fraction: float = 1.0
-
-    @classmethod
-    def of(cls, ideal, fraction, cluster=None):
-        """Scale every heap of ``ideal`` by ``fraction`` (clamped to
-        [0, 1]).  With a cluster, heaps are floored at
-        ``cluster.min_heap_mb`` — the CP floor the optimizer's grid, the
-        adapter's fallback and the baselines share."""
-        fraction = min(1.0, max(0.0, float(fraction)))
-        floor = cluster.min_heap_mb if cluster is not None else 1.0
-
-        def scale(heap_mb):
-            return max(floor, heap_mb * fraction)
-
-        return cls(
-            cp_heap_mb=scale(ideal.cp_heap_mb),
-            mr_heap_mb=scale(ideal.mr_heap_mb),
-            mr_heap_per_block={
-                block_id: scale(heap)
-                for block_id, heap in ideal.mr_heap_per_block.items()
-            },
-            ideal=ideal,
-            fraction=fraction,
-        )
-
-    def describe(self):
-        return (
-            f"{super().describe()} "
-            f"(grant {self.fraction:.0%} of {self.ideal.describe()})"
-            if self.ideal is not None
-            else super().describe()
-        )

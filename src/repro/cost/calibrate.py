@@ -43,7 +43,7 @@ import math
 import random
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.cost.constants import DEFAULT_PARAMETERS, CostParameters
 from repro.obs.tracer import get_tracer
@@ -355,10 +355,15 @@ class CalibrationProfile:
     min_samples: int = DEFAULT_MIN_SAMPLES
 
     def parameters(self):
-        """The calibrated :class:`CostParameters` (base overlaid with fits)."""
+        """The calibrated :class:`CostParameters` (base overlaid with
+        fits).  ``base`` keys that are no longer parameters (a profile
+        saved by an older version) are ignored."""
         values = dict(self.base)
         values.update(self.fitted)
-        return CostParameters(**values)
+        names = {f.name for f in fields(CostParameters)}
+        return CostParameters(
+            **{name: v for name, v in values.items() if name in names}
+        )
 
     def matches(self, cluster):
         """Whether this profile was fitted for ``cluster``."""

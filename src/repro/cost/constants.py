@@ -58,10 +58,6 @@ class CostParameters:
     small_task_thrash_heap_mb: float = 768.0
     #: slowdown factor applied to map compute for thrashing-sized tasks
     thrash_penalty: float = 1.6
-    #: per-byte factor for the memory-elastic spill penalty: records that
-    #: no longer fit a below-ideal task heap are written to local disk and
-    #: re-read (factor 2 = one write + one read at ``local_disk_bw``)
-    spill_penalty_factor: float = 2.0
 
 
 DEFAULT_PARAMETERS = CostParameters()

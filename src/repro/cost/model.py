@@ -32,7 +32,7 @@ from repro.compiler.size_propagation import DEFAULT_LOOP_ITERATIONS
 from repro.cost import io_model
 from repro.cost.compute_model import operation_flops
 from repro.cost.constants import DEFAULT_PARAMETERS
-from repro.cost.mr_timing import job_input_bytes, spill_penalty_time, time_mr_job
+from repro.cost.mr_timing import time_mr_job
 from repro.obs import get_tracer
 
 #: instruction opcodes that neither read matrix data nor compute
@@ -286,14 +286,9 @@ class CostModel:
         — every other term is determined by the plan and the cost state)."""
         mr_heap = resource.mr_heap_for_block(block_id)
         cp_container = self.cluster.container_mb_for_heap(resource.cp_heap_mb)
-        # an elastic grant adds a spill term that depends on the ideal heap
-        # too, so grants get a distinct memo signature
-        ideal = getattr(resource, "ideal", None)
         return (
             self.cluster.map_task_parallelism(mr_heap, cp_container),
             mr_heap < self.params.small_task_thrash_heap_mb,
-            None if ideal is None
-            else (mr_heap, ideal.mr_heap_for_block(block_id)),
         )
 
     def _block_memo_key(self, block, resource):
@@ -673,19 +668,6 @@ class CostModel:
 
         timing = time_mr_job(job, mc_of, fmt_of, resource, self.cluster, params)
         total += timing.total
-        # memory-elastic grant: charge the modeled spill penalty for
-        # running this job's tasks below their ideal heap (time-only)
-        ideal = getattr(resource, "ideal", None)
-        if ideal is not None:
-            spill = spill_penalty_time(
-                job_input_bytes(job, mc_of, fmt_of),
-                ideal.mr_heap_for_block(job.block_id),
-                resource.mr_heap_for_block(job.block_id),
-                params,
-            )
-            if spill > 0:
-                total += spill
-                self._add_component("spill", spill)
         if self.component_totals is not None:
             self._add_component("hdfs_read", timing.map_read)
             self._add_component("local_disk", timing.broadcast_read)

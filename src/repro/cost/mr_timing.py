@@ -75,21 +75,6 @@ def job_input_bytes(job, mc_of, fmt_of):
     return input_bytes
 
 
-def spill_penalty_time(input_bytes, ideal_heap_mb, granted_heap_mb, params):
-    """Memory-elastic spill penalty: seconds of extra local-disk traffic
-    for running a task below its ideal heap.
-
-    The fraction of per-task state that no longer fits in a
-    ``granted < ideal`` heap is spilled to local disk and re-read, so the
-    penalty scales with the input volume times the missing heap fraction.
-    Time-only by construction: it charges the clock, never the numerics.
-    """
-    if ideal_heap_mb <= 0 or granted_heap_mb >= ideal_heap_mb:
-        return 0.0
-    missing = 1.0 - granted_heap_mb / ideal_heap_mb
-    return params.spill_penalty_factor * input_bytes * missing / params.local_disk_bw
-
-
 def time_mr_job(job, mc_of, fmt_of, resource, cluster, params):
     """Estimate the execution time of one MR job.
 

@@ -1,16 +1,16 @@
 """Memory-elastic admission over multi-tenant traces.
 
 The paper's FIFO admission queues a run until its ideal AM container
-fits.  Elastic admission (:func:`~repro.elastic.brain.shrink_ladder`)
-also accepts a smaller container right now — a fixed fraction of the
-run's ideal resource configuration, with a cost-model spill penalty
-charged to time only, never to numerics.  The trace module
-records/generates multi-tenant load traces and the simulator replays
-them in deterministic virtual time (the substrate of ``bench_elastic``
-and the scenario/property test harness).
+fits.  Elastic admission also accepts a smaller container right now: a
+point of the run's own cost frontier (:attr:`~repro.optimizer
+.OptimizerResult.frontier`), the lower edge of a step of the CP cost
+profile the optimizer already enumerated, with plans compiled for that
+configuration.  The trace module records/generates multi-tenant load
+traces and the simulator replays them in deterministic virtual time
+(the substrate of ``bench_elastic`` and the scenario/property test
+harness).
 """
 
-from repro.cluster.resources import GrantedResource
 from repro.elastic.simulator import (
     SimulatedRun,
     SimulationResult,
@@ -25,7 +25,6 @@ from repro.elastic.trace import (
 )
 
 __all__ = [
-    "GrantedResource",
     "ElasticTrace",
     "TraceEntry",
     "TraceRecorder",

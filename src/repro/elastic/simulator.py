@@ -4,13 +4,15 @@ A :class:`TraceSimulator` replays an :class:`~repro.elastic.trace
 .ElasticTrace` against a single :class:`~repro.cluster.yarn
 .ResourceManager` in *virtual* time: a single-threaded event loop over
 arrival and finish events, FIFO admission under the paper's
-1.5x-heap-container rule, and — with ``elastic=True`` — the
-memory-elastic admission ladder (:func:`~repro.elastic.brain
-.shrink_ladder`): an entry whose ideal container does not fit runs now
-on the largest smaller one that does, at that fraction of its ideal
-configuration until it ends.  Runs execute eagerly (the simulated
-interpreter) at their admission instant; their simulated duration
-schedules the finish event.
+1.5x-heap-container rule, and — with ``elastic=True`` — frontier
+admission: an entry whose ideal container does not fit runs now in the
+largest smaller one that does, at the point of its cost frontier
+(:attr:`~repro.optimizer.OptimizerResult.frontier`) that container
+holds, until it ends.  The walk down the frontier stops at the first
+point the optimizer costed above :data:`MAX_SLOWDOWN` times the
+winner.  Runs execute eagerly (the simulated interpreter) at their
+admission instant, at the configuration they were admitted at; their
+simulated duration schedules the finish event.
 
 Everything is deterministic: no wall clock, no threads, no RNG beyond
 the seeded trace and the seeded kernels — so two simulations of the
@@ -27,14 +29,33 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.chaos import FaultPlan
-from repro.cluster import ResourceManager, small_cluster
+from repro.cluster import ResourceConfig, ResourceManager, small_cluster
 from repro.cluster.admission import AdmissionCore
-from repro.cluster.resources import GrantedResource
-from repro.cost import CostModel
-from repro.elastic.brain import MAX_SPILL_SLOWDOWN, shrink_ladder
 from repro.obs import Tracer, use_tracer
 from repro.scripts import SCRIPTS, load_script
 from repro.workloads import prepare_inputs, scenario
+
+#: elastic admission offers no frontier point the optimizer costed
+#: above this factor of the winner's cost: the entry queues instead
+MAX_SLOWDOWN = 2.5
+
+
+def frontier_offers(opt_result, cluster):
+    """What elastic admission offers for one optimized entry: container
+    MB -> the configuration to run at, largest first.  The winner's
+    container, then each cost-frontier point's, walked down from the
+    winner until a point costs more than :data:`MAX_SLOWDOWN` times it
+    (several points sharing a container keep the cheapest)."""
+    ideal = opt_result.resource
+    offers = {ideal.container_request_mb(cluster): ideal}
+    for rc, cost, vector in reversed(opt_result.frontier):
+        if cost > MAX_SLOWDOWN * opt_result.cost:
+            break
+        offers.setdefault(
+            cluster.container_mb_for_heap(rc),
+            ResourceConfig(rc, ideal.mr_heap_mb, dict(vector)),
+        )
+    return offers
 
 
 @dataclass
@@ -46,8 +67,9 @@ class SimulatedRun:
     finish_s: float
     wait_s: float
     container_mb: int
-    #: granted fraction of the ideal configuration (1.0 = ideal)
-    fraction: float
+    #: the configuration the entry was admitted at: the optimizer's
+    #: winner, or a point of its cost frontier
+    resource: ResourceConfig
     outcome: object
 
 
@@ -71,10 +93,6 @@ class SimulationResult:
             return 0.0
         return sum(run.wait_s for run in self.runs) / len(self.runs)
 
-    @property
-    def total_spill_s(self):
-        return self.counters.get("elastic.spill_s", 0.0)
-
     def summary(self):
         """JSON-ready digest (benchmarks, CLI)."""
         elastic_counters = {
@@ -89,7 +107,6 @@ class SimulationResult:
             "makespan_s": round(self.makespan_s, 3),
             "utilization": round(self.utilization, 4),
             "mean_wait_s": round(self.mean_wait_s, 3),
-            "total_spill_s": round(self.total_spill_s, 3),
             "elastic_admissions": int(
                 self.counters.get("elastic.elastic_admissions", 0)
             ),
@@ -138,7 +155,7 @@ class TraceSimulator:
         with use_tracer(self.tracer):
             return self._run(
                 label if label is not None
-                else ("brain" if self.elastic else "static")
+                else ("elastic" if self.elastic else "static")
             )
 
     def _run(self, label):
@@ -207,11 +224,10 @@ class TraceSimulator:
     def _offer(self, entry, ticket, core):
         """An entry arrives: compile and optimize it (the pipeline's
         first two stages, once per entry) and queue it for its AM
-        container.  With ``elastic=True`` the shrink ladder — cut where
-        the predicted spill slowdown becomes unacceptable —
-        rides along as the request's smaller acceptable sizes.  Returns
-        what :meth:`_start` needs, or None when the entry can never be
-        placed."""
+        container.  With ``elastic=True`` the containers of
+        :func:`frontier_offers` ride along as the request's smaller
+        acceptable sizes.  Returns what :meth:`_start` needs, or None
+        when the entry can never be placed."""
         args = self.args_for(entry)
         source = (
             load_script(entry.script) if entry.script in SCRIPTS
@@ -219,48 +235,32 @@ class TraceSimulator:
         )
         compiled = self.session.compile(source, args)
         opt_result = self.session.optimize_cached(source, args, compiled)
-        ideal = opt_result.resource
-        #: container MB -> granted fraction, largest first
-        fractions = {ideal.container_request_mb(self.cluster): 1.0}
         if self.elastic:
-            # cost-model gate: a granted estimate (ideal plans, granted
-            # timing + spill term) beyond ``max_spill_slowdown`` of the
-            # ideal estimate cuts the ladder — queue instead
-            est_ideal = self._estimate(compiled, ideal)
-            for fraction in shrink_ladder():
-                granted = GrantedResource.of(ideal, fraction, self.cluster)
-                if est_ideal > 0 and (
-                    self._estimate(compiled, granted) / est_ideal
-                    > MAX_SPILL_SLOWDOWN
-                ):
-                    self.tracer.incr("elastic.admission_vetoes")
-                    break
-                fractions.setdefault(
-                    granted.container_request_mb(self.cluster), fraction
-                )
-        ideal_mb, *shrunk_mb = fractions
+            offers = frontier_offers(opt_result, self.cluster)
+        else:
+            ideal = opt_result.resource
+            offers = {ideal.container_request_mb(self.cluster): ideal}
+        ideal_mb, *shrunk_mb = offers
         if core.offer(ticket, entry.tenant, ideal_mb, shrunk_mb) is None:
             return None
-        return entry, compiled, opt_result, fractions
+        return entry, compiled, opt_result, offers
 
-    def _start(self, entry, compiled, opt_result, fractions, container,
+    def _start(self, entry, compiled, opt_result, offers, container,
                clock):
         """Execute an admitted entry at its admission instant, at the
-        fraction its container was granted; returns its
+        configuration its container holds; returns its
         :class:`SimulatedRun`."""
         from repro.api import RunOutcome
 
-        fraction = fractions[container.memory_mb]
-        if fraction < 1.0:
+        resource = offers[container.memory_mb]
+        if resource is not opt_result.resource:
             self.tracer.incr("elastic.elastic_admissions")
         exec_result = self.session.execute_program(
-            compiled, opt_result.resource, seed=entry.seed,
-            adapt=entry.adapt,
+            compiled, resource, seed=entry.seed, adapt=entry.adapt,
             chaos=(
                 FaultPlan.from_rate(entry.chaos_seed, entry.fault_rate)
                 if entry.chaos_seed is not None else None
             ),
-            fraction=fraction,
         )
         return SimulatedRun(
             entry=entry,
@@ -268,7 +268,7 @@ class TraceSimulator:
             finish_s=clock + exec_result.total_time,
             wait_s=clock - entry.arrival_s,
             container_mb=container.memory_mb,
-            fraction=fraction,
+            resource=resource,
             outcome=RunOutcome(
                 result=exec_result,
                 resource=exec_result.final_resource,
@@ -276,13 +276,6 @@ class TraceSimulator:
                 compiled=compiled,
             ),
         )
-
-    def _estimate(self, compiled, resource):
-        """The cost model's estimate of ``compiled`` under ``resource``
-        (the session's belief)."""
-        return CostModel(
-            self.cluster, self.session.model_params
-        ).estimate_program(compiled, resource)
 
 
 def simulate_arms(trace, *, cluster=None, params=None, config=None,

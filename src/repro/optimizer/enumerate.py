@@ -11,7 +11,9 @@ the minimal resource configuration with minimal estimated cost, by
    semi-independent 2-dimensional subproblems of Section 3.2;
 3. recompiling the whole program under the memoized vector and costing
    it end-to-end to account for the control structure;
-4. returning the cheapest (ties broken towards minimal resources).
+4. returning the cheapest (ties broken towards minimal resources),
+   and the cost frontier below it: the cheaper-to-admit points where
+   the CP cost profile strictly drops.
 
 Steps 2-3 are :func:`enumerate_cp_point` and step 4 is
 :func:`fold_cp_points`; the points also carry the task durations
@@ -101,11 +103,7 @@ def enumerate_block_mr(compiled, block, rc, min_mb, srm, cost_model,
     seen = {}
     if use_memo:
         baseline = ResourceConfig(cp_heap_mb=rc, mr_heap_mb=min_mb)
-        # the trailing spill element is always None for the plain
-        # configs the optimizer enumerates (grants never reach here)
-        dop, thrash, _ = cost_model.mr_cost_signature(
-            block.block_id, baseline
-        )
+        dop, thrash = cost_model.mr_cost_signature(block.block_id, baseline)
         seen[(cache.mr_bucket(block, baseline), thrash)] = dop
     for ri in srm:
         if ri == min_mb:
@@ -119,7 +117,7 @@ def enumerate_block_mr(compiled, block, rc, min_mb, srm, cost_model,
         )
         if use_memo:
             bucket = cache.mr_bucket(block, candidate)
-            dop, thrash, _ = cost_model.mr_cost_signature(
+            dop, thrash = cost_model.mr_cost_signature(
                 block.block_id, candidate
             )
             prev_dop = seen.get((bucket, thrash))
@@ -238,8 +236,9 @@ def fold_cp_points(result, points, compiled, blocks, min_mb, cache,
     """Fold enumerated CP points, in ascending ``rc`` order, into ``result``.
 
     Replays Definition 1's selection rule (:func:`update_best`) over the
-    points, then leaves ``compiled`` under the *returned* configuration,
-    not whatever grid point ran last.
+    points, keeps the cost frontier below the winner
+    (:attr:`OptimizerResult.frontier`), then leaves ``compiled`` under
+    the *returned* configuration, not whatever grid point ran last.
     """
     tracer = get_tracer()
     stats = result.stats
@@ -267,6 +266,14 @@ def fold_cp_points(result, points, compiled, blocks, min_mb, cache,
             best_resource, best_cost, chosen, point.cost
         )
         stats.budget_exhausted |= point.exhausted
+    # the lower edge of every cost step below the winner
+    cheapest = float("inf")
+    for point in points:
+        if point.rc >= best_resource.cp_heap_mb:
+            break
+        if point.cost < cheapest:
+            cheapest = point.cost
+            result.frontier.append((point.rc, point.cost, point.vector))
     for block in blocks:
         recompile_block_plan(compiled, block, best_resource, cache=cache)
     if program_scope:
@@ -387,6 +394,12 @@ class OptimizerResult:
     #: order (empty on a cache hit); Figure 18 schedules their task
     #: durations with :func:`~repro.optimizer.parallel.task_records`
     points: list = field(default_factory=list)
+    #: the cost frontier below ``resource``: ``(rc, cost, vector)`` of
+    #: every enumerated CP point under the winner's ``rc`` that costs
+    #: strictly less than every smaller point, in ascending ``rc``
+    #: order (``vector`` as :attr:`CPPoint.vector`).  Elastic admission
+    #: offers these configurations below ideal (:mod:`repro.elastic`)
+    frontier: list = field(default_factory=list)
 
 
 class ResourceOptimizer:

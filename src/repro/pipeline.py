@@ -17,8 +17,8 @@ server and the trace simulator are callers that add only what is theirs
   to an :class:`~repro.runtime.Interpreter`.
 
 Everything that differs between callers is an argument of
-``execute_program`` (``seed``, ``load``, an admitted ``fraction``);
-the pipeline never asks who is calling and emits no spans of its own.
+``execute_program`` (``resource``, ``seed``, ``load``); the pipeline
+never asks who is calling and emits no spans of its own.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ class RunPipeline:
     # -- execute -------------------------------------------------------------
 
     def execute_program(self, compiled, resource, *, seed=0, adapt=True,
-                        chaos=None, load=None, fraction=1.0):
+                        chaos=None, load=None):
         """Execute ``compiled`` under ``resource``; returns the
         :class:`~repro.runtime.ExecutionResult`.
 
@@ -175,9 +175,7 @@ class RunPipeline:
         private HDFS *view*: the file namespace stays shared, the
         injector slot does not, so one run's read faults never fire in
         another's.  ``load`` is a background
-        :class:`~repro.cluster.load.ClusterLoad`; ``fraction`` the share
-        of ``resource`` an elastic admission granted (see
-        :mod:`repro.elastic.brain`).
+        :class:`~repro.cluster.load.ClusterLoad`.
         """
         injector = (
             FaultInjector(chaos, retry_policy=self.retry_policy)
@@ -198,7 +196,6 @@ class RunPipeline:
             seed=seed,
             cluster_load=load,
             injector=injector,
-            fraction=fraction,
         )
         if self.calibration is None:
             return interpreter.run(compiled, resource)

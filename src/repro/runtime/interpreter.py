@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chaos import FaultKind
-from repro.cluster.resources import GrantedResource
 from repro.common import DataType, FileFormat, MatrixCharacteristics
 from repro.compiler import replay
 from repro.compiler import statement_blocks as SB
@@ -27,7 +26,7 @@ from repro.cost import io_model
 from repro.cost.calibrate import NULL_COLLECTOR, get_collector
 from repro.cost.compute_model import operation_flops
 from repro.cost.constants import DEFAULT_PARAMETERS
-from repro.cost.mr_timing import job_input_bytes, spill_penalty_time, time_mr_job
+from repro.cost.mr_timing import time_mr_job
 from repro.errors import (
     AllocationDeniedError,
     ExecutionError,
@@ -71,8 +70,7 @@ class Interpreter:
 
     def __init__(self, cluster, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, enable_recompile=True,
-                 adapter=None, seed=0, cluster_load=None, injector=None,
-                 fraction=1.0):
+                 adapter=None, seed=0, cluster_load=None, injector=None):
         self.cluster = cluster
         self.params = params or DEFAULT_PARAMETERS
         self.hdfs = hdfs if hdfs is not None else SimulatedHDFS()
@@ -87,12 +85,6 @@ class Interpreter:
         #: optional fault injector (repro.chaos.FaultInjector); its own
         #: RNG, so injected faults never perturb kernel sampling
         self.injector = injector
-        #: admitted fraction of the ideal resource (memory-elastic
-        #: admission, repro.elastic); below 1.0 the run is granted that
-        #: fraction of every heap, which only ever retimes it
-        self.fraction = float(fraction)
-        #: active below-ideal grant (GrantedResource), or None at full
-        self._granted = None
         # per-run state, initialized in run()
         self.clock = 0.0
         self.result = None
@@ -107,27 +99,6 @@ class Interpreter:
         self._frames = []
         #: calibration sample sink, resolved per run from the active slot
         self._collector = NULL_COLLECTOR
-
-    # -- elasticity ----------------------------------------------------------
-
-    @property
-    def granted(self):
-        """The resource configuration charged for time: the admitted
-        grant when the run is below its ideal, the ideal
-        ``self.resource`` otherwise.  Plans are *never* generated from
-        this — only from the ideal — which is what keeps shrunk runs
-        byte-identical."""
-        return self._granted if self._granted is not None else self.resource
-
-    def _refresh_grant(self):
-        """Derive the grant from the *current* ideal resource (adaptation
-        may have migrated the AM); the CP buffer pool resizes to the
-        granted budget immediately."""
-        self._granted = GrantedResource.of(
-            self.resource, self.fraction, self.cluster
-        )
-        if self.pool is not None:
-            self.pool.set_capacity(self._granted.cp_budget_bytes)
 
     # -- time accounting -----------------------------------------------------
 
@@ -157,7 +128,6 @@ class Interpreter:
         self._collector = get_collector()
         self.compiled = compiled
         self.resource = resource.copy()
-        self._granted = None
         self.clock = 0.0
         self.result = ExecutionResult()
         self.rng = np.random.default_rng(self.seed)
@@ -188,12 +158,8 @@ class Interpreter:
                     regenerated = sum(1 for _ in compiled.last_level_blocks())
                     span.set("blocks", regenerated)
                     tracer.incr("recompile.dynamic", regenerated)
-        if self.fraction < 1.0:
-            # a below-1.0 admission fraction takes effect before the
-            # buffer pool is sized
-            self._refresh_grant()
         self.pool = BufferPool(
-            self.granted.cp_budget_bytes, self.params, self.charge,
+            self.resource.cp_budget_bytes, self.params, self.charge,
             collector=self._collector,
         )
         # AM container allocation + startup
@@ -439,11 +405,6 @@ class Interpreter:
             # plans when cluster utilization shifted materially
             self.adapter.on_recompile(self, block, frame)
             plan = block.plan
-        granted = self._granted
-        if granted is not None and granted.ideal is not self.resource:
-            # statement-block boundary after adaptation: a migration
-            # replaced the ideal resource, so the grant follows it
-            self._refresh_grant()
         if plan is None:
             raise ExecutionError(f"block {block.block_id} has no plan")
         if tracer.enabled:
@@ -689,7 +650,7 @@ class Interpreter:
                 scratch[step.output] = payload
 
         timing = time_mr_job(
-            job, mc_of, fmt_of, self.granted, self._cluster_view(),
+            job, mc_of, fmt_of, self.resource, self._cluster_view(),
             self.params
         )
         slowdown = (
@@ -704,7 +665,6 @@ class Interpreter:
                 job, timing, slowdown, mc_of, fmt_of
             )
         self._emit_mr_samples(timing, slowdown)
-        self._charge_spill(job, mc_of, fmt_of, slowdown)
         self.result.mr_jobs += 1 + job.extra_job_latency
         tracer = get_tracer()
         if tracer.enabled:
@@ -736,30 +696,6 @@ class Interpreter:
             value = scratch.get(step.output)
             if not isinstance(value, MatrixObject) and value is not None:
                 frame[step.output] = value
-
-    def _charge_spill(self, job, mc_of, fmt_of, slowdown):
-        """Memory-elastic execution: when admission granted this job's
-        tasks less than their ideal heap, the records that no longer fit
-        spill to local disk and are re-read.  Charged to the clock only
-        (category "spill") — numerics are untouched, and no calibration
-        sample is emitted (spill is an elasticity artefact, not a
-        hardware constant to learn)."""
-        granted = self.granted
-        if granted is self.resource:
-            return
-        spill = spill_penalty_time(
-            job_input_bytes(job, mc_of, fmt_of),
-            self.resource.mr_heap_for_block(job.block_id),
-            granted.mr_heap_for_block(job.block_id),
-            self.params,
-        )
-        if spill <= 0:
-            return
-        self.charge(spill * slowdown, "spill")
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.incr("elastic.spilled_jobs")
-            tracer.incr("elastic.spill_s", spill * slowdown)
 
     def _emit_mr_samples(self, timing, slowdown):
         """Emit one calibration sample per MR phase of the job that
@@ -859,7 +795,7 @@ class Interpreter:
                 kill_degraded = 1
             # re-execute the lost containers at reduced parallelism
             timing = time_mr_job(
-                job, mc_of, fmt_of, self.granted,
+                job, mc_of, fmt_of, self.resource,
                 self._cluster_view(extra_lost=kill_degraded), self.params
             )
 

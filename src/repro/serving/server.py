@@ -284,10 +284,15 @@ class ElasticMLServer(RunPipeline):
         with self._cond:
             if self._closed:
                 raise RuntimeError("ElasticMLServer is shut down")
+            backlog = len(self._order) + 1 - len(self._results)
+            full = self.queue_limit and backlog > self.queue_limit
+            if self.recorder is not None and not full:
+                # a refused recording raises before a ticket exists
+                # that drain() would wait for
+                self.recorder.record(submission)
             ticket = next(self._tickets)
             self._order.append(ticket)
-            backlog = len(self._order) - len(self._results)
-            if self.queue_limit and backlog > self.queue_limit:
+            if full:
                 result = SubmissionResult(
                     ticket=ticket, tenant=submission.tenant,
                     status="rejected",
@@ -299,8 +304,6 @@ class ElasticMLServer(RunPipeline):
                 self._cond.notify_all()
                 return ticket
         self.tracer.incr("serving.submitted")
-        if self.recorder is not None:
-            self.recorder.record(submission)
         self._executor.submit(self._process, ticket, submission)
         return ticket
 

@@ -362,10 +362,15 @@ class ShardedElasticMLServer:
                 raise RuntimeError("ShardedElasticMLServer is shut down")
             if not self._started:
                 self._start_locked()
+            backlog = len(self._order) + 1 - len(self._results)
+            full = self.queue_limit and backlog > self.queue_limit
+            if self.recorder is not None and not full:
+                # a refused recording raises before a ticket exists
+                # that drain() would wait for
+                self.recorder.record(submission)
             ticket = next(self._tickets)
             self._order.append(ticket)
-            backlog = len(self._order) - len(self._results)
-            if self.queue_limit and backlog > self.queue_limit:
+            if full:
                 self._parent_rejected += 1
                 self._results[ticket] = SubmissionResult(
                     ticket=ticket, tenant=submission.tenant,
@@ -376,8 +381,6 @@ class ShardedElasticMLServer:
                 return ticket
             _key, shard = self.router.route(submission)
             self._inflight[ticket] = (shard, submission.tenant)
-        if self.recorder is not None:
-            self.recorder.record(submission)
         self._cmds[shard].put(("submit", ticket, submission))
         return ticket
 

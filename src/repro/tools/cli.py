@@ -301,8 +301,8 @@ def build_parser():
                                  "MLogreg:M",
                          metavar="SCRIPT:SIZE[,SCRIPT:SIZE...]",
                          help="workload mix cycled across the trace "
-                              "(default: S-L data, whose ideal heaps "
-                              "leave the ladder room above the floor)")
+                              "(default: S-L data, whose cost "
+                              "frontiers leave room below ideal)")
     elastic.add_argument("--cols", type=int, default=1000,
                          help="feature columns of generated inputs "
                               "(default 1000)")
@@ -588,11 +588,11 @@ def cmd_elastic(args, session):
     cluster = small_cluster(
         num_nodes=args.nodes, node_memory_mb=args.node_mem
     )
-    static, brain = simulate_arms(
+    static, elastic = simulate_arms(
         trace, cluster=cluster, quota_share=args.quota_share,
     )
     speedup = (
-        static.makespan_s / brain.makespan_s if brain.makespan_s else 0.0
+        static.makespan_s / elastic.makespan_s if elastic.makespan_s else 0.0
     )
     payload = {
         "trace": {
@@ -604,7 +604,7 @@ def cmd_elastic(args, session):
             "nodes": args.nodes, "node_memory_mb": args.node_mem,
         },
         "static": static.summary(),
-        "brain": brain.summary(),
+        "elastic": elastic.summary(),
         "makespan_speedup": round(speedup, 4),
     }
     if args.json:
@@ -612,7 +612,7 @@ def cmd_elastic(args, session):
         return 0
     print(f"trace: {trace.name}  entries: {len(trace.entries)}  "
           f"cluster: {args.nodes}x{args.node_mem}MB")
-    for arm in (static, brain):
+    for arm in (static, elastic):
         s = arm.summary()
         print(f"\n[{arm.label}] completed={s['completed']} "
               f"rejected={s['rejected']}")
@@ -620,8 +620,7 @@ def cmd_elastic(args, session):
               f"utilization: {s['utilization']:.3f}  "
               f"mean wait: {s['mean_wait_s']:.1f}s")
         if arm.elastic:
-            print(f"  elastic admissions: {s['elastic_admissions']}  "
-                  f"spill: {s['total_spill_s']:.1f}s")
+            print(f"  elastic admissions: {s['elastic_admissions']}")
     print(f"\nmakespan speedup (elastic vs static): {speedup:.3f}x")
     return 0
 

@@ -8,6 +8,7 @@ the benchmarks use as simulated hardware truth.
 
 import math
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -226,6 +227,47 @@ class TestProfilePersistence:
         )
         with pytest.raises(ValueError):
             resolve_profile(mismatched, cluster)
+
+    def test_profile_with_a_retired_parameter_still_loads(self, tmp_path):
+        """A profile saved before ``spill_penalty_factor`` was removed
+        carries it in ``base``; loading ignores the retired key."""
+        path = tmp_path / "old.json"
+        path.write_text(OLD_PROFILE_JSON)
+        profile = resolve_profile(str(path), paper_cluster())
+        assert profile.parameters() == replace(
+            DEFAULT_PARAMETERS, hdfs_read_bw=150000000.0
+        )
+
+
+#: a profile as saved when CostParameters still had spill_penalty_factor
+OLD_PROFILE_JSON = """{
+  "base": {
+    "am_startup_latency": 8.0,
+    "container_alloc_latency": 2.0,
+    "cp_flops": 2000000000.0,
+    "hdfs_read_bw": 157286400.0,
+    "hdfs_write_bw": 104857600.0,
+    "local_disk_bw": 262144000.0,
+    "mr_job_latency": 18.0,
+    "mr_task_flops": 1500000000.0,
+    "mr_task_latency": 1.5,
+    "shuffle_bw_per_node": 83886080.0,
+    "small_task_thrash_heap_mb": 768.0,
+    "sparse_io_factor": 1.4,
+    "spill_penalty_factor": 2.0,
+    "text_io_factor": 2.5,
+    "thrash_penalty": 1.6
+  },
+  "cluster_signature": "08b85ebdd0ee9a34",
+  "fitted": {
+    "hdfs_read_bw": 150000000.0
+  },
+  "min_samples": 8,
+  "sample_counts": {
+    "hdfs_read": 40
+  }
+}
+"""
 
 
 class TestDriftedParameters:

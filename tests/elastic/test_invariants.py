@@ -1,7 +1,8 @@
-"""Cross-cutting invariant: chaos + calibration + background load + a
-below-ideal elastic grant composed in one run still produce
-byte-identical outputs to a plain serial run — every subsystem perturbs
-time, never numerics."""
+"""Cross-cutting invariant: chaos + calibration + background load + an
+elastic admission below ideal (a point of the cost frontier) composed
+in one run still produce byte-identical outputs to a plain serial run
+at the ideal configuration — every subsystem perturbs time and plans,
+never numerics."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.api import ElasticMLSession, SessionConfig
 from repro.chaos import FaultPlan
 from repro.cluster import ClusterLoad, ResourceConfig, small_cluster
+from repro.scripts import load_script
 from repro.serving import (
     ElasticMLServer,
     Submission,
@@ -16,11 +18,8 @@ from repro.serving import (
 )
 from repro.workloads import prepare_inputs, scenario
 
-#: forces an MR job (small CP heap) with a shrinkable MR heap, so the
-#: composed run exercises the spill path too
-STATIC = ResourceConfig(128, 512)
-#: admitted fraction of STATIC for the composed run
-FRACTION = 0.5
+#: its winner sits above the CP floor, its frontier at the floor
+SCRIPT, SIZE = "LinregDS", "S"
 
 
 def make_session(**kwargs):
@@ -31,7 +30,21 @@ def make_session(**kwargs):
 
 def linreg_args(session):
     return prepare_inputs(
-        session.hdfs, "LinregDS", scenario("XS", cols=100)
+        session.hdfs, SCRIPT, scenario(SIZE, cols=1000)
+    )
+
+
+def frontier_run(session, args, **kwargs):
+    """Optimize in ``session``, then execute at the cheapest-to-admit
+    point of the frontier: that session's own configuration of it."""
+    source = load_script(SCRIPT)
+    compiled = session.compile(source, args)
+    result = session.optimize_cached(source, args, compiled)
+    rc, _, vector = result.frontier[0]
+    point = ResourceConfig(rc, result.resource.mr_heap_mb, dict(vector))
+    assert point.cp_heap_mb < result.resource.cp_heap_mb
+    return session.execute_program(
+        compiled, point, seed=session.seed, adapt=False, **kwargs
     )
 
 
@@ -40,26 +53,21 @@ class TestComposedInvariants:
     def runs(self):
         plain_session = make_session()
         args = linreg_args(plain_session)
-        plain = plain_session.run(
-            "LinregDS", args, resource=STATIC, adapt=False
-        )
+        plain = plain_session.run(SCRIPT, args, adapt=False)
 
         chaos_session = make_session()
         linreg_args(chaos_session)
-        chaos_only = chaos_session.run(
-            "LinregDS", args, resource=STATIC, adapt=False,
-            chaos=FaultPlan.from_rate(7, 0.1),
+        chaos_only = frontier_run(
+            chaos_session, args, chaos=FaultPlan.from_rate(7, 0.1),
         )
 
         composed_session = make_session(
             config=SessionConfig(calibrate=True),
         )
         linreg_args(composed_session)
-        composed = composed_session.execute_program(
-            composed_session.compile_registered("LinregDS", args),
-            STATIC, seed=composed_session.seed, adapt=False,
-            chaos=FaultPlan.from_rate(7, 0.1),
-            load=ClusterLoad.constant(0.8), fraction=FRACTION,
+        composed = frontier_run(
+            composed_session, args, chaos=FaultPlan.from_rate(7, 0.1),
+            load=ClusterLoad.constant(0.8),
         )
         return {
             "args": args,
@@ -82,8 +90,9 @@ class TestComposedInvariants:
         assert np.array_equal(got, ref)
 
     def test_chaos_injection_unchanged_by_elasticity(self, runs):
-        """The grant and the load signal do not change which faults
-        fire: the same plan injects the same faults."""
+        """The load signal and calibration do not change which faults
+        fire at the admitted point: the same plan injects the same
+        faults."""
         _, chaos_only = runs["chaos_only"]
         _, composed = runs["composed"]
         assert composed.chaos is not None
@@ -95,9 +104,9 @@ class TestComposedInvariants:
         assert composed_session.calibration.total_samples > 0
 
     def test_composed_run_never_faster_than_chaos_only(self, runs):
-        """Load + grant + calibration only ever add simulated seconds
-        on top of the chaos run (which shares the same fault schedule,
-        including the allocation-denial resource fallback)."""
+        """Load + calibration only ever add simulated seconds on top of
+        the chaos run at the same point (which shares the same fault
+        schedule, including the allocation-denial resource fallback)."""
         _, chaos_only = runs["chaos_only"]
         _, composed = runs["composed"]
         assert composed.total_time >= chaos_only.total_time

@@ -1,106 +1,209 @@
-"""Property-based tests (hypothesis) on the admission ladder and its
-one CP floor, trace generation, and RM capacity/quota safety."""
+"""Property-based tests (hypothesis) on frontier admission — the cost
+frontier the optimizer keeps, the sizes admission offers from it, and
+the one CP floor — trace generation, and RM capacity/quota safety."""
+
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ResourceConfig, ResourceManager, small_cluster
+from repro.api import ElasticMLSession
+from repro.cluster import ResourceManager, small_cluster
 from repro.cluster.admission import AdmissionCore
-from repro.elastic import GrantedResource, bursty_trace
-from repro.elastic.brain import MIN_GRANT_FRACTION, shrink_ladder
+from repro.elastic import bursty_trace
+from repro.elastic.simulator import MAX_SLOWDOWN, frontier_offers
+from repro.scripts import load_script
+from repro.workloads import prepare_inputs, scenario
 
-IDEAL = ResourceConfig(512, 512)
+#: recipes (script, size, cols) whose winners sit above the CP floor on
+#: at least one of NODE_MB, so their frontiers are not all empty
+RECIPES = (
+    ("L2SVM", "L", 1000), ("L2SVM", "M", 1000), ("GLM", "S", 1000),
+    ("LinregDS", "S", 1000), ("LinregDS", "L", 1000),
+    ("LinregCG", "XS", 100),
+)
+NODE_MB = (2048, 8192)
+
+recipes = st.sampled_from(RECIPES)
+node_sizes = st.sampled_from(NODE_MB)
 
 
-def admit(occupied, ladder=None, ideal=IDEAL, cluster=None):
-    """Admit ``ideal`` through the admission core on a cluster (default
-    one 1 GB node) with ``occupied`` min-size containers held; returns
-    ``(fraction, container_mb)`` of the grant, or None when it has to
-    queue.  ``ladder`` defaults to :func:`shrink_ladder`."""
-    ladder = shrink_ladder() if ladder is None else ladder
-    cluster = cluster or small_cluster(num_nodes=1, node_memory_mb=1024)
+def cluster_of(node_mb):
+    return small_cluster(num_nodes=1, node_memory_mb=node_mb)
+
+
+@functools.lru_cache(maxsize=None)
+def optimized(recipe, node_mb):
+    """A fresh optimization of ``recipe`` on one ``node_mb`` node:
+    ``(result, compiled)``, shared by every example that draws it."""
+    script, size, cols = recipe
+    session = ElasticMLSession(cluster=cluster_of(node_mb), sample_cap=64)
+    args = prepare_inputs(session.hdfs, script, scenario(size, cols=cols))
+    compiled = session.compile(load_script(script), args)
+    return session.make_optimizer().optimize(compiled), compiled
+
+
+def admit(occupied, offers, cluster):
+    """Admit a request offering ``offers`` (container MB ->
+    configuration) through the admission core with ``occupied``
+    min-size containers held; returns ``(configuration, container_mb)``
+    of the grant, or None when it has to queue."""
     rm = ResourceManager(cluster)
     for _ in range(occupied):
         if rm.try_allocate(cluster.min_allocation_mb) is None:
             break
-    fractions = {}
-    for fraction in [1.0, *ladder]:
-        fractions.setdefault(
-            GrantedResource.of(ideal, fraction, cluster)
-            .container_request_mb(cluster),
-            fraction,
-        )
-    ideal_mb, *shrunk_mb = fractions
+    ideal_mb, *shrunk_mb = offers
     core = AdmissionCore(rm)
     core.offer(1, None, ideal_mb, shrunk_mb)
     for _request, (container,) in core.grant():
-        return fractions[container.memory_mb], container.memory_mb
+        return offers[container.memory_mb], container.memory_mb
     return None
 
 
-def granted_fraction(occupied, ladder=None):
-    admitted = admit(occupied, ladder)
-    return admitted[0] if admitted is not None else None
+def admitted_mb(occupied, recipe, node_mb):
+    cluster = cluster_of(node_mb)
+    result, _ = optimized(recipe, node_mb)
+    admitted = admit(occupied, frontier_offers(result, cluster), cluster)
+    return admitted[1] if admitted is not None else None
+
+
+class TestFrontier:
+    @given(recipe=recipes, node_mb=node_sizes)
+    @settings(max_examples=15, deadline=None)
+    def test_offered_sizes_are_points_of_the_cp_profile(self, recipe,
+                                                         node_mb):
+        """Every configuration admission offers is one the optimizer
+        enumerated and costed: the winner, or a frontier point whose
+        (rc, cost) is a sample of the program's own ``cp_profile``."""
+        result, _ = optimized(recipe, node_mb)
+        cluster = cluster_of(node_mb)
+        profile = dict(result.cp_profile)
+        frontier = {rc: (cost, vector) for rc, cost, vector in result.frontier}
+        for container_mb, resource in frontier_offers(
+            result, cluster
+        ).items():
+            assert resource.container_request_mb(cluster) == container_mb
+            rc = resource.cp_heap_mb
+            assert rc in profile
+            if resource is result.resource:
+                continue
+            cost, vector = frontier[rc]
+            assert profile[rc] == cost
+            assert resource.mr_heap_per_block == dict(vector)
+            assert resource.mr_heap_mb == result.resource.mr_heap_mb
+
+    @given(recipe=recipes, node_mb=node_sizes)
+    @settings(max_examples=15, deadline=None)
+    def test_frontier_costs_strictly_decrease_with_rc(self, recipe,
+                                                       node_mb):
+        """The frontier is the lower edge of every cost step below the
+        winner: ascending rc, strictly falling cost, every point under
+        the winner's rc and no point cheaper than any smaller one."""
+        result, _ = optimized(recipe, node_mb)
+        rcs = [rc for rc, _, _ in result.frontier]
+        costs = [cost for _, cost, _ in result.frontier]
+        assert rcs == sorted(set(rcs))
+        assert all(a > b for a, b in zip(costs, costs[1:]))
+        assert all(rc < result.resource.cp_heap_mb for rc in rcs)
+        for rc, cost, _ in result.frontier:
+            assert all(
+                cost < other for other_rc, other in result.cp_profile
+                if other_rc < rc
+            )
+
+    @given(recipe=recipes, node_mb=node_sizes)
+    @settings(max_examples=15, deadline=None)
+    def test_no_offer_costs_more_than_max_slowdown(self, recipe, node_mb):
+        result, _ = optimized(recipe, node_mb)
+        profile = dict(result.cp_profile)
+        for resource in frontier_offers(result, cluster_of(node_mb)).values():
+            if resource is not result.resource:
+                assert profile[resource.cp_heap_mb] <= (
+                    MAX_SLOWDOWN * result.cost
+                )
+
+    def test_cache_hit_frontier_equals_the_fresh_one(self):
+        """The cross-run cache stores the frontier by block position, so
+        a hit on another compilation of the program (other block ids)
+        offers the very points a fresh enumeration found."""
+        session = ElasticMLSession(cluster=small_cluster(), sample_cap=64)
+        args = prepare_inputs(
+            session.hdfs, "L2SVM", scenario("L", cols=1000)
+        )
+        source = load_script("L2SVM")
+
+        def by_position(result, compiled):
+            index = {
+                block.block_id: i
+                for i, block in enumerate(compiled.last_level_blocks())
+            }
+            return [
+                (rc, cost, [(index[bid], ri) for bid, ri in vector])
+                for rc, cost, vector in result.frontier
+            ]
+
+        first = session.compile(source, args)
+        fresh = session.optimize_cached(source, args, first)
+        second = session.compile(source, args)
+        hit = session.optimize_cached(source, args, second)
+        assert not fresh.from_cache and hit.from_cache
+        assert len(fresh.frontier) > 1
+        assert by_position(hit, second) == by_position(fresh, first)
 
 
 class TestAdmissionLadder:
-    def test_ladder_is_geometric_down_to_the_floor_fraction(self):
-        ladder = shrink_ladder()
-        assert ladder == sorted(ladder, reverse=True)
-        assert ladder[0] < 1.0
-        assert ladder[-1] >= MIN_GRANT_FRACTION
-        assert ladder[-1] * ladder[0] < MIN_GRANT_FRACTION
+    """The ladder of acceptable container sizes an entry offers: the
+    winner's container, then its frontier's."""
 
-    @given(occupied=st.integers(min_value=0, max_value=4))
-    @settings(max_examples=20, deadline=None)
-    def test_fraction_in_bounds_or_none(self, occupied):
-        fraction = granted_fraction(occupied)
-        if fraction is not None:
-            assert MIN_GRANT_FRACTION <= fraction <= 1.0
-
-    @given(fewer=st.integers(0, 3), extra=st.integers(0, 3))
-    @settings(max_examples=25, deadline=None)
-    def test_monotone_in_free_capacity(self, fewer, extra):
-        """More free memory never yields a smaller admitted fraction."""
-        roomy = granted_fraction(fewer)
-        cramped = granted_fraction(fewer + extra)
+    @given(recipe=recipes, node_mb=node_sizes,
+           fewer=st.integers(0, 12), extra=st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_monotone_in_free_capacity(self, recipe, node_mb, fewer, extra):
+        """More free memory never yields a smaller admitted container."""
+        roomy = admitted_mb(fewer, recipe, node_mb)
+        cramped = admitted_mb(fewer + extra, recipe, node_mb)
         if cramped is not None:
             assert roomy is not None
             assert roomy >= cramped
 
     def test_strict_queueing_disables_ladder(self):
-        # the paper's rule, no ladder: a full node queues the ideal
-        # container
-        assert granted_fraction(4, ladder=()) is None
-        assert granted_fraction(0, ladder=()) == 1.0
+        # the paper's rule, no frontier offers: a full node queues the
+        # ideal container
+        cluster = cluster_of(8192)
+        result, _ = optimized(("L2SVM", "L", 1000), 8192)
+        ideal = result.resource
+        only_ideal = {ideal.container_request_mb(cluster): ideal}
+        assert admit(32, only_ideal, cluster) is None
+        assert admit(0, only_ideal, cluster) == (
+            ideal, ideal.container_request_mb(cluster)
+        )
+        # with the frontier, the same full node admits below ideal
+        admitted, _ = admit(24, frontier_offers(result, cluster), cluster)
+        assert admitted is not ideal
 
-    @given(
-        cp=st.floats(min_value=1.0, max_value=4.0),
-        mr=st.floats(min_value=1.0, max_value=4.0),
-        block_mr=st.floats(min_value=1.0, max_value=4.0),
-        occupied=st.integers(min_value=0, max_value=8),
-        node_mb=st.sampled_from([1024, 2048, 8192]),
-    )
+    @given(recipe=recipes, node_mb=node_sizes,
+           occupied=st.integers(min_value=0, max_value=32))
     @settings(max_examples=60, deadline=None)
     def test_admitted_heaps_never_below_the_cp_floor(
-        self, cp, mr, block_mr, occupied, node_mb
+        self, recipe, node_mb, occupied
     ):
-        """One CP floor: whatever rung admission grants, every granted
-        heap stays at or above ``cluster.min_heap_mb``, the heap the
-        optimizer's grid starts at (ideal heaps are multiples of it)."""
-        cluster = small_cluster(num_nodes=1, node_memory_mb=node_mb)
-        floor = cluster.min_heap_mb
-        ideal = ResourceConfig(cp * floor, mr * floor, {7: block_mr * floor})
-        admitted = admit(occupied, ideal=ideal, cluster=cluster)
+        """One CP floor: whatever admission grants, every heap of the
+        admitted configuration stays at or above ``cluster.min_heap_mb``,
+        the heap the optimizer's grid starts at."""
+        cluster = cluster_of(node_mb)
+        result, _ = optimized(recipe, node_mb)
+        admitted = admit(occupied, frontier_offers(result, cluster), cluster)
         if admitted is None:
             return
-        fraction, container_mb = admitted
-        granted = GrantedResource.of(ideal, fraction, cluster)
-        assert granted.container_request_mb(cluster) == container_mb
-        assert granted.cp_heap_mb >= floor
-        assert granted.mr_heap_mb >= floor
-        assert min(granted.mr_heap_per_block.values()) >= floor
+        resource, container_mb = admitted
+        floor = cluster.min_heap_mb
+        assert resource.container_request_mb(cluster) == container_mb
+        assert resource.cp_heap_mb >= floor
+        assert resource.mr_heap_mb >= floor
+        assert all(
+            heap >= floor for heap in resource.mr_heap_per_block.values()
+        )
 
 
 class TestTraceGeneration:

@@ -1,6 +1,8 @@
 """The trace-driven replay harness: record live server sessions to a
 JSON trace, then replay them as a deterministic simulator fixture."""
 
+import threading
+
 import pytest
 
 from repro.api import ElasticMLSession
@@ -11,7 +13,11 @@ from repro.elastic import (
     TraceRecorder,
     TraceSimulator,
 )
-from repro.serving import ElasticMLServer, Submission
+from repro.serving import (
+    ElasticMLServer,
+    ShardedElasticMLServer,
+    Submission,
+)
 from repro.workloads import prepare_inputs, scenario
 
 
@@ -90,6 +96,51 @@ class TestRecorder:
         assert len(recorder) == 0
 
 
+def drain_within(server, timeout_s=30.0):
+    """``server.drain()`` in a thread joined with a timeout: the
+    results, or None when drain is still blocked."""
+    box = []
+    thread = threading.Thread(
+        target=lambda: box.append(server.drain()), daemon=True
+    )
+    thread.start()
+    thread.join(timeout_s)
+    return box[0] if box else None
+
+
+class TestRefusedRecording:
+    """A submission the recorder refuses raises from ``submit`` and
+    leaves no ticket behind for ``drain`` to wait on."""
+
+    def check(self, server):
+        try:
+            args = prepare_inputs(
+                server.hdfs, "LinregDS", scenario("XS", cols=100)
+            )
+            with pytest.raises(KeyError):
+                server.submit(Submission(tenant="t", script="KMeans"))
+            server.submit(Submission(
+                tenant="t", script="LinregDS", args=args, adapt=False,
+            ))
+            results = drain_within(server)
+            assert results is not None, "drain() waits on an orphan ticket"
+            assert [r.status for r in results] == ["completed"]
+        finally:
+            server.shutdown()
+
+    def test_server(self):
+        self.check(ElasticMLServer(
+            cluster=small_cluster(), sample_cap=64,
+            recorder=TraceRecorder({"LinregDS": ("XS", 100)}),
+        ))
+
+    def test_sharded_server(self):
+        self.check(ShardedElasticMLServer(
+            shards=1, cluster=small_cluster(), sample_cap=64,
+            recorder=TraceRecorder({"LinregDS": ("XS", 100)}),
+        ))
+
+
 class TestJSONRoundtrip:
     def test_save_load_roundtrip(self, recorded, tmp_path):
         trace, _ = recorded
@@ -113,10 +164,10 @@ class TestReplay:
         ]
         assert first.summary() == second.summary()
         assert [
-            (r.entry.tenant, r.admitted_s, r.finish_s, r.fraction)
+            (r.entry.tenant, r.admitted_s, r.finish_s, r.resource)
             for r in first.runs
         ] == [
-            (r.entry.tenant, r.admitted_s, r.finish_s, r.fraction)
+            (r.entry.tenant, r.admitted_s, r.finish_s, r.resource)
             for r in second.runs
         ]
 

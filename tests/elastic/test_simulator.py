@@ -5,20 +5,15 @@ comparison."""
 import pytest
 
 from repro.cluster import small_cluster
-from repro.elastic import (
-    GrantedResource,
-    TraceSimulator,
-    bursty_trace,
-    simulate_arms,
-)
+from repro.elastic import TraceSimulator, bursty_trace, simulate_arms
 
 TRACE = bursty_trace(
     seed=11, tenants=10, bursts=2, burst_gap_s=150.0, intra_gap_s=1.5
 )
 
 
-#: S-L data whose ideal heaps sit well above the CP floor: the shrink
-#: ladder has room, so elastic admission runs entries now instead of
+#: S-L data whose ideal heaps sit well above the CP floor: the cost
+#: frontiers have room, so elastic admission runs entries now instead of
 #: queueing them (the trace ``bench_elastic`` measures)
 ROOM_MIX = (
     ("LinregDS", "L", 1000), ("LinregCG", "M", 1000), ("L2SVM", "L", 1000),
@@ -39,7 +34,7 @@ def room_arms():
 def run_tuple(run):
     return (
         run.entry.tenant, run.entry.script, run.admitted_s, run.finish_s,
-        run.container_mb, run.fraction, tuple(run.outcome.result.prints),
+        run.container_mb, run.resource, tuple(run.outcome.result.prints),
     )
 
 
@@ -117,7 +112,7 @@ class TestCapacitySafety:
 
 
 class TestComparison:
-    def test_brain_beats_static_on_bursty_trace(self, room_arms):
+    def test_elastic_beats_static_on_bursty_trace(self, room_arms):
         static, elastic = room_arms
         assert len(static.runs) == len(ROOM_TRACE.entries)
         assert len(elastic.runs) == len(ROOM_TRACE.entries)
@@ -126,20 +121,26 @@ class TestComparison:
         assert elastic.summary()["elastic_admissions"] > 0
 
     def test_every_grant_sits_at_or_above_the_cp_floor(self, room_arms):
-        """Each below-ideal admission ran in the container its grant
-        asks for, with every heap at or above ``min_heap_mb``."""
+        """Each below-ideal admission ran at a point of its own cost
+        frontier, in the container that point asks for, with every heap
+        at or above ``min_heap_mb``."""
         _, elastic = room_arms
         cluster = small_cluster()
-        shrunk = [run for run in elastic.runs if run.fraction < 1.0]
+        shrunk = [
+            run for run in elastic.runs
+            if run.resource is not run.outcome.optimizer_result.resource
+        ]
         assert shrunk
         for run in shrunk:
-            granted = GrantedResource.of(
-                run.outcome.optimizer_result.resource, run.fraction,
-                cluster,
-            )
-            assert granted.container_request_mb(cluster) == run.container_mb
-            heaps = [granted.cp_heap_mb, granted.mr_heap_mb,
-                     *granted.mr_heap_per_block.values()]
+            resource = run.resource
+            frontier = run.outcome.optimizer_result.frontier
+            assert (
+                resource.cp_heap_mb,
+                tuple(resource.mr_heap_per_block.items()),
+            ) in [(rc, vector) for rc, _, vector in frontier]
+            assert resource.container_request_mb(cluster) == run.container_mb
+            heaps = [resource.cp_heap_mb, resource.mr_heap_mb,
+                     *resource.mr_heap_per_block.values()]
             assert min(heaps) >= cluster.min_heap_mb
 
     def test_no_room_at_the_floor_means_no_change(self):
@@ -151,34 +152,30 @@ class TestComparison:
             run.finish_s for run in static.runs
         ]
 
-    def test_spill_gate_cuts_the_ladder_once_per_entry(self, monkeypatch):
-        """A shrunk run is never predicted faster than the ideal one, so
-        a gate below 1x vetoes every rung: each entry queues for its
-        ideal container, and the veto is counted once per entry."""
-        monkeypatch.setattr(
-            "repro.elastic.simulator.MAX_SPILL_SLOWDOWN", 0.99
-        )
-        result = TraceSimulator(
-            TRACE, cluster=tiny_cluster(), elastic=True,
-        ).run()
-        assert len(result.runs) == len(TRACE.entries)
-        assert result.summary()["elastic_admissions"] == 0
-        assert result.counters["elastic.admission_vetoes"] == len(
-            TRACE.entries
-        )
+    def test_slowdown_gate_below_one_offers_nothing(self, monkeypatch):
+        """No frontier point costs less than the winner, so a gate below
+        1x cuts every walk: each entry queues for its ideal container
+        and the elastic arm is the static arm."""
+        monkeypatch.setattr("repro.elastic.simulator.MAX_SLOWDOWN", 0.99)
+        static, elastic = simulate_arms(ROOM_TRACE, cluster=small_cluster())
+        assert len(elastic.runs) == len(ROOM_TRACE.entries)
+        assert elastic.summary()["elastic_admissions"] == 0
+        assert [run.finish_s for run in elastic.runs] == [
+            run.finish_s for run in static.runs
+        ]
 
     def test_outputs_identical_across_arms(self):
-        static, brain = simulate_arms(TRACE, cluster=tiny_cluster())
+        static, elastic = simulate_arms(TRACE, cluster=tiny_cluster())
         static_prints = {
             (r.entry.tenant, r.entry.arrival_s): tuple(
                 r.outcome.result.prints
             )
             for r in static.runs
         }
-        brain_prints = {
+        elastic_prints = {
             (r.entry.tenant, r.entry.arrival_s): tuple(
                 r.outcome.result.prints
             )
-            for r in brain.runs
+            for r in elastic.runs
         }
-        assert static_prints == brain_prints
+        assert static_prints == elastic_prints
