@@ -233,7 +233,6 @@ def run_sharded_arm(label, tenants, shards, config, references,
     }
     if shards > 0:
         arm["start_method"] = server.start_method
-        arm["snapshot_bytes"] = server.snapshot_bytes
     return arm, canonicals
 
 

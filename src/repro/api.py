@@ -117,11 +117,6 @@ class SessionConfig:
     #: per-tenant memory quota as a fraction of total cluster memory,
     #: enforced by the serving resource manager (None = no quotas)
     tenant_quota_share: float | None = None
-    # -- sharded multi-process serving (repro.serving.shard) -----------------
-    #: >1 routes the serving facade to a
-    #: :class:`~repro.serving.shard.ShardedElasticMLServer` with this
-    #: many shard worker processes
-    serving_shards: int = 1
 
     def __post_init__(self):
         self.optimizer_options()  # an unknown grid name is a typed error here
@@ -331,9 +326,9 @@ class ElasticMLSession(RunPipeline):
     shared :class:`~repro.pipeline.RunPipeline`; the session adds the
     per-run tracer, its defaults (``seed``, ``chaos``, ``load``) and
     :class:`RunOutcome` assembly.  Knobs live on a :class:`SessionConfig`
-    passed as ``config``.  ``submit``/``poll``/``drain`` expose the
-    session as a single-tenant facade over
-    :class:`repro.serving.ElasticMLServer`.
+    passed as ``config``.  Multi-tenant serving is
+    :class:`repro.serving.ElasticMLServer` (or its sharded front end),
+    built directly — on ``session.hdfs`` to share the session's inputs.
     """
 
     def __init__(self, cluster=None, params=None, hdfs=None,
@@ -358,7 +353,6 @@ class ElasticMLSession(RunPipeline):
         #: background cluster-load model (:class:`repro.cluster.load
         #: .ClusterLoad`): slows MR phases
         self.load = load
-        self._server = None
 
     # -- compilation -----------------------------------------------------
 
@@ -449,70 +443,6 @@ class ElasticMLSession(RunPipeline):
         else:
             return NULL_TRACER
         return self.tracer
-
-    # -- serving facade ----------------------------------------------------
-    # (run_script()/run_registered(), deprecated since 1.1, were removed
-    # in 1.4 — use run(script_or_name, args, ...).)
-
-    def _ensure_server(self):
-        if self._server is None:
-            # local import: repro.serving imports SessionConfig and
-            # OptimizerResultCache from this module
-            if self.config.serving_shards > 1:
-                from repro.serving.shard import ShardedElasticMLServer
-
-                # sharded: worker processes rebuild their own caches
-                # and collectors from the config, so the session's
-                # in-process instances are not shared with them
-                self._server = ShardedElasticMLServer(
-                    shards=self.config.serving_shards,
-                    cluster=self.cluster,
-                    params=self.params,
-                    hdfs=self.hdfs,
-                    sample_cap=self.sample_cap,
-                    config=self.config,
-                    retry_policy=self.retry_policy,
-                    trace=bool(self.trace),
-                    model_params=self.model_params,
-                )
-            else:
-                from repro.serving import ElasticMLServer
-
-                self._server = ElasticMLServer(
-                    cluster=self.cluster,
-                    params=self.params,
-                    hdfs=self.hdfs,
-                    sample_cap=self.sample_cap,
-                    config=self.config,
-                    opt_cache=self.opt_cache,
-                    retry_policy=self.retry_policy,
-                    trace=bool(self.trace),
-                    model_params=self.model_params,
-                    collector=self.calibration,
-                )
-        return self._server
-
-    def submit(self, submission):
-        """Queue a :class:`repro.serving.Submission` on the session's
-        embedded single-cluster server; returns a ticket for
-        :meth:`poll`."""
-        return self._ensure_server().submit(submission)
-
-    def poll(self, ticket, timeout=None):
-        """The :class:`repro.serving.SubmissionResult` for a ticket, or
-        None while it is still queued/running."""
-        return self._ensure_server().poll(ticket, timeout=timeout)
-
-    def drain(self):
-        """Block until every queued submission finishes; returns all
-        results in submission order."""
-        return self._ensure_server().drain()
-
-    def shutdown(self):
-        """Stop the embedded server (if one was ever started)."""
-        if self._server is not None:
-            self._server.shutdown()
-            self._server = None
 
     # -- analysis helpers --------------------------------------------------
 

@@ -104,11 +104,10 @@ class MRJobInstruction:
 #: monotonically increasing ids stamped on every generated plan; two
 #: plans share a signature iff they are the same generation (the plan
 #: cache returns one object for a whole budget bucket), which lets the
-#: cost model memoize per-plan costs without structural hashing.  They
-#: start at the pid, so the plans a shard worker started without fork
-#: ships back (``ShardedElasticMLServer(result_detail="full")`` returns
-#: ``outcome.compiled``) cannot share one with a plan the parent
-#: generates when it optimizes that program again
+#: cost model memoize per-plan costs without structural hashing.  No
+#: plan crosses a process (shard results ship without their compiled
+#: program); the pid seed is cheap insurance that one generated in
+#: another process could never collide with a local one
 _plan_signatures = itertools.count(os.getpid() << 40)
 
 

@@ -14,9 +14,6 @@ from repro.cost.calibrate import (
     NULL_COLLECTOR,
     drifted_parameters,
     fit_profile,
-    get_collector,
-    set_collector,
-    use_collector,
 )
 from repro.cost.constants import CostParameters
 from repro.cost.model import CostModel
@@ -29,7 +26,4 @@ __all__ = [
     "NULL_COLLECTOR",
     "drifted_parameters",
     "fit_profile",
-    "get_collector",
-    "set_collector",
-    "use_collector",
 ]

@@ -7,17 +7,17 @@ differ, every estimate the optimizer ranks plans by is systematically
 off.  This module closes the loop the tracer opened:
 
 * the **runtime** emits one *(component, work, seconds)* sample per
-  charged IO/compute/latency event through a
-  :class:`CalibrationCollector` (a thread-local/default slot mirroring
-  :func:`repro.obs.tracer.get_tracer`, so emission costs one global read
-  plus an empty method call when calibration is off);
+  charged IO/compute/latency event through the
+  :class:`CalibrationCollector` its interpreter was built with
+  (``Interpreter(collector=...)``; :data:`NULL_COLLECTOR` otherwise, so
+  emission costs an empty method call when calibration is off);
 * :func:`fit_profile` turns the collected samples into a
   :class:`CalibrationProfile` by robust least-squares per component —
   an origin-constrained slope fit with a few Huber-weighted IRLS
   rounds, so a handful of outlier samples (fault retries, thrashing
   tasks) cannot hijack a constant;
 * the profile persists as JSON and later sessions (or the serving
-  layer's shared slot) feed ``profile.parameters()`` into
+  layer's shared collector) feed ``profile.parameters()`` into
   :class:`~repro.cost.model.CostModel` as the optimizer's *belief*,
   while the simulated hardware truth stays wherever it was.
 
@@ -42,7 +42,6 @@ import json
 import math
 import random
 import threading
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 from repro.cost.constants import DEFAULT_PARAMETERS, CostParameters
@@ -218,7 +217,7 @@ class CalibrationCollector:
 
 
 class _NullCollector:
-    """Disabled collector: :meth:`add` is a no-op (the default slot)."""
+    """Disabled collector: :meth:`add` is a no-op (the interpreter default)."""
 
     enabled = False
 
@@ -246,45 +245,6 @@ class _NullCollector:
 
 
 NULL_COLLECTOR = _NullCollector()
-
-#: process-wide default collector, overridable per thread — the same
-#: shape as the tracer slot, so concurrent serving tenants can feed one
-#: shared collector while unrelated threads stay uninstrumented
-_default_collector = NULL_COLLECTOR
-_active_collector = threading.local()
-
-
-def get_collector():
-    """The active collector: this thread's override if installed, else
-    the process-wide default (:data:`NULL_COLLECTOR` unless
-    :func:`set_collector` changed it)."""
-    collector = getattr(_active_collector, "collector", None)
-    return collector if collector is not None else _default_collector
-
-
-def set_collector(collector):
-    """Install ``collector`` process-wide; ``None`` restores the null
-    collector.  Threads inside a :func:`use_collector` block are
-    unaffected."""
-    global _default_collector
-    _default_collector = (
-        collector if collector is not None else NULL_COLLECTOR
-    )
-    return _default_collector
-
-
-@contextmanager
-def use_collector(collector):
-    """Activate ``collector`` on *this thread* for the ``with`` block."""
-    previous = getattr(_active_collector, "collector", None)
-    _active_collector.collector = (
-        collector if collector is not None else NULL_COLLECTOR
-    )
-    try:
-        yield get_collector()
-    finally:
-        _active_collector.collector = previous
-
 
 # -- fitting ----------------------------------------------------------------
 

@@ -118,8 +118,7 @@ class TraceSimulator:
     """Virtual-time replay of a trace on one simulated cluster."""
 
     def __init__(self, trace, *, cluster=None, params=None, config=None,
-                 elastic=False, quota_share=None, sample_cap=64,
-                 session=None):
+                 elastic=False, quota_share=None, sample_cap=64):
         from repro.api import ElasticMLSession, SessionConfig
 
         self.trace = trace
@@ -127,7 +126,7 @@ class TraceSimulator:
         self.elastic = elastic
         self.quota_share = quota_share
         self.tracer = Tracer()
-        self.session = session if session is not None else ElasticMLSession(
+        self.session = ElasticMLSession(
             cluster=self.cluster, params=params, sample_cap=sample_cap,
             config=config if config is not None else SessionConfig(),
         )

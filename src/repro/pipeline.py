@@ -34,7 +34,6 @@ from repro.cost.calibrate import (
     CalibrationCollector,
     fit_profile,
     resolve_profile,
-    use_collector,
 )
 from repro.cost.constants import DEFAULT_PARAMETERS
 from repro.obs import get_tracer, use_tracer
@@ -196,11 +195,9 @@ class RunPipeline:
             seed=seed,
             cluster_load=load,
             injector=injector,
+            collector=self.calibration,
         )
-        if self.calibration is None:
-            return interpreter.run(compiled, resource)
-        with use_collector(self.calibration):
-            return interpreter.run(compiled, resource)
+        return interpreter.run(compiled, resource)
 
     # -- calibration ---------------------------------------------------------
 

@@ -23,7 +23,7 @@ from repro.compiler import statement_blocks as SB
 from repro.compiler.recompile import make_env_from_states, recompile_block
 from repro.compiler.runtime_prog import CPInstruction, MRJobInstruction
 from repro.cost import io_model
-from repro.cost.calibrate import NULL_COLLECTOR, get_collector
+from repro.cost.calibrate import NULL_COLLECTOR
 from repro.cost.compute_model import operation_flops
 from repro.cost.constants import DEFAULT_PARAMETERS
 from repro.cost.mr_timing import time_mr_job
@@ -69,13 +69,12 @@ class Interpreter:
     """Executes a :class:`~repro.compiler.pipeline.CompiledProgram`."""
 
     def __init__(self, cluster, params=None, hdfs=None,
-                 sample_cap=DEFAULT_SAMPLE_CAP, enable_recompile=True,
-                 adapter=None, seed=0, cluster_load=None, injector=None):
+                 sample_cap=DEFAULT_SAMPLE_CAP, adapter=None, seed=0,
+                 cluster_load=None, injector=None, collector=None):
         self.cluster = cluster
         self.params = params or DEFAULT_PARAMETERS
         self.hdfs = hdfs if hdfs is not None else SimulatedHDFS()
         self.sample_cap = sample_cap
-        self.enable_recompile = enable_recompile
         #: runtime resource adapter (optimizer.adaptation.ResourceAdapter)
         self.adapter = adapter
         self.seed = seed
@@ -85,6 +84,10 @@ class Interpreter:
         #: optional fault injector (repro.chaos.FaultInjector); its own
         #: RNG, so injected faults never perturb kernel sampling
         self.injector = injector
+        #: calibration sample sink (repro.cost.calibrate)
+        self._collector = (
+            collector if collector is not None else NULL_COLLECTOR
+        )
         # per-run state, initialized in run()
         self.clock = 0.0
         self.result = None
@@ -97,8 +100,6 @@ class Interpreter:
         self._lost_nodes = 0
         #: active frame stack (main frame + function-call frames)
         self._frames = []
-        #: calibration sample sink, resolved per run from the active slot
-        self._collector = NULL_COLLECTOR
 
     # -- time accounting -----------------------------------------------------
 
@@ -125,7 +126,6 @@ class Interpreter:
         from repro.compiler.pipeline import compile_plans
 
         tracer = get_tracer()
-        self._collector = get_collector()
         self.compiled = compiled
         self.resource = resource.copy()
         self.clock = 0.0
@@ -364,7 +364,7 @@ class Interpreter:
 
     def _exec_generic_inner(self, block, frame, tracer):
         plan = block.plan
-        if self.enable_recompile and block.requires_recompile:
+        if block.requires_recompile:
             mr_jobs_before = plan.num_mr_jobs if plan is not None else 0
             mem_before = _peak_mem_estimate(block) if tracer.enabled else 0.0
             states = self._var_states(frame)

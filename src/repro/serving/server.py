@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,25 +47,12 @@ class AdmissionCancelled(Exception):
     """A submission parked in admission was aborted by shutdown()."""
 
 
-def default_serving_workers(min_workers=None, max_workers=None):
+def default_serving_workers():
     """Serving thread-pool size scaled to the host: one thread per CPU,
-    clamped to ``[min_workers, max_workers]``.
-
-    The floor defaults to 2 (so admission never self-deadlocks behind
-    one long run) and the ceiling to 8 (diminishing returns for the
-    simulated runtime).
-    """
-    import os
-
-    floor = int(min_workers) if min_workers is not None else 2
-    ceiling = int(max_workers) if max_workers is not None else 8
-    if floor < 1:
-        raise ValueError(f"serving worker floor must be >= 1, got {floor}")
-    if ceiling < floor:
-        raise ValueError(
-            f"serving worker ceiling {ceiling} below floor {floor}"
-        )
-    return max(floor, min(ceiling, os.cpu_count() or 1))
+    clamped to [2, 8] — the floor so admission never self-deadlocks
+    behind one long run, the ceiling for the simulated runtime's
+    diminishing returns."""
+    return max(2, min(8, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,10 @@ Architecture::
   every tenant's result is byte-identical to its serial single-session
   run regardless of shard count, and a 1-shard front end is
   byte-identical to a plain ``ElasticMLServer``.
-* **Snapshots** reuse the PR 8 start-method machinery: under ``fork``
-  the worker spec (cluster, params, HDFS file metadata) is inherited
-  copy-on-write for free; ``pickle`` ships an explicit snapshot for
-  spawn-only platforms.  Workers start lazily on the first
+* **Spec transport**: the worker spec (cluster, params, HDFS file
+  metadata) is the ``Process`` argument.  Under ``fork`` (where the
+  platform has it) it is inherited copy-on-write; under ``spawn``
+  multiprocessing pickles it.  Workers start lazily on the first
   ``submit()``, so all inputs must be prepared on ``hdfs`` before then.
 * **Telemetry**: each shard runs its own tracer; at shutdown the final
   per-shard tracer dicts are absorbed into the parent tracer via
@@ -40,7 +40,7 @@ Architecture::
 from __future__ import annotations
 
 import itertools
-import pickle
+import multiprocessing as mp
 import threading
 import time
 from dataclasses import replace
@@ -50,38 +50,17 @@ from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import SimulatedHDFS
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 from repro.serving.admission import ConsistentHashRouter, make_policy
-from repro.serving.server import (
-    SubmissionResult,
-    default_serving_workers,
-)
-
-#: how the worker spec reaches a shard process (PR 8 vocabulary):
-#: "fork" inherits it copy-on-write, "pickle" ships explicit bytes,
-#: "auto" picks fork when the platform has it
-START_METHODS = ("auto", "fork", "pickle")
+from repro.serving.server import SubmissionResult
 
 
-def _resolve_start_method(mode):
-    if mode not in START_METHODS:
-        raise ValueError(
-            f"unknown start method {mode!r}; expected one of {START_METHODS}"
-        )
-    if mode != "auto":
-        return mode
-    import multiprocessing as mp
-
-    return "fork" if "fork" in mp.get_all_start_methods() else "pickle"
-
-
-def _ship_result(result, global_ticket, detail):
+def _ship_result(result, global_ticket):
     """Rewrite a shard-local result for the parent: global ticket, and
-    (in the default "light" detail) without the compiled program, the
-    per-submission tracer and the optimizer's CP-point records — the
-    heavyweight fields nobody polls across a process boundary.  The
-    canonical identity fields (``outcome.result``, ``outcome.resource``)
-    always survive."""
+    without the compiled program, the per-submission tracer and the
+    optimizer's CP-point records — the heavyweight fields nobody polls
+    across a process boundary.  The canonical identity fields
+    (``outcome.result``, ``outcome.resource``) always survive."""
     result = replace(result, ticket=global_ticket)
-    if detail == "full" or result.outcome is None:
+    if result.outcome is None:
         return result
     opt = result.outcome.optimizer_result
     outcome = replace(
@@ -91,14 +70,13 @@ def _ship_result(result, global_ticket, detail):
     return replace(result, outcome=outcome)
 
 
-def _shard_worker_main(payload, cmd_queue, event_queue):
+def _shard_worker_main(spec, cmd_queue, event_queue):
     """Entry point of one shard process: run a private
     ``ElasticMLServer`` over the shard's cluster partition, shipping
     terminal results (and, on shutdown, final stats + tracer) to the
     parent through the shared event queue."""
     from repro.serving.server import ElasticMLServer
 
-    spec = pickle.loads(payload) if isinstance(payload, bytes) else payload
     shard_id = spec["shard_id"]
     server = ElasticMLServer(
         cluster=spec["cluster"],
@@ -116,7 +94,6 @@ def _shard_worker_main(payload, cmd_queue, event_queue):
     )
     if server.tracer.enabled:
         server.tracer.gauge("shard.id", shard_id)
-    detail = spec["result_detail"]
     tickets = {}  # local ticket -> global ticket, while in flight
     lock = threading.Lock()
 
@@ -126,7 +103,7 @@ def _shard_worker_main(payload, cmd_queue, event_queue):
         with lock:
             global_ticket = tickets.pop(result.ticket)
         event_queue.put((
-            "result", shard_id, _ship_result(result, global_ticket, detail)
+            "result", shard_id, _ship_result(result, global_ticket)
         ))
 
     server.on_result = ship
@@ -172,24 +149,18 @@ class ShardedElasticMLServer:
 
     Shard processes start lazily on the first ``submit()`` so that
     inputs prepared on ``self.hdfs`` beforehand are visible to every
-    shard (fork inherits them; pickle snapshots them at start).
+    shard (fork inherits them; spawn pickles them at start).
     """
 
     def __init__(self, shards=2, cluster=None, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, config=None,
                  policy="heap-rule", max_workers=None, queue_limit=1024,
                  retry_policy=None, trace=False, model_params=None,
-                 recorder=None, affinity="tenant", start_method="auto",
-                 result_detail="light"):
+                 recorder=None, affinity="tenant"):
         from repro.cluster import paper_cluster
 
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if result_detail not in ("light", "full"):
-            raise ValueError(
-                f"result_detail must be 'light' or 'full', "
-                f"got {result_detail!r}"
-            )
         if isinstance(policy, str):
             make_policy(policy)  # fail here, not in every shard worker
         self.config = config if config is not None else SessionConfig()
@@ -208,12 +179,12 @@ class ShardedElasticMLServer:
         self.queue_limit = queue_limit
         self.retry_policy = retry_policy
         self.recorder = recorder
-        self.result_detail = result_detail
         self.trace = bool(trace)
         self.tracer = Tracer() if self.trace else NULL_TRACER
-        self.start_method = _resolve_start_method(start_method)
-        #: explicit spec bytes shipped to workers (0 under fork)
-        self.snapshot_bytes = 0
+        #: how shard processes start: fork where the platform has it
+        self.start_method = (
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         self.router = ConsistentHashRouter(shards, affinity=affinity)
 
         self._cond = threading.Condition()
@@ -252,27 +223,16 @@ class ShardedElasticMLServer:
             "max_workers": self.max_workers,
             "retry_policy": self.retry_policy,
             "trace": self.trace,
-            "result_detail": self.result_detail,
         }
 
     def _start_locked(self):
-        import multiprocessing as mp
-
-        ctx = mp.get_context(
-            "fork" if self.start_method == "fork" else None
-        )
+        ctx = mp.get_context(self.start_method)
         self._events = ctx.Queue()
         for shard_id in range(self.num_shards):
-            spec = self._spec(shard_id)
-            if self.start_method == "pickle":
-                payload = pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
-                self.snapshot_bytes += len(payload)
-            else:
-                payload = spec
             cmd_queue = ctx.Queue()
             proc = ctx.Process(
                 target=_shard_worker_main,
-                args=(payload, cmd_queue, self._events),
+                args=(self._spec(shard_id), cmd_queue, self._events),
                 name=f"repro-shard-{shard_id}",
                 daemon=True,  # orphaned shards die with the parent
             )
@@ -290,7 +250,6 @@ class ShardedElasticMLServer:
                 "shard.start",
                 shards=self.num_shards,
                 start_method=self.start_method,
-                snapshot_bytes=self.snapshot_bytes,
             )
 
     def _collect(self):
@@ -489,7 +448,6 @@ class ShardedElasticMLServer:
             )
             merged["shard.count"] = self.num_shards
             merged["shard.start_method"] = self.start_method
-            merged["shard.snapshot_bytes"] = self.snapshot_bytes
             merged["per_shard"] = {
                 shard: dict(stats) for shard, stats in per_shard.items()
             }

@@ -1,13 +1,12 @@
 """Unit tests for cost-model calibration (repro.cost.calibrate).
 
 Covers the robust slope fit, the collector (validation, bounds,
-merging, the thread-local slot), profile persistence round-trips, the
+merging, the null collector), profile persistence round-trips, the
 sample-floor fallback contract, and the deterministic drift generator
 the benchmarks use as simulated hardware truth.
 """
 
 import math
-import threading
 from dataclasses import replace
 
 import pytest
@@ -23,10 +22,7 @@ from repro.cost.calibrate import (
     drifted_parameters,
     fit_profile,
     fit_slope,
-    get_collector,
     resolve_profile,
-    set_collector,
-    use_collector,
 )
 from repro.cost.constants import DEFAULT_PARAMETERS, CostParameters
 from repro.obs import Tracer, use_tracer
@@ -107,32 +103,11 @@ class TestCollector:
 
 class TestCollectorSlot:
     def test_default_is_null(self):
-        assert get_collector() is NULL_COLLECTOR
-        assert get_collector().enabled is False
+        from repro.runtime import Interpreter
 
-    def test_use_collector_is_thread_local(self):
-        mine = CalibrationCollector()
-        seen = {}
-
-        def peek():
-            seen["other"] = get_collector()
-
-        with use_collector(mine):
-            assert get_collector() is mine
-            worker = threading.Thread(target=peek)
-            worker.start()
-            worker.join()
-        assert seen["other"] is NULL_COLLECTOR
-        assert get_collector() is NULL_COLLECTOR
-
-    def test_set_collector_process_wide(self):
-        mine = CalibrationCollector()
-        try:
-            set_collector(mine)
-            assert get_collector() is mine
-        finally:
-            set_collector(None)
-        assert get_collector() is NULL_COLLECTOR
+        collector = Interpreter(paper_cluster())._collector
+        assert collector is NULL_COLLECTOR
+        assert collector.enabled is False
 
     def test_null_collector_is_inert(self):
         NULL_COLLECTOR.add("hdfs_read", 100.0, 1.0)

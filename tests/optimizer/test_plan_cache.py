@@ -414,11 +414,9 @@ class TestPickleAndMerge:
     and plans generated in two processes never share a signature."""
 
     def test_plan_signatures_of_two_processes_never_meet(self):
-        """A shard worker started without fork ships its plans back to
-        the parent (``result_detail="full"``), where re-optimizing that
-        program seeds them and keys the cost memo on their signatures
-        next to those of the plans the parent generates: the two ranges
-        must be disjoint."""
+        """Were a plan generated in another process ever seeded into
+        this one's cost memo, its signature must not collide with one
+        the parent generates: the two ranges are disjoint."""
         import subprocess
         import sys
 

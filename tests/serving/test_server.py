@@ -325,37 +325,6 @@ class TestLifecycleAndIsolation:
         assert server.tracer.counter("serving.completed") == 2
 
 
-class TestSessionFacade:
-    def test_submit_poll_drain_roundtrip(self):
-        session = ElasticMLSession(sample_cap=64)
-        try:
-            args = prepare_inputs(
-                session.hdfs, "LinregDS", scenario("XS", cols=100)
-            )
-            ticket = session.submit(Submission(
-                tenant="t", script="LinregDS", args=args
-            ))
-            result = session.poll(ticket, timeout=60)
-            assert result.ok
-            assert session.drain()[0].ticket == ticket
-            serial = session.run("LinregDS", args)
-            assert _canonical(result.outcome) == _canonical(serial)
-        finally:
-            session.shutdown()
-
-    def test_facade_server_shares_session_state(self):
-        session = ElasticMLSession(sample_cap=64,
-                                   config=SessionConfig(grid_m=5))
-        try:
-            server = session._ensure_server()
-            assert server.hdfs is session.hdfs
-            assert server.cluster is session.cluster
-            assert server.opt_cache is session.opt_cache
-            assert server.config.grid_m == 5
-        finally:
-            session.shutdown()
-
-
 class TestPackingPolicyEndToEnd:
     def test_serving_under_packing_policy_stays_deterministic(self):
         server = ElasticMLServer(
@@ -502,15 +471,6 @@ class TestServingWorkerClamp:
 
         expected = max(2, min(8, os.cpu_count() or 1))
         assert default_serving_workers() == expected
-
-    def test_explicit_arguments_override_everything(self):
-        assert default_serving_workers(min_workers=3, max_workers=3) == 3
-
-    def test_invalid_clamp_rejected(self):
-        with pytest.raises(ValueError):
-            default_serving_workers(min_workers=0)
-        with pytest.raises(ValueError):
-            default_serving_workers(min_workers=4, max_workers=2)
 
     def test_server_honors_max_workers_argument(self):
         server = ElasticMLServer(sample_cap=64, max_workers=1)

@@ -12,7 +12,6 @@ import pytest
 from repro import (
     ElasticMLSession,
     ElasticMLServer,
-    SessionConfig,
     ShardedElasticMLServer,
     Submission,
     paper_cluster,
@@ -108,6 +107,26 @@ class TestConsistentHashRouter:
             ConsistentHashRouter(2, affinity="random")
 
 
+def _serve_linreg_mix(server):
+    """Six LinregDS/LinregCG XS submissions over three tenants; returns
+    (script names, drained results) in submission order."""
+    args = {
+        name: prepare_inputs(server.hdfs, name, scenario("XS", cols=50))
+        for name in ("LinregDS", "LinregCG")
+    }
+    names = []
+    for i in range(6):
+        name = "LinregDS" if i % 2 == 0 else "LinregCG"
+        server.submit(Submission(
+            tenant=f"tenant-{i % 3}", script=name, args=args[name],
+        ))
+        names.append(name)
+    try:
+        return names, server.drain()
+    finally:
+        server.shutdown()
+
+
 class TestShardedDeterminism:
     def test_results_byte_identical_across_shard_counts_and_serial(self):
         session = ElasticMLSession(sample_cap=64)
@@ -124,30 +143,41 @@ class TestShardedDeterminism:
 
         per_count = {}
         for shards in (1, 2):
-            server = ShardedElasticMLServer(
+            names, results = _serve_linreg_mix(ShardedElasticMLServer(
                 shards=shards, sample_cap=64, trace=True
-            )
-            args = {
-                name: prepare_inputs(
-                    server.hdfs, name, scenario("XS", cols=50)
-                )
-                for name in ("LinregDS", "LinregCG")
-            }
-            names = []
-            for i in range(6):
-                name = "LinregDS" if i % 2 == 0 else "LinregCG"
-                server.submit(Submission(
-                    tenant=f"tenant-{i % 3}", script=name,
-                    args=args[name],
-                ))
-                names.append(name)
-            results = server.drain()
-            server.shutdown()
+            ))
             assert [r.status for r in results] == ["completed"] * 6
             for name, r in zip(names, results):
                 assert _canonical(r.outcome) == references[name]
             per_count[shards] = [_canonical(r.outcome) for r in results]
         assert per_count[1] == per_count[2]
+
+    def test_spawned_shards_equal_forked_ones(self, monkeypatch):
+        """A platform without fork starts shards with spawn: the spec
+        reaches the worker pickled by multiprocessing, and every result
+        equals the forked run's."""
+        import multiprocessing
+
+        server = ShardedElasticMLServer(shards=2, sample_cap=64)
+        assert server.start_method == "fork"
+        _, forked = _serve_linreg_mix(server)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods",
+            lambda: ["spawn", "forkserver"],
+        )
+        server = ShardedElasticMLServer(shards=2, sample_cap=64)
+        assert server.start_method == "spawn"
+        _, spawned = _serve_linreg_mix(server)
+        assert all(
+            isinstance(proc, multiprocessing.context.SpawnProcess)
+            for proc in server._procs
+        )
+        assert server.stats()["shard.start_method"] == "spawn"
+        assert [r.status for r in spawned] == ["completed"] * 6
+        assert (
+            [_canonical(r.outcome) for r in spawned]
+            == [_canonical(r.outcome) for r in forked]
+        )
 
     def test_packing_policy_preserves_determinism(self):
         server = ShardedElasticMLServer(
@@ -282,22 +312,6 @@ class TestShardedLifecycle:
         assert server.results() == []
         assert server.stats()["shard.count"] == 2
 
-    def test_pickle_start_method_records_snapshot_bytes(self):
-        server = ShardedElasticMLServer(
-            shards=2, sample_cap=64, start_method="pickle"
-        )
-        args = prepare_inputs(
-            server.hdfs, "LinregDS", scenario("XS", cols=50)
-        )
-        server.submit(Submission(
-            tenant="t", script="LinregDS", args=args
-        ))
-        results = server.drain()
-        server.shutdown()
-        assert results[0].ok
-        assert server.start_method == "pickle"
-        assert server.snapshot_bytes > 0
-
     def test_light_detail_strips_heavy_fields_keeps_identity(self):
         server = ShardedElasticMLServer(shards=1, sample_cap=64)
         args = prepare_inputs(
@@ -313,21 +327,3 @@ class TestShardedLifecycle:
         assert result.outcome.trace is None
         assert result.outcome.result is not None
         assert result.outcome.resource is not None
-
-
-class TestShardedFacade:
-    def test_session_config_routes_facade_to_sharded_server(self):
-        config = SessionConfig(serving_shards=2)
-        session = ElasticMLSession(sample_cap=64, config=config)
-        args = prepare_inputs(
-            session.hdfs, "LinregDS", scenario("XS", cols=50)
-        )
-        reference = _canonical(session.run("LinregDS", args))
-        ticket = session.submit(Submission(
-            tenant="t", script="LinregDS", args=args
-        ))
-        result = session.poll(ticket, timeout=120)
-        assert isinstance(session._server, ShardedElasticMLServer)
-        session.shutdown()
-        assert result is not None and result.ok
-        assert _canonical(result.outcome) == reference

@@ -252,10 +252,11 @@ class TestRunPipelineSeam:
         assert simulator.session.calibration.total_samples > 0
 
     def test_session_chaos_never_touches_the_shared_hdfs(self):
-        """A chaos run's injector lives on a private HDFS view: the
-        session's embedded server reads through ``session.hdfs``, so an
-        injector parked there would fire in other tenants' reads."""
+        """A chaos run's injector lives on a private HDFS view: a server
+        built on ``session.hdfs`` reads through it, so an injector
+        parked there would fire in other tenants' reads."""
         from repro import (
+            ElasticMLServer,
             ElasticMLSession,
             FaultKind,
             FaultPlan,
@@ -291,14 +292,19 @@ class TestRunPipelineSeam:
 
         # same schedule, accounting and outputs as the served path,
         # which always ran against a view
+        server = ElasticMLServer(
+            cluster=session.cluster, hdfs=session.hdfs, sample_cap=64,
+            opt_cache=session.opt_cache, collector=session.calibration,
+        )
         try:
-            session.submit(Submission(
+            server.submit(Submission(
                 tenant="t", script="LinregDS", args=args, chaos=plan,
                 seed=session.seed,
             ))
-            (served,) = session.drain()
+            (served,) = server.drain()
         finally:
-            session.shutdown()
+            server.shutdown()
+        assert assigned == []
         assert served.outcome.chaos == outcome.chaos
         assert _canonical(served.outcome) == _canonical(outcome)
 
