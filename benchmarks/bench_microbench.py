@@ -106,7 +106,6 @@ from repro.runtime import interpreter as interpreter_mod
 from repro.runtime.bufferpool import BufferPool
 from repro.runtime.matrix import MatrixObject
 from repro.scripts import load_script
-from repro.serving import ProgramCache
 from repro.workloads import prepare_inputs, scenario
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / (
@@ -337,13 +336,10 @@ def bench_bufferpool_insert_resident(iters):
 # -- interpretation kernel ----------------------------------------------------
 
 def _warm_pipeline(script, scn=scenario("XS", cols=100)):
-    """(pipeline, source, args): a pipeline with both caches on and the
+    """(pipeline, source, args): a pipeline with its caches on and the
     script's inputs (XS unless told otherwise) on its file system."""
     hdfs = SimulatedHDFS(sample_cap=64)
-    pipeline = RunPipeline(
-        SessionConfig(), hdfs=hdfs, sample_cap=64,
-        program_cache=ProgramCache(),
-    )
+    pipeline = RunPipeline(SessionConfig(), hdfs=hdfs, sample_cap=64)
     args = prepare_inputs(hdfs, script, scn)
     return pipeline, load_script(script), args
 

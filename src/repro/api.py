@@ -34,7 +34,7 @@ from repro.compiler.pipeline import (
 from repro.cost import CostModel
 from repro.obs import NULL_TRACER, Tracer, get_tracer, use_tracer
 from repro.optimizer import OptimizerOptions, OptimizerResult
-from repro.pipeline import UNSET, RunPipeline
+from repro.pipeline import RunPipeline
 from repro.runtime import ExecutionResult
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 from repro.scripts import SCRIPTS, load_script
@@ -100,10 +100,8 @@ class SessionConfig:
     # -- caches -------------------------------------------------------------
     #: ablation switch: disable the memoizing plan/cost cache
     enable_plan_cache: bool = True
-    #: build a cross-run :class:`OptimizerResultCache` for the session
+    #: keep optimizer decisions across runs (:class:`OptimizerResultCache`)
     opt_cache: bool = True
-    #: LRU bound of the default cross-run cache
-    opt_cache_entries: int = 64
     # -- calibration (repro.cost.calibrate) --------------------------------
     #: collect per-component (work, seconds) samples during execution,
     #: fittable into a CalibrationProfile via ``fit_calibration()``
@@ -132,9 +130,7 @@ class SessionConfig:
 
     def build_opt_cache(self):
         """A fresh cross-run cache per this config (None if disabled)."""
-        if not self.opt_cache:
-            return None
-        return OptimizerResultCache(max_entries=self.opt_cache_entries)
+        return OptimizerResultCache() if self.opt_cache else None
 
 
 @dataclass
@@ -152,41 +148,21 @@ class OptimizerResultCache:
     excluded because every backend chooses identically) — so a hit can
     skip enumeration outright.
 
-    **Invalidation rule**: there is no explicit invalidation — the key
-    covers the full decision signature, so any change to the script,
-    its arguments, an input file's metadata, the cluster, the cost
-    parameters, or the grid options produces a *different* key and
-    re-runs the optimizer.  Stale entries age out of the LRU bound.
-
-    Per-block MR heaps — the winner's and those of every point of its
-    cost frontier (:attr:`OptimizerResult.frontier`) — are stored by
-    *block position* (block ids are stamped per process and differ
-    between compilations of the same script); :meth:`lookup` remaps
-    them onto the current compilation.
-
-    An entry also keeps the winning configuration's generated plans
-    (shared read-only, like a plan cache's), tagged with the block-id
-    tuple of the program they were generated from.  Ids are
-    process-unique, so an equal tuple means "a handout of the same
-    master" and :meth:`lookup` installs the plans; for any other
-    program (a session compiling from source every run) it regenerates.
-
-    Lookup/store take an internal lock: one instance is shared by every
-    tenant of an :class:`~repro.serving.ElasticMLServer`, where
-    concurrent submissions hit it from worker threads.
+    The decision lives on the frozen master it was made for
+    (``CompiledProgram.decisions``, shared by every handout) and dies
+    with it; a store under a new key (the belief moved, say) replaces
+    the master's one decision.  A hit installs the stored plans on the
+    handout holder by holder.  A program compiled outside a
+    :class:`~repro.pipeline.ProgramCache` has no ``decisions`` and
+    always misses.  This object only counts; its lock keeps a store's
+    replacement whole under concurrent tenants.
     """
 
-    max_entries: int = 64
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    #: key -> frozen decision entry, in LRU order (oldest first)
-    _entries: dict = field(default_factory=dict, repr=False)
     _lock: object = field(default_factory=threading.RLock, repr=False,
                           compare=False)
-
-    def __len__(self):
-        return len(self._entries)
 
     @staticmethod
     def signature(source, args, input_meta, cluster, params, options,
@@ -209,114 +185,64 @@ class OptimizerResultCache:
         return hashlib.sha256(key_text.encode("utf-8")).hexdigest()
 
     def lookup(self, key, compiled):
-        """Return a cached :class:`OptimizerResult` remapped onto
-        ``compiled``, or None on a miss.  A hit leaves ``compiled``
-        planned under the cached configuration."""
-        order = [b.block_id for b in compiled.last_level_blocks()]
+        """Return the :class:`OptimizerResult` stored on ``compiled``'s
+        master under ``key``, or None on a miss.  A hit leaves
+        ``compiled`` planned under the cached configuration."""
+        entry = (compiled.decisions or {}).get(key)
+        outcome = "misses" if entry is None else "hits"
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or len(order) != entry["num_blocks"]:
-                self.misses += 1
-                get_tracer().incr("optcache.misses")
-                return None
-            # LRU touch: re-insert at the back
-            self._entries[key] = self._entries.pop(key)
-            self.hits += 1
-        get_tracer().incr("optcache.hits")
-
-        def by_id(vector):
-            return tuple((order[index], ri) for index, ri in vector)
-
+            setattr(self, outcome, getattr(self, outcome) + 1)
+        get_tracer().incr(f"optcache.{outcome}")
+        if entry is None:
+            return None
         resource = ResourceConfig(
             cp_heap_mb=entry["cp_heap_mb"],
             mr_heap_mb=entry["mr_heap_mb"],
-            mr_heap_per_block=dict(by_id(entry["vector"])),
+            mr_heap_per_block=dict(entry["vector"]),
         )
-        block_ids, plans = entry["plans"]
-        if block_ids == _block_ids(compiled):
-            for holder, plan in zip(plan_holders(compiled), plans):
-                holder.plan = plan
-            compiled.resource = resource
-            compiled.planned = True
-        else:
-            # another compilation of the program (no program cache, or
-            # its master was evicted): regenerate, keep for its handouts
-            entry["plans"] = _generated_plans(compiled, resource)
+        for holder, plan in zip(plan_holders(compiled), entry["plans"]):
+            holder.plan = plan
+        compiled.resource = resource
+        compiled.planned = True
         return OptimizerResult(
             resource=resource,
             cost=entry["cost"],
             stats=replace(entry["stats"]),
             cp_profile=list(entry["cp_profile"]),
             from_cache=True,
-            frontier=[
-                (rc, cost, by_id(vector))
-                for rc, cost, vector in entry["frontier"]
-            ],
+            frontier=list(entry["frontier"]),
         )
 
     def store(self, key, compiled, result):
-        """Freeze one optimization outcome under ``key``.
+        """Keep one optimization outcome on ``compiled``'s master under
+        ``key``, replacing the decision it held.
 
-        Results without a configuration, produced under an expired time
-        budget (they depend on wall clock, not just inputs), or scoped
-        to a block subsequence are not cacheable.
+        Results without a configuration, or produced under an expired
+        time budget (they depend on wall clock, not just inputs), are
+        not cacheable; neither is a program with no master.
         """
-        if result.resource is None or result.stats.budget_exhausted:
+        if (compiled.decisions is None or result.resource is None
+                or result.stats.budget_exhausted):
             return False
-        index_of = {
-            b.block_id: i
-            for i, b in enumerate(compiled.last_level_blocks())
-        }
-
-        def by_position(pairs):
-            return tuple((index_of[block_id], ri) for block_id, ri in pairs)
-
-        vectors = [sorted(result.resource.mr_heap_per_block.items())]
-        vectors += [vector for _, _, vector in result.frontier]
-        if any(block_id not in index_of
-               for vector in vectors for block_id, _ in vector):
-            return False  # not a whole-program optimization
         # the enumeration leaves plan-cache plans behind; a hit must
         # install what a plain regeneration builds
-        plans = _generated_plans(compiled, result.resource)
+        compile_plans(compiled, result.resource)
+        entry = {
+            "plans": [holder.plan for holder in plan_holders(compiled)],
+            "cp_heap_mb": result.resource.cp_heap_mb,
+            "mr_heap_mb": result.resource.mr_heap_mb,
+            "vector": tuple(sorted(result.resource.mr_heap_per_block.items())),
+            "frontier": tuple(result.frontier),
+            "cost": result.cost,
+            "stats": replace(result.stats),
+            "cp_profile": tuple(result.cp_profile),
+        }
         with self._lock:
-            self._entries[key] = {
-                "plans": plans,
-                "cp_heap_mb": result.resource.cp_heap_mb,
-                "mr_heap_mb": result.resource.mr_heap_mb,
-                "vector": by_position(vectors[0]),
-                "frontier": tuple(
-                    (rc, cost, by_position(vector))
-                    for rc, cost, vector in result.frontier
-                ),
-                "num_blocks": len(index_of),
-                "cost": result.cost,
-                "stats": replace(result.stats),
-                "cp_profile": tuple(result.cp_profile),
-            }
-            while len(self._entries) > self.max_entries:
-                self._entries.pop(next(iter(self._entries)))
+            compiled.decisions.clear()
+            compiled.decisions[key] = entry
             self.stores += 1
         get_tracer().incr("optcache.stores")
         return True
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-
-def _block_ids(compiled):
-    return tuple(block.block_id for block in compiled.all_blocks())
-
-
-def _generated_plans(compiled, resource):
-    """Plan ``compiled`` under ``resource``; returns what an entry keeps:
-    (block-id tuple, the plans in :func:`plan_holders` order)."""
-    compile_plans(compiled, resource)
-    return (
-        _block_ids(compiled),
-        [holder.plan for holder in plan_holders(compiled)],
-    )
 
 
 class ElasticMLSession(RunPipeline):
@@ -333,12 +259,11 @@ class ElasticMLSession(RunPipeline):
 
     def __init__(self, cluster=None, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, seed=0, *,
-                 config=None, opt_cache=UNSET, trace=False,
-                 tracer=None, chaos=None, retry_policy=None,
-                 model_params=None, load=None):
+                 config=None, trace=False, tracer=None, chaos=None,
+                 retry_policy=None, model_params=None, load=None):
         super().__init__(
             config if config is not None else SessionConfig(),
-            cluster, params, hdfs, sample_cap, opt_cache=opt_cache,
+            cluster, params, hdfs, sample_cap,
             retry_policy=retry_policy, model_params=model_params,
         )
         self.seed = seed

@@ -110,15 +110,25 @@ class CompiledProgram:
     #: cursor into the replay tree of the master this is a handout of
     #: (:mod:`repro.compiler.replay`); None: nothing looked up or recorded
     replay: object = field(default=None, repr=False, compare=False)
+    #: the optimizer decision of the master this is a handout of, by
+    #: key (:class:`~repro.api.OptimizerResultCache`); None: compiled
+    #: outside any program cache
+    decisions: dict = field(default=None, repr=False, compare=False)
 
     def handout(self):
         """A per-run shell (:meth:`BlockProgram.shell`) of this program:
         own plans, ``resource``, ``stats`` and ``plan_cache`` over its
-        HOP DAGs, which the shell's writers copy first (``own_dag``)."""
+        HOP DAGs, which the shell's writers copy first (``own_dag``).
+        ``replay`` and ``decisions`` are the master's, by reference."""
         return replace(
             self, block_program=self.block_program.shell(),
             stats=replace(self.stats), plan_cache=None,
         )
+
+    def __getstate__(self):
+        # a pickled or deep-copied program is no handout: it leaves the
+        # master's decision behind, as it does the replay tree
+        return {**self.__dict__, "decisions": None}
 
     @property
     def blocks(self):

@@ -100,31 +100,26 @@ def block_thresholds(block):
 class PlanCache:
     """Cache of compiled block plans, keyed by budget buckets.
 
-    One instance serves one set of block ids: the optimizer attaches a
-    fresh private one per enumeration, and a handout of a cached master
-    starts without one, so a run never sees the plans another run's
-    enumeration cached.
+    One instance serves one enumeration: the optimizer attaches a fresh
+    private one to the program it enumerates, and a handout of a cached
+    master starts without one, so a run never sees the plans another
+    run's enumeration cached.
 
     *Pickling* preserves the full cache state (thresholds, plans, and
     counters), so a program pickled with its cache attached keeps it.
 
-    All operations take an internal lock, so one instance can be shared
-    by concurrent threads (all handouts of a master carry its block
-    ids) without a torn state.  ``max_plans`` bounds the cache with LRU
-    eviction (None = unbounded, the single-program optimizer default).
+    Lookups and stores take an internal lock, so concurrent threads
+    never see a torn state.
     """
 
-    def __init__(self, thresholds=None, max_plans=None):
+    def __init__(self):
         #: block_id -> (cp_thresholds, mr_thresholds)
-        self.thresholds = dict(thresholds) if thresholds else {}
-        #: (block_id, cp_bucket, mr_bucket) -> BlockPlan, in LRU order
-        #: (least recently used first)
+        self.thresholds = {}
+        #: (block_id, cp_bucket, mr_bucket) -> BlockPlan
         self.plans = {}
-        self.max_plans = max_plans
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.evictions = 0
         self._lock = threading.Lock()
 
     def __getstate__(self):
@@ -172,8 +167,6 @@ class PlanCache:
         with self._lock:
             plan = self.plans.get(key)
             if plan is not None:
-                # LRU touch: re-insert at the back
-                self.plans[key] = self.plans.pop(key)
                 self.hits += 1
             else:
                 self.misses += 1
@@ -186,14 +179,6 @@ class PlanCache:
     def store(self, key, plan):
         with self._lock:
             self.plans[key] = plan
-            self._evict_locked()
-
-    def _evict_locked(self):
-        if self.max_plans is None:
-            return
-        while len(self.plans) > self.max_plans:
-            self.plans.pop(next(iter(self.plans)))
-            self.evictions += 1
 
     def invalidate_block(self, block_id):
         """Drop a block's plans *and* thresholds (dynamic recompilation

@@ -45,7 +45,8 @@ class ReplayNode:
     def attach(self, label, post=None):
         """The node ``label`` leads to, recording ``post`` unless a
         concurrent run of the master was first; None once the tree is
-        full: the run is then off the tree, like a session's."""
+        full: the run is then off the tree, like a program compiled
+        outside a program cache."""
         tree = self.tree
         with tree["lock"]:
             node = self.children.get(label)

@@ -6,11 +6,12 @@ path plus the environment it runs in; the session, the multi-tenant
 server and the trace simulator are callers that add only what is theirs
 (spans and outcome assembly, admission and tickets, the virtual clock):
 
-* :meth:`~RunPipeline.compile` — DML source to a
-  :class:`~repro.compiler.pipeline.CompiledProgram`, through the shared
-  program cache when the pipeline was given one;
+* :meth:`~RunPipeline.compile` — DML source to a handout of a frozen
+  master :class:`~repro.compiler.pipeline.CompiledProgram`, through the
+  pipeline's :class:`ProgramCache`;
 * :meth:`~RunPipeline.optimize_cached` — the initial resource decision,
-  through the cross-run :class:`~repro.api.OptimizerResultCache`;
+  through the cross-run :class:`~repro.api.OptimizerResultCache`, which
+  keeps it on the master;
 * :meth:`~RunPipeline.execute_program` — one interpreter run.  The only
   place outside :mod:`repro.runtime` that wires a fault injector, an
   HDFS view, the serial runtime adapter and the calibration collector
@@ -23,12 +24,14 @@ never asks who is calling and emits no spans of its own.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import replace
 
 from repro.chaos import FaultInjector
 from repro.cluster import paper_cluster
 from repro.compiler.pipeline import compile_program
+from repro.compiler.replay import ReplayNode
 from repro.cost.calibrate import (
     DEFAULT_MIN_SAMPLES,
     CalibrationCollector,
@@ -45,18 +48,95 @@ from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 UNSET = object()
 
 
+class ProgramCache:
+    """Master compiled programs, the one cross-run cache of a pipeline.
+
+    Keyed by (source, args) with a per-entry signature over the
+    shape/sparsity metadata of the files the program *reads* (outputs a
+    run writes back to HDFS never invalidate).  A stored master is
+    frozen — nothing reachable from it is written again — and ``get``
+    and ``put`` return a ``CompiledProgram.handout()`` of it: a per-run
+    shell with the master's block ids.  What runs learn about the
+    program hangs on the master and lives and dies with it: its
+    optimizer decision (``decisions``, kept by
+    :class:`~repro.api.OptimizerResultCache`) and its run-replay tree
+    (:mod:`repro.compiler.replay`).  A run that must write a HOP DAG
+    copies that block's DAG first (``statement_blocks.own_dag``).
+    """
+
+    def __init__(self, max_programs=32):
+        self.max_programs = max_programs
+        self.hits = 0
+        self.misses = 0
+        #: masters dropped by the LRU bound
+        self.evictions = 0
+        self._lock = threading.Lock()
+        #: key -> (reads_sig, master CompiledProgram), LRU order
+        self._programs = {}
+
+    @staticmethod
+    def _key(source, args):
+        text = repr((source, sorted((args or {}).items())))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @staticmethod
+    def _reads_sig(read_set, input_meta):
+        sig = []
+        for path in sorted(read_set):
+            mc = input_meta.get(path)
+            if mc is None:
+                return None  # a read input disappeared: never matches
+            sig.append((path, mc.rows, mc.cols, mc.nnz))
+        return tuple(sig)
+
+    def get(self, source, args, input_meta):
+        """A handout of the cached master, or None."""
+        key = self._key(source, args)
+        with self._lock:
+            reads_sig, master = self._programs.get(key, (None, None))
+            if master is not None and reads_sig != self._reads_sig(
+                master.reads, input_meta
+            ):
+                del self._programs[key]  # stale metadata
+                master = None
+            if master is None:
+                self.misses += 1
+                return None
+            self._programs[key] = self._programs.pop(key)
+            self.hits += 1
+        return master.handout()
+
+    def put(self, source, args, input_meta, master):
+        """Store a pristine master, frozen from here on (the caller
+        gives up the right to run or replan it); returns a handout."""
+        key = self._key(source, args)
+        sig = self._reads_sig(master.reads, input_meta)
+        master.decisions = {}
+        if any(b.requires_recompile for b in master.last_level_blocks()):
+            # only a program with unknown sizes has events to replay
+            master.replay = ReplayNode()
+        with self._lock:
+            self._programs[key] = (sig, master)
+            while len(self._programs) > self.max_programs:
+                self._programs.pop(next(iter(self._programs)))
+                self.evictions += 1
+        return master.handout()
+
+
 class RunPipeline:
     """The run environment and the three stages every run goes through.
 
     Base class of :class:`~repro.api.ElasticMLSession` and
     :class:`~repro.serving.ElasticMLServer`, so the environment
-    attributes below are plain attributes of both.
+    attributes below are plain attributes of both.  Every pipeline
+    owns a :class:`ProgramCache`: a run gets a handout of a frozen
+    master, whose optimizer decision and replay tree every later run of
+    the same program reuses.
     """
 
     def __init__(self, config, cluster=None, params=None, hdfs=None,
-                 sample_cap=DEFAULT_SAMPLE_CAP, *, opt_cache=UNSET,
-                 retry_policy=None, model_params=None, collector=UNSET,
-                 program_cache=None):
+                 sample_cap=DEFAULT_SAMPLE_CAP, *, retry_policy=None,
+                 model_params=None, collector=UNSET):
         #: consolidated knobs (:class:`~repro.api.SessionConfig`)
         self.config = config
         self.cluster = cluster if cluster is not None else paper_cluster()
@@ -88,31 +168,26 @@ class RunPipeline:
             hdfs if hdfs is not None
             else SimulatedHDFS(sample_cap=sample_cap)
         )
-        #: cross-run optimizer decision cache (None disables; default
-        #: built per ``config.opt_cache``)
-        self.opt_cache = (
-            config.build_opt_cache() if opt_cache is UNSET else opt_cache
-        )
+        #: cross-run optimizer decisions, kept on the masters (None
+        #: when ``config.opt_cache`` is off)
+        self.opt_cache = config.build_opt_cache()
         #: retry/backoff policy for fault recovery
         #: (:class:`repro.chaos.RetryPolicy`); None = the default policy
         self.retry_policy = retry_policy
-        #: shared master programs (:class:`~repro.serving.ProgramCache`);
-        #: None compiles every run from source
-        self.program_cache = program_cache
+        #: frozen master programs, handed out per run
+        self.program_cache = ProgramCache()
         #: telemetry of the owner; fits are recorded on it when enabled
         self.tracer = None
 
     # -- compile -------------------------------------------------------------
 
     def compile(self, source, args):
-        """Compile DML source against the HDFS input metadata."""
+        """A handout of the master compiled from DML source against the
+        HDFS input metadata (compiled on a program-cache miss)."""
         input_meta = self.hdfs.input_meta()
-        cache = self.program_cache
-        if cache is None:
-            return compile_program(source, args, input_meta)
-        compiled = cache.get(source, args, input_meta)
+        compiled = self.program_cache.get(source, args, input_meta)
         if compiled is None:
-            compiled = cache.put(
+            compiled = self.program_cache.put(
                 source, args, input_meta,
                 compile_program(source, args, input_meta),
             )
@@ -144,7 +219,7 @@ class RunPipeline:
         result cache.
 
         On a hit the enumeration is skipped entirely: the cache leaves
-        the program planned under the cached configuration and a result
+        the handout planned under its master's decision and a result
         with :attr:`OptimizerResult.from_cache` set is returned.
         """
         cache = self.opt_cache

@@ -128,8 +128,8 @@ class ConsistentHashRouter:
       randomized ``hash()``);
     * **affine** — with ``affinity="tenant"`` all submissions of one
       tenant share a shard; with ``"program"`` all tenants of one
-      (script, args) program do, which concentrates
-      ``ProgramCache``/``OptimizerResultCache``/replay-tree hits;
+      (script, args) program do, which concentrates ``ProgramCache``
+      hits (a master carries its decision and replay tree);
     * **stable** — adding a shard moves only ~1/N of the keyspace.
     """
 

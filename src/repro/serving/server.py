@@ -4,11 +4,12 @@ One server owns one simulated cluster and HDFS and accepts concurrent
 tenant :class:`Submission`\\ s.  Each submission flows through
 
 1. **prepare** — the :class:`~repro.pipeline.RunPipeline` compile stage
-   (through a shared :class:`ProgramCache` of frozen master programs,
-   handed out as per-run shells over the master's HOP DAGs: same block
-   identities for every tenant, nothing copied) and optimize stage
-   (through one shared, locked :class:`~repro.api.OptimizerResultCache`,
-   whose hit installs the winning configuration's plans);
+   (through the pipeline's :class:`~repro.pipeline.ProgramCache` of
+   frozen master programs, handed out as per-run shells over the
+   master's HOP DAGs: same block identities for every tenant, nothing
+   copied) and optimize stage (through the
+   :class:`~repro.api.OptimizerResultCache`, whose hit installs the
+   plans of the decision kept on the master);
 2. **admission** — block until the paper's 1.5x-heap AM container fits
    under the active :class:`~repro.serving.admission.AdmissionPolicy`
    (Section 5.3: allocated AM containers bound concurrency);
@@ -24,7 +25,6 @@ same run on a private :class:`~repro.api.ElasticMLSession`.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import threading
@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 from repro.api import RunOutcome, SessionConfig
 from repro.cluster.admission import AdmissionCore
 from repro.cluster.yarn import ResourceManager
-from repro.compiler.replay import ReplayNode
 from repro.obs import NULL_TRACER, Tracer, use_tracer
-from repro.pipeline import UNSET, RunPipeline
+from repro.pipeline import UNSET, ProgramCache, RunPipeline  # noqa: F401
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 from repro.scripts import SCRIPTS, load_script
 from repro.serving.admission import make_policy
@@ -110,83 +109,6 @@ class SubmissionResult:
         return self.outcome.total_time if self.outcome is not None else None
 
 
-class ProgramCache:
-    """Master compiled programs shared across tenants.
-
-    Keyed by (source, args) with a per-entry signature over the
-    shape/sparsity metadata of the files the program *reads* (outputs a
-    run writes back to HDFS never invalidate).  A stored master is
-    frozen — nothing reachable from it is written again — and ``get``
-    and ``put`` return a ``CompiledProgram.handout()`` of it: a per-run
-    shell with the master's block ids, which is what lets every tenant
-    of the same program share the plans an ``OptimizerResultCache``
-    entry keeps and the master's run-replay tree
-    (:mod:`repro.compiler.replay`), which lives and dies with it.  A run
-    that must write a HOP DAG copies that block's DAG first
-    (``statement_blocks.own_dag``).
-    """
-
-    def __init__(self, max_programs=32):
-        self.max_programs = max_programs
-        self.hits = 0
-        self.misses = 0
-        #: masters dropped by the LRU bound (parity with PlanCache)
-        self.evictions = 0
-        self._lock = threading.Lock()
-        #: key -> (reads_sig, master CompiledProgram), LRU order
-        self._programs = {}
-
-    def __len__(self):
-        return len(self._programs)
-
-    @staticmethod
-    def _key(source, args):
-        text = repr((source, sorted((args or {}).items())))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def _reads_sig(read_set, input_meta):
-        sig = []
-        for path in sorted(read_set):
-            mc = input_meta.get(path)
-            if mc is None:
-                return None  # a read input disappeared: never matches
-            sig.append((path, mc.rows, mc.cols, mc.nnz))
-        return tuple(sig)
-
-    def get(self, source, args, input_meta):
-        """A handout of the cached master, or None."""
-        key = self._key(source, args)
-        with self._lock:
-            reads_sig, master = self._programs.get(key, (None, None))
-            if master is not None and reads_sig != self._reads_sig(
-                master.reads, input_meta
-            ):
-                del self._programs[key]  # stale metadata
-                master = None
-            if master is None:
-                self.misses += 1
-                return None
-            self._programs[key] = self._programs.pop(key)
-            self.hits += 1
-        return master.handout()
-
-    def put(self, source, args, input_meta, master):
-        """Store a pristine master, frozen from here on (the caller
-        gives up the right to run or replan it); returns a handout."""
-        key = self._key(source, args)
-        sig = self._reads_sig(master.reads, input_meta)
-        if any(b.requires_recompile for b in master.last_level_blocks()):
-            # only a program with unknown sizes has events to replay
-            master.replay = ReplayNode()
-        with self._lock:
-            self._programs[key] = (sig, master)
-            while len(self._programs) > self.max_programs:
-                self._programs.pop(next(iter(self._programs)))
-                self.evictions += 1
-        return master.handout()
-
-
 class ElasticMLServer(RunPipeline):
     """Multi-tenant serving front end over one simulated cluster.
 
@@ -195,24 +117,25 @@ class ElasticMLServer(RunPipeline):
     gates execution on AM-container capacity, and ``poll()``/``drain()``
     surface :class:`SubmissionResult` records.  Every tenant runs
     through the server's own :class:`~repro.pipeline.RunPipeline`
-    stages, so all of them share its belief, calibration collector,
-    :class:`ProgramCache` (with each master's run-replay tree) and
-    :class:`OptimizerResultCache` (each internally locked).
+    stages, so all of them share its belief, calibration collector and
+    :class:`~repro.pipeline.ProgramCache` — with each master's
+    optimizer decision and run-replay tree — bounded to
+    ``program_cache_entries`` masters.
     """
 
     def __init__(self, cluster=None, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, config=None,
-                 opt_cache=UNSET, policy=None, max_workers=None,
+                 policy=None, max_workers=None,
                  queue_limit=1024, retry_policy=None, trace=False,
                  program_cache_entries=32, model_params=None,
                  collector=UNSET, recorder=None, admission_cluster=None):
         config = config if config is not None else SessionConfig()
         super().__init__(
             config, cluster, params, hdfs, sample_cap,
-            opt_cache=opt_cache, retry_policy=retry_policy,
-            model_params=model_params, collector=collector,
-            program_cache=ProgramCache(max_programs=program_cache_entries),
+            retry_policy=retry_policy, model_params=model_params,
+            collector=collector,
         )
+        self.program_cache.max_programs = program_cache_entries
         #: the capacity admission runs against.  Normally the full
         #: cluster; a :class:`~repro.serving.shard.ShardedElasticMLServer`
         #: passes its shard's node partition here so concurrency is
@@ -355,9 +278,9 @@ class ElasticMLServer(RunPipeline):
             "program_cache.misses": self.program_cache.misses,
             "program_cache.evictions": self.program_cache.evictions,
             "optcache.hits":
-                self.opt_cache.hits if self.opt_cache else 0,
+                self.opt_cache.hits if self.opt_cache is not None else 0,
             "optcache.misses":
-                self.opt_cache.misses if self.opt_cache else 0,
+                self.opt_cache.misses if self.opt_cache is not None else 0,
         })
         # run replay, summed over the trees of the live masters
         with self.program_cache._lock:

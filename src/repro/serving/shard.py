@@ -17,8 +17,8 @@ Architecture::
 
 * **Routing** is deterministic: a :class:`ConsistentHashRouter` maps the
   tenant (or the program, with ``affinity="program"``) to a shard, so a
-  tenant's repeat submissions always land where its
-  ``ProgramCache``/``OptimizerResultCache`` entries and replay trees live.
+  tenant's repeat submissions always land where its masters live, each
+  with its optimizer decision and replay tree (``ProgramCache``).
 * **Determinism**: each shard server optimizes and executes against the
   *full* cluster config — only its admission ``ResourceManager`` sees
   the shard's node partition (``admission_cluster``).  Simulated

@@ -56,6 +56,15 @@ class TestDeterminism:
         assert a.counters == b.counters
 
 
+class TestProgramCache:
+    def test_each_distinct_recipe_compiles_once(self):
+        simulator = TraceSimulator(TRACE, cluster=tiny_cluster())
+        simulator.run()
+        cache = simulator.session.program_cache
+        assert cache.misses == len(TRACE.workloads())
+        assert cache.hits == len(TRACE.entries) - cache.misses
+
+
 class TestCapacitySafety:
     @pytest.mark.parametrize("elastic", [False, True])
     def test_concurrent_containers_within_capacity(self, elastic):

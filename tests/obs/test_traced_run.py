@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import ElasticMLSession, Tracer
+from repro import ElasticMLSession, SessionConfig, Tracer
 from repro.obs import NULL_TRACER, get_tracer
 from repro.workloads import prepare_inputs, scenario
 
@@ -56,7 +56,9 @@ class TestTracedRun:
         """Without the optimizer cache nothing plans the program under
         the chosen configuration before the AM starts: one regeneration
         per generic block, plus MLogreg's in-loop recompilations."""
-        session = ElasticMLSession(sample_cap=64, trace=True, opt_cache=None)
+        session = ElasticMLSession(
+            sample_cap=64, trace=True, config=SessionConfig(opt_cache=False)
+        )
         args = prepare_inputs(session.hdfs, "MLogreg", scenario("S", cols=100))
         outcome = session.run("MLogreg", args)
         num_blocks = sum(1 for _ in outcome.compiled.last_level_blocks())
@@ -131,9 +133,11 @@ class TestTracingModes:
 
     def test_shared_tracer_accumulates(self):
         shared = Tracer()
-        # opt_cache=None: the second identical run must re-enumerate for
+        # opt_cache off: the second identical run must re-enumerate for
         # optimizer.runs to double (the cross-run cache would skip it)
-        session = ElasticMLSession(sample_cap=64, trace=shared, opt_cache=None)
+        session = ElasticMLSession(
+            sample_cap=64, trace=shared, config=SessionConfig(opt_cache=False)
+        )
         args = prepare_inputs(
             session.hdfs, "LinregDS", scenario("XS", cols=100)
         )

@@ -108,7 +108,7 @@ class TestPoolRemoved:
 
     def test_session_config_has_no_pool_knobs(self):
         names = [f.name for f in dataclasses.fields(SessionConfig)]
-        assert len(names) == 9
+        assert len(names) == 8
         assert not [name for name in names if "worker" in name]
         with pytest.raises(TypeError):
             SessionConfig(workers=2)

@@ -3,8 +3,10 @@ written again, copy-on-write DAGs are private to their run, and a run on
 a handout is the run on a deep copy it replaced."""
 
 import copy
+import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -24,7 +26,6 @@ from repro.compiler.pipeline import compile_program, plan_holders
 from repro.pipeline import RunPipeline
 from repro.runtime import SimulatedHDFS
 from repro.scripts import SCRIPTS, load_script
-from repro.serving import ProgramCache
 from repro.workloads import prepare_inputs, scenario
 
 SEED = 5
@@ -109,6 +110,45 @@ class TestMasterStaysFrozen:
         assert [_digest(master) for master in masters] == before
 
 
+class TestDecisionLivesOnTheMaster:
+    def test_an_evicted_masters_decision_dies_with_it(self):
+        """With room for one master, serving A, B, A evicts A's first
+        master and the decision on it: the second A enumerates again,
+        to the same result."""
+        server = ElasticMLServer(
+            sample_cap=64, max_workers=1, program_cache_entries=1
+        )
+        try:
+            a, b = (
+                (script, prepare_inputs(
+                    server.hdfs, script, scenario("XS", cols=100)
+                ))
+                for script in ("LinregDS", "LinregCG")
+            )
+            outcomes, first_master = [], None
+            for script, args in (a, b, a):
+                server.submit(Submission(
+                    tenant="t", script=script, args=args, seed=SEED,
+                ))
+                served = server.drain()[-1]
+                assert served.ok, served.error
+                outcomes.append(served.outcome)
+                if first_master is None:
+                    (_, master), = server.program_cache._programs.values()
+                    first_master = weakref.ref(master)
+                    del master
+        finally:
+            server.shutdown()
+        first, _, third = outcomes
+        assert not third.optimizer_result.from_cache
+        assert (server.opt_cache.hits, server.opt_cache.misses) == (0, 3)
+        assert _canonical(third.result, third.resource) == _canonical(
+            first.result, first.resource
+        )
+        gc.collect()
+        assert first_master() is None
+
+
 class TestCopyOnWriteIsPrivate:
     ROUNDS = 50
     #: MR-heavy vs all-CP plans of the same DAGs: operator selection
@@ -126,10 +166,7 @@ class TestCopyOnWriteIsPrivate:
             references.append(_canonical(outcome.result, outcome.resource))
         assert references[0] != references[1]
 
-        pipeline = RunPipeline(
-            SessionConfig(), hdfs=hdfs, sample_cap=64,
-            program_cache=ProgramCache(),
-        )
+        pipeline = RunPipeline(SessionConfig(), hdfs=hdfs, sample_cap=64)
         source = load_script("LinregCG")
         barrier = threading.Barrier(2)
         seen = [[], []]
@@ -182,7 +219,7 @@ def _optimize_and_run(compiled, script, scn):
     prepare_inputs(hdfs, script, scn)
     inputs = set(hdfs.files)
     pipeline = RunPipeline(
-        SessionConfig(), hdfs=hdfs, sample_cap=64, opt_cache=None
+        SessionConfig(opt_cache=False), hdfs=hdfs, sample_cap=64
     )
     resource = pipeline.make_optimizer().optimize(compiled).resource
     result = pipeline.execute_program(compiled, resource, seed=SEED)

@@ -236,8 +236,9 @@ def _post_digest(post):
 @pytest.fixture(scope="class")
 def mixed(request):
     """One server, one program, ``MIXED_RUNS`` then ``RECALIBRATED``:
-    each result beside its fresh-session reference, every master with
-    its digest when stored, every node with its digest when attached."""
+    each result beside its fresh-session reference, every master (the
+    server's and the sessions') with its program cache and its digest
+    when stored, every node with its digest when attached."""
     patch = pytest.MonkeyPatch()
     request.addfinalizer(patch.undo)
     attached, stored = [], []
@@ -251,7 +252,7 @@ def mixed(request):
 
     def spy_put(self, source, args, input_meta, master):
         handout = put(self, source, args, input_meta, master)
-        stored.append((master, _digest(master)))
+        stored.append((self, master, _digest(master)))
         return handout
 
     patch.setattr(replay.ReplayNode, "attach", spy_attach)
@@ -336,8 +337,10 @@ class TestOffTheRecordedPath:
 
     def test_frozen_means_frozen(self, mixed):
         assert len(mixed.runs) >= 20
-        assert len(mixed.stored) == 3
-        for master, digest in mixed.stored:
+        assert sum(
+            cache is mixed.server.program_cache for cache, _, _ in mixed.stored
+        ) == 3
+        for _, master, digest in mixed.stored:
             assert _digest(master) == digest
         kinds = set()
         for node, digest in mixed.attached:
@@ -485,10 +488,8 @@ class TestConcurrentRunsOfOneMaster:
 class TestBounds:
     def test_an_evicted_masters_tree_is_unreachable(self):
         hdfs = SimulatedHDFS(sample_cap=64)
-        pipeline = RunPipeline(
-            SessionConfig(), hdfs=hdfs, sample_cap=64,
-            program_cache=ProgramCache(max_programs=1),
-        )
+        pipeline = RunPipeline(SessionConfig(), hdfs=hdfs, sample_cap=64)
+        pipeline.program_cache.max_programs = 1
         args = prepare_inputs(hdfs, "MLogreg", SCN)
         for _ in range(2):  # first sight, recording run
             compiled = pipeline.compile(load_script("MLogreg"), args)
@@ -505,7 +506,6 @@ class TestBounds:
         other = prepare_inputs(hdfs, "LinregDS", scenario("XS", cols=100))
         pipeline.compile(load_script("LinregDS"), other)
         assert pipeline.program_cache.evictions == 1
-        pipeline.opt_cache.clear()  # its entry keeps plans, not programs
         gc.collect()
         assert tree() is None
 

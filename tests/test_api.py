@@ -156,12 +156,6 @@ class TestSessionConfig:
         )
         assert session.opt_cache is None
 
-    def test_opt_cache_entries_bound(self):
-        session = ElasticMLSession(
-            config=SessionConfig(opt_cache_entries=3), sample_cap=64
-        )
-        assert session.opt_cache.max_entries == 3
-
 
 class TestOptimizerOptions:
     def test_session_defaults_configurable(self):

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import ElasticMLSession, OptimizerResultCache
+from repro.api import ElasticMLSession, SessionConfig
 from repro.optimizer import ResourceOptimizer
 from repro.workloads import prepare_inputs, scenario
 
@@ -78,9 +78,12 @@ class TestCrossRunCache:
         session.run("LinregDS", args)
         assert session.opt_cache.hits == 0
         assert session.opt_cache.misses == 2
+        # the master holds one decision: the new key replaced the old
+        (_, master), = session.program_cache._programs.values()
+        assert len(master.decisions) == 1
 
     def test_disabled_cache_always_enumerates(self):
-        session = _session(opt_cache=None)
+        session = _session(config=SessionConfig(opt_cache=False))
         args = _linreg_args(session)
         first = session.run("LinregDS", args)
         second = session.run("LinregDS", args)
@@ -93,19 +96,7 @@ class TestCrossRunCache:
         session = _session()
         args = _linreg_args(session)
         session.run("LinregDS", args, resource=ResourceConfig(2048, 1024))
-        assert len(session.opt_cache) == 0
-
-    def test_lru_bound_evicts_oldest(self):
-        session = _session(opt_cache=OptimizerResultCache(max_entries=1))
-        args = _linreg_args(session)
-        session.run("LinregDS", args)
-        cg_args = prepare_inputs(
-            session.hdfs, "LinregCG", scenario("XS", cols=100)
-        )
-        session.run("LinregCG", cg_args)
-        assert len(session.opt_cache) == 1
-        session.run("LinregDS", args)  # evicted: enumerates again
-        assert session.opt_cache.hits == 0
+        assert session.opt_cache.stores == 0
 
 
 class TestMakeOptimizerDispatch:

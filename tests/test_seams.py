@@ -294,7 +294,7 @@ class TestRunPipelineSeam:
         # which always ran against a view
         server = ElasticMLServer(
             cluster=session.cluster, hdfs=session.hdfs, sample_cap=64,
-            opt_cache=session.opt_cache, collector=session.calibration,
+            collector=session.calibration,
         )
         try:
             server.submit(Submission(
@@ -391,9 +391,9 @@ class TestAdmissionSeam:
 
 
 class TestHandoutSeam:
-    """A warm request is handed a shell of the frozen master and the
-    optimizer cache's plans: it copies no DAG and generates no plan.
-    Every other path still regenerates, through the same functions."""
+    """A warm request — served, or a session's repeat run — is handed a
+    shell of the frozen master and the plans of the decision kept on
+    it: it copies no DAG and generates no plan."""
 
     SEED = 3
 
@@ -460,10 +460,10 @@ class TestHandoutSeam:
             block.plan for block in cold.outcome.compiled.last_level_blocks()
         ]
 
-    def test_hit_for_another_compilation_regenerates_once(self, planning):
-        """A session without a program cache compiles from source every
-        run: the optimizer-cache entry's block ids never match, so the
-        hit regenerates the plans — once, not again at AM startup."""
+    def test_a_sessions_second_run_writes_no_dag_and_generates_no_plan(
+            self, planning):
+        """A session hands out masters as the server does, so its
+        second run of a program is a warm request."""
         from repro import ElasticMLSession
         from repro.workloads import prepare_inputs, scenario
 
@@ -475,10 +475,7 @@ class TestHandoutSeam:
         planning.clear()
         second = session.run("LinregCG", args)
         assert second.optimizer_result.from_cache
-        blocks = sum(1 for _ in second.compiled.last_level_blocks())
-        assert planning["pipeline.compile_plans"] == 1  # compile_program's
-        assert planning["optcache.compile_plans"] == 1
-        assert planning["generate_block_plan"] == 2 * blocks
+        assert planning == {}
         assert _canonical(second) == _canonical(first)
 
 
