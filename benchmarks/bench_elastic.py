@@ -86,7 +86,7 @@ def serial_run(entry, cp_heap_mb, cluster):
     opt = session.optimize_cached(source, args, compiled)
     points = {
         rc: ResourceConfig(rc, opt.resource.mr_heap_mb, dict(vector))
-        for rc, _, vector in opt.frontier
+        for rc, _, vector in opt.frontier.steps
     }
     points[opt.resource.cp_heap_mb] = opt.resource
     result = session.execute_program(

@@ -36,7 +36,7 @@ def test_ext_offer_based_allocation(benchmark, report):
         outcomes = {}
         for load_mean in (0.2, 0.5, 0.8, 0.95):
             allocator = OfferBasedAllocator(
-                result.cp_profile, cluster, wait_cost_per_second=2.0
+                result.frontier, cluster, wait_cost_per_second=2.0
             )
             outcome = allocator.allocate(
                 OfferStream(cluster, load_mean=load_mean, seed=11)

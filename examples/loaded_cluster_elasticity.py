@@ -1,7 +1,7 @@
 """Elasticity on a busy shared cluster: offer-based allocation and
 utilization-based plan fallback (extensions of paper Sections 2.3 / 6).
 
-Part 1 drives the Mesos-style allocator: the optimizer's cost profile
+Part 1 drives the Mesos-style allocator: the optimizer's cost frontier
 tells us what any offered container size is worth, and a decaying
 reservation price decides when a non-matching offer is good enough.
 
@@ -32,7 +32,7 @@ def main():
 
     for load in (0.3, 0.95):
         allocator = OfferBasedAllocator(
-            opt.cp_profile, cluster, wait_cost_per_second=2.0
+            opt.frontier, cluster, wait_cost_per_second=2.0
         )
         outcome = allocator.allocate(OfferStream(cluster, load_mean=load,
                                                  seed=5))

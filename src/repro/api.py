@@ -143,10 +143,9 @@ class OptimizerResultCache:
     This cache keys the decision by everything it depends on — the
     script text, the script arguments, the shape/sparsity metadata of
     every referenced input file, the cluster configuration, the
-    cost-model parameters, and the serial optimizer options
-    (:meth:`OptimizerOptions.decision_signature`; parallelism knobs are
-    excluded because every backend chooses identically) — so a hit can
-    skip enumeration outright.
+    cost-model parameters, and the optimizer options
+    (:meth:`OptimizerOptions.decision_signature`) — so a hit can skip
+    enumeration outright.
 
     The decision lives on the frozen master it was made for
     (``CompiledProgram.decisions``, shared by every handout) and dies
@@ -208,9 +207,8 @@ class OptimizerResultCache:
             resource=resource,
             cost=entry["cost"],
             stats=replace(entry["stats"]),
-            cp_profile=list(entry["cp_profile"]),
             from_cache=True,
-            frontier=list(entry["frontier"]),
+            frontier=entry["frontier"],
         )
 
     def store(self, key, compiled, result):
@@ -232,10 +230,9 @@ class OptimizerResultCache:
             "cp_heap_mb": result.resource.cp_heap_mb,
             "mr_heap_mb": result.resource.mr_heap_mb,
             "vector": tuple(sorted(result.resource.mr_heap_per_block.items())),
-            "frontier": tuple(result.frontier),
+            "frontier": result.frontier,
             "cost": result.cost,
             "stats": replace(result.stats),
-            "cp_profile": tuple(result.cp_profile),
         }
         with self._lock:
             compiled.decisions.clear()

@@ -8,14 +8,14 @@ size) or decline and keep waiting.  The paper notes this instantiation
 "has additional optimization decisions in case of non-matching offers".
 
 :class:`OfferBasedAllocator` implements those decisions on top of the
-resource optimizer's CP cost profile: a container of size h can run any
-enumerated configuration that fits h, so the *value* of an offer is the
-best cost among grid points at or below the offered heap.  The
-acceptance policy is a decaying reservation price — initially only
-near-optimal offers are accepted; the tolerated regret grows linearly
-with waiting time (waiting itself costs ``wait_cost_per_second``), which
-guarantees acceptance once the tolerated regret covers the worst grid
-point.
+optimizer's cost frontier (:class:`~repro.optimizer.CostFrontier`, the
+staircase elastic admission reads too): a container of heap h can run
+any enumerated configuration that fits h, so the *value* of an offer is
+the frontier's best step within the offered heap.  The acceptance
+policy is a decaying reservation price — initially only near-optimal
+offers are accepted; the tolerated regret grows linearly with waiting
+time (waiting itself costs ``wait_cost_per_second``), which guarantees
+acceptance once the tolerated regret covers the worst grid point.
 
 :class:`OfferStream` simulates the offers a framework sees on a shared
 cluster: free memory fluctuates with background load, and each offer
@@ -25,14 +25,11 @@ exposes one node's currently free capacity.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ClusterError
-
-_offer_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -67,41 +64,18 @@ class AllocationOutcome:
 
 
 class OfferBasedAllocator:
-    """Accept/decline decisions over the optimizer's CP cost profile."""
+    """Accept/decline decisions over the optimizer's cost frontier, a
+    :class:`~repro.optimizer.CostFrontier` (``OptimizerResult.frontier``)."""
 
-    def __init__(self, cp_profile, cluster, wait_cost_per_second=1.0,
+    def __init__(self, frontier, cluster, wait_cost_per_second=1.0,
                  start_time=0.0):
-        """``cp_profile`` is the optimizer's list of
-        (cp_heap_mb, program_cost) samples (OptimizerResult.cp_profile).
-        """
-        if not cp_profile:
-            raise ClusterError("empty CP cost profile")
-        self.profile = sorted(cp_profile)
+        if not frontier.steps:
+            raise ClusterError("cost frontier has no feasible point")
+        self.frontier = frontier
         self.cluster = cluster
         self.wait_cost_per_second = wait_cost_per_second
         self.start_time = start_time
-        finite = [c for _, c in self.profile if c != float("inf")]
-        if not finite:
-            raise ClusterError("cost profile has no feasible point")
-        self.best_cost = min(finite)
-
-    # -- offer valuation ---------------------------------------------------
-
-    def cost_at(self, heap_mb):
-        """Best achievable program cost within an offered heap, or None
-        when even the smallest enumerated configuration does not fit."""
-        candidates = [c for h, c in self.profile if h <= heap_mb]
-        if not candidates:
-            return None
-        return min(candidates)
-
-    def config_at(self, heap_mb):
-        """The enumerated CP heap realizing :meth:`cost_at`."""
-        candidates = [(c, h) for h, c in self.profile if h <= heap_mb]
-        if not candidates:
-            return None
-        cost, heap = min(candidates)
-        return heap
+        self.best_cost = frontier.steps[-1].cost
 
     def tolerated_regret(self, now):
         """The decaying reservation price: the longer we wait, the more
@@ -109,18 +83,22 @@ class OfferBasedAllocator:
         waited = max(0.0, now - self.start_time)
         return self.wait_cost_per_second * waited
 
-    # -- decisions ---------------------------------------------------------
-
     def evaluate(self, offer):
-        """Return (decision, cost, regret) for one offer."""
+        """Return (decision, cost, regret) for one offer; cost and
+        regret are None when no feasible configuration fits it."""
+        decision, step, regret = self._judge(offer)
+        return decision, None if step is None else step.cost, regret
+
+    def _judge(self, offer):
+        """(decision, frontier step, regret) for one offer."""
         heap = self.cluster.heap_mb_for_container(offer.memory_mb)
-        cost = self.cost_at(heap)
-        if cost is None:
+        step = self.frontier.best_within(heap)
+        if step is None:
             return OfferDecision.DECLINE, None, None
-        regret = cost - self.best_cost
+        regret = step.cost - self.best_cost
         if regret <= self.tolerated_regret(offer.timestamp):
-            return OfferDecision.ACCEPT, cost, regret
-        return OfferDecision.DECLINE, cost, regret
+            return OfferDecision.ACCEPT, step, regret
+        return OfferDecision.DECLINE, step, regret
 
     def allocate(self, offers):
         """Drive the policy over an iterable of offers; returns the
@@ -128,12 +106,11 @@ class OfferBasedAllocator:
         non-accepted outcome if the stream ends first)."""
         outcome = AllocationOutcome()
         for offer in offers:
-            decision, cost, regret = self.evaluate(offer)
+            decision, step, regret = self._judge(offer)
             if decision is OfferDecision.ACCEPT:
-                heap = self.cluster.heap_mb_for_container(offer.memory_mb)
                 outcome.offer = offer
-                outcome.heap_mb = self.config_at(heap)
-                outcome.cost = cost
+                outcome.heap_mb = step.rc
+                outcome.cost = step.cost
                 outcome.regret = regret
                 outcome.waited = offer.timestamp - self.start_time
                 return outcome
@@ -165,7 +142,7 @@ class OfferStream:
             load = float(rng.beta(a, b))
             free = self.cluster.node_memory_mb * (1.0 - load)
             yield ResourceOffer(
-                offer_id=next(_offer_ids),
+                offer_id=i + 1,
                 node_id=node,
                 memory_mb=max(free, 0.0),
                 timestamp=(i + 1) * self.interarrival_seconds,

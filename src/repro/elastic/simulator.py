@@ -48,7 +48,8 @@ def frontier_offers(opt_result, cluster):
     (several points sharing a container keep the cheapest)."""
     ideal = opt_result.resource
     offers = {ideal.container_request_mb(cluster): ideal}
-    for rc, cost, vector in reversed(opt_result.frontier):
+    below = opt_result.frontier.below(ideal.cp_heap_mb)
+    for rc, cost, vector in reversed(below):
         if cost > MAX_SLOWDOWN * opt_result.cost:
             break
         offers.setdefault(

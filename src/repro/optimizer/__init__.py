@@ -14,6 +14,7 @@
 """
 
 from repro.optimizer.enumerate import (
+    CostFrontier,
     OptimizerOptions,
     OptimizerResult,
     OptimizerStats,
@@ -34,6 +35,7 @@ __all__ = [
     "OptimizerOptions",
     "OptimizerResult",
     "OptimizerStats",
+    "CostFrontier",
     "ResourceAdapter",
     "UtilizationAwareAdapter",
     "equi_grid",

@@ -12,8 +12,7 @@ the minimal resource configuration with minimal estimated cost, by
 3. recompiling the whole program under the memoized vector and costing
    it end-to-end to account for the control structure;
 4. returning the cheapest (ties broken towards minimal resources),
-   and the cost frontier below it: the cheaper-to-admit points where
-   the CP cost profile strictly drops.
+   and the points where its CP cost strictly drops (:class:`CostFrontier`).
 
 Steps 2-3 are :func:`enumerate_cp_point` and step 4 is
 :func:`fold_cp_points`; the points also carry the task durations
@@ -28,8 +27,10 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from repro.cluster.resources import ResourceConfig
@@ -236,9 +237,9 @@ def fold_cp_points(result, points, compiled, blocks, min_mb, cache,
     """Fold enumerated CP points, in ascending ``rc`` order, into ``result``.
 
     Replays Definition 1's selection rule (:func:`update_best`) over the
-    points, keeps the cost frontier below the winner
-    (:attr:`OptimizerResult.frontier`), then leaves ``compiled`` under
-    the *returned* configuration, not whatever grid point ran last.
+    points, builds their cost frontier (:attr:`OptimizerResult.frontier`),
+    then leaves ``compiled`` under the *returned* configuration, not
+    whatever grid point ran last.
     """
     tracer = get_tracer()
     stats = result.stats
@@ -253,7 +254,6 @@ def fold_cp_points(result, points, compiled, blocks, min_mb, cache,
             mr_heap_mb=min_mb,
             mr_heap_per_block=dict(point.vector),
         )
-        result.cp_profile.append((point.rc, point.cost))
         if tracer.enabled:
             tracer.incr("optimizer.grid_points")
             tracer.event(
@@ -266,14 +266,7 @@ def fold_cp_points(result, points, compiled, blocks, min_mb, cache,
             best_resource, best_cost, chosen, point.cost
         )
         stats.budget_exhausted |= point.exhausted
-    # the lower edge of every cost step below the winner
-    cheapest = float("inf")
-    for point in points:
-        if point.rc >= best_resource.cp_heap_mb:
-            break
-        if point.cost < cheapest:
-            cheapest = point.cost
-            result.frontier.append((point.rc, point.cost, point.vector))
+    result.frontier = CostFrontier.from_points(points)
     for block in blocks:
         recompile_block_plan(compiled, block, best_resource, cache=cache)
     if program_scope:
@@ -378,6 +371,45 @@ class OptimizerStats:
     mr_points_skipped: int = 0
 
 
+class FrontierStep(NamedTuple):
+    """The lower edge of one step of a :class:`CostFrontier`."""
+
+    rc: float
+    cost: float
+    #: as :attr:`CPPoint.vector`
+    vector: tuple
+
+
+@dataclass(frozen=True)
+class CostFrontier:
+    """The CP cost staircase of one optimization: ``steps`` holds, in
+    ascending ``rc`` order, every point that costs strictly less than
+    every smaller one (a tie goes to the smaller heap; an ``inf`` point
+    never steps).  An offer is worth the step :meth:`best_within` its
+    heap; elastic admission offers the steps :meth:`below` the winner."""
+
+    steps: tuple = ()
+
+    @classmethod
+    def from_points(cls, points):
+        """The staircase of ``points`` (any order), by ``rc`` and ``cost``."""
+        steps, cheapest = [], math.inf
+        for point in sorted(points, key=attrgetter("rc", "cost")):
+            if point.cost < cheapest:
+                cheapest = point.cost
+                steps.append(FrontierStep(point.rc, point.cost, point.vector))
+        return cls(tuple(steps))
+
+    def best_within(self, heap_mb):
+        """The last step at or below ``heap_mb``, or None below the first."""
+        i = bisect_right(self.steps, heap_mb, key=attrgetter("rc"))
+        return self.steps[i - 1] if i else None
+
+    def below(self, rc):
+        """The steps under CP heap ``rc``, in ascending order."""
+        return self.steps[:bisect_left(self.steps, rc, key=attrgetter("rc"))]
+
+
 @dataclass
 class OptimizerResult:
     """Outcome of one resource optimization."""
@@ -385,8 +417,6 @@ class OptimizerResult:
     resource: ResourceConfig = None
     cost: float = float("inf")
     stats: OptimizerStats = field(default_factory=OptimizerStats)
-    #: (cp_heap_mb, program_cost) samples for analysis/plots
-    cp_profile: list = field(default_factory=list)
     #: True when this result was answered by the session's cross-run
     #: optimizer result cache (no enumeration ran)
     from_cache: bool = False
@@ -394,12 +424,9 @@ class OptimizerResult:
     #: order (empty on a cache hit); Figure 18 schedules their task
     #: durations with :func:`~repro.optimizer.parallel.task_records`
     points: list = field(default_factory=list)
-    #: the cost frontier below ``resource``: ``(rc, cost, vector)`` of
-    #: every enumerated CP point under the winner's ``rc`` that costs
-    #: strictly less than every smaller point, in ascending ``rc``
-    #: order (``vector`` as :attr:`CPPoint.vector`).  Elastic admission
-    #: offers these configurations below ideal (:mod:`repro.elastic`)
-    frontier: list = field(default_factory=list)
+    #: the cost staircase of ``points``; elastic admission offers its
+    #: steps below ``resource`` (:mod:`repro.elastic`)
+    frontier: CostFrontier = field(default_factory=CostFrontier)
 
 
 class ResourceOptimizer:

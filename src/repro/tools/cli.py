@@ -416,8 +416,8 @@ def cmd_optimize(args, session):
           f"{stats.cost_invocations} cost invocations; "
           f"{stats.optimization_time * 1000:.0f}ms")
     print("\nCP profile (heap MB -> estimated seconds):")
-    for rc, cost in result.cp_profile:
-        print(f"  {rc:10.0f}  {cost:10.1f}")
+    for point in result.points:
+        print(f"  {point.rc:10.0f}  {point.cost:10.1f}")
     return 0
 
 

@@ -26,11 +26,6 @@ class WhatIfHeatmap:
     #: costs[i][j] = estimated seconds at (mr_points[i], cp_points[j])
     costs: list = field(default_factory=list)
 
-    def cost_at(self, cp_mb, mr_mb):
-        i = self.mr_points_mb.index(mr_mb)
-        j = self.cp_points_mb.index(cp_mb)
-        return self.costs[i][j]
-
     def cheapest(self):
         """(cp_mb, mr_mb, cost) of the minimal cell; resource-minimal
         among cost ties (Definition 1's tie-break)."""
@@ -40,8 +35,8 @@ class WhatIfHeatmap:
                 key = (self.costs[i][j], cp + mr, cp)
                 if best is None or key < best[0]:
                     best = (key, cp, mr)
-        _, cp, mr = best
-        return cp, mr, self.cost_at(cp, mr)
+        (cost, _, _), cp, mr = best
+        return cp, mr, cost
 
     def render(self, title=""):
         """Fixed-width textual rendering (Figure 1 style)."""

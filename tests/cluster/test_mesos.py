@@ -5,15 +5,25 @@ import pytest
 from repro.cluster import OfferBasedAllocator, OfferStream, ResourceOffer, paper_cluster
 from repro.cluster.mesos import OfferDecision
 from repro.errors import ClusterError
+from repro.optimizer import CostFrontier
+from repro.optimizer.enumerate import FrontierStep
+
+
+def frontier(profile):
+    """The cost frontier of ``(cp_heap_mb, cost)`` samples."""
+    return CostFrontier.from_points(
+        FrontierStep(heap, cost, ()) for heap, cost in profile
+    )
+
 
 # a CG-like profile: expensive at small CP, cheap once data fits
-PROFILE = [
+PROFILE = frontier([
     (512.0, 250.0),
     (2048.0, 250.0),
     (8192.0, 240.0),
     (16384.0, 70.0),
     (32768.0, 70.0),
-]
+])
 
 
 @pytest.fixture
@@ -27,18 +37,15 @@ def offer(memory_mb, timestamp=0.0, node=0):
 
 
 class TestValuation:
-    def test_cost_at_takes_best_fitting_point(self, cluster):
-        alloc = OfferBasedAllocator(PROFILE, cluster)
-        assert alloc.cost_at(20000) == 70.0
-        assert alloc.cost_at(9000) == 240.0
+    def test_cost_at_takes_best_fitting_point(self):
+        assert PROFILE.best_within(20000).cost == 70.0
+        assert PROFILE.best_within(9000).cost == 240.0
 
-    def test_cost_at_below_min_is_none(self, cluster):
-        alloc = OfferBasedAllocator(PROFILE, cluster)
-        assert alloc.cost_at(100) is None
+    def test_cost_at_below_min_is_none(self):
+        assert PROFILE.best_within(100) is None
 
-    def test_config_at_matches_cost(self, cluster):
-        alloc = OfferBasedAllocator(PROFILE, cluster)
-        assert alloc.config_at(20000) == 16384.0
+    def test_config_at_matches_cost(self):
+        assert PROFILE.best_within(20000).rc == 16384.0
 
     def test_best_cost(self, cluster):
         alloc = OfferBasedAllocator(PROFILE, cluster)
@@ -46,11 +53,11 @@ class TestValuation:
 
     def test_empty_profile_rejected(self, cluster):
         with pytest.raises(ClusterError):
-            OfferBasedAllocator([], cluster)
+            OfferBasedAllocator(frontier([]), cluster)
 
     def test_all_infinite_profile_rejected(self, cluster):
         with pytest.raises(ClusterError):
-            OfferBasedAllocator([(512.0, float("inf"))], cluster)
+            OfferBasedAllocator(frontier([(512.0, float("inf"))]), cluster)
 
 
 class TestPolicy:
@@ -102,6 +109,14 @@ class TestOfferStream:
         a = [o.memory_mb for o in OfferStream(cluster, seed=4, max_offers=10)]
         b = [o.memory_mb for o in OfferStream(cluster, seed=4, max_offers=10)]
         assert a == b
+
+    def test_iterations_of_one_stream_are_equal(self, cluster):
+        """Offer ids are the stream's own index, so iterating one
+        seeded stream twice yields the very same offers."""
+        stream = OfferStream(cluster, seed=4, max_offers=10)
+        first, second = list(stream), list(stream)
+        assert first == second
+        assert [o.offer_id for o in first] == list(range(1, 11))
 
     def test_heavier_load_means_smaller_offers(self, cluster):
         light = [o.memory_mb

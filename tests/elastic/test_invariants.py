@@ -40,7 +40,7 @@ def frontier_run(session, args, **kwargs):
     source = load_script(SCRIPT)
     compiled = session.compile(source, args)
     result = session.optimize_cached(source, args, compiled)
-    rc, _, vector = result.frontier[0]
+    rc, _, vector = result.frontier.steps[0]
     point = ResourceConfig(rc, result.resource.mr_heap_mb, dict(vector))
     assert point.cp_heap_mb < result.resource.cp_heap_mb
     return session.execute_program(

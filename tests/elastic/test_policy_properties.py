@@ -74,12 +74,15 @@ class TestFrontier:
     def test_offered_sizes_are_points_of_the_cp_profile(self, recipe,
                                                          node_mb):
         """Every configuration admission offers is one the optimizer
-        enumerated and costed: the winner, or a frontier point whose
-        (rc, cost) is a sample of the program's own ``cp_profile``."""
+        enumerated and costed: the winner, or a frontier step below the
+        winner whose (rc, cost) is one of the program's own ``points``."""
         result, _ = optimized(recipe, node_mb)
         cluster = cluster_of(node_mb)
-        profile = dict(result.cp_profile)
-        frontier = {rc: (cost, vector) for rc, cost, vector in result.frontier}
+        profile = {p.rc: p.cost for p in result.points}
+        frontier = {
+            rc: (cost, vector) for rc, cost, vector
+            in result.frontier.below(result.resource.cp_heap_mb)
+        }
         for container_mb, resource in frontier_offers(
             result, cluster
         ).items():
@@ -97,26 +100,29 @@ class TestFrontier:
     @settings(max_examples=15, deadline=None)
     def test_frontier_costs_strictly_decrease_with_rc(self, recipe,
                                                        node_mb):
-        """The frontier is the lower edge of every cost step below the
-        winner: ascending rc, strictly falling cost, every point under
-        the winner's rc and no point cheaper than any smaller one."""
+        """The frontier is the lower edge of every cost step: ascending
+        rc, strictly falling cost, no point cheaper than any smaller one,
+        and :meth:`below` the winner only steps under its rc."""
         result, _ = optimized(recipe, node_mb)
-        rcs = [rc for rc, _, _ in result.frontier]
-        costs = [cost for _, cost, _ in result.frontier]
+        steps = result.frontier.steps
+        rcs = [rc for rc, _, _ in steps]
+        costs = [cost for _, cost, _ in steps]
         assert rcs == sorted(set(rcs))
         assert all(a > b for a, b in zip(costs, costs[1:]))
-        assert all(rc < result.resource.cp_heap_mb for rc in rcs)
-        for rc, cost, _ in result.frontier:
+        winner_rc = result.resource.cp_heap_mb
+        assert all(
+            rc < winner_rc for rc, _, _ in result.frontier.below(winner_rc)
+        )
+        for rc, cost, _ in steps:
             assert all(
-                cost < other for other_rc, other in result.cp_profile
-                if other_rc < rc
+                cost < point.cost for point in result.points if point.rc < rc
             )
 
     @given(recipe=recipes, node_mb=node_sizes)
     @settings(max_examples=15, deadline=None)
     def test_no_offer_costs_more_than_max_slowdown(self, recipe, node_mb):
         result, _ = optimized(recipe, node_mb)
-        profile = dict(result.cp_profile)
+        profile = {p.rc: p.cost for p in result.points}
         for resource in frontier_offers(result, cluster_of(node_mb)).values():
             if resource is not result.resource:
                 assert profile[resource.cp_heap_mb] <= (
@@ -137,7 +143,7 @@ class TestFrontier:
         second = session.compile(source, args)
         hit = session.optimize_cached(source, args, second)
         assert not fresh.from_cache and hit.from_cache
-        assert len(fresh.frontier) > 1
+        assert len(fresh.frontier.below(fresh.resource.cp_heap_mb)) > 1
         assert hit.frontier == fresh.frontier
 
 

@@ -142,11 +142,12 @@ class TestComparison:
         assert shrunk
         for run in shrunk:
             resource = run.resource
-            frontier = run.outcome.optimizer_result.frontier
+            winner = run.outcome.optimizer_result
+            below = winner.frontier.below(winner.resource.cp_heap_mb)
             assert (
                 resource.cp_heap_mb,
                 tuple(resource.mr_heap_per_block.items()),
-            ) in [(rc, vector) for rc, _, vector in frontier]
+            ) in [(rc, vector) for rc, _, vector in below]
             assert resource.container_request_mb(cluster) == run.container_mb
             heaps = [resource.cp_heap_mb, resource.mr_heap_mb,
                      *resource.mr_heap_per_block.values()]

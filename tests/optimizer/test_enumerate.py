@@ -70,12 +70,12 @@ class TestOptimization:
 
     def test_profile_covers_all_cp_points(self, cluster):
         result, _ = optimize(cluster, DS_STYLE)
-        assert len(result.cp_profile) == result.stats.cp_points
+        assert len(result.points) == result.stats.cp_points
 
     def test_chosen_cost_is_profile_minimum(self, cluster):
         result, _ = optimize(cluster, CG_STYLE)
         assert result.cost == pytest.approx(
-            min(cost for _, cost in result.cp_profile)
+            min(point.cost for point in result.points)
         )
 
     def test_stats_counters_populated(self, cluster):
@@ -107,13 +107,13 @@ class TestOptimization:
         # budget exhausts after the first CP point but still returns a
         # valid configuration
         assert result.resource is not None
-        assert len(result.cp_profile) == 1
+        assert len(result.points) == 1
         assert result.stats.budget_exhausted
 
     def test_unconstrained_run_reports_no_exhaustion(self, cluster):
         result, _ = optimize(cluster, DS_STYLE)
         assert not result.stats.budget_exhausted
-        assert len(result.cp_profile) == result.stats.cp_points
+        assert len(result.points) == result.stats.cp_points
 
 
 class _NearTieCostModel:
@@ -146,7 +146,7 @@ class TestBugfixes:
             cost_model=_NearTieCostModel(), enable_plan_cache=False,
         )
         result = optimizer.optimize(compiled)
-        grid_points = [rc for rc, _ in result.cp_profile]
+        grid_points = [point.rc for point in result.points]
         assert len(grid_points) == 2
         assert result.resource.cp_heap_mb == min(grid_points)
         assert result.cost == 1.0

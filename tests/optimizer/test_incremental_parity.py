@@ -26,7 +26,7 @@ def _run(script, size, sparse):
     outcome = session.run(script, args)
     resource = outcome.resource
     return (
-        [(rc, cost.hex()) for rc, cost in outcome.optimizer_result.cp_profile],
+        [(p.rc, p.cost.hex()) for p in outcome.optimizer_result.points],
         # block ids differ between two compilations; their order does not
         (resource.cp_heap_mb, resource.mr_heap_mb,
          list(resource.mr_heap_per_block.values())),

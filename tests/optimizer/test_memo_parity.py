@@ -50,7 +50,7 @@ def _inputs(hdfs, program):
 def _identity(outcome):
     resource = outcome.resource
     return (
-        [(rc, cost.hex()) for rc, cost in outcome.optimizer_result.cp_profile],
+        [(p.rc, p.cost.hex()) for p in outcome.optimizer_result.points],
         outcome.optimizer_result.cost.hex(),
         # block ids differ between two compilations; their order does not
         (resource.cp_heap_mb, resource.mr_heap_mb,

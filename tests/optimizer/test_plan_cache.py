@@ -246,7 +246,9 @@ class TestAcceptance:
         # identical outcome ...
         assert on.resource == off.resource
         assert on.cost == off.cost
-        assert on.cp_profile == off.cp_profile
+        assert [(p.rc, p.cost) for p in on.points] == [
+            (p.rc, p.cost) for p in off.points
+        ]
         # ... at a fraction of the work
         assert 2 * on.stats.block_compilations <= (
             off.stats.block_compilations
@@ -301,8 +303,10 @@ class TestSeeding:
         assert seeded.stats.plan_cache_hits == (
             plain.stats.plan_cache_hits + blocks
         )
-        assert (seeded.resource, seeded.cost, seeded.cp_profile) == (
-            plain.resource, plain.cost, plain.cp_profile
+        assert (seeded.resource, seeded.cost,
+                [(p.rc, p.cost) for p in seeded.points]) == (
+            plain.resource, plain.cost,
+            [(p.rc, p.cost) for p in plain.points],
         )
 
     def test_a_seed_is_the_plan_its_bucket_would_generate(self, cluster):
