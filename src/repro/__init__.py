@@ -77,7 +77,7 @@ from repro.serving import (
 )
 from repro.workloads import prepare_inputs, scenario
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "ElasticMLSession",

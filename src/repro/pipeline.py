@@ -122,6 +122,19 @@ class ProgramCache:
                 self.evictions += 1
         return master.handout()
 
+    def replay_counts(self):
+        """Run-replay ``hits``/``misses``/``nodes``, summed over the
+        trees of the live masters."""
+        with self._lock:
+            trees = [
+                master.replay.tree for _, master in self._programs.values()
+                if master.replay is not None
+            ]
+        return {
+            name: sum(tree[name] for tree in trees)
+            for name in ("hits", "misses", "nodes")
+        }
+
 
 class RunPipeline:
     """The run environment and the three stages every run goes through.

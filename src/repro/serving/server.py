@@ -29,6 +29,7 @@ import itertools
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -109,82 +110,32 @@ class SubmissionResult:
         return self.outcome.total_time if self.outcome is not None else None
 
 
-class ElasticMLServer(RunPipeline):
-    """Multi-tenant serving front end over one simulated cluster.
+#: the terminal statuses of a :class:`SubmissionResult`
+STATUSES = ("completed", "failed", "rejected", "cancelled")
 
-    ``submit()`` returns immediately with an integer ticket; a bounded
-    thread pool prepares submissions concurrently, the admission policy
-    gates execution on AM-container capacity, and ``poll()``/``drain()``
-    surface :class:`SubmissionResult` records.  Every tenant runs
-    through the server's own :class:`~repro.pipeline.RunPipeline`
-    stages, so all of them share its belief, calibration collector and
-    :class:`~repro.pipeline.ProgramCache` — with each master's
-    optimizer decision and run-replay tree — bounded to
-    ``program_cache_entries`` masters.
+
+class TicketLedger:
+    """The front door of serving, written once for both front ends.
+
+    Tickets, the queue bound, the recorder hook and every submission's
+    terminal :class:`SubmissionResult` live here under one condition
+    variable; ``poll()``/``drain()``/``results()`` read them.  A front
+    end supplies ``_dispatch_locked`` (hand an accepted submission to
+    whatever runs it) and reports each outcome through
+    ``_settle_locked``.  The ``serving.*`` status counts of ``stats()``
+    are counted from these results, so they hold with tracing off.
     """
 
-    def __init__(self, cluster=None, params=None, hdfs=None,
-                 sample_cap=DEFAULT_SAMPLE_CAP, config=None,
-                 policy=None, max_workers=None,
-                 queue_limit=1024, retry_policy=None, trace=False,
-                 program_cache_entries=32, model_params=None,
-                 collector=UNSET, recorder=None, admission_cluster=None):
-        config = config if config is not None else SessionConfig()
-        super().__init__(
-            config, cluster, params, hdfs, sample_cap,
-            retry_policy=retry_policy, model_params=model_params,
-            collector=collector,
-        )
-        self.program_cache.max_programs = program_cache_entries
-        #: the capacity admission runs against.  Normally the full
-        #: cluster; a :class:`~repro.serving.shard.ShardedElasticMLServer`
-        #: passes its shard's node partition here so concurrency is
-        #: bounded shard-locally while optimizer/cost/quota computations
-        #: (everything result-affecting) still see ``self.cluster`` —
-        #: the partition keeps the node size, so reject-vs-wait verdicts
-        #: are identical to the unsharded server's.
-        self.admission_cluster = (
-            admission_cluster if admission_cluster is not None
-            else self.cluster
-        )
-        self.rm = ResourceManager(self.admission_cluster)
-        #: waiting set + policy + RM; every call is made under
-        #: ``self._cond`` (the core itself takes no lock)
-        if isinstance(policy, str):
-            policy = make_policy(policy)
-        self.core = AdmissionCore(self.rm, policy)
+    def __init__(self, queue_limit, recorder):
         self.queue_limit = queue_limit
-        self.trace = bool(trace)
-        #: server-wide telemetry; per-submission tracers are absorbed
-        #: here (serving.* counters, one ``tenant.<name>`` root span per
-        #: submission)
-        self.tracer = Tracer() if self.trace else NULL_TRACER
         #: optional :class:`~repro.elastic.TraceRecorder` capturing every
         #: accepted submission as a replayable trace entry
         self.recorder = recorder
-        #: wiring, not configuration: a shard worker sets this to a
-        #: callable that ships each processed submission's terminal
-        #: result to the parent process.  Called from the completing
-        #: thread, outside the server's lock.
-        self.on_result = None
-
-        self._executor = ThreadPoolExecutor(
-            max_workers=(
-                max_workers if max_workers is not None
-                else default_serving_workers()
-            ),
-            thread_name_prefix="repro-serve",
-        )
         self._cond = threading.Condition()
         self._tickets = itertools.count(1)
         self._order = []
         self._results = {}
-        #: ticket -> granted container, handed from the granting thread
-        #: to the submission's own thread
-        self._granted = {}
         self._closed = False
-
-    # -- submission lifecycle ----------------------------------------------
 
     def submit(self, submission):
         """Queue a :class:`Submission`; returns its ticket.
@@ -194,7 +145,7 @@ class ElasticMLServer(RunPipeline):
         """
         with self._cond:
             if self._closed:
-                raise RuntimeError("ElasticMLServer is shut down")
+                raise RuntimeError(f"{type(self).__name__} is shut down")
             backlog = len(self._order) + 1 - len(self._results)
             full = self.queue_limit and backlog > self.queue_limit
             if self.recorder is not None and not full:
@@ -202,20 +153,17 @@ class ElasticMLServer(RunPipeline):
                 # that drain() would wait for
                 self.recorder.record(submission)
             ticket = next(self._tickets)
-            self._order.append(ticket)
             if full:
-                result = SubmissionResult(
+                self._settle_locked(SubmissionResult(
                     ticket=ticket, tenant=submission.tenant,
                     status="rejected",
                     error=f"queue limit {self.queue_limit} reached",
-                )
-                self._results[ticket] = result
-                self.tracer.incr("serving.submitted")
-                self.tracer.incr("serving.rejected")
-                self._cond.notify_all()
-                return ticket
-        self.tracer.incr("serving.submitted")
-        self._executor.submit(self._process, ticket, submission)
+                ))
+            else:
+                self._dispatch_locked(ticket, submission)
+            # issued only once dispatched: nothing settles it before
+            # the lock is released
+            self._order.append(ticket)
         return ticket
 
     def poll(self, ticket, timeout=None):
@@ -242,6 +190,109 @@ class ElasticMLServer(RunPipeline):
                 self._cond.wait()
             return [self._results[t] for t in self._order]
 
+    def results(self):
+        """Terminal results so far, in submission order."""
+        with self._cond:
+            return [
+                self._results[t] for t in self._order if t in self._results
+            ]
+
+    def _close(self):
+        """Refuse further submissions; True if already closed."""
+        with self._cond:
+            already = self._closed
+            self._closed = True
+            self._cond.notify_all()
+        return already
+
+    def _settle_locked(self, result):
+        self._results[result.ticket] = result
+        self._cond.notify_all()
+
+    def _status_counts_locked(self):
+        """``serving.submitted`` and one ``serving.<status>`` count per
+        terminal status, counted from the results."""
+        counts = Counter(r.status for r in self._results.values())
+        return {
+            "serving.submitted": len(self._order),
+            **{f"serving.{status}": counts[status] for status in STATUSES},
+        }
+
+
+class ElasticMLServer(RunPipeline, TicketLedger):
+    """Multi-tenant serving front end over one simulated cluster.
+
+    ``submit()`` returns immediately with an integer ticket; a bounded
+    thread pool prepares submissions concurrently, the admission policy
+    gates execution on AM-container capacity, and ``poll()``/``drain()``
+    surface :class:`SubmissionResult` records.  Every tenant runs
+    through the server's own :class:`~repro.pipeline.RunPipeline`
+    stages, so all of them share its belief, calibration collector and
+    :class:`~repro.pipeline.ProgramCache` — with each master's
+    optimizer decision and run-replay tree — bounded to
+    ``program_cache_entries`` masters.
+    """
+
+    def __init__(self, cluster=None, params=None, hdfs=None,
+                 sample_cap=DEFAULT_SAMPLE_CAP, config=None,
+                 policy=None, max_workers=None,
+                 queue_limit=1024, retry_policy=None, trace=False,
+                 program_cache_entries=32, model_params=None,
+                 collector=UNSET, recorder=None, admission_cluster=None):
+        config = config if config is not None else SessionConfig()
+        RunPipeline.__init__(
+            self, config, cluster, params, hdfs, sample_cap,
+            retry_policy=retry_policy, model_params=model_params,
+            collector=collector,
+        )
+        TicketLedger.__init__(self, queue_limit, recorder)
+        self.program_cache.max_programs = program_cache_entries
+        #: the capacity admission runs against.  Normally the full
+        #: cluster; a :class:`~repro.serving.shard.ShardedElasticMLServer`
+        #: passes its shard's node partition here so concurrency is
+        #: bounded shard-locally while optimizer/cost/quota computations
+        #: (everything result-affecting) still see ``self.cluster`` —
+        #: the partition keeps the node size, so reject-vs-wait verdicts
+        #: are identical to the unsharded server's.
+        self.admission_cluster = (
+            admission_cluster if admission_cluster is not None
+            else self.cluster
+        )
+        self.rm = ResourceManager(self.admission_cluster)
+        #: waiting set + policy + RM; every call is made under
+        #: ``self._cond`` (the core itself takes no lock)
+        if isinstance(policy, str):
+            policy = make_policy(policy)
+        self.core = AdmissionCore(self.rm, policy)
+        self.trace = bool(trace)
+        #: server-wide telemetry; per-submission tracers are absorbed
+        #: here (serving.* counters, one ``tenant.<name>`` root span per
+        #: submission)
+        self.tracer = Tracer() if self.trace else NULL_TRACER
+        #: wiring, not configuration: a shard worker sets this to a
+        #: callable that ships each processed submission's terminal
+        #: result to the parent process.  Called from the completing
+        #: thread, outside the server's lock.
+        self.on_result = None
+
+        self._executor = ThreadPoolExecutor(
+            max_workers=(
+                max_workers if max_workers is not None
+                else default_serving_workers()
+            ),
+            thread_name_prefix="repro-serve",
+        )
+        #: ticket -> granted container, handed from the granting thread
+        #: to the submission's own thread
+        self._granted = {}
+        #: containers granted so far (``serving.admitted``)
+        self._admitted = 0
+
+    # -- submission lifecycle ----------------------------------------------
+
+    def _dispatch_locked(self, ticket, submission):
+        self._executor.submit(self._process, ticket, submission)
+
     def shutdown(self, wait=True):
         """Stop accepting submissions and (optionally) wait for the
         in-flight ones.
@@ -251,28 +302,15 @@ class ElasticMLServer(RunPipeline):
         server stops releasing containers), so ``shutdown(wait=True)``
         returns even with a backlog queued behind a full cluster.
         """
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        self._close()
         self._executor.shutdown(wait=wait)
-
-    def results(self):
-        """Terminal results so far, in submission order."""
-        with self._cond:
-            return [
-                self._results[t] for t in self._order if t in self._results
-            ]
 
     def stats(self):
         """Serving counters + shared-cache effectiveness, one dict."""
-        counters = {
-            name: self.tracer.counter(name)
-            for name in (
-                "serving.submitted", "serving.admitted",
-                "serving.completed", "serving.failed", "serving.rejected",
-                "serving.cancelled",
-            )
-        }
+        with self._cond:
+            counters = self._status_counts_locked()
+            counters["serving.admitted"] = self._admitted
+            counters["serving.waiting"] = len(self.core.waiting)
         counters.update({
             "program_cache.hits": self.program_cache.hits,
             "program_cache.misses": self.program_cache.misses,
@@ -282,15 +320,8 @@ class ElasticMLServer(RunPipeline):
             "optcache.misses":
                 self.opt_cache.misses if self.opt_cache is not None else 0,
         })
-        # run replay, summed over the trees of the live masters
-        with self.program_cache._lock:
-            masters = list(self.program_cache._programs.values())
-        for name in ("hits", "misses", "nodes"):
-            counters[f"replay.{name}"] = sum(
-                master.replay.tree[name] for _, master in masters
-                if master.replay is not None
-            )
-        counters["serving.waiting"] = len(self.core.waiting)
+        for name, count in self.program_cache.replay_counts().items():
+            counters[f"replay.{name}"] = count
         counters["tenant_usage_mb"] = self.rm.usage_by_tenant()
         counters["yarn.quota_denials"] = self.tracer.counter(
             "yarn.quota_denials"
@@ -342,7 +373,7 @@ class ElasticMLServer(RunPipeline):
                         error=f"{type(exc).__name__}: {exc}",
                         latency_s=time.monotonic() - started,
                     )
-        self._finish(ticket, result, tracer)
+        self._finish(result, tracer)
 
     def _serve(self, ticket, submission, tracer, started):
         with tracer.span("serve.prepare"):
@@ -445,13 +476,13 @@ class ElasticMLServer(RunPipeline):
         """Hand every container the core grants to its waiting thread."""
         for request, (container,) in self.core.grant():
             self._granted[request.ticket] = container
+            self._admitted += 1
             self._cond.notify_all()
 
-    def _finish(self, ticket, result, tracer):
+    def _finish(self, result, tracer):
         with self._cond:
             if self.tracer.enabled and tracer.enabled:
                 self.tracer.absorb(tracer)
-            self._results[ticket] = result
-            self._cond.notify_all()
+            self._settle_locked(result)
         if self.on_result is not None:
             self.on_result(result)

@@ -26,11 +26,17 @@ Architecture::
   every tenant's result is byte-identical to its serial single-session
   run regardless of shard count, and a 1-shard front end is
   byte-identical to a plain ``ElasticMLServer``.
-* **Spec transport**: the worker spec (cluster, params, HDFS file
-  metadata) is the ``Process`` argument.  Under ``fork`` (where the
+* **Spec transport**: the shard server's constructor arguments
+  (cluster, params, HDFS file metadata, ...) are the ``Process``
+  argument.  Under ``fork`` (where the
   platform has it) it is inherited copy-on-write; under ``spawn``
   multiprocessing pickles it.  Workers start lazily on the first
   ``submit()``, so all inputs must be prepared on ``hdfs`` before then.
+* **Ledger**: the parent is a :class:`~repro.serving.server.TicketLedger`
+  like the plain server — its own tickets, queue bound and terminal
+  results — so ``stats()`` counts ``serving.*`` statuses itself and
+  sums only what the shards alone know (admissions, waiting, caches,
+  replay).
 * **Telemetry**: each shard runs its own tracer; at shutdown the final
   per-shard tracer dicts are absorbed into the parent tracer via
   :meth:`~repro.obs.Tracer.absorb`, whose counter/gauge merges are
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
+import queue
 import threading
 import time
 from dataclasses import replace
@@ -50,7 +57,11 @@ from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import SimulatedHDFS
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 from repro.serving.admission import ConsistentHashRouter, make_policy
-from repro.serving.server import SubmissionResult
+from repro.serving.server import (
+    ElasticMLServer,
+    SubmissionResult,
+    TicketLedger,
+)
 
 
 def _ship_result(result, global_ticket):
@@ -70,28 +81,13 @@ def _ship_result(result, global_ticket):
     return replace(result, outcome=outcome)
 
 
-def _shard_worker_main(spec, cmd_queue, event_queue):
+def _shard_worker_main(shard_id, server_kwargs, cmd_queue, event_queue):
     """Entry point of one shard process: run a private
     ``ElasticMLServer`` over the shard's cluster partition, shipping
     terminal results (and, on shutdown, final stats + tracer) to the
     parent through the shared event queue."""
-    from repro.serving.server import ElasticMLServer
-
-    shard_id = spec["shard_id"]
-    server = ElasticMLServer(
-        cluster=spec["cluster"],
-        params=spec["params"],
-        hdfs=spec["hdfs"],
-        sample_cap=spec["sample_cap"],
-        config=spec["config"],
-        policy=spec["policy"],
-        max_workers=spec["max_workers"],
-        queue_limit=0,  # the parent enforces the global queue bound
-        retry_policy=spec["retry_policy"],
-        trace=spec["trace"],
-        model_params=spec["model_params"],
-        admission_cluster=spec["admission_cluster"],
-    )
+    # the parent enforces the global queue bound
+    server = ElasticMLServer(queue_limit=0, **server_kwargs)
     if server.tracer.enabled:
         server.tracer.gauge("shard.id", shard_id)
     tickets = {}  # local ticket -> global ticket, while in flight
@@ -114,19 +110,10 @@ def _shard_worker_main(spec, cmd_queue, event_queue):
         if kind == "submit":
             _, global_ticket, submission = cmd
             # the lock spans submit() so the completion cannot look the
-            # ticket up before it is mapped
+            # ticket up before it is mapped (unbounded, unrecorded and
+            # open until "shutdown", the shard's submit never refuses)
             with lock:
-                try:
-                    tickets[server.submit(submission)] = global_ticket
-                except Exception as exc:
-                    event_queue.put((
-                        "result", shard_id,
-                        SubmissionResult(
-                            ticket=global_ticket, tenant=submission.tenant,
-                            status="failed",
-                            error=f"{type(exc).__name__}: {exc}",
-                        ),
-                    ))
+                tickets[server.submit(submission)] = global_ticket
         elif kind == "stats":
             _, req_id = cmd
             event_queue.put(("stats", shard_id, req_id, server.stats()))
@@ -139,7 +126,7 @@ def _shard_worker_main(spec, cmd_queue, event_queue):
             return
 
 
-class ShardedElasticMLServer:
+class ShardedElasticMLServer(TicketLedger):
     """Multi-process serving front end over a partitioned cluster.
 
     Drop-in for :class:`~repro.serving.server.ElasticMLServer`:
@@ -163,86 +150,66 @@ class ShardedElasticMLServer:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if isinstance(policy, str):
             make_policy(policy)  # fail here, not in every shard worker
+        super().__init__(queue_limit, recorder)
         self.config = config if config is not None else SessionConfig()
         self.cluster = cluster if cluster is not None else paper_cluster()
-        self.params = params
-        self.model_params = model_params
         self.hdfs = (
             hdfs if hdfs is not None
             else SimulatedHDFS(sample_cap=sample_cap)
         )
-        self.sample_cap = sample_cap
         self.num_shards = shards
         self.partitions = self.cluster.partition(shards)
-        self.policy = policy
-        self.max_workers = max_workers
-        self.queue_limit = queue_limit
-        self.retry_policy = retry_policy
-        self.recorder = recorder
-        self.trace = bool(trace)
-        self.tracer = Tracer() if self.trace else NULL_TRACER
+        self.tracer = Tracer() if trace else NULL_TRACER
         #: how shard processes start: fork where the platform has it
         self.start_method = (
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
         self.router = ConsistentHashRouter(shards, affinity=affinity)
+        #: what every shard's ElasticMLServer is built with, besides
+        #: its node partition
+        self._server_kwargs = dict(
+            cluster=self.cluster, params=params, hdfs=self.hdfs,
+            sample_cap=sample_cap, config=self.config, policy=policy,
+            max_workers=max_workers, retry_policy=retry_policy,
+            trace=trace, model_params=model_params,
+        )
 
-        self._cond = threading.Condition()
-        self._tickets = itertools.count(1)
-        self._order = []
-        self._results = {}
         #: global ticket -> (shard, tenant) while in flight
         self._inflight = {}
-        self._closed = False
         self._started = False
         self._procs = []
         self._cmds = []
         self._events = None
-        self._collector = None
         self._stats_ids = itertools.count(1)
         #: shard -> (req_id, stats dict) of the freshest reply
         self._shard_stats = {}
+        #: shard -> its last stats; ``{}`` for a shard that died
         self._final_stats = {}
         self._finals = threading.Event()
         self._joined = False
-        self._parent_rejected = 0
 
     # -- worker lifecycle ---------------------------------------------------
-
-    def _spec(self, shard_id):
-        return {
-            "shard_id": shard_id,
-            "cluster": self.cluster,
-            "admission_cluster": self.partitions[shard_id],
-            "params": self.params,
-            "model_params": self.model_params,
-            "hdfs": self.hdfs,
-            "sample_cap": self.sample_cap,
-            "config": self.config,
-            "policy": self.policy,
-            "max_workers": self.max_workers,
-            "retry_policy": self.retry_policy,
-            "trace": self.trace,
-        }
 
     def _start_locked(self):
         ctx = mp.get_context(self.start_method)
         self._events = ctx.Queue()
-        for shard_id in range(self.num_shards):
+        for shard_id, partition in enumerate(self.partitions):
             cmd_queue = ctx.Queue()
+            server_kwargs = dict(
+                self._server_kwargs, admission_cluster=partition
+            )
             proc = ctx.Process(
                 target=_shard_worker_main,
-                args=(self._spec(shard_id), cmd_queue, self._events),
+                args=(shard_id, server_kwargs, cmd_queue, self._events),
                 name=f"repro-shard-{shard_id}",
                 daemon=True,  # orphaned shards die with the parent
             )
             proc.start()
             self._procs.append(proc)
             self._cmds.append(cmd_queue)
-        self._collector = threading.Thread(
+        threading.Thread(
             target=self._collect, name="repro-shard-collector", daemon=True
-        )
-        self._collector.start()
+        ).start()
         self._started = True
         if self.tracer.enabled:
             self.tracer.gauge("shard.count", self.num_shards)
@@ -253,127 +220,69 @@ class ShardedElasticMLServer:
             )
 
     def _collect(self):
-        import queue as queue_mod
-
         finals = 0
         while finals < self.num_shards:
             try:
                 event = self._events.get(timeout=0.5)
-            except queue_mod.Empty:
-                dead = self._reap_dead_locked()
-                finals += dead
+            except queue.Empty:
+                finals += self._reap_dead()
                 continue
             kind = event[0]
-            if kind == "result":
-                self._on_result(event[2])
-            elif kind == "stats":
-                _, shard_id, req_id, stats = event
-                with self._cond:
+            with self._cond:
+                if kind == "result":
+                    result = event[2]
+                    # a ticket failed for a dead shard stays failed
+                    if self._inflight.pop(result.ticket, None):
+                        self._settle_locked(result)
+                elif kind == "stats":
+                    _, shard_id, req_id, stats = event
                     self._shard_stats[shard_id] = (req_id, stats)
                     self._cond.notify_all()
-            elif kind == "final":
-                _, shard_id, stats, tracer_dict = event
-                finals += 1
-                with self._cond:
+                elif kind == "final":
+                    _, shard_id, stats, tracer_dict = event
+                    finals += 1
                     self._final_stats[shard_id] = stats
                     if tracer_dict is not None and self.tracer.enabled:
                         self.tracer.absorb(Tracer.from_dict(tracer_dict))
                     self._cond.notify_all()
         self._finals.set()
-        with self._cond:
-            self._cond.notify_all()
 
-    def _reap_dead_locked(self):
-        """Synthesize failures for shards that died without a final
-        (crash/kill), so drain() and shutdown() cannot hang."""
-        reaped = 0
+    def _reap_dead(self):
+        """Finalize the shards that died without a final (crash/kill)
+        so drain() and shutdown() cannot hang; returns how many."""
         with self._cond:
-            for shard_id, proc in enumerate(self._procs):
-                if proc.is_alive() or shard_id in self._final_stats:
-                    continue
+            dead = {
+                shard_id for shard_id, proc in enumerate(self._procs)
+                if not proc.is_alive() and shard_id not in self._final_stats
+            }
+            for shard_id in dead:
                 self._final_stats[shard_id] = {}
-                reaped += 1
-                for ticket, (shard, tenant) in list(self._inflight.items()):
-                    if shard != shard_id:
-                        continue
-                    del self._inflight[ticket]
-                    self._results[ticket] = SubmissionResult(
-                        ticket=ticket, tenant=tenant, status="failed",
-                        error=f"shard worker {shard_id} died",
-                    )
-                self._cond.notify_all()
-        return reaped
+            self._fail_inflight_locked(dead)
+        return len(dead)
 
-    def _on_result(self, result):
-        with self._cond:
-            self._inflight.pop(result.ticket, None)
-            self._results[result.ticket] = result
-            self._cond.notify_all()
+    def _fail_inflight_locked(self, shards):
+        """A failed result for every in-flight ticket of ``shards``."""
+        for ticket, (shard, tenant) in list(self._inflight.items()):
+            if shard in shards:
+                del self._inflight[ticket]
+                self._settle_locked(SubmissionResult(
+                    ticket=ticket, tenant=tenant, status="failed",
+                    error=f"shard worker {shard} died",
+                ))
 
     # -- submission lifecycle -----------------------------------------------
 
-    def submit(self, submission):
-        """Route a :class:`~repro.serving.Submission` to its shard;
-        returns a global ticket.  Rejects with a terminal ``"rejected"``
-        result when the global queue bound is reached."""
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("ShardedElasticMLServer is shut down")
-            if not self._started:
-                self._start_locked()
-            backlog = len(self._order) + 1 - len(self._results)
-            full = self.queue_limit and backlog > self.queue_limit
-            if self.recorder is not None and not full:
-                # a refused recording raises before a ticket exists
-                # that drain() would wait for
-                self.recorder.record(submission)
-            ticket = next(self._tickets)
-            self._order.append(ticket)
-            if full:
-                self._parent_rejected += 1
-                self._results[ticket] = SubmissionResult(
-                    ticket=ticket, tenant=submission.tenant,
-                    status="rejected",
-                    error=f"queue limit {self.queue_limit} reached",
-                )
-                self._cond.notify_all()
-                return ticket
-            _key, shard = self.router.route(submission)
-            self._inflight[ticket] = (shard, submission.tenant)
-        self._cmds[shard].put(("submit", ticket, submission))
-        return ticket
-
-    def poll(self, ticket, timeout=None):
-        """The ticket's :class:`~repro.serving.SubmissionResult`, or
-        None while it is still queued/running (waits up to ``timeout``
-        seconds)."""
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        with self._cond:
-            while ticket not in self._results:
-                if deadline is None:
-                    return None
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                self._cond.wait(remaining)
-            return self._results[ticket]
-
-    def drain(self):
-        """Block until every accepted submission is terminal; returns
-        all results in submission order."""
-        with self._cond:
-            while len(self._results) < len(self._order):
-                self._cond.wait()
-            return [self._results[t] for t in self._order]
-
-    def results(self):
-        """Terminal results so far, in submission order."""
-        with self._cond:
-            return [
-                self._results[t] for t in self._order if t in self._results
-            ]
+    def _dispatch_locked(self, ticket, submission):
+        """Route to the submission's shard; a shard already reaped
+        fails it at once."""
+        if not self._started:
+            self._start_locked()
+        _key, shard = self.router.route(submission)
+        self._inflight[ticket] = (shard, submission.tenant)
+        if shard in self._final_stats:
+            self._fail_inflight_locked({shard})
+        else:
+            self._cmds[shard].put(("submit", ticket, submission))
 
     def shutdown(self, wait=True):
         """Stop accepting submissions, drain the shards, absorb their
@@ -382,10 +291,7 @@ class ShardedElasticMLServer:
         With ``wait=False`` the teardown continues on a background
         thread; ``drain()``/``poll()`` keep working meanwhile.
         """
-        with self._cond:
-            already = self._closed
-            self._closed = True
-            self._cond.notify_all()
+        already = self._close()
         if not self._started:
             self._finals.set()
             return
@@ -411,24 +317,17 @@ class ShardedElasticMLServer:
                 proc.terminate()
                 proc.join(timeout=5)
         with self._cond:
-            # anything still unresolved after every shard finalized
-            # (worker died mid-flight) gets a terminal failure so
-            # drain() cannot hang
-            for ticket, (shard, tenant) in list(self._inflight.items()):
-                del self._inflight[ticket]
-                self._results[ticket] = SubmissionResult(
-                    ticket=ticket, tenant=tenant, status="failed",
-                    error=f"shard worker {shard} died",
-                )
-            self._cond.notify_all()
+            # every shard is gone: whatever is still in flight died
+            # with its worker
+            self._fail_inflight_locked(range(self.num_shards))
 
     # -- stats --------------------------------------------------------------
 
     def stats(self):
-        """Aggregated serving counters: the per-shard
-        ``ElasticMLServer.stats()`` dicts summed key-wise, plus the
-        front end's own shard and queue counters and the
-        raw per-shard dicts under ``"per_shard"``."""
+        """Aggregated serving counters: the ``serving.*`` statuses from
+        the front end's own results, what only the shards know (their
+        ``ElasticMLServer.stats()`` dicts summed key-wise), the shard
+        counters, and the raw per-shard dicts under ``"per_shard"``."""
         per_shard = self._snapshot_shard_stats()
         merged = {}
         for stats in per_shard.values():
@@ -440,12 +339,9 @@ class ShardedElasticMLServer:
                 elif isinstance(value, (int, float)):
                     merged[key] = merged.get(key, 0) + value
         with self._cond:
-            merged["serving.submitted"] = (
-                merged.get("serving.submitted", 0) + self._parent_rejected
-            )
-            merged["serving.rejected"] = (
-                merged.get("serving.rejected", 0) + self._parent_rejected
-            )
+            # a shard's statuses miss the front end's queue rejections
+            # and the tickets of a dead shard
+            merged.update(self._status_counts_locked())
             merged["shard.count"] = self.num_shards
             merged["shard.start_method"] = self.start_method
             merged["per_shard"] = {

@@ -34,6 +34,7 @@ import sys
 
 from repro.api import ElasticMLSession
 from repro.cluster import ResourceConfig
+from repro.errors import ReproError
 from repro.scripts import SCRIPTS, load_script
 from repro.tools.explain import explain_program
 from repro.workloads import prepare_inputs, scenario
@@ -485,27 +486,21 @@ def cmd_serve(args, session):
         ElasticMLServer,
         ShardedElasticMLServer,
         Submission,
-        make_policy,
     )
+    from repro.serving.server import STATUSES
 
+    common = dict(
+        config=session.config,
+        policy=args.policy,
+        max_workers=args.serve_workers,
+        queue_limit=args.queue_limit,
+    )
     if args.shards > 1:
         server = ShardedElasticMLServer(
-            shards=args.shards,
-            config=session.config,
-            policy=args.policy,
-            affinity=args.affinity,
-            max_workers=args.serve_workers,
-            queue_limit=args.queue_limit,
-            trace=True,
+            shards=args.shards, affinity=args.affinity, **common
         )
     else:
-        server = ElasticMLServer(
-            config=session.config,
-            policy=make_policy(args.policy),
-            max_workers=args.serve_workers,
-            queue_limit=args.queue_limit,
-            trace=True,
-        )
+        server = ElasticMLServer(**common)
     mix = [(name, scenario(size, cols=args.cols)) for name, size in args.mix]
     prepared = {
         (name, scn.label): prepare_inputs(server.hdfs, name, scn)
@@ -546,11 +541,9 @@ def cmd_serve(args, session):
     print(f"policy: {args.policy}  shards: {args.shards}  "
           f"submissions: {args.tenants}  "
           f"tenant pool: {args.tenant_pool}")
-    by_status = {}
-    for r in results:
-        by_status[r.status] = by_status.get(r.status, 0) + 1
     print("statuses: " + ", ".join(
-        f"{status}={count}" for status, count in sorted(by_status.items())
+        f"{status}={stats[f'serving.{status}']}"
+        for status in sorted(STATUSES) if stats[f"serving.{status}"]
     ))
     print(f"wall clock: {elapsed:.2f}s  "
           f"throughput: {stats['throughput_rps']:.1f} req/s  "
@@ -759,7 +752,11 @@ def main(argv=None):
         "trace": cmd_trace,
         "calibrate": cmd_calibrate,
     }[args.command]
-    return handler(args, session)
+    try:
+        return handler(args, session)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

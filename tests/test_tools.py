@@ -168,6 +168,17 @@ class TestCLI:
         assert exit_info.value.code == 2  # argparse usage error
         assert message in capsys.readouterr().err
 
+    def test_repro_error_is_one_line_and_exit_status_2(self, capsys):
+        code = main([
+            "optimize", "LinregCG",
+            "--gen", "X=10000x100", "--gen", "y=10000x1",
+            "-arg", "X=X", "-arg", "y=y", "-arg", "B=B",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: script argument $Y not provided (line 16)\n"
+        assert "Traceback" not in err
+
     def test_bad_serve_mix_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--tenants", "1", "--mix", "LinregDS:ZZ"])
