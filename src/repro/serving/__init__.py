@@ -17,7 +17,6 @@ from repro.serving.admission import (
     make_policy,
 )
 from repro.serving.server import (
-    AdmissionCancelled,
     ElasticMLServer,
     ProgramCache,
     Submission,
@@ -27,7 +26,6 @@ from repro.serving.server import (
 from repro.serving.shard import ShardedElasticMLServer
 
 __all__ = [
-    "AdmissionCancelled",
     "AdmissionPolicy",
     "ConsistentHashRouter",
     "ElasticMLServer",

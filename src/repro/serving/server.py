@@ -10,12 +10,14 @@ tenant :class:`Submission`\\ s.  Each submission flows through
    copied) and optimize stage (through the
    :class:`~repro.api.OptimizerResultCache`, whose hit installs the
    plans of the decision kept on the master);
-2. **admission** — block until the paper's 1.5x-heap AM container fits
-   under the active :class:`~repro.serving.admission.AdmissionPolicy`
-   (Section 5.3: allocated AM containers bound concurrency);
-3. **execute** — the pipeline's execute stage: a private
-   :class:`~repro.runtime.Interpreter` against a per-run HDFS view, so
-   fault injection and adaptation never leak between tenants.
+2. **admission** — the ticket, not a thread, waits until the paper's
+   1.5x-heap AM container fits under the active
+   :class:`~repro.serving.admission.AdmissionPolicy` (Section 5.3:
+   allocated AM containers bound concurrency);
+3. **execute** — a pool task the grant dispatches (an immediate grant
+   runs on the preparing thread): the pipeline's execute stage on a
+   private :class:`~repro.runtime.Interpreter` against a per-run HDFS
+   view, so fault injection and adaptation never leak between tenants.
 
 Simulated results are deterministic: they depend only on the program,
 the input metadata, the configuration, and the submission seed — never
@@ -43,15 +45,15 @@ from repro.scripts import SCRIPTS, load_script
 from repro.serving.admission import make_policy
 
 
-class AdmissionCancelled(Exception):
-    """A submission parked in admission was aborted by shutdown()."""
+#: the error of a ticket still waiting for admission at shutdown
+CANCELLED = "server shut down before admission"
 
 
 def default_serving_workers():
     """Serving thread-pool size scaled to the host: one thread per CPU,
-    clamped to [2, 8] — the floor so admission never self-deadlocks
-    behind one long run, the ceiling for the simulated runtime's
-    diminishing returns."""
+    clamped to [2, 8] — the ceiling for the simulated runtime's
+    diminishing returns; no thread waits for capacity, so the floor
+    stays only until a one-thread measurement shows it serves as well."""
     return max(2, min(8, os.cpu_count() or 1))
 
 
@@ -112,6 +114,22 @@ class SubmissionResult:
 
 #: the terminal statuses of a :class:`SubmissionResult`
 STATUSES = ("completed", "failed", "rejected", "cancelled")
+
+
+class _Run:
+    """One submission between its two pool tasks: prepare fills it,
+    execute reads it, :meth:`ElasticMLServer._finish` settles it."""
+
+    def __init__(self, ticket, submission, tracer):
+        self.ticket = ticket
+        self.submission = submission
+        self.tracer = tracer
+        self.started = time.monotonic()
+        #: the ``tenant.<name>`` root span, open until the run settles;
+        #: one thread at a time writes the tracer
+        self.root = tracer.span(f"tenant.{submission.tenant}", ticket=ticket)
+        self.root.__enter__()
+        self.optimizer_result = self.container = None
 
 
 class TicketLedger:
@@ -271,8 +289,9 @@ class ElasticMLServer(RunPipeline, TicketLedger):
         self.tracer = Tracer() if self.trace else NULL_TRACER
         #: wiring, not configuration: a shard worker sets this to a
         #: callable that ships each processed submission's terminal
-        #: result to the parent process.  Called from the completing
-        #: thread, outside the server's lock.
+        #: result to the parent process.  Called from the settling
+        #: thread (``shutdown()``'s, for the cancelled backlog), outside
+        #: the server's lock.
         self.on_result = None
 
         self._executor = ThreadPoolExecutor(
@@ -282,27 +301,30 @@ class ElasticMLServer(RunPipeline, TicketLedger):
             ),
             thread_name_prefix="repro-serve",
         )
-        #: ticket -> granted container, handed from the granting thread
-        #: to the submission's own thread
-        self._granted = {}
+        #: ticket -> :class:`_Run` of every request waiting in the core
+        self._waiting = {}
         #: containers granted so far (``serving.admitted``)
         self._admitted = 0
 
     # -- submission lifecycle ----------------------------------------------
 
     def _dispatch_locked(self, ticket, submission):
-        self._executor.submit(self._process, ticket, submission)
+        self._executor.submit(self._prepare, ticket, submission)
 
     def shutdown(self, wait=True):
         """Stop accepting submissions and (optionally) wait for the
-        in-flight ones.
-
-        Submissions parked in admission are aborted with a terminal
-        ``"cancelled"`` result (they can never be granted once the
-        server stops releasing containers), so ``shutdown(wait=True)``
-        returns even with a backlog queued behind a full cluster.
-        """
+        in-flight ones.  Every ticket not yet admitted ends
+        ``"cancelled"``, also one prepared after this call; a granted
+        ticket runs to completion, so ``shutdown(wait=True)`` returns
+        even with a backlog queued behind a full cluster."""
         self._close()
+        with self._cond:
+            waiting, self._waiting = self._waiting, {}
+            for ticket in waiting:
+                self.core.withdraw(ticket)
+        for run in waiting.values():
+            self._finish(run, "cancelled", error=CANCELLED)
+        # nothing is offered once closed, so no grant submits after this
         self._executor.shutdown(wait=wait)
 
     def stats(self):
@@ -311,6 +333,10 @@ class ElasticMLServer(RunPipeline, TicketLedger):
             counters = self._status_counts_locked()
             counters["serving.admitted"] = self._admitted
             counters["serving.waiting"] = len(self.core.waiting)
+            counters["serving.waiting_on_quota"] = sum(
+                not self.rm.quota_allows(r.tenant, r.container_mb)
+                for r in self.core.waiting.values()
+            )
         counters.update({
             "program_cache.hits": self.program_cache.hits,
             "program_cache.misses": self.program_cache.misses,
@@ -323,9 +349,6 @@ class ElasticMLServer(RunPipeline, TicketLedger):
         for name, count in self.program_cache.replay_counts().items():
             counters[f"replay.{name}"] = count
         counters["tenant_usage_mb"] = self.rm.usage_by_tenant()
-        counters["yarn.quota_denials"] = self.tracer.counter(
-            "yarn.quota_denials"
-        )
         counters["calib.samples"] = (
             self.calibration.total_samples
             if self.calibration is not None else 0
@@ -346,92 +369,79 @@ class ElasticMLServer(RunPipeline, TicketLedger):
         server exists for)."""
         return super().fit_calibration(min_samples, apply)
 
-    # -- per-submission pipeline -------------------------------------------
+    # -- per-submission pipeline: two pool tasks, no thread waits -----------
 
-    def _process(self, ticket, submission):
-        tracer = Tracer() if self.trace else NULL_TRACER
-        started = time.monotonic()
-        with use_tracer(tracer):
-            with tracer.span(f"tenant.{submission.tenant}", ticket=ticket):
-                try:
-                    result = self._serve(
-                        ticket, submission, tracer, started
-                    )
-                except AdmissionCancelled as exc:
-                    tracer.incr("serving.cancelled")
-                    result = SubmissionResult(
-                        ticket=ticket, tenant=submission.tenant,
-                        status="cancelled",
-                        error=str(exc),
-                        latency_s=time.monotonic() - started,
-                    )
-                except Exception as exc:  # tenant isolation: never bring
-                    tracer.incr("serving.failed")  # the server down
-                    result = SubmissionResult(
-                        ticket=ticket, tenant=submission.tenant,
-                        status="failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        latency_s=time.monotonic() - started,
-                    )
-        self._finish(result, tracer)
-
-    def _serve(self, ticket, submission, tracer, started):
-        with tracer.span("serve.prepare"):
-            source = submission.source
-            compiled = self.compile(source, submission.args)
-            if submission.resource is not None:
-                optimizer_result = None
-                resource = submission.resource
-            else:
-                optimizer_result = self.optimize_cached(
-                    source, submission.args, compiled
-                )
-                resource = optimizer_result.resource
-            container_mb = resource.container_request_mb(self.cluster)
-
-        self._ensure_quota(submission.tenant)
-        queued = time.monotonic()
-        container = self._acquire(ticket, submission.tenant, container_mb)
-        if container is None:
-            # would wait for capacity (or its own quota) forever
-            tracer.incr("serving.rejected")
-            return SubmissionResult(
-                ticket=ticket, tenant=submission.tenant,
-                status="rejected",
-                error=(
-                    f"AM container of {container_mb} MB can never be "
-                    "placed on this cluster"
-                ),
-                container_mb=container_mb,
-                latency_s=time.monotonic() - started,
-            )
-        wait_s = time.monotonic() - queued
-        tracer.incr("serving.admitted")
-        if tracer.enabled:
-            tracer.gauge(
-                f"serving.tenant_share.{submission.tenant}",
-                self.rm.tenant_share(submission.tenant),
-            )
+    def _prepare(self, ticket, submission):
+        """Pool task 1: compile, optimize, size the AM container and
+        offer it to the admission core; the thread goes back to the
+        pool unless the grant comes at once."""
+        run = _Run(ticket, submission, Tracer() if self.trace else NULL_TRACER)
         try:
-            with tracer.span("serve.execute"):
-                exec_result = self.execute_program(
-                    compiled, resource, seed=submission.seed,
-                    adapt=submission.adapt, chaos=submission.chaos,
-                )
-        finally:
-            self._release(container)
-        tracer.incr("serving.completed")
-        outcome = RunOutcome(
-            result=exec_result,
-            resource=exec_result.final_resource,
-            optimizer_result=optimizer_result,
-            compiled=compiled,
-            trace=tracer if tracer.enabled else None,
-        )
-        return SubmissionResult(
-            ticket=ticket, tenant=submission.tenant, status="completed",
-            outcome=outcome, container_mb=container.memory_mb,
-            wait_s=wait_s, latency_s=time.monotonic() - started,
+            with use_tracer(run.tracer):
+                with run.tracer.span("serve.prepare"):
+                    source = submission.source
+                    run.compiled = self.compile(source, submission.args)
+                    run.resource = submission.resource
+                    if run.resource is None:
+                        run.optimizer_result = self.optimize_cached(
+                            source, submission.args, run.compiled
+                        )
+                        run.resource = run.optimizer_result.resource
+                    container_mb = run.resource.container_request_mb(
+                        self.cluster
+                    )
+                with self._cond:
+                    self._ensure_quota(submission.tenant)
+                    closed = self._closed
+                    offered = not closed and self.core.offer(
+                        ticket, submission.tenant, container_mb
+                    ) is not None
+                    if offered:
+                        run.queued = time.monotonic()
+                        self._waiting[ticket] = run
+                        self._grant_locked(keep=ticket)
+        except Exception as exc:  # tenant isolation: never bring
+            error = f"{type(exc).__name__}: {exc}"  # the server down
+            return self._finish(run, "failed", error=error)
+        if offered:
+            if run.container is not None:
+                self._execute(run)
+        elif closed:
+            self._finish(run, "cancelled", error=CANCELLED)
+        else:  # would wait for capacity (or its own quota) forever
+            self._finish(run, "rejected", container_mb=container_mb, error=(
+                f"AM container of {container_mb} MB can never be placed "
+                "on this cluster"
+            ))
+
+    def _execute(self, run):
+        """Pool task 2, dispatched by the grant: run the program in its
+        AM container; settling releases the container."""
+        tracer, submission = run.tracer, run.submission
+        try:
+            with use_tracer(tracer):
+                tracer.incr("serving.admitted")
+                if tracer.enabled:
+                    tracer.gauge(
+                        f"serving.tenant_share.{submission.tenant}",
+                        self.rm.tenant_share(submission.tenant),
+                    )
+                with tracer.span("serve.execute"):
+                    exec_result = self.execute_program(
+                        run.compiled, run.resource, seed=submission.seed,
+                        adapt=submission.adapt, chaos=submission.chaos,
+                    )
+            outcome = RunOutcome(
+                result=exec_result, resource=exec_result.final_resource,
+                optimizer_result=run.optimizer_result, compiled=run.compiled,
+                trace=tracer if tracer.enabled else None,
+            )
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            return self._finish(run, "failed", run.container, error=error)
+        self._finish(
+            run, "completed", run.container, outcome=outcome,
+            container_mb=run.container.memory_mb, wait_s=run.wait_s,
         )
 
     def _ensure_quota(self, tenant):
@@ -445,44 +455,35 @@ class ElasticMLServer(RunPipeline, TicketLedger):
                 int(share * self.cluster.total_memory_mb),
             ))
 
-    # -- admission ----------------------------------------------------------
-
-    def _acquire(self, ticket, tenant, container_mb):
-        """Block until the admission core grants this submission its AM
-        container; None when it can never be placed.  Raises
-        :class:`AdmissionCancelled` once shutdown() makes a grant
-        impossible."""
-        with self._cond:
-            if self.core.offer(ticket, tenant, container_mb) is None:
-                return None
-            self._grant_locked()
-            while ticket not in self._granted:
-                # checked after granting: a grant that squeaked in
-                # before shutdown still runs to completion
-                if self._closed:
-                    self.core.withdraw(ticket)
-                    raise AdmissionCancelled(
-                        "server shut down while queued for admission"
-                    )
-                self._cond.wait()
-            return self._granted.pop(ticket)
-
-    def _release(self, container):
-        with self._cond:
-            self.core.release([container])
-            self._grant_locked()
-
-    def _grant_locked(self):
-        """Hand every container the core grants to its waiting thread."""
-        for request, (container,) in self.core.grant():
-            self._granted[request.ticket] = container
+    def _grant_locked(self, keep=None):
+        """Submit execute for each granted run but ``keep``'s, whose own
+        thread runs it (a thread hand-off costs a warm request ~10 % CPU).
+        Grants are drawn first: no execute starts while this thread counts
+        allocations on a tracer."""
+        for request, containers in list(self.core.grant()):
+            run = self._waiting.pop(request.ticket)
+            (run.container,) = containers
+            run.wait_s = time.monotonic() - run.queued
             self._admitted += 1
-            self._cond.notify_all()
+            if run.ticket != keep:
+                self._executor.submit(self._execute, run)
 
-    def _finish(self, result, tracer):
-        with self._cond:
-            if self.tracer.enabled and tracer.enabled:
-                self.tracer.absorb(tracer)
+    def _finish(self, run, status, container=None, **fields):
+        """Settle ``run`` under its tracer: release its container and
+        grant the next tickets in the locked step that records it."""
+        with use_tracer(run.tracer), self._cond:
+            run.tracer.incr(f"serving.{status}")
+            if container is not None:
+                self.core.release([container])
+                self._grant_locked()
+            run.root.__exit__(None, None, None)
+            if self.tracer.enabled and run.tracer.enabled:
+                self.tracer.absorb(run.tracer)
+            result = SubmissionResult(
+                ticket=run.ticket, tenant=run.submission.tenant,
+                status=status, latency_s=time.monotonic() - run.started,
+                **fields,
+            )
             self._settle_locked(result)
         if self.on_result is not None:
             self.on_result(result)

@@ -270,8 +270,8 @@ class TestLifecycleAndIsolation:
         assert server.stats()["serving.waiting"] == 1, (
             "submission never parked"
         )
-        # regression: this deadlocked while _acquire only watched
-        # _granted — shutdown(wait=True) never returned
+        # the waiting ticket holds no thread: shutdown withdraws its
+        # offer and settles it cancelled, so wait=True returns at once
         server.shutdown(wait=True)
         result = server.poll(ticket)
         assert result is not None
