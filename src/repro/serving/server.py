@@ -187,9 +187,7 @@ class TicketLedger:
     def poll(self, ticket, timeout=None):
         """The ticket's :class:`SubmissionResult`, or None while it is
         still queued/running (waits up to ``timeout`` seconds)."""
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while ticket not in self._results:
                 if deadline is None:
@@ -265,13 +263,10 @@ class ElasticMLServer(RunPipeline, TicketLedger):
         )
         TicketLedger.__init__(self, queue_limit, recorder)
         self.program_cache.max_programs = program_cache_entries
-        #: the capacity admission runs against.  Normally the full
-        #: cluster; a :class:`~repro.serving.shard.ShardedElasticMLServer`
-        #: passes its shard's node partition here so concurrency is
-        #: bounded shard-locally while optimizer/cost/quota computations
-        #: (everything result-affecting) still see ``self.cluster`` —
-        #: the partition keeps the node size, so reject-vs-wait verdicts
-        #: are identical to the unsharded server's.
+        #: the capacity admission runs against: the full cluster, or a
+        #: shard's node partition (same node size, so reject-vs-wait
+        #: verdicts match the unsharded server's); optimizer, cost and
+        #: quota computations (all that affects results) see ``cluster``
         self.admission_cluster = (
             admission_cluster if admission_cluster is not None
             else self.cluster
@@ -283,23 +278,18 @@ class ElasticMLServer(RunPipeline, TicketLedger):
             policy = make_policy(policy)
         self.core = AdmissionCore(self.rm, policy)
         self.trace = bool(trace)
-        #: server-wide telemetry; per-submission tracers are absorbed
-        #: here (serving.* counters, one ``tenant.<name>`` root span per
-        #: submission)
+        #: server-wide telemetry absorbing every submission's tracer
+        #: (serving.* counters, one ``tenant.<name>`` root span each)
         self.tracer = Tracer() if self.trace else NULL_TRACER
-        #: wiring, not configuration: a shard worker sets this to a
-        #: callable that ships each processed submission's terminal
-        #: result to the parent process.  Called from the settling
-        #: thread (``shutdown()``'s, for the cancelled backlog), outside
-        #: the server's lock.
+        #: wiring, not configuration: a shard worker sets this to ship
+        #: each terminal result to the parent process; the settling
+        #: thread calls it outside the server's lock
         self.on_result = None
 
+        if max_workers is None:
+            max_workers = default_serving_workers()
         self._executor = ThreadPoolExecutor(
-            max_workers=(
-                max_workers if max_workers is not None
-                else default_serving_workers()
-            ),
-            thread_name_prefix="repro-serve",
+            max_workers, thread_name_prefix="repro-serve"
         )
         #: ticket -> :class:`_Run` of every request waiting in the core
         self._waiting = {}
@@ -337,25 +327,23 @@ class ElasticMLServer(RunPipeline, TicketLedger):
                 not self.rm.quota_allows(r.tenant, r.container_mb)
                 for r in self.core.waiting.values()
             )
+        cache = self.opt_cache
         counters.update({
             "program_cache.hits": self.program_cache.hits,
             "program_cache.misses": self.program_cache.misses,
             "program_cache.evictions": self.program_cache.evictions,
-            "optcache.hits":
-                self.opt_cache.hits if self.opt_cache is not None else 0,
-            "optcache.misses":
-                self.opt_cache.misses if self.opt_cache is not None else 0,
+            "optcache.hits": cache.hits if cache is not None else 0,
+            "optcache.misses": cache.misses if cache is not None else 0,
         })
         for name, count in self.program_cache.replay_counts().items():
             counters[f"replay.{name}"] = count
         counters["tenant_usage_mb"] = self.rm.usage_by_tenant()
+        calibration, profile = self.calibration, self.calibration_profile
         counters["calib.samples"] = (
-            self.calibration.total_samples
-            if self.calibration is not None else 0
+            calibration.total_samples if calibration is not None else 0
         )
         counters["calib.fitted_params"] = (
-            len(self.calibration_profile.fitted)
-            if self.calibration_profile is not None else 0
+            len(profile.fitted) if profile is not None else 0
         )
         return counters
 
@@ -364,17 +352,17 @@ class ElasticMLServer(RunPipeline, TicketLedger):
     def fit_calibration(self, min_samples=None, apply=True):
         """:meth:`RunPipeline.fit_calibration` over the samples every
         tenant execution fed the shared collector, applied by default:
-        the fitted constants immediately become the belief used to
-        optimize subsequent submissions (the cross-tenant sharing this
-        server exists for)."""
+        the fitted constants become the belief that optimizes later
+        submissions (the cross-tenant sharing this server exists for)."""
         return super().fit_calibration(min_samples, apply)
 
     # -- per-submission pipeline: two pool tasks, no thread waits -----------
 
     def _prepare(self, ticket, submission):
         """Pool task 1: compile, optimize, size the AM container and
-        offer it to the admission core; the thread goes back to the
-        pool unless the grant comes at once."""
+        offer it to the admission core.  This thread executes it only if
+        the offering locked step grants it, else a later grant does; a
+        grant that raises withdraws the offer, so this task settles it."""
         run = _Run(ticket, submission, Tracer() if self.trace else NULL_TRACER)
         try:
             with use_tracer(run.tracer):
@@ -399,20 +387,25 @@ class ElasticMLServer(RunPipeline, TicketLedger):
                     if offered:
                         run.queued = time.monotonic()
                         self._waiting[ticket] = run
-                        self._grant_locked(keep=ticket)
+                        try:
+                            self._grant_locked(keep=ticket)
+                        except Exception:  # only this task settles it
+                            self._waiting.pop(ticket, None)
+                            self.core.withdraw(ticket)
+                            raise
+                    own = run.container is not None
         except Exception as exc:  # tenant isolation: never bring
             error = f"{type(exc).__name__}: {exc}"  # the server down
-            return self._finish(run, "failed", error=error)
-        if offered:
-            if run.container is not None:
-                self._execute(run)
-        elif closed:
+            return self._finish(run, "failed", run.container, error=error)
+        if closed:
             self._finish(run, "cancelled", error=CANCELLED)
-        else:  # would wait for capacity (or its own quota) forever
+        elif not offered:  # would wait for capacity (or quota) forever
             self._finish(run, "rejected", container_mb=container_mb, error=(
                 f"AM container of {container_mb} MB can never be placed "
                 "on this cluster"
             ))
+        elif own:
+            self._execute(run)
 
     def _execute(self, run):
         """Pool task 2, dispatched by the grant: run the program in its
@@ -445,9 +438,8 @@ class ElasticMLServer(RunPipeline, TicketLedger):
         )
 
     def _ensure_quota(self, tenant):
-        """Apply ``config.tenant_quota_share`` to this tenant (idempotent;
-        quotas are per-tenant so they can only be installed once the
-        tenant is seen)."""
+        """Apply ``config.tenant_quota_share`` to ``tenant`` once it is
+        seen (quotas are per tenant; idempotent)."""
         share = self.config.tenant_quota_share
         if share is not None and self.rm.tenant_quota_mb(tenant) is None:
             self.rm.set_tenant_quota(tenant, max(
@@ -459,23 +451,32 @@ class ElasticMLServer(RunPipeline, TicketLedger):
         """Submit execute for each granted run but ``keep``'s, whose own
         thread runs it (a thread hand-off costs a warm request ~10 % CPU).
         Grants are drawn first: no execute starts while this thread counts
-        allocations on a tracer."""
-        for request, containers in list(self.core.grant()):
-            run = self._waiting.pop(request.ticket)
-            (run.container,) = containers
-            run.wait_s = time.monotonic() - run.queued
-            self._admitted += 1
-            if run.ticket != keep:
-                self._executor.submit(self._execute, run)
+        allocations on a tracer; one drawn before a raise still runs."""
+        runs = []
+        try:
+            for request, containers in self.core.grant():
+                run = self._waiting.pop(request.ticket)
+                (run.container,) = containers
+                run.wait_s = time.monotonic() - run.queued
+                self._admitted += 1
+                runs.append(run)
+        finally:
+            for run in runs:
+                if run.ticket != keep:
+                    self._executor.submit(self._execute, run)
 
     def _finish(self, run, status, container=None, **fields):
-        """Settle ``run`` under its tracer: release its container and
-        grant the next tickets in the locked step that records it."""
+        """Settle ``run`` under its tracer, release its container and
+        grant the next tickets in one locked step; ``failed`` if they raise."""
         with use_tracer(run.tracer), self._cond:
+            try:
+                if container is not None:
+                    self.core.release([container])
+                    self._grant_locked()
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                status, fields = "failed", {"error": error}
             run.tracer.incr(f"serving.{status}")
-            if container is not None:
-                self.core.release([container])
-                self._grant_locked()
             run.root.__exit__(None, None, None)
             if self.tracer.enabled and run.tracer.enabled:
                 self.tracer.absorb(run.tracer)
