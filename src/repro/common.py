@@ -1,9 +1,9 @@
-"""Shared core types: data/value types, matrix characteristics, and the
-in-memory / serialized size model.
+"""Shared core types: data/value types, scalar operator semantics, matrix
+characteristics, and the in-memory / serialized size model.
 
-These types are used across the compiler (size propagation, memory
-estimates), the cost model, and the runtime, so they live at package root
-to avoid circular imports.
+These are used across the compiler (size propagation, constant folding,
+memory estimates), the cost model, and the runtime, so they live at
+package root to avoid circular imports.
 
 The size model follows SystemML's conventions:
 
@@ -75,6 +75,90 @@ class FileFormat(enum.Enum):
     BINARY_BLOCK = "binary"
     TEXT_CELL = "text"
     CSV = "csv"
+
+
+# -- scalar operator semantics -------------------------------------------
+#
+# The one definition of every scalar operator.  The runtime's kernels call
+# it with their opcode; the compiler's constant folder calls it with the
+# HOP opcode's value (the same string), so a folded constant is what the
+# interpreter would have computed.
+
+#: what a scalar operator raises on operands for which it has no value
+SCALAR_FAILURES = (ArithmeticError, TypeError, ValueError)
+
+
+def display(value):
+    """DML-style rendering of a scalar for print() and string concat."""
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def scalar_binary(opcode, a, b):
+    """Binary scalar operator ``opcode`` applied to ``a`` and ``b``."""
+    if opcode == "+":
+        if isinstance(a, str) or isinstance(b, str):
+            return display(a) + display(b)
+        return a + b
+    if opcode == "-":
+        return a - b
+    if opcode == "*":
+        return a * b
+    if opcode == "/":
+        return a / b
+    if opcode == "^":
+        return a**b
+    if opcode == "%%":
+        return a % b
+    if opcode == "%/%":
+        return a // b
+    if opcode == "min":
+        return min(a, b)
+    if opcode == "max":
+        return max(a, b)
+    if opcode == "==":
+        return a == b
+    if opcode == "!=":
+        return a != b
+    if opcode == "<":
+        return a < b
+    if opcode == "<=":
+        return a <= b
+    if opcode == ">":
+        return a > b
+    if opcode == ">=":
+        return a >= b
+    if opcode == "&":
+        return bool(a) and bool(b)
+    if opcode == "|":
+        return bool(a) or bool(b)
+    raise ValueError(f"unknown scalar binary opcode {opcode!r}")
+
+
+#: unary scalar operators (math, negation, casts) by opcode
+SCALAR_UNARY = {
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "abs": abs,
+    "round": round,
+    "floor": math.floor,
+    "ceil": math.ceil,
+    "sign": lambda v: (v > 0) - (v < 0),
+    "u-": lambda v: -v,
+    "!": lambda v: not bool(v),
+    "castvtd": float,
+    "castvti": int,
+    "castvtb": bool,
+}
+
+
+def seq_length(frm, to, incr):
+    """Number of elements of ``seq(frm, to, incr)``."""
+    return int(max(0, math.floor((float(to) - float(frm)) / float(incr)) + 1))
 
 
 def is_sparse_representation(sparsity, cols):
@@ -149,23 +233,6 @@ class MatrixCharacteristics:
     def nnz_known(self):
         return self.nnz is not None
 
-    @property
-    def fully_known(self):
-        return self.dims_known and self.nnz_known
-
-    @property
-    def is_vector(self):
-        """True iff known to be a row or column vector."""
-        return self.rows == 1 or self.cols == 1
-
-    @property
-    def is_column_vector(self):
-        return self.cols == 1
-
-    @property
-    def is_scalar_shaped(self):
-        return self.rows == 1 and self.cols == 1
-
     # -- derived quantities --------------------------------------------------
 
     @property
@@ -213,10 +280,6 @@ class MatrixCharacteristics:
     @classmethod
     def dense(cls, rows, cols):
         return cls(rows, cols, rows * cols)
-
-    def with_nnz_full(self):
-        """Copy with nnz set to the dense cell count (if dims known)."""
-        return MatrixCharacteristics(self.rows, self.cols, self.cells)
 
     def copy(self):
         return MatrixCharacteristics(self.rows, self.cols, self.nnz)

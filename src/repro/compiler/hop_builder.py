@@ -47,14 +47,7 @@ _BINARY_OPS = {
     "|": H.OpCode.OR,
 }
 
-_PPRED_OPS = {
-    "==": H.OpCode.EQ,
-    "!=": H.OpCode.NEQ,
-    "<": H.OpCode.LT,
-    "<=": H.OpCode.LE,
-    ">": H.OpCode.GT,
-    ">=": H.OpCode.GE,
-}
+_PPRED_OPS = {op.value: op for op in H.RELATIONAL_OPS}
 
 _ROWCOL_AGGS = {
     "rowSums": (H.OpCode.SUM, H.AggDirection.ROW),

@@ -247,10 +247,6 @@ class BinaryOp(Hop):
     def is_matrix_matrix(self):
         return self.inputs[0].is_matrix and self.inputs[1].is_matrix
 
-    @property
-    def is_matrix_scalar(self):
-        return self.is_matrix and not self.is_matrix_matrix
-
     def opcode_str(self):
         return self.op.value
 
@@ -424,14 +420,6 @@ def iter_dag(roots):
             if inp.hop_id not in seen:
                 stack.append((inp, False))
     return order
-
-
-def count_operators(roots, predicate=None):
-    """Count DAG operators, optionally filtered by ``predicate(hop)``."""
-    hops = iter_dag(roots)
-    if predicate is None:
-        return len(hops)
-    return sum(1 for hop in hops if predicate(hop))
 
 
 def build_parent_map(roots):

@@ -26,11 +26,14 @@ import math
 from dataclasses import dataclass, field
 
 from repro.common import (
+    SCALAR_FAILURES,
+    SCALAR_UNARY,
     DataType,
     MatrixCharacteristics,
-    ValueType,
     binary_nnz_estimate,
     mult_nnz_estimate,
+    scalar_binary,
+    seq_length,
 )
 from repro.compiler import hops as H
 from repro.compiler import statement_blocks as SB
@@ -128,90 +131,15 @@ class Env:
 # -- scalar constant folding ---------------------------------------------
 
 
-def eval_scalar_binary(op, a, b):
-    """Evaluate a binary op on two scalar constants; None if not possible."""
+def fold_scalar(op, *args):
+    """The value the runtime computes for scalar operator ``op`` on the
+    constants ``args``, or None where it has none (the run would fail)."""
     try:
-        if op is H.OpCode.PLUS:
-            if isinstance(a, str) or isinstance(b, str):
-                return _to_display(a) + _to_display(b)
-            return a + b
-        if op is H.OpCode.MINUS:
-            return a - b
-        if op is H.OpCode.MULT:
-            return a * b
-        if op is H.OpCode.DIV:
-            return a / b
-        if op is H.OpCode.POW:
-            return a**b
-        if op is H.OpCode.MOD:
-            return a % b
-        if op is H.OpCode.INTDIV:
-            return a // b
-        if op is H.OpCode.MIN:
-            return min(a, b)
-        if op is H.OpCode.MAX:
-            return max(a, b)
-        if op is H.OpCode.EQ:
-            return a == b
-        if op is H.OpCode.NEQ:
-            return a != b
-        if op is H.OpCode.LT:
-            return a < b
-        if op is H.OpCode.LE:
-            return a <= b
-        if op is H.OpCode.GT:
-            return a > b
-        if op is H.OpCode.GE:
-            return a >= b
-        if op is H.OpCode.AND:
-            return bool(a) and bool(b)
-        if op is H.OpCode.OR:
-            return bool(a) or bool(b)
-    except (TypeError, ZeroDivisionError, ValueError):
+        if len(args) == 2:
+            return scalar_binary(op.value, *args)
+        return SCALAR_UNARY[op.value](*args)
+    except (LookupError, *SCALAR_FAILURES):
         return None
-    return None
-
-
-def eval_scalar_unary(op, a):
-    try:
-        if op is H.OpCode.NEG:
-            return -a
-        if op is H.OpCode.NOT:
-            return not bool(a)
-        if op is H.OpCode.EXP:
-            return math.exp(a)
-        if op is H.OpCode.LOG:
-            return math.log(a)
-        if op is H.OpCode.SQRT:
-            return math.sqrt(a)
-        if op is H.OpCode.ABS:
-            return abs(a)
-        if op is H.OpCode.ROUND:
-            return round(a)
-        if op is H.OpCode.FLOOR:
-            return math.floor(a)
-        if op is H.OpCode.CEIL:
-            return math.ceil(a)
-        if op is H.OpCode.SIGN:
-            return (a > 0) - (a < 0)
-        if op is H.OpCode.CAST_AS_DOUBLE:
-            return float(a)
-        if op is H.OpCode.CAST_AS_INT:
-            return int(a)
-        if op is H.OpCode.CAST_AS_BOOLEAN:
-            return bool(a)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return None
-
-
-def _to_display(value):
-    """R/DML-style string rendering for print/concat."""
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, float) and value.is_integer():
-        return f"{value:.1f}"
-    return str(value)
 
 
 def _as_int(value):
@@ -507,7 +435,7 @@ class Propagator:
         if hop.is_scalar:
             hop.mc = MatrixCharacteristics(0, 0, 0)
             if inp.const_value is not None:
-                hop.const_value = eval_scalar_unary(op, inp.const_value)
+                hop.const_value = fold_scalar(op, inp.const_value)
             return
         if op is H.OpCode.CUMSUM:
             mc = inp.mc
@@ -535,7 +463,7 @@ class Propagator:
         if hop.is_scalar:
             hop.mc = MatrixCharacteristics(0, 0, 0)
             if left.const_value is not None and right.const_value is not None:
-                hop.const_value = eval_scalar_binary(
+                hop.const_value = fold_scalar(
                     op, left.const_value, right.const_value
                 )
             return
@@ -623,11 +551,13 @@ class Propagator:
             frm_v = frm.const_value if frm is not None else None
             to_v = to.const_value if to is not None else None
             incr_v = incr.const_value if incr is not None else 1
+            rows = None
             if frm_v is not None and to_v is not None and incr_v not in (None, 0):
-                rows = int(max(0, math.floor((to_v - frm_v) / incr_v) + 1))
-                hop.mc = MatrixCharacteristics(rows, 1, rows)
-            else:
-                hop.mc = MatrixCharacteristics(None, 1, None)
+                try:
+                    rows = seq_length(frm_v, to_v, incr_v)
+                except SCALAR_FAILURES:
+                    pass
+            hop.mc = MatrixCharacteristics(rows, 1, rows)
             return
         rows_hop = hop.param("rows")
         cols_hop = hop.param("cols")

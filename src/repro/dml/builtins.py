@@ -99,11 +99,6 @@ _SPECS = [
 
 BUILTINS = {spec.name: spec for spec in _SPECS}
 
-#: builtins whose matrix output preserves the zero pattern of their input
-#: (relevant for sparsity propagation)
-ZERO_PRESERVING_UNARY = {"sqrt", "abs", "round", "floor", "ceil", "sign"}
-
-
 def infer_output_data_type(spec, arg_data_types):
     """Derive the output :class:`DataType` of a builtin call.
 

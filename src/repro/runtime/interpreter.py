@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chaos import FaultKind
-from repro.common import DataType, FileFormat, MatrixCharacteristics
+from repro.common import DataType, FileFormat, MatrixCharacteristics, display
 from repro.compiler import replay
 from repro.compiler import statement_blocks as SB
 from repro.compiler.recompile import make_env_from_states, recompile_block
@@ -36,7 +36,7 @@ from repro.errors import (
 from repro.obs import get_tracer
 from repro.runtime.bufferpool import BufferPool
 from repro.runtime.hdfs import SimulatedHDFS
-from repro.runtime.kernels import display, execute_kernel
+from repro.runtime.kernels import execute_kernel
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP, MatrixObject
 
 #: safety bound on while-loop iterations in simulated execution

@@ -13,11 +13,16 @@ preserves convergence behaviour (documented in DESIGN.md).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.common import MatrixCharacteristics
+from repro.common import (
+    SCALAR_FAILURES,
+    SCALAR_UNARY,
+    MatrixCharacteristics,
+    display,
+    scalar_binary,
+    seq_length,
+)
 from repro.errors import ExecutionError
 from repro.runtime.matrix import MatrixObject, measure_nnz, sample_rows
 
@@ -36,6 +41,12 @@ def _matrix_result(data, rows, cols):
 
 def _scalar_result(value):
     return ("scalar", value, None)
+
+
+def _no_value(opcode, args, exc):
+    """The typed error of a scalar operator without a value for ``args``."""
+    shown = ", ".join(display(value) for value in args)
+    return ExecutionError(f"{opcode}({shown}) has no value: {exc}")
 
 
 def _is_matrix(value):
@@ -60,15 +71,6 @@ def _zero_nonfinite(out):
     return np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)
 
 
-def _display(value):
-    """DML-style display rendering for print()."""
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # -- elementwise binary ----------------------------------------------------
 
 _BINARY_NUMPY = {
@@ -91,46 +93,6 @@ _RELATIONAL_NUMPY = {
     ">": np.greater,
     ">=": np.greater_equal,
 }
-
-
-def _scalar_binary(opcode, a, b):
-    if opcode == "+":
-        if isinstance(a, str) or isinstance(b, str):
-            return _display(a) + _display(b)
-        return a + b
-    if opcode == "-":
-        return a - b
-    if opcode == "*":
-        return a * b
-    if opcode == "/":
-        return a / b
-    if opcode == "^":
-        return a**b
-    if opcode == "%%":
-        return a % b
-    if opcode == "%/%":
-        return a // b
-    if opcode == "min":
-        return min(a, b)
-    if opcode == "max":
-        return max(a, b)
-    if opcode == "==":
-        return a == b
-    if opcode == "!=":
-        return a != b
-    if opcode == "<":
-        return a < b
-    if opcode == "<=":
-        return a <= b
-    if opcode == ">":
-        return a > b
-    if opcode == ">=":
-        return a >= b
-    if opcode == "&":
-        return bool(a) and bool(b)
-    if opcode == "|":
-        return bool(a) or bool(b)
-    raise ExecutionError(f"unknown scalar binary opcode {opcode!r}")
 
 
 def _logical_broadcast_dims(mcs):
@@ -162,7 +124,10 @@ def _align_elementwise(sa, sb):
 def _binary(opcode, inputs, attrs):
     a, b = inputs
     if not _is_matrix(a) and not _is_matrix(b):
-        return _scalar_result(_scalar_binary(opcode, a, b))
+        try:
+            return _scalar_result(scalar_binary(opcode, a, b))
+        except SCALAR_FAILURES as exc:
+            raise _no_value(opcode, inputs, exc) from exc
     matrices = [x for x in (a, b) if _is_matrix(x)]
     rows, cols = _logical_broadcast_dims([m.mc for m in matrices])
     sa = _sample(a)
@@ -196,19 +161,6 @@ _UNARY_NUMPY = {
     "u-": np.negative,
 }
 
-_UNARY_SCALAR = {
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "round": round,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "sign": lambda v: (v > 0) - (v < 0),
-    "u-": lambda v: -v,
-}
-
-
 def _cumsum(opcode, inputs, attrs):
     (a,) = inputs
     out = np.cumsum(a.data, axis=0)
@@ -237,14 +189,15 @@ def _remove_empty(opcode, inputs, attrs):
 
 def _unary(opcode, inputs, attrs):
     (a,) = inputs
-    if opcode == "!":
-        if _is_matrix(a):
-            return _matrix_result(
-                (np.asarray(a.data) == 0).astype(float), a.mc.rows, a.mc.cols
-            )
-        return _scalar_result(not bool(a))
     if not _is_matrix(a):
-        return _scalar_result(_UNARY_SCALAR[opcode](a))
+        try:
+            return _scalar_result(SCALAR_UNARY[opcode](a))
+        except SCALAR_FAILURES as exc:
+            raise _no_value(opcode, inputs, exc) from exc
+    if opcode == "!":
+        return _matrix_result(
+            (np.asarray(a.data) == 0).astype(float), a.mc.rows, a.mc.cols
+        )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = _zero_nonfinite(_UNARY_NUMPY[opcode](a.data))
     return _matrix_result(out, a.mc.rows, a.mc.cols)
@@ -488,14 +441,17 @@ def _rand(opcode, inputs, attrs, rng, sample_cap):
 def _seq(opcode, inputs, attrs, rng, sample_cap):
     params = attrs.get("params", [])
     values = dict(zip(params, inputs))
-    frm = float(values.get("from", 1))
-    to = float(values.get("to", 1))
-    incr = float(values.get("incr", 1.0)) if "incr" in values else 1.0
+    frm = values.get("from", 1)
+    to = values.get("to", 1)
+    incr = values.get("incr", 1)
     if incr == 0:
         raise ExecutionError("seq() increment must be non-zero")
-    n = int(max(0, math.floor((to - frm) / incr) + 1))
+    try:
+        n = seq_length(frm, to, incr)
+    except SCALAR_FAILURES as exc:
+        raise _no_value(opcode, (frm, to, incr), exc) from exc
     srows = sample_rows(n, sample_cap)
-    data = (frm + incr * np.arange(srows)).reshape(-1, 1)
+    data = (float(frm) + float(incr) * np.arange(srows)).reshape(-1, 1)
     return _matrix_result(data, n, 1)
 
 
@@ -551,15 +507,12 @@ def _cast(opcode, inputs, attrs):
     (a,) = inputs
     if opcode == "castdts":
         return _scalar_result(float(np.asarray(_sample(a)).ravel()[0]))
-    if opcode == "castdtm":
-        return _matrix_result(np.array([[float(a)]]), 1, 1)
-    if opcode == "castvtd":
-        return _scalar_result(float(a))
-    if opcode == "castvti":
-        return _scalar_result(int(a))
-    if opcode == "castvtb":
-        return _scalar_result(bool(a))
-    raise ExecutionError(f"unknown cast {opcode!r}")
+    try:
+        if opcode == "castdtm":
+            return _matrix_result(np.array([[float(a)]]), 1, 1)
+        return _scalar_result(SCALAR_UNARY[opcode](a))
+    except SCALAR_FAILURES as exc:
+        raise _no_value(opcode, inputs, exc) from exc
 
 
 def _metadata(opcode, inputs, attrs):
@@ -630,8 +583,3 @@ def execute_kernel(opcode, inputs, attrs=None, rng=None, sample_cap=2048):
     if kernel is None:
         raise ExecutionError(f"no kernel for opcode {opcode!r}")
     return kernel(opcode, inputs, attrs)
-
-
-def display(value):
-    """Public display helper (used by print instructions)."""
-    return _display(value)

@@ -35,15 +35,6 @@ class TestTraversal:
         # the shared mm node appears once despite two consumers
         assert ids.count(nodes["mm"].hop_id) == 1
 
-    def test_count_operators_with_predicate(self):
-        roots, _ = small_dag()
-        total = H.count_operators(roots)
-        matmults = H.count_operators(
-            roots, lambda h: isinstance(h, H.AggBinaryOp)
-        )
-        assert matmults == 1
-        assert total > matmults
-
     def test_parent_map(self):
         roots, nodes = small_dag()
         parents = H.build_parent_map(roots)
@@ -86,7 +77,7 @@ class TestNodeBasics:
         mm = H.BinaryOp(H.OpCode.MULT, x, x)
         ms = H.BinaryOp(H.OpCode.MULT, x, lit)
         assert mm.is_matrix_matrix
-        assert ms.is_matrix_scalar
+        assert not ms.is_matrix_matrix
 
     def test_explain_renders_all_nodes(self):
         roots, nodes = small_dag()

@@ -1,13 +1,10 @@
 """Unit tests for size/sparsity/constant propagation."""
 
 from repro.common import MatrixCharacteristics
-from repro.compiler import hops as H
 from repro.compiler.hop_builder import build_hops
 from repro.compiler.size_propagation import (
     DEFAULT_LOOP_ITERATIONS,
     Propagator,
-    eval_scalar_binary,
-    eval_scalar_unary,
     propagate_sizes,
 )
 from repro.compiler.statement_blocks import build_program
@@ -175,18 +172,6 @@ class TestScalarConstants:
     def test_division_by_zero_yields_unknown(self):
         _, env = propagate("a = 0\nb = 1 / a")
         assert env.get("b").const is None
-
-    def test_eval_scalar_binary_coverage(self):
-        assert eval_scalar_binary(H.OpCode.MIN, 2, 5) == 2
-        assert eval_scalar_binary(H.OpCode.POW, 2, 3) == 8
-        assert eval_scalar_binary(H.OpCode.AND, True, False) is False
-        assert eval_scalar_binary(H.OpCode.LE, 2, 2) is True
-
-    def test_eval_scalar_unary_coverage(self):
-        assert eval_scalar_unary(H.OpCode.NEG, 3) == -3
-        assert eval_scalar_unary(H.OpCode.SQRT, 16) == 4
-        assert eval_scalar_unary(H.OpCode.SIGN, -2) == -1
-        assert eval_scalar_unary(H.OpCode.LOG, -1) is None
 
 
 class TestControlFlow:

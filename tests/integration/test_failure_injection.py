@@ -218,3 +218,71 @@ class TestNegativeDimensions:
 
         with pytest.raises(ValueError, match="negative matrix dimensions"):
             estimate_matrix_memory(-5, 3)
+
+
+#: (script, message): a scalar operator with no value for its operands,
+#: computed at run time or folded at compile time
+NO_VALUE_SCALARS = [
+    ("X = matrix(0, rows=2, cols=2)\nx = sum(X)\nprint(1 / x)",
+     r"/\(1, 0\.0\) has no value: float division by zero"),
+    ("X = matrix(0, rows=2, cols=2)\nx = sum(X)\nprint(log(x))",
+     r"log\(0\.0\) has no value: math domain error"),
+    ("x = 10.0 ^ 400\nprint(x)", r"\^\(10\.0, 400\) has no value"),
+]
+NO_VALUE_IDS = ["divide", "log", "folded-overflow"]
+
+
+class TestScalarWithoutValue:
+    """A scalar operator without a value is an ExecutionError in every
+    front end, never Python's own ZeroDivisionError, ValueError or
+    OverflowError; the constant folder leaves it to the run."""
+
+    def test_folder_leaves_overflow_to_the_run(self):
+        compiled = compile_program("x = 10.0 ^ 400\nprint(x)", {}, {})
+        assert compiled.blocks
+
+    @pytest.mark.parametrize("source,message", NO_VALUE_SCALARS,
+                             ids=NO_VALUE_IDS)
+    def test_session_raises(self, source, message):
+        from repro import ElasticMLSession
+
+        with pytest.raises(ExecutionError, match=message):
+            ElasticMLSession(sample_cap=32).run(source, {})
+
+    @pytest.mark.parametrize("source,message", NO_VALUE_SCALARS,
+                             ids=NO_VALUE_IDS)
+    def test_server_fails_and_next_tenant_completes(self, source, message):
+        from repro import ElasticMLServer, Submission
+
+        server = ElasticMLServer(sample_cap=32)
+        try:
+            server.submit(Submission(tenant="bad", script=source, args={}))
+            server.submit(Submission(tenant="good", script="print(2 * 3)",
+                                     args={}))
+            bad, good = server.drain()
+        finally:
+            server.shutdown()
+        assert bad.status == "failed"
+        assert bad.error.startswith("ExecutionError: ")
+        assert good.status == "completed"
+        assert good.outcome.prints == ["6"]
+
+    def test_cli_exits_2_with_one_error_line(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = tmp_path / "f.dml"
+        script.write_text(NO_VALUE_SCALARS[0][0] + "\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(script)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: /(1, 0.0) has no value: float division by zero"
+        ]

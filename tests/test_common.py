@@ -60,16 +60,9 @@ class TestMemoryEstimates:
 
 class TestMatrixCharacteristics:
     def test_dims_known_predicates(self):
-        assert MatrixCharacteristics(3, 4, 12).fully_known
         assert not MatrixCharacteristics(3, None).dims_known
         assert MatrixCharacteristics(3, 4).dims_known
         assert not MatrixCharacteristics(3, 4).nnz_known
-
-    def test_vector_predicates(self):
-        assert MatrixCharacteristics(10, 1, 10).is_column_vector
-        assert MatrixCharacteristics(1, 10, 10).is_vector
-        assert MatrixCharacteristics(1, 1, 1).is_scalar_shaped
-        assert not MatrixCharacteristics(3, 3, 9).is_vector
 
     def test_sparsity_clamped(self):
         mc = MatrixCharacteristics(2, 2, 100)  # inconsistent nnz
@@ -91,10 +84,6 @@ class TestMatrixCharacteristics:
         b = a.copy()
         b.rows = 99
         assert a.rows == 3
-
-    def test_with_nnz_full(self):
-        mc = MatrixCharacteristics(3, 4).with_nnz_full()
-        assert mc.nnz == 12
 
     def test_str_rendering(self):
         assert str(MatrixCharacteristics(3, None, 5)) == "[3 x ?, nnz=5]"
