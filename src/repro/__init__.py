@@ -77,7 +77,7 @@ from repro.serving import (
 )
 from repro.workloads import prepare_inputs, scenario
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "ElasticMLSession",

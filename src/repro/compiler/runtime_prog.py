@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.common import DataType, ExecType, MatrixCharacteristics
 from repro.compiler import hops as H
@@ -34,9 +35,9 @@ from repro.errors import CompilerError
 # -- operands and instructions -----------------------------------------------
 
 
-@dataclass
-class Operand:
-    """An instruction operand: a variable reference or an inline literal."""
+class Operand(NamedTuple):
+    """An instruction operand: a variable reference or an inline literal,
+    a ``(name, literal)`` pair the interpreter unpacks."""
 
     name: str = None
     literal: object = None
@@ -61,6 +62,13 @@ class CPInstruction:
     )
     in_mcs: list = field(default_factory=list)
     out_is_matrix: bool = False
+    #: the executor this instruction runs through
+    #: (:func:`repro.runtime.interpreter.bind`), fixed at construction
+    bound: object = field(default=None, init=False, repr=False,
+                          compare=False)
+
+    def __post_init__(self):
+        self.bound = _bind(self.opcode)
 
     def __str__(self):
         ins = ", ".join(str(op) for op in self.inputs)
@@ -92,6 +100,11 @@ class MRJobInstruction:
     output_vars: list = field(default_factory=list)
     extra_job_latency: int = 0
     block_id: int = 0
+    bound: object = field(default=None, init=False, repr=False,
+                          compare=False)
+
+    def __post_init__(self):
+        self.bound = _bind("mr_job")
 
     def __str__(self):
         ops = "+".join(step.method for step in self.steps)
@@ -119,6 +132,11 @@ class BlockPlan:
     num_mr_jobs: int = 0
     #: structural identity for plan-signature memoization (see above)
     signature: int = field(default_factory=lambda: next(_plan_signatures))
+    #: the temporaries this plan writes, dropped after it ran
+    kill: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.kill = kill_set(self.instructions)
 
     def mr_jobs(self):
         return [ins for ins in self.instructions if isinstance(ins, MRJobInstruction)]
@@ -129,6 +147,38 @@ class PredicatePlan:
     instructions: list = field(default_factory=list)
     result: Operand = None
     signature: int = field(default_factory=lambda: next(_plan_signatures))
+    kill: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.kill = kill_set(self.instructions)
+
+
+def kill_set(instructions):
+    """The ``_mVar`` temporaries that ``instructions`` write into their
+    frame: CP and ``fcall`` outputs, MR step and job outputs.  No later
+    block reads them, so the interpreter drops exactly these names after
+    the plan ran (rmvar)."""
+    names = []
+    for ins in instructions:
+        if isinstance(ins, MRJobInstruction):
+            names.extend(step.output for step in ins.steps)
+            names.extend(ins.output_vars)
+        else:
+            names.append(ins.output)
+            if ins.opcode == "fcall":
+                names.extend(ins.attrs["outputs"])
+    return tuple(dict.fromkeys(
+        name for name in names
+        if name is not None and name.startswith("_mVar")
+    ))
+
+
+def _bind(opcode):
+    # the runtime imports this module, so its dispatch table is looked
+    # up here rather than at import
+    from repro.runtime.interpreter import bind
+
+    return bind(opcode)
 
 
 # -- opcode mapping ------------------------------------------------------

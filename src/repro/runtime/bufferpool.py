@@ -28,7 +28,8 @@ class BufferPool(RunningTotal):
     ``charge`` is a callable(seconds, category) advancing the virtual
     clock; categories are "eviction", "restore", and "read".
     ``collector`` is an optional calibration sample sink
-    (:class:`repro.cost.calibrate.CalibrationCollector`).
+    (:class:`repro.cost.calibrate.CalibrationCollector`).  A pool lives
+    for one run and counts into the tracer active when it was built.
 
     ``total`` is the running sum of the entries' ``memory_size``, kept
     by every residency change, so :meth:`_make_room` re-sums
@@ -43,6 +44,7 @@ class BufferPool(RunningTotal):
         self.params = params
         self.charge = charge
         self.collector = collector if collector is not None else NULL_COLLECTOR
+        self.tracer = get_tracer()
         self._entries = OrderedDict()  # id(obj) -> obj
         self.anchor(0, 0, 0)
         self.evictions = 0
@@ -70,11 +72,12 @@ class BufferPool(RunningTotal):
 
     def pin(self, obj):
         """Ensure ``obj`` is in memory, charging restore IO if needed."""
-        tracer = get_tracer()
+        tracer = self.tracer
         key = id(obj)
         if key in self._entries:
             self._entries.move_to_end(key)
-            tracer.incr("bufferpool.hits")
+            if tracer.enabled:
+                tracer.incr("bufferpool.hits")
             return
         if not obj.in_memory:
             tracer.incr("bufferpool.misses")
@@ -151,7 +154,7 @@ class BufferPool(RunningTotal):
     def _make_room(self, needed):
         if self.fits(self.capacity, needed):
             return  # the re-sum below could not come out over capacity
-        tracer = get_tracer()
+        tracer = self.tracer
         # track the occupancy incrementally: recomputing used_bytes per
         # victim made eviction storms quadratic in the pool population
         used = resummed = self.used_bytes

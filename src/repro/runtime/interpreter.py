@@ -12,16 +12,26 @@ implemented in :mod:`repro.optimizer.adaptation`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.chaos import FaultKind
-from repro.common import DataType, FileFormat, MatrixCharacteristics, display
+from repro.common import (
+    SCALAR_FAILURES,
+    SCALAR_UNARY,
+    DataType,
+    FileFormat,
+    MatrixCharacteristics,
+    display,
+    scalar_binary,
+)
 from repro.compiler import replay
 from repro.compiler import statement_blocks as SB
 from repro.compiler.recompile import make_env_from_states, recompile_block
-from repro.compiler.runtime_prog import CPInstruction, MRJobInstruction
+from repro.compiler.runtime_prog import MRJobInstruction
 from repro.cost import io_model
 from repro.cost.calibrate import NULL_COLLECTOR
 from repro.cost.compute_model import operation_flops
@@ -33,14 +43,24 @@ from repro.errors import (
     RetryExhaustedError,
     TransientIOError,
 )
-from repro.obs import get_tracer
+from repro.obs import NULL_TRACER, get_tracer
 from repro.runtime.bufferpool import BufferPool
 from repro.runtime.hdfs import SimulatedHDFS
-from repro.runtime.kernels import execute_kernel
+from repro.runtime.kernels import (
+    ELEMENTWISE_BINARY,
+    KERNELS,
+    execute_kernel,
+    kernel_for,
+    no_value,
+)
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP, MatrixObject
 
-#: safety bound on while-loop iterations in simulated execution
-MAX_WHILE_ITERATIONS = 1000
+#: safety bound on the iterations of one while or for loop in simulated
+#: execution
+MAX_LOOP_ITERATIONS = 1000
+
+#: the output characteristics operation_flops reads for a scalar result
+_SCALAR_MC = MatrixCharacteristics(0, 0, 0)
 
 
 @dataclass
@@ -100,6 +120,8 @@ class Interpreter:
         self._lost_nodes = 0
         #: active frame stack (main frame + function-call frames)
         self._frames = []
+        #: the run's tracer, read once by run()
+        self._tracer = NULL_TRACER
 
     # -- time accounting -----------------------------------------------------
 
@@ -125,7 +147,7 @@ class Interpreter:
         """
         from repro.compiler.pipeline import compile_plans
 
-        tracer = get_tracer()
+        tracer = self._tracer = get_tracer()
         self.compiled = compiled
         self.resource = resource.copy()
         self.clock = 0.0
@@ -291,9 +313,9 @@ class Interpreter:
             while self._eval_predicate(block.predicate, frame):
                 self._exec_blocks(block.body, frame)
                 iterations += 1
-                if iterations >= MAX_WHILE_ITERATIONS:
+                if iterations >= MAX_LOOP_ITERATIONS:
                     raise ExecutionError(
-                        f"while loop exceeded {MAX_WHILE_ITERATIONS} iterations"
+                        f"while loop exceeded {MAX_LOOP_ITERATIONS} iterations"
                     )
         elif isinstance(block, SB.ForBlock):
             frm = self._eval_holder(block.from_holder, frame)
@@ -303,6 +325,7 @@ class Interpreter:
                 if block.incr_holder is not None
                 else 1
             )
+            _check_for_bounds(frm, to, incr)
             start_clock = self.clock
             value = frm
             while (incr > 0 and value <= to) or (incr < 0 and value >= to):
@@ -345,15 +368,15 @@ class Interpreter:
         if plan is None:
             raise ExecutionError("predicate has no compiled plan")
         for ins in plan.instructions:
-            self._exec_cp(ins, frame)
-        value = self._resolve(plan.result, frame)
-        self._cleanup_temps(frame)
+            ins.bound.execute(self, ins, frame)
+        value = _value(plan.result, frame)
+        self._cleanup_temps(frame, plan.kill)
         return value
 
     # -- generic blocks: recompilation, adaptation, instructions ------------
 
     def _exec_generic(self, block, frame):
-        tracer = get_tracer()
+        tracer = self._tracer
         if not tracer.enabled:
             self._exec_generic_inner(block, frame, tracer)
             return
@@ -410,11 +433,10 @@ class Interpreter:
         if tracer.enabled:
             for ins in plan.instructions:
                 sim_start = self.clock
+                ins.bound.execute(self, ins, frame)
                 if isinstance(ins, MRJobInstruction):
-                    self._exec_mr_job(ins, frame)
                     opcode = "mr_job"
                 else:
-                    self._exec_cp(ins, frame)
                     opcode = ins.opcode
                     tracer.incr("runtime.cp_instructions")
                 tracer.incr(
@@ -422,24 +444,23 @@ class Interpreter:
                 )
         else:
             for ins in plan.instructions:
-                if isinstance(ins, MRJobInstruction):
-                    self._exec_mr_job(ins, frame)
-                else:
-                    self._exec_cp(ins, frame)
-        self._cleanup_temps(frame)
+                ins.bound.execute(self, ins, frame)
+        self._cleanup_temps(frame, plan.kill)
 
-    def _cleanup_temps(self, frame):
-        """Drop dead matrices from the pool (rmvar): block-local
-        temporaries and objects orphaned by variable rebinding are never
-        read again, so they leave the buffer pool without writeback."""
-        for name in [n for n in frame if n.startswith("_mVar")]:
-            del frame[name]
-        live_ids = set()
-        for any_frame in self._frames:
-            for value in any_frame.values():
-                if isinstance(value, MatrixObject):
-                    live_ids.add(id(value))
-        self.pool.retain_only(live_ids)
+    def _cleanup_temps(self, frame, kill):
+        """Drop dead matrices from the pool (rmvar): the temporaries the
+        plan just run wrote (its kill set) and objects orphaned by
+        variable rebinding are never read again, so they leave the
+        buffer pool without writeback."""
+        for name in kill:
+            if name in frame:
+                del frame[name]
+        self.pool.retain_only({
+            id(value)
+            for any_frame in self._frames
+            for value in any_frame.values()
+            if isinstance(value, MatrixObject)
+        })
 
     def _var_states(self, frame):
         """Runtime knowledge for dynamic recompilation."""
@@ -495,87 +516,116 @@ class Interpreter:
                 )
             return obj
 
-    # -- operand resolution ---------------------------------------------
-
-    def _resolve(self, operand, frame):
-        if operand.is_literal:
-            return operand.literal
-        if operand.name not in frame:
-            raise ExecutionError(f"undefined variable {operand.name!r}")
-        return frame[operand.name]
-
     # -- CP instruction execution ---------------------------------------
+    #
+    # Plan generation binds every instruction to the executor of its
+    # opcode family (:func:`bind`); an executor is called as
+    # ``executor(interpreter, instruction, frame)``.
 
     def _exec_cp(self, ins, frame):
-        opcode = ins.opcode
-        if opcode == "createvar":
-            obj = self._read_hdfs_input(ins.attrs["fname"])
-            obj.in_memory = False  # lazy: charged on first CP access
-            obj.dirty = False
-            fmt = ins.attrs.get("format")
-            if fmt in ("text", "csv"):
-                obj.fmt = FileFormat.CSV
-            frame[ins.output] = obj
-            return
-        if opcode == "mvvar":
-            frame[ins.output] = self._resolve(ins.inputs[0], frame)
-            return
-        if opcode == "write":
-            value = self._resolve(ins.inputs[0], frame)
-            if not isinstance(value, MatrixObject):
-                raise ExecutionError("write() requires a matrix input")
-            fmt = (
-                FileFormat.CSV
-                if ins.attrs.get("format") in ("text", "csv")
-                else FileFormat.BINARY_BLOCK
-            )
-            self.pool.pin(value)
-            seconds = io_model.hdfs_write_time(value.mc, self.params, fmt)
-            self.charge(seconds, "write")
-            self._collector.add(
-                "hdfs_write", seconds * self.params.hdfs_write_bw, seconds
-            )
-            self.hdfs.write_matrix(ins.attrs["fname"], value, fmt)
-            return
-        if opcode == "print":
-            value = self._resolve(ins.inputs[0], frame)
-            self.result.prints.append(display(value))
-            return
-        if opcode == "stop":
-            value = self._resolve(ins.inputs[0], frame)
-            raise ExecutionError(f"stop(): {display(value)}")
-        if opcode == "fcall":
-            self._exec_fcall(ins, frame)
-            return
+        ins.bound.execute(self, ins, frame)
 
-        inputs = [self._resolve(op, frame) for op in ins.inputs]
+    def _exec_createvar(self, ins, frame):
+        obj = self._read_hdfs_input(ins.attrs["fname"])
+        obj.in_memory = False  # lazy: charged on first CP access
+        obj.dirty = False
+        fmt = ins.attrs.get("format")
+        if fmt in ("text", "csv"):
+            obj.fmt = FileFormat.CSV
+        frame[ins.output] = obj
+
+    def _exec_mvvar(self, ins, frame):
+        frame[ins.output] = _value(ins.inputs[0], frame)
+
+    def _exec_write(self, ins, frame):
+        value = _value(ins.inputs[0], frame)
+        if not isinstance(value, MatrixObject):
+            raise ExecutionError("write() requires a matrix input")
+        fmt = (
+            FileFormat.CSV
+            if ins.attrs.get("format") in ("text", "csv")
+            else FileFormat.BINARY_BLOCK
+        )
+        self.pool.pin(value)
+        seconds = io_model.hdfs_write_time(value.mc, self.params, fmt)
+        self.charge(seconds, "write")
+        self._collector.add(
+            "hdfs_write", seconds * self.params.hdfs_write_bw, seconds
+        )
+        self.hdfs.write_matrix(ins.attrs["fname"], value, fmt)
+
+    def _exec_print(self, ins, frame):
+        self.result.prints.append(display(_value(ins.inputs[0], frame)))
+
+    def _exec_stop(self, ins, frame):
+        raise ExecutionError(f"stop(): {display(_value(ins.inputs[0], frame))}")
+
+    def _exec_kernel(self, ins, frame, values=None):
+        """Resolve the operands (unless given), pin the matrices among
+        them, run the bound kernel and charge its flops."""
+        if values is None:
+            values = _values(ins.inputs, frame)
+        pool = self.pool
         in_mcs = []
-        for value in inputs:
+        for value in values:
             if isinstance(value, MatrixObject):
-                self.pool.pin(value)
+                pool.pin(value)
                 in_mcs.append(value.mc)
-        kind, payload, mc = execute_kernel(
-            opcode, inputs, ins.attrs, self.rng, self.sample_cap
+        kind, payload, mc = ins.bound.kernel(
+            ins.opcode, values, ins.attrs, self.rng, self.sample_cap
         )
-        flops = operation_flops(
-            opcode, mc if mc is not None else MatrixCharacteristics(0, 0, 0),
-            in_mcs, ins.attrs,
-        )
-        seconds = flops / self.params.cp_flops
-        self.charge(seconds, "cp_compute")
-        self._collector.add("cp_compute", flops, seconds)
+        self._charge_cp(operation_flops(
+            ins.opcode, _SCALAR_MC if mc is None else mc, in_mcs, ins.attrs
+        ))
         if kind == "matrix":
             obj = MatrixObject(payload, mc)
-            self.pool.put(obj)
+            pool.put(obj)
             frame[ins.output] = obj
         else:
             frame[ins.output] = payload
+
+    def _exec_binary(self, ins, frame):
+        """An elementwise binary operator; on two scalars it is
+        ``scalar_binary`` at the flop count fixed when it was bound."""
+        (left, right) = ins.inputs
+        a = _value(left, frame)
+        b = _value(right, frame)
+        if isinstance(a, MatrixObject) or isinstance(b, MatrixObject):
+            self._exec_kernel(ins, frame, [a, b])
+            return
+        try:
+            value = scalar_binary(ins.opcode, a, b)
+        except SCALAR_FAILURES as exc:
+            raise no_value(ins.opcode, (a, b), exc) from exc
+        self._charge_cp(ins.bound.flops)
+        frame[ins.output] = value
+
+    def _exec_unary(self, ins, frame):
+        """A unary operator; on a scalar it is its ``SCALAR_UNARY``
+        function at the flop count fixed when it was bound."""
+        (operand,) = ins.inputs
+        a = _value(operand, frame)
+        if isinstance(a, MatrixObject):
+            self._exec_kernel(ins, frame, [a])
+            return
+        try:
+            value = ins.bound.scalar(a)
+        except SCALAR_FAILURES as exc:
+            raise no_value(ins.opcode, (a,), exc) from exc
+        self._charge_cp(ins.bound.flops)
+        frame[ins.output] = value
+
+    def _charge_cp(self, flops):
+        seconds = flops / self.params.cp_flops
+        self.charge(seconds, "cp_compute")
+        if self._collector.enabled:
+            self._collector.add("cp_compute", flops, seconds)
 
     def _exec_fcall(self, ins, frame):
         func = self.compiled.functions.get(ins.attrs["func"])
         if func is None:
             raise ExecutionError(f"unknown function {ins.attrs['func']!r}")
-        values = [self._resolve(op, frame) for op in ins.inputs]
+        values = _values(ins.inputs, frame)
         fframe = {}
         for param, value in zip(func.inputs, values):
             fframe[param.name] = value
@@ -621,17 +671,12 @@ class Interpreter:
 
         # refresh step metadata from actual inputs by executing kernels
         scratch = {}
-
-        def resolve(operand):
-            if operand.is_literal:
-                return operand.literal
-            if operand.name in scratch:
-                return scratch[operand.name]
-            return self._resolve(operand, frame)
-
         outputs = {}
         for step in job.steps:
-            values = [resolve(op) for op in step.inputs]
+            values = [
+                scratch[op.name] if op.name in scratch else _value(op, frame)
+                for op in step.inputs
+            ]
             step.in_mcs = [
                 v.mc.copy() for v in values if isinstance(v, MatrixObject)
             ]
@@ -666,7 +711,7 @@ class Interpreter:
             )
         self._emit_mr_samples(timing, slowdown)
         self.result.mr_jobs += 1 + job.extra_job_latency
-        tracer = get_tracer()
+        tracer = self._tracer
         if tracer.enabled:
             tracer.incr("runtime.mr_jobs")
             tracer.incr("mr.phase.latency_s", timing.latency)
@@ -804,6 +849,26 @@ class Interpreter:
         return f"scratch/{name}_{self._scratch_counter}"
 
 
+def _value(operand, frame):
+    name, literal = operand
+    if name is None:
+        return literal
+    try:
+        return frame[name]
+    except KeyError:
+        raise ExecutionError(f"undefined variable {name!r}") from None
+
+
+def _values(operands, frame):
+    try:
+        return [
+            literal if name is None else frame[name]
+            for name, literal in operands
+        ]
+    except KeyError as exc:
+        raise ExecutionError(f"undefined variable {exc.args[0]!r}") from None
+
+
 def _peak_mem_estimate(block):
     """Largest operation memory estimate (MB) in a block's HOP DAG — the
     size knowledge a dynamic recompile refreshes."""
@@ -817,3 +882,75 @@ def _peak_mem_estimate(block):
         if est is not None and math.isfinite(est) and est > peak:
             peak = est
     return peak / (1024.0 * 1024.0)
+
+
+def _check_for_bounds(frm, to, incr):
+    """A for loop's bounds, evaluated once, must be finite and give at
+    most :data:`MAX_LOOP_ITERATIONS` iterations; it has
+    ``floor((to - frm) / incr) + 1`` of them."""
+    for bound in (frm, to, incr):
+        if isinstance(bound, float) and not math.isfinite(bound):
+            raise ExecutionError(
+                f"for loop bound {display(bound)} is not a finite number"
+            )
+    if incr != 0 and (to - frm) / incr >= MAX_LOOP_ITERATIONS:
+        raise ExecutionError(
+            f"for loop from {display(frm)} to {display(to)} by "
+            f"{display(incr)} exceeds {MAX_LOOP_ITERATIONS} iterations"
+        )
+
+
+# -- bound dispatch -----------------------------------------------------------
+
+
+class Binding(NamedTuple):
+    """What an instruction is bound to when its plan is generated: the
+    executor of its opcode family, the opcode's kernel and, for a scalar
+    operator, its scalar function and flop count.  One binding per
+    opcode, shared by every instruction of that opcode."""
+
+    execute: object
+    kernel: object = None
+    scalar: object = None
+    flops: float = None
+
+
+def _scalar_flops(opcode):
+    # operation_flops reads no attrs of an elementwise opcode, so the
+    # count is the opcode's alone
+    return operation_flops(opcode, MatrixCharacteristics(0, 0, 0), [], {})
+
+
+_BINDINGS = {
+    opcode: Binding(Interpreter._exec_kernel, kernel)
+    for opcode, kernel in KERNELS.items()
+}
+_BINDINGS.update(
+    (opcode, Binding(Interpreter._exec_binary, KERNELS[opcode],
+                     scalar_binary, _scalar_flops(opcode)))
+    for opcode in ELEMENTWISE_BINARY
+)
+_BINDINGS.update(
+    (opcode, Binding(Interpreter._exec_unary, KERNELS[opcode], scalar,
+                     _scalar_flops(opcode)))
+    for opcode, scalar in SCALAR_UNARY.items()
+)
+_BINDINGS.update(
+    createvar=Binding(Interpreter._exec_createvar),
+    mvvar=Binding(Interpreter._exec_mvvar),
+    write=Binding(Interpreter._exec_write),
+    print=Binding(Interpreter._exec_print),
+    stop=Binding(Interpreter._exec_stop),
+    fcall=Binding(Interpreter._exec_fcall),
+    mr_job=Binding(Interpreter._exec_mr_job),
+)
+
+
+def bind(opcode):
+    """The :class:`Binding` of an instruction with ``opcode`` (an MR job
+    instruction's is ``"mr_job"``); an opcode without a kernel fails
+    when it runs, as :func:`~repro.runtime.kernels.execute_kernel` does."""
+    binding = _BINDINGS.get(opcode)
+    if binding is None:
+        binding = Binding(Interpreter._exec_kernel, kernel_for(opcode))
+    return binding

@@ -13,6 +13,8 @@ preserves convergence behaviour (documented in DESIGN.md).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.common import (
@@ -43,7 +45,7 @@ def _scalar_result(value):
     return ("scalar", value, None)
 
 
-def _no_value(opcode, args, exc):
+def no_value(opcode, args, exc):
     """The typed error of a scalar operator without a value for ``args``."""
     shown = ", ".join(display(value) for value in args)
     return ExecutionError(f"{opcode}({shown}) has no value: {exc}")
@@ -95,12 +97,6 @@ _RELATIONAL_NUMPY = {
 }
 
 
-def _logical_broadcast_dims(mcs):
-    rows = max(mc.rows for mc in mcs)
-    cols = max(mc.cols for mc in mcs)
-    return rows, cols
-
-
 def _align_elementwise(sa, sb):
     """Truncate two samples to a numpy-broadcastable common shape.
 
@@ -121,18 +117,24 @@ def _align_elementwise(sa, sb):
     return sa, sb
 
 
-def _binary(opcode, inputs, attrs):
+def _binary(opcode, inputs, attrs, *_):
     a, b = inputs
     if not _is_matrix(a) and not _is_matrix(b):
         try:
             return _scalar_result(scalar_binary(opcode, a, b))
         except SCALAR_FAILURES as exc:
-            raise _no_value(opcode, inputs, exc) from exc
-    matrices = [x for x in (a, b) if _is_matrix(x)]
-    rows, cols = _logical_broadcast_dims([m.mc for m in matrices])
-    sa = _sample(a)
-    sb = _sample(b)
-    sa, sb = _align_elementwise(sa, sb)
+            raise no_value(opcode, inputs, exc) from exc
+    if not _is_matrix(b):
+        sa, sb = a.data, b
+        rows, cols = a.mc.rows, a.mc.cols
+    elif not _is_matrix(a):
+        sa, sb = a, b.data
+        rows, cols = b.mc.rows, b.mc.cols
+    else:
+        sa, sb = a.data, b.data
+        rows, cols = max(a.mc.rows, b.mc.rows), max(a.mc.cols, b.mc.cols)
+        if sa.shape != sb.shape:
+            sa, sb = _align_elementwise(sa, sb)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if opcode in _BINARY_NUMPY:
             out = _zero_nonfinite(_BINARY_NUMPY[opcode](sa, sb))
@@ -161,13 +163,13 @@ _UNARY_NUMPY = {
     "u-": np.negative,
 }
 
-def _cumsum(opcode, inputs, attrs):
+def _cumsum(opcode, inputs, attrs, *_):
     (a,) = inputs
     out = np.cumsum(a.data, axis=0)
     return _matrix_result(out, a.mc.rows, a.mc.cols)
 
 
-def _remove_empty(opcode, inputs, attrs):
+def _remove_empty(opcode, inputs, attrs, *_):
     (a,) = inputs
     data = a.data
     if attrs.get("margin", "rows") == "rows":
@@ -187,13 +189,13 @@ def _remove_empty(opcode, inputs, attrs):
     return _matrix_result(out, a.mc.rows, cols)
 
 
-def _unary(opcode, inputs, attrs):
+def _unary(opcode, inputs, attrs, *_):
     (a,) = inputs
     if not _is_matrix(a):
         try:
             return _scalar_result(SCALAR_UNARY[opcode](a))
         except SCALAR_FAILURES as exc:
-            raise _no_value(opcode, inputs, exc) from exc
+            raise no_value(opcode, inputs, exc) from exc
     if opcode == "!":
         return _matrix_result(
             (np.asarray(a.data) == 0).astype(float), a.mc.rows, a.mc.cols
@@ -217,7 +219,7 @@ def _col_factor(a):
     return (a.mc.cols / srows) if srows else 1.0
 
 
-def _agg_unary(opcode, inputs, attrs):
+def _agg_unary(opcode, inputs, attrs, *_):
     """Aggregates.
 
     Sum-like aggregates (sum, colSums, rowSums, trace) scale by the
@@ -292,7 +294,7 @@ def _align_inner(left, right, l_logical, r_logical, context):
     return left[:, :k], right[:k, :]
 
 
-def _matmult(opcode, inputs, attrs):
+def _matmult(opcode, inputs, attrs, *_):
     a, b = inputs[0], inputs[1]
     if attrs.get("transpose_left"):
         # semantic t(X) %*% v computed without materializing t(X)
@@ -308,13 +310,13 @@ def _matmult(opcode, inputs, attrs):
     return _matrix_result(out, a.mc.rows, b.mc.cols)
 
 
-def _tsmm(opcode, inputs, attrs):
+def _tsmm(opcode, inputs, attrs, *_):
     (x,) = inputs[:1]
     out = x.data.T @ x.data
     return _matrix_result(out, x.mc.cols, x.mc.cols)
 
 
-def _mapmmchain(opcode, inputs, attrs):
+def _mapmmchain(opcode, inputs, attrs, *_):
     x = inputs[0]
     v = inputs[1]
     left, right = _align_inner(
@@ -329,7 +331,7 @@ def _mapmmchain(opcode, inputs, attrs):
     return _matrix_result(out, x.mc.cols, v.mc.cols)
 
 
-def _takpm(opcode, inputs, attrs):
+def _takpm(opcode, inputs, attrs, *_):
     a, b, c = inputs
     value = float(np.sum(a.data * b.data * c.data))
     return _scalar_result(value * _row_factor(a) * _col_factor(a))
@@ -338,12 +340,12 @@ def _takpm(opcode, inputs, attrs):
 # -- reorg / indexing ---------------------------------------------------
 
 
-def _transpose(opcode, inputs, attrs):
+def _transpose(opcode, inputs, attrs, *_):
     (a,) = inputs
     return _matrix_result(a.data.T.copy(), a.mc.cols, a.mc.rows)
 
 
-def _diag(opcode, inputs, attrs):
+def _diag(opcode, inputs, attrs, *_):
     (a,) = inputs
     if a.mc.cols == 1:
         out = np.diagflat(a.data.ravel())
@@ -353,10 +355,16 @@ def _diag(opcode, inputs, attrs):
 
 
 def _as_index(value):
-    return int(round(float(value)))
+    """A runtime index or size as an int; nan and +-inf have none."""
+    index = float(value)
+    if not math.isfinite(index):
+        raise ExecutionError(
+            f"index or size {display(value)} is not a finite number"
+        )
+    return int(round(index))
 
 
-def _rix(opcode, inputs, attrs):
+def _rix(opcode, inputs, attrs, *_):
     target = inputs[0]
     rl, ru, cl, cu = (inputs[1], inputs[2], inputs[3], inputs[4])
     srows, scols = target.data.shape
@@ -386,7 +394,7 @@ def _rix(opcode, inputs, attrs):
     return _matrix_result(out, out_rows, out_cols)
 
 
-def _lix(opcode, inputs, attrs):
+def _lix(opcode, inputs, attrs, *_):
     target, source = inputs[0], inputs[1]
     rl, ru, cl, cu = (inputs[2], inputs[3], inputs[4], inputs[5])
     out = target.data.copy()
@@ -413,6 +421,8 @@ def _lix(opcode, inputs, attrs):
 
 
 def _rand(opcode, inputs, attrs, rng, sample_cap):
+    if rng is None:
+        rng = np.random.default_rng(0)
     params = attrs.get("params", [])
     values = dict(zip(params, inputs))
     rows = _as_index(values.get("rows", 1))
@@ -449,13 +459,13 @@ def _seq(opcode, inputs, attrs, rng, sample_cap):
     try:
         n = seq_length(frm, to, incr)
     except SCALAR_FAILURES as exc:
-        raise _no_value(opcode, (frm, to, incr), exc) from exc
+        raise no_value(opcode, (frm, to, incr), exc) from exc
     srows = sample_rows(n, sample_cap)
     data = (float(frm) + float(incr) * np.arange(srows)).reshape(-1, 1)
     return _matrix_result(data, n, 1)
 
 
-def _ctable(opcode, inputs, attrs):
+def _ctable(opcode, inputs, attrs, *_):
     a, b = inputs[0], inputs[1]
     av = a.data.ravel()
     bv = b.data.ravel()
@@ -474,14 +484,14 @@ def _ctable(opcode, inputs, attrs):
 # -- binds, solve, casts -------------------------------------------------
 
 
-def _cbind(opcode, inputs, attrs):
+def _cbind(opcode, inputs, attrs, *_):
     a, b = inputs
     rows = min(a.data.shape[0], b.data.shape[0])
     out = np.hstack([a.data[:rows], b.data[:rows]])
     return _matrix_result(out, a.mc.rows, a.mc.cols + b.mc.cols)
 
 
-def _rbind(opcode, inputs, attrs, sample_cap):
+def _rbind(opcode, inputs, attrs, rng, sample_cap):
     a, b = inputs
     cols = min(a.data.shape[1], b.data.shape[1])
     out = np.vstack([a.data[:, :cols], b.data[:, :cols]])
@@ -492,7 +502,7 @@ def _rbind(opcode, inputs, attrs, sample_cap):
     return _matrix_result(out, rows, a.mc.cols)
 
 
-def _solve(opcode, inputs, attrs):
+def _solve(opcode, inputs, attrs, *_):
     a, b = inputs
     try:
         from scipy import linalg as scipy_linalg
@@ -503,7 +513,7 @@ def _solve(opcode, inputs, attrs):
     return _matrix_result(out, a.mc.cols, b.mc.cols)
 
 
-def _cast(opcode, inputs, attrs):
+def _cast(opcode, inputs, attrs, *_):
     (a,) = inputs
     if opcode == "castdts":
         return _scalar_result(float(np.asarray(_sample(a)).ravel()[0]))
@@ -512,10 +522,10 @@ def _cast(opcode, inputs, attrs):
             return _matrix_result(np.array([[float(a)]]), 1, 1)
         return _scalar_result(SCALAR_UNARY[opcode](a))
     except SCALAR_FAILURES as exc:
-        raise _no_value(opcode, inputs, exc) from exc
+        raise no_value(opcode, inputs, exc) from exc
 
 
-def _metadata(opcode, inputs, attrs):
+def _metadata(opcode, inputs, attrs, *_):
     (a,) = inputs
     if opcode == "nrow":
         return _scalar_result(a.mc.rows)
@@ -528,12 +538,20 @@ def _metadata(opcode, inputs, attrs):
 
 # -- dispatch ------------------------------------------------------------
 
-_SIMPLE_KERNELS = {}
-for _op in list(_BINARY_NUMPY) + list(_RELATIONAL_NUMPY) + ["&", "|"]:
-    _SIMPLE_KERNELS[_op] = _binary
-for _op in list(_UNARY_NUMPY) + ["!"]:
-    _SIMPLE_KERNELS[_op] = _unary
-_SIMPLE_KERNELS.update(
+#: the opcodes of the elementwise binary kernel (``scalar_binary``'s on
+#: scalar operands)
+ELEMENTWISE_BINARY = (*_BINARY_NUMPY, *_RELATIONAL_NUMPY, "&", "|")
+
+
+def _no_kernel(opcode, *_):
+    raise ExecutionError(f"no kernel for opcode {opcode!r}")
+
+
+#: the one opcode -> kernel table; every kernel is called as
+#: ``kernel(opcode, inputs, attrs, rng, sample_cap)``
+KERNELS = dict.fromkeys(ELEMENTWISE_BINARY, _binary)
+KERNELS.update(dict.fromkeys((*_UNARY_NUMPY, "!"), _unary))
+KERNELS.update(
     {
         "ba+*": _matmult,
         "ucumk+": _cumsum,
@@ -545,8 +563,11 @@ _SIMPLE_KERNELS.update(
         "rdiag": _diag,
         "rix": _rix,
         "lix": _lix,
+        "rand": _rand,
+        "seq": _seq,
         "ctable": _ctable,
         "cbind": _cbind,
+        "rbind": _rbind,
         "solve": _solve,
         "castdts": _cast,
         "castdtm": _cast,
@@ -558,10 +579,12 @@ _SIMPLE_KERNELS.update(
         "length": _metadata,
     }
 )
-for _op in ("ua+", "uamean", "uamax", "uamin", "uatrace",
-            "uar+", "uarmean", "uarmax", "uarmin", "uarimax",
-            "uac+", "uacmean", "uacmax", "uacmin"):
-    _SIMPLE_KERNELS[_op] = _agg_unary
+KERNELS.update(dict.fromkeys(
+    ("ua+", "uamean", "uamax", "uamin", "uatrace",
+     "uar+", "uarmean", "uarmax", "uarmin", "uarimax",
+     "uac+", "uacmean", "uacmax", "uacmin"),
+    _agg_unary,
+))
 
 
 def execute_kernel(opcode, inputs, attrs=None, rng=None, sample_cap=2048):
@@ -571,15 +594,9 @@ def execute_kernel(opcode, inputs, attrs=None, rng=None, sample_cap=2048):
     scalars.  Returns ``("matrix", sample, mc)`` or ``("scalar", value,
     None)``.
     """
-    attrs = attrs or {}
-    if opcode == "rand":
-        rng = rng or np.random.default_rng(0)
-        return _rand(opcode, inputs, attrs, rng, sample_cap)
-    if opcode == "seq":
-        return _seq(opcode, inputs, attrs, rng, sample_cap)
-    if opcode == "rbind":
-        return _rbind(opcode, inputs, attrs, sample_cap)
-    kernel = _SIMPLE_KERNELS.get(opcode)
-    if kernel is None:
-        raise ExecutionError(f"no kernel for opcode {opcode!r}")
-    return kernel(opcode, inputs, attrs)
+    return kernel_for(opcode)(opcode, inputs, attrs or {}, rng, sample_cap)
+
+
+def kernel_for(opcode):
+    """The kernel of ``opcode``; one that raises if it has none."""
+    return KERNELS.get(opcode, _no_kernel)
