@@ -62,12 +62,9 @@ class CPInstruction:
     )
     in_mcs: list = field(default_factory=list)
     out_is_matrix: bool = False
-    #: the executor this instruction runs through
-    #: (:func:`repro.runtime.interpreter.bind`), fixed at construction
-    bound: object = field(default=None, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
+        #: what this instruction runs through, bound at construction
         self.bound = _bind(self.opcode)
 
     def __str__(self):
@@ -100,8 +97,6 @@ class MRJobInstruction:
     output_vars: list = field(default_factory=list)
     extra_job_latency: int = 0
     block_id: int = 0
-    bound: object = field(default=None, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         self.bound = _bind("mr_job")
@@ -132,10 +127,9 @@ class BlockPlan:
     num_mr_jobs: int = 0
     #: structural identity for plan-signature memoization (see above)
     signature: int = field(default_factory=lambda: next(_plan_signatures))
-    #: the temporaries this plan writes, dropped after it ran
-    kill: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        #: the temporaries this plan writes, dropped after it ran
         self.kill = kill_set(self.instructions)
 
     def mr_jobs(self):
@@ -147,36 +141,27 @@ class PredicatePlan:
     instructions: list = field(default_factory=list)
     result: Operand = None
     signature: int = field(default_factory=lambda: next(_plan_signatures))
-    kill: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.kill = kill_set(self.instructions)
 
 
 def kill_set(instructions):
-    """The ``_mVar`` temporaries that ``instructions`` write into their
-    frame: CP and ``fcall`` outputs, MR step and job outputs.  No later
-    block reads them, so the interpreter drops exactly these names after
-    the plan ran (rmvar)."""
+    """The ``_mVar`` temporaries ``instructions`` write (CP, ``fcall``
+    and MR step outputs); the interpreter drops them after the plan ran
+    (rmvar)."""
     names = []
     for ins in instructions:
         if isinstance(ins, MRJobInstruction):
-            names.extend(step.output for step in ins.steps)
-            names.extend(ins.output_vars)
+            names += [step.output for step in ins.steps]
         else:
-            names.append(ins.output)
-            if ins.opcode == "fcall":
-                names.extend(ins.attrs["outputs"])
+            names += [ins.output, *ins.attrs.get("outputs", ())]
     return tuple(dict.fromkeys(
-        name for name in names
-        if name is not None and name.startswith("_mVar")
-    ))
+        name for name in names if name and name.startswith("_mVar")))
 
 
 def _bind(opcode):
-    # the runtime imports this module, so its dispatch table is looked
-    # up here rather than at import
-    from repro.runtime.interpreter import bind
+    from repro.runtime.interpreter import bind  # it imports this module
 
     return bind(opcode)
 
@@ -381,27 +366,17 @@ class _PlanGenerator:
             )
         opcode = semantic_opcode(hop)
         inputs = _effective_inputs(hop)
+        attrs = _hop_attrs(hop)
         if isinstance(hop, H.AggBinaryOp) and hop.method == "tsmm":
             opcode = "tsmm"
         elif isinstance(hop, H.AggBinaryOp) and hop.method == "mapmmchain":
             opcode = "mapmmchain"
-            attrs = _hop_attrs(hop)
             attrs["chain"] = "XtwXv" if len(inputs) == 3 else "XtXv"
-            return CPInstruction(
-                opcode=opcode,
-                inputs=[self.operand(inp) for inp in inputs],
-                output=_temp_name(hop),
-                attrs=attrs,
-                hop_id=hop.hop_id,
-                out_mc=hop.mc.copy(),
-                in_mcs=[inp.mc.copy() for inp in inputs],
-                out_is_matrix=hop.is_matrix,
-            )
         return CPInstruction(
             opcode=opcode,
             inputs=[self.operand(inp) for inp in inputs],
             output=_temp_name(hop),
-            attrs=_hop_attrs(hop),
+            attrs=attrs,
             hop_id=hop.hop_id,
             out_mc=hop.mc.copy(),
             in_mcs=[inp.mc.copy() for inp in inputs],

@@ -14,20 +14,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.chaos import FaultKind
-from repro.common import (
-    SCALAR_FAILURES,
-    SCALAR_UNARY,
-    DataType,
-    FileFormat,
-    MatrixCharacteristics,
-    display,
-    scalar_binary,
-)
+from repro.common import (SCALAR_FAILURES, SCALAR_UNARY, DataType,
+                          FileFormat, MatrixCharacteristics, display,
+                          scalar_binary)
 from repro.compiler import replay
 from repro.compiler import statement_blocks as SB
 from repro.compiler.recompile import make_env_from_states, recompile_block
@@ -46,13 +41,8 @@ from repro.errors import (
 from repro.obs import NULL_TRACER, get_tracer
 from repro.runtime.bufferpool import BufferPool
 from repro.runtime.hdfs import SimulatedHDFS
-from repro.runtime.kernels import (
-    ELEMENTWISE_BINARY,
-    KERNELS,
-    execute_kernel,
-    kernel_for,
-    no_value,
-)
+from repro.runtime.kernels import (ELEMENTWISE_BINARY, KERNELS,
+                                   execute_kernel, no_value)
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP, MatrixObject
 
 #: safety bound on the iterations of one while or for loop in simulated
@@ -318,13 +308,10 @@ class Interpreter:
                         f"while loop exceeded {MAX_LOOP_ITERATIONS} iterations"
                     )
         elif isinstance(block, SB.ForBlock):
-            frm = self._eval_holder(block.from_holder, frame)
-            to = self._eval_holder(block.to_holder, frame)
-            incr = (
-                self._eval_holder(block.incr_holder, frame)
-                if block.incr_holder is not None
-                else 1
-            )
+            frm = self._eval_predicate_value(block.from_holder, frame)
+            to = self._eval_predicate_value(block.to_holder, frame)
+            incr = (self._eval_predicate_value(block.incr_holder, frame)
+                    if block.incr_holder is not None else 1)
             _check_for_bounds(frm, to, incr)
             start_clock = self.clock
             value = frm
@@ -355,13 +342,8 @@ class Interpreter:
         )
         self.charge(0.1 * dop, "parfor_overhead")
 
-    def _eval_holder(self, holder, frame):
-        value = self._eval_predicate_value(holder, frame)
-        return value
-
     def _eval_predicate(self, holder, frame):
-        value = self._eval_predicate_value(holder, frame)
-        return bool(value)
+        return bool(self._eval_predicate_value(holder, frame))
 
     def _eval_predicate_value(self, holder, frame):
         plan = getattr(holder, "plan", None)
@@ -469,11 +451,8 @@ class Interpreter:
             if isinstance(value, MatrixObject):
                 states[name] = (DataType.MATRIX, value.mc, None)
             elif isinstance(value, (bool, int, float, str)):
-                states[name] = (
-                    DataType.SCALAR,
-                    MatrixCharacteristics(0, 0, 0),
-                    value,
-                )
+                states[name] = (DataType.SCALAR,
+                                MatrixCharacteristics(0, 0, 0), value)
         return states
 
     # -- HDFS reads under fault injection -------------------------------
@@ -516,11 +495,7 @@ class Interpreter:
                 )
             return obj
 
-    # -- CP instruction execution ---------------------------------------
-    #
-    # Plan generation binds every instruction to the executor of its
-    # opcode family (:func:`bind`); an executor is called as
-    # ``executor(interpreter, instruction, frame)``.
+    # -- CP instruction execution: the executors :func:`bind` binds ------
 
     def _exec_cp(self, ins, frame):
         ins.bound.execute(self, ins, frame)
@@ -529,8 +504,7 @@ class Interpreter:
         obj = self._read_hdfs_input(ins.attrs["fname"])
         obj.in_memory = False  # lazy: charged on first CP access
         obj.dirty = False
-        fmt = ins.attrs.get("format")
-        if fmt in ("text", "csv"):
+        if ins.attrs.get("format") in ("text", "csv"):
             obj.fmt = FileFormat.CSV
         frame[ins.output] = obj
 
@@ -541,11 +515,8 @@ class Interpreter:
         value = _value(ins.inputs[0], frame)
         if not isinstance(value, MatrixObject):
             raise ExecutionError("write() requires a matrix input")
-        fmt = (
-            FileFormat.CSV
-            if ins.attrs.get("format") in ("text", "csv")
-            else FileFormat.BINARY_BLOCK
-        )
+        csv = ins.attrs.get("format") in ("text", "csv")
+        fmt = FileFormat.CSV if csv else FileFormat.BINARY_BLOCK
         self.pool.pin(value)
         seconds = io_model.hdfs_write_time(value.mc, self.params, fmt)
         self.charge(seconds, "write")
@@ -584,34 +555,18 @@ class Interpreter:
         else:
             frame[ins.output] = payload
 
-    def _exec_binary(self, ins, frame):
-        """An elementwise binary operator; on two scalars it is
-        ``scalar_binary`` at the flop count fixed when it was bound."""
-        (left, right) = ins.inputs
-        a = _value(left, frame)
-        b = _value(right, frame)
-        if isinstance(a, MatrixObject) or isinstance(b, MatrixObject):
-            self._exec_kernel(ins, frame, [a, b])
-            return
+    def _exec_elementwise(self, ins, frame):
+        """On scalars, the operator's scalar function at the flop count
+        fixed when it was bound; on a matrix, its kernel."""
+        values = _values(ins.inputs, frame)
+        for value in values:
+            if isinstance(value, MatrixObject):
+                self._exec_kernel(ins, frame, values)
+                return
         try:
-            value = scalar_binary(ins.opcode, a, b)
+            value = ins.bound.scalar(*values)
         except SCALAR_FAILURES as exc:
-            raise no_value(ins.opcode, (a, b), exc) from exc
-        self._charge_cp(ins.bound.flops)
-        frame[ins.output] = value
-
-    def _exec_unary(self, ins, frame):
-        """A unary operator; on a scalar it is its ``SCALAR_UNARY``
-        function at the flop count fixed when it was bound."""
-        (operand,) = ins.inputs
-        a = _value(operand, frame)
-        if isinstance(a, MatrixObject):
-            self._exec_kernel(ins, frame, [a])
-            return
-        try:
-            value = ins.bound.scalar(a)
-        except SCALAR_FAILURES as exc:
-            raise no_value(ins.opcode, (a,), exc) from exc
+            raise no_value(ins.opcode, values, exc) from exc
         self._charge_cp(ins.bound.flops)
         frame[ins.output] = value
 
@@ -626,9 +581,7 @@ class Interpreter:
         if func is None:
             raise ExecutionError(f"unknown function {ins.attrs['func']!r}")
         values = _values(ins.inputs, frame)
-        fframe = {}
-        for param, value in zip(func.inputs, values):
-            fframe[param.name] = value
+        fframe = {param.name: value for param, value in zip(func.inputs, values)}
         self._frames.append(fframe)
         try:
             self._exec_blocks(func.blocks, fframe)
@@ -714,14 +667,10 @@ class Interpreter:
         tracer = self._tracer
         if tracer.enabled:
             tracer.incr("runtime.mr_jobs")
-            tracer.incr("mr.phase.latency_s", timing.latency)
-            tracer.incr("mr.phase.map_read_s", timing.map_read)
-            tracer.incr("mr.phase.broadcast_read_s", timing.broadcast_read)
-            tracer.incr("mr.phase.map_compute_s", timing.map_compute)
-            tracer.incr("mr.phase.map_write_s", timing.map_write)
-            tracer.incr("mr.phase.shuffle_s", timing.shuffle)
-            tracer.incr("mr.phase.reduce_compute_s", timing.reduce_compute)
-            tracer.incr("mr.phase.reduce_write_s", timing.reduce_write)
+            for phase in ("latency", "map_read", "broadcast_read",
+                          "map_compute", "map_write", "shuffle",
+                          "reduce_compute", "reduce_write"):
+                tracer.incr(f"mr.phase.{phase}_s", getattr(timing, phase))
             # map tasks stream the job inputs from HDFS
             for name in job.input_vars:
                 value = frame.get(name)
@@ -861,10 +810,8 @@ def _value(operand, frame):
 
 def _values(operands, frame):
     try:
-        return [
-            literal if name is None else frame[name]
-            for name, literal in operands
-        ]
+        return [literal if name is None else frame[name]
+                for name, literal in operands]
     except KeyError as exc:
         raise ExecutionError(f"undefined variable {exc.args[0]!r}") from None
 
@@ -872,8 +819,6 @@ def _values(operands, frame):
 def _peak_mem_estimate(block):
     """Largest operation memory estimate (MB) in a block's HOP DAG — the
     size knowledge a dynamic recompile refreshes."""
-    import math
-
     from repro.compiler import hops as H
 
     peak = 0.0
@@ -885,14 +830,11 @@ def _peak_mem_estimate(block):
 
 
 def _check_for_bounds(frm, to, incr):
-    """A for loop's bounds, evaluated once, must be finite and give at
-    most :data:`MAX_LOOP_ITERATIONS` iterations; it has
-    ``floor((to - frm) / incr) + 1`` of them."""
+    """A for loop runs ``floor((to - frm) / incr) + 1`` times over its
+    bounds, evaluated once: finite, and at most MAX_LOOP_ITERATIONS."""
     for bound in (frm, to, incr):
         if isinstance(bound, float) and not math.isfinite(bound):
-            raise ExecutionError(
-                f"for loop bound {display(bound)} is not a finite number"
-            )
+            raise ExecutionError(f"for loop bound {display(bound)} is not finite")
     if incr != 0 and (to - frm) / incr >= MAX_LOOP_ITERATIONS:
         raise ExecutionError(
             f"for loop from {display(frm)} to {display(to)} by "
@@ -900,57 +842,36 @@ def _check_for_bounds(frm, to, incr):
         )
 
 
-# -- bound dispatch -----------------------------------------------------------
-
-
 class Binding(NamedTuple):
-    """What an instruction is bound to when its plan is generated: the
-    executor of its opcode family, the opcode's kernel and, for a scalar
-    operator, its scalar function and flop count.  One binding per
-    opcode, shared by every instruction of that opcode."""
+    """What plan generation binds an instruction to (one per opcode): its
+    executor, kernel and, for a scalar operator, function and flops."""
 
     execute: object
-    kernel: object = None
+    kernel: object = execute_kernel
     scalar: object = None
     flops: float = None
 
 
-def _scalar_flops(opcode):
-    # operation_flops reads no attrs of an elementwise opcode, so the
-    # count is the opcode's alone
-    return operation_flops(opcode, MatrixCharacteristics(0, 0, 0), [], {})
+def _elementwise(opcode, scalar):
+    # operation_flops reads no attrs of an elementwise opcode
+    flops = operation_flops(opcode, _SCALAR_MC, [], {})
+    return Binding(Interpreter._exec_elementwise, KERNELS[opcode], scalar,
+                   flops)
 
 
-_BINDINGS = {
-    opcode: Binding(Interpreter._exec_kernel, kernel)
-    for opcode, kernel in KERNELS.items()
-}
-_BINDINGS.update(
-    (opcode, Binding(Interpreter._exec_binary, KERNELS[opcode],
-                     scalar_binary, _scalar_flops(opcode)))
-    for opcode in ELEMENTWISE_BINARY
-)
-_BINDINGS.update(
-    (opcode, Binding(Interpreter._exec_unary, KERNELS[opcode], scalar,
-                     _scalar_flops(opcode)))
-    for opcode, scalar in SCALAR_UNARY.items()
-)
-_BINDINGS.update(
-    createvar=Binding(Interpreter._exec_createvar),
-    mvvar=Binding(Interpreter._exec_mvvar),
-    write=Binding(Interpreter._exec_write),
-    print=Binding(Interpreter._exec_print),
-    stop=Binding(Interpreter._exec_stop),
-    fcall=Binding(Interpreter._exec_fcall),
-    mr_job=Binding(Interpreter._exec_mr_job),
-)
+_BINDINGS = {op: Binding(Interpreter._exec_kernel, kernel)
+             for op, kernel in KERNELS.items()}
+_BINDINGS.update((op, _elementwise(op, partial(scalar_binary, op)))
+                 for op in ELEMENTWISE_BINARY)
+_BINDINGS.update((op, _elementwise(op, scalar))
+                 for op, scalar in SCALAR_UNARY.items())
+for _op in ("createvar", "mvvar", "write", "print", "stop", "fcall",
+            "mr_job"):
+    _BINDINGS[_op] = Binding(getattr(Interpreter, f"_exec_{_op}"))
 
 
 def bind(opcode):
-    """The :class:`Binding` of an instruction with ``opcode`` (an MR job
-    instruction's is ``"mr_job"``); an opcode without a kernel fails
-    when it runs, as :func:`~repro.runtime.kernels.execute_kernel` does."""
-    binding = _BINDINGS.get(opcode)
-    if binding is None:
-        binding = Binding(Interpreter._exec_kernel, kernel_for(opcode))
-    return binding
+    """The :class:`Binding` of an instruction with ``opcode`` (``"mr_job"``
+    for an MR job); one without a kernel fails when it runs, in
+    :func:`~repro.runtime.kernels.execute_kernel`."""
+    return _BINDINGS.get(opcode) or Binding(Interpreter._exec_kernel)

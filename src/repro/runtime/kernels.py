@@ -55,10 +55,6 @@ def _is_matrix(value):
     return isinstance(value, MatrixObject)
 
 
-def _sample(value):
-    return value.data if _is_matrix(value) else value
-
-
 def _zero_nonfinite(out):
     """``np.nan_to_num(out, copy=False, posinf=0.0, neginf=0.0)`` for an
     elementwise result: nan and +-inf become 0.0 in place, every finite
@@ -104,8 +100,6 @@ def _align_elementwise(sa, sb):
     artifact of appends/binds), both are truncated to the shorter side;
     singleton axes broadcast as usual.
     """
-    if not hasattr(sa, "shape") or not hasattr(sb, "shape"):
-        return sa, sb
     ra, ca = sa.shape
     rb, cb = sb.shape
     if ra != rb and min(ra, rb) > 1:
@@ -358,9 +352,7 @@ def _as_index(value):
     """A runtime index or size as an int; nan and +-inf have none."""
     index = float(value)
     if not math.isfinite(index):
-        raise ExecutionError(
-            f"index or size {display(value)} is not a finite number"
-        )
+        raise ExecutionError(f"index or size {display(value)} is not finite")
     return int(round(index))
 
 
@@ -516,7 +508,8 @@ def _solve(opcode, inputs, attrs, *_):
 def _cast(opcode, inputs, attrs, *_):
     (a,) = inputs
     if opcode == "castdts":
-        return _scalar_result(float(np.asarray(_sample(a)).ravel()[0]))
+        value = a.data if _is_matrix(a) else a
+        return _scalar_result(float(np.asarray(value).ravel()[0]))
     try:
         if opcode == "castdtm":
             return _matrix_result(np.array([[float(a)]]), 1, 1)
@@ -569,16 +562,12 @@ KERNELS.update(
         "cbind": _cbind,
         "rbind": _rbind,
         "solve": _solve,
-        "castdts": _cast,
-        "castdtm": _cast,
-        "castvtd": _cast,
-        "castvti": _cast,
-        "castvtb": _cast,
-        "nrow": _metadata,
-        "ncol": _metadata,
-        "length": _metadata,
     }
 )
+KERNELS.update(dict.fromkeys(
+    ("castdts", "castdtm", "castvtd", "castvti", "castvtb"), _cast
+))
+KERNELS.update(dict.fromkeys(("nrow", "ncol", "length"), _metadata))
 KERNELS.update(dict.fromkeys(
     ("ua+", "uamean", "uamax", "uamin", "uatrace",
      "uar+", "uarmean", "uarmax", "uarmin", "uarimax",
@@ -594,9 +583,5 @@ def execute_kernel(opcode, inputs, attrs=None, rng=None, sample_cap=2048):
     scalars.  Returns ``("matrix", sample, mc)`` or ``("scalar", value,
     None)``.
     """
-    return kernel_for(opcode)(opcode, inputs, attrs or {}, rng, sample_cap)
-
-
-def kernel_for(opcode):
-    """The kernel of ``opcode``; one that raises if it has none."""
-    return KERNELS.get(opcode, _no_kernel)
+    kernel = KERNELS.get(opcode, _no_kernel)
+    return kernel(opcode, inputs, attrs or {}, rng, sample_cap)

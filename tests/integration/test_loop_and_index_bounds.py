@@ -36,10 +36,10 @@ def counted_for(trips):
 
 #: (script, message)
 FAILING = [
-    (NONFINITE_FOR, r"for loop bound inf is not a finite number"),
+    (NONFINITE_FOR, r"for loop bound inf is not finite"),
     (counted_for(MAX_LOOP_ITERATIONS + 1),
      r"for loop from 1 to 1001 by 1 exceeds 1000 iterations"),
-    (NONFINITE_INDEX, r"index or size inf is not a finite number"),
+    (NONFINITE_INDEX, r"index or size inf is not finite"),
 ]
 FAILING_IDS = ["nonfinite-for", "long-for", "nonfinite-index"]
 
@@ -84,8 +84,8 @@ class TestBoundedLoopsAndIndices:
 
     @pytest.mark.parametrize(
         "source,line",
-        [(NONFINITE_FOR, "error: for loop bound inf is not a finite number"),
-         (NONFINITE_INDEX, "error: index or size inf is not a finite number")],
+        [(NONFINITE_FOR, "error: for loop bound inf is not finite"),
+         (NONFINITE_INDEX, "error: index or size inf is not finite")],
         ids=["nonfinite-for", "nonfinite-index"],
     )
     def test_cli_exits_2_with_one_error_line(self, tmp_path, source, line):

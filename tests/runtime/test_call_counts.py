@@ -23,8 +23,8 @@ RECORDED_NUMPY = "2.4"
 #: calls per warm run with the bound dispatch (LinregCG 11 190 and
 #: L2SVM 50 739 before it); the ceiling is 1 % above
 RECORDED_CALLS = {
-    "LinregCG": 7_527,
-    "L2SVM": 31_572,
+    "LinregCG": 7_518,
+    "L2SVM": 31_547,
 }
 
 pytestmark = [
