@@ -13,8 +13,8 @@ Invariants asserted on every run (CI-safe at any CPU count):
 * **byte-identical determinism** — every tenant's simulated result
   (total time, MR jobs, prints, chosen configuration) equals the same
   run on a private single-tenant ``ElasticMLSession`` with the same
-  seed, for both admission policies, with caches on or off, and at
-  every shard count of the multi-process front end;
+  seed, with caches on or off, and at every shard count of the
+  multi-process front end;
 * cache sharing actually engages (hits > 0) in the shared arm.
 
 The sharded section queues ``--sharded-tenants`` (>= 1000 by default)
@@ -39,8 +39,6 @@ import time
 from repro.api import ElasticMLSession, SessionConfig
 from repro.serving import (
     ElasticMLServer,
-    HeapRulePolicy,
-    PackingPolicy,
     ShardedElasticMLServer,
     Submission,
     default_serving_workers,
@@ -82,14 +80,13 @@ def serial_references(config):
     return references
 
 
-def run_arm(label, tenants, policy, config, references, tenant_pool=16,
+def run_arm(label, tenants, config, references, tenant_pool=16,
             workers=None):
     if workers is None:
         workers = default_serving_workers()
     server = ElasticMLServer(
         sample_cap=SAMPLE_CAP,
         config=config,
-        policy=policy,
         max_workers=workers,
         queue_limit=max(tenants, 1024),
         trace=True,
@@ -129,7 +126,6 @@ def run_arm(label, tenants, policy, config, references, tenant_pool=16,
     stats = server.stats()
     return {
         "label": label,
-        "policy": policy.name,
         "tenants": tenants,
         "workers": workers,
         "wall_s": round(elapsed, 3),
@@ -158,21 +154,21 @@ def run_arm(label, tenants, policy, config, references, tenant_pool=16,
 
 
 def run_sharded_arm(label, tenants, shards, config, references,
-                    tenant_pool=64, workers=None, policy="heap-rule"):
+                    tenant_pool=64, workers=None):
     """One >=1000-tenant arm through the multi-process front end (or,
     with ``shards=0``, the single-process baseline at the same scale).
     Returns the arm record plus the canonical per-submission results so
     the caller can assert identity across shard counts."""
     if shards == 0:
         server = ElasticMLServer(
-            sample_cap=SAMPLE_CAP, config=config, policy=policy,
+            sample_cap=SAMPLE_CAP, config=config,
             max_workers=workers, queue_limit=max(tenants, 1024),
             trace=True,
         )
     else:
         server = ShardedElasticMLServer(
             shards=shards, sample_cap=SAMPLE_CAP, config=config,
-            policy=policy, max_workers=workers,
+            max_workers=workers,
             queue_limit=max(tenants, 1024), trace=True,
         )
     prepared = {
@@ -210,7 +206,6 @@ def run_sharded_arm(label, tenants, shards, config, references,
     latencies = sorted(r.latency_s for r in results)
     arm = {
         "label": label,
-        "policy": policy,
         "shards": shards,
         "tenants": tenants,
         "workers": workers,
@@ -270,15 +265,12 @@ def main(argv=None):
     )
 
     arms = [
-        run_arm("shared-caches/heap-rule", args.tenants, HeapRulePolicy(),
-                shared_config, references, workers=args.threads),
-        run_arm("shared-caches/packing", args.tenants, PackingPolicy(),
-                shared_config, references, workers=args.threads),
-        run_arm("no-cache-sharing/heap-rule", args.tenants,
-                HeapRulePolicy(), unshared_config, references,
+        run_arm("shared-caches", args.tenants, shared_config, references,
                 workers=args.threads),
+        run_arm("no-cache-sharing", args.tenants, unshared_config,
+                references, workers=args.threads),
     ]
-    shared, _, unshared = arms
+    shared, unshared = arms
     assert shared["caches"]["optimizer_hits"] > 0, (
         "shared arm never hit the optimizer cache"
     )
@@ -370,7 +362,7 @@ def main(argv=None):
         print(f"{arm['label']:28} {arm['throughput_rps']:8.1f} "
               f"{arm['latency_p50_s']:8.3f} {arm['latency_p95_s']:8.3f} "
               f"{'':>9}")
-    total = 3 * args.tenants + (1 + len(shard_counts)) * (
+    total = len(arms) * args.tenants + (1 + len(shard_counts)) * (
         args.sharded_tenants
     )
     print(f"\nall {total} tenant results byte-identical to "

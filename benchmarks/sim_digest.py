@@ -7,14 +7,16 @@ total simulated time, time breakdown, MR-job, eviction, migration and
 recompilation counts, prints, the optimizer's configuration and cost,
 and the final configuration.  Per-block MR heaps are listed by block
 position, since block ids are stamped per process.  The canonical JSON
-of all 84 records is hashed.
+of all 84 records is hashed; the digest file also keeps one short hash
+per program, so a check that fails names the programs that moved.
 
 The digest pins "serving unchanged": a change that moves a simulated
 second, a counter, a print or a chosen configuration of any of these
 programs changes it.  It must not depend on ``PYTHONHASHSEED``.
 
     python benchmarks/sim_digest.py           # print and write the digest
-    python benchmarks/sim_digest.py --check   # exit 1 unless it matches
+    python benchmarks/sim_digest.py --check   # exit 1 unless it matches;
+                                              # names each moved program
 
 No ``PYTHONPATH`` is needed: this checkout's ``src/`` is put first.
 """
@@ -92,6 +94,19 @@ def digest(recs):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def program_digests(recs):
+    """program label -> the first 16 hex digits of its record's hash."""
+    return {rec["program"]: digest(rec)[:16] for rec in recs}
+
+
+def read_digest_file():
+    """(total digest, {program label: short hash}) as checked in."""
+    total, *lines = DIGEST_FILE.read_text().splitlines()
+    return total.split()[0], dict(
+        reversed(line.split()) for line in lines if line.strip()
+    )
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -101,14 +116,26 @@ def main(argv=None):
     recs = records()
     value = digest(recs)
     print(f"{len(recs)} programs  sha256 {value}")
+    per_program = program_digests(recs)
     if args.check:
-        expected = DIGEST_FILE.read_text().split()[0]
+        expected, expected_programs = read_digest_file()
+        moved = [
+            label for label, short in per_program.items()
+            if expected_programs.get(label) != short
+        ]
+        for label in moved:
+            print(f"  moved: {label}")
         if value != expected:
             print(f"DIFFERS from the checked-in {expected}")
             return 1
         print("matches the checked-in digest")
         return 0
-    DIGEST_FILE.write_text(f"{value}  {len(recs)} serve_cold programs\n")
+    DIGEST_FILE.write_text(
+        f"{value}  {len(recs)} serve_cold programs\n"
+        + "".join(
+            f"{short}  {label}\n" for label, short in per_program.items()
+        )
+    )
     print(f"wrote {DIGEST_FILE}")
     return 0
 

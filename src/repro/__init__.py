@@ -70,14 +70,13 @@ from repro.serving import (
     ConsistentHashRouter,
     ElasticMLServer,
     HeapRulePolicy,
-    PackingPolicy,
     ShardedElasticMLServer,
     Submission,
     SubmissionResult,
 )
 from repro.workloads import prepare_inputs, scenario
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "ElasticMLSession",
@@ -87,7 +86,6 @@ __all__ = [
     "ConsistentHashRouter",
     "ElasticMLServer",
     "HeapRulePolicy",
-    "PackingPolicy",
     "ShardedElasticMLServer",
     "Submission",
     "SubmissionResult",

@@ -67,8 +67,9 @@ class AdmissionPolicy:
     def select(self, waiting, rm):
         raise NotImplementedError
 
+    # the core never calls it; benchmarks/e2e/layers.py still does
     def admitted(self, request):
-        """Hook invoked after ``request`` was granted its container."""
+        """No-op: a request was granted its container."""
 
 
 class HeapRulePolicy(AdmissionPolicy):
@@ -172,7 +173,6 @@ class AdmissionCore:
                     return
                 containers.append(container)
             del self.waiting[request.ticket]
-            self.policy.admitted(request)
             yield request, containers
 
     def release(self, containers):

@@ -666,7 +666,10 @@ class CostModel:
             vstate = state.get(name)
             return vstate.fmt if vstate is not None else FileFormat.BINARY_BLOCK
 
-        timing = time_mr_job(job, mc_of, fmt_of, resource, self.cluster, params)
+        step_mcs = [(step.out_mc, step.in_mcs) for step in job.steps]
+        timing = time_mr_job(
+            job, step_mcs, mc_of, fmt_of, resource, self.cluster, params
+        )
         total += timing.total
         if self.component_totals is not None:
             self._add_component("hdfs_read", timing.map_read)

@@ -75,13 +75,15 @@ def job_input_bytes(job, mc_of, fmt_of):
     return input_bytes
 
 
-def time_mr_job(job, mc_of, fmt_of, resource, cluster, params):
+def time_mr_job(job, step_mcs, mc_of, fmt_of, resource, cluster, params):
     """Estimate the execution time of one MR job.
 
-    ``mc_of(name)`` returns the :class:`MatrixCharacteristics` of a job
-    input/broadcast variable (compile-time or actual); ``fmt_of(name)``
-    its file format.  Step output characteristics come from the step
-    snapshots, which dynamic recompilation refreshes.
+    ``step_mcs`` holds ``(out_mc, in_mcs)`` per step of ``job``, in
+    order: the step snapshots (which dynamic recompilation refreshes)
+    or the ones a run measured.  ``mc_of(name)`` returns the
+    :class:`MatrixCharacteristics` of a job input/broadcast variable
+    (compile-time or actual); ``fmt_of(name)`` its file format.  Nothing
+    here writes ``job``: a plan may be shared by concurrent runs.
     """
     timing = MRJobTiming()
     mr_heap = resource.mr_heap_for_block(job.block_id)
@@ -119,32 +121,32 @@ def time_mr_job(job, mc_of, fmt_of, resource, cluster, params):
     reduce_flops = 0.0
     shuffle_bytes = 0.0
     reducers = min(cluster.num_reducers, max(1, n_tasks))
-    for step in job.steps:
-        flops = operation_flops(step.opcode, step.out_mc, step.in_mcs, step.attrs)
+    for step, (out_mc, in_mcs) in zip(job.steps, step_mcs):
+        flops = operation_flops(step.opcode, out_mc, in_mcs, step.attrs)
         if step.phase is Phase.MAP:
             map_flops += flops
-            if step.output in job.output_vars and step.out_mc.dims_known:
+            if step.output in job.output_vars and out_mc.dims_known:
                 timing.map_write += io_model.hdfs_write_time(
-                    step.out_mc, params, parallelism=eff_dop
+                    out_mc, params, parallelism=eff_dop
                 )
         elif step.phase is Phase.SHUFFLE:
             map_flops += flops
-            for mc in step.in_mcs:
+            for mc in in_mcs:
                 if mc.dims_known and mc.cells and mc.cells > 0:
                     shuffle_bytes += io_model.serialized_bytes(mc)
-            if step.output in job.output_vars and step.out_mc.dims_known:
+            if step.output in job.output_vars and out_mc.dims_known:
                 timing.reduce_write += io_model.hdfs_write_time(
-                    step.out_mc, params, parallelism=reducers
+                    out_mc, params, parallelism=reducers
                 )
         else:  # REDUCE
             reduce_flops += flops
-            if step.method in _AGG_METHODS and step.out_mc.dims_known:
+            if step.method in _AGG_METHODS and out_mc.dims_known:
                 partials = min(n_tasks, _AGG_PARTIAL_CAP)
-                shuffle_bytes += io_model.serialized_bytes(step.out_mc) * partials
-                reduce_flops += (step.out_mc.cells or 0) * partials
-            if step.output in job.output_vars and step.out_mc.dims_known:
+                shuffle_bytes += io_model.serialized_bytes(out_mc) * partials
+                reduce_flops += (out_mc.cells or 0) * partials
+            if step.output in job.output_vars and out_mc.dims_known:
                 timing.reduce_write += io_model.hdfs_write_time(
-                    step.out_mc, params, parallelism=reducers
+                    out_mc, params, parallelism=reducers
                 )
 
     timing.map_compute = map_flops / (params.mr_task_flops * eff_dop)

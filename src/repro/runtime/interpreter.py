@@ -622,15 +622,17 @@ class Interpreter:
                 return value.fmt
             return FileFormat.BINARY_BLOCK
 
-        # refresh step metadata from actual inputs by executing kernels
+        # measure step characteristics from actual inputs by executing
+        # kernels; they stay local, since the plan may be shared
         scratch = {}
         outputs = {}
+        step_mcs = []
         for step in job.steps:
             values = [
                 scratch[op.name] if op.name in scratch else _value(op, frame)
                 for op in step.inputs
             ]
-            step.in_mcs = [
+            in_mcs = [
                 v.mc.copy() for v in values if isinstance(v, MatrixObject)
             ]
             kind, payload, mc = execute_kernel(
@@ -641,16 +643,20 @@ class Interpreter:
                 obj.in_memory = False
                 obj.dirty = False
                 scratch[step.output] = obj
-                step.out_mc = mc.copy()
+                step_mcs.append((mc.copy(), in_mcs))
                 if step.output in job.output_vars:
                     outputs[step.output] = obj
             else:
                 scratch[step.output] = payload
+                step_mcs.append((step.out_mc, in_mcs))
 
-        timing = time_mr_job(
-            job, mc_of, fmt_of, self.resource, self._cluster_view(),
-            self.params
-        )
+        def time_job(extra_lost=0):
+            return time_mr_job(
+                job, step_mcs, mc_of, fmt_of, self.resource,
+                self._cluster_view(extra_lost), self.params,
+            )
+
+        timing = time_job()
         slowdown = (
             self.cluster_load.slowdown(self.clock)
             if self.cluster_load is not None
@@ -660,7 +666,7 @@ class Interpreter:
             self.charge(timing.total * slowdown, "mr_jobs")
         else:
             timing = self._charge_mr_job_with_faults(
-                job, timing, slowdown, mc_of, fmt_of
+                job, timing, slowdown, time_job
             )
         self._emit_mr_samples(timing, slowdown)
         self.result.mr_jobs += 1 + job.extra_job_latency
@@ -728,8 +734,7 @@ class Interpreter:
             p.mr_task_latency * timing.task_latency_units * slowdown,
         )
 
-    def _charge_mr_job_with_faults(self, job, timing, slowdown, mc_of,
-                                   fmt_of):
+    def _charge_mr_job_with_faults(self, job, timing, slowdown, time_job):
         """Charge one MR job's time under fault injection.
 
         Semantic kernel outputs were already computed (faults affect
@@ -741,6 +746,8 @@ class Interpreter:
         view after a node loss.  The retry budget is the injector's
         :class:`~repro.chaos.RetryPolicy`; exhausting it raises the
         typed :class:`~repro.errors.RetryExhaustedError`.
+        ``time_job(extra_lost)`` times the job with ``extra_lost`` more
+        nodes out of this run's cluster view.
 
         Returns the timing of the attempt that finally succeeded (its
         phase breakdown feeds the ``mr.phase.*`` counters).
@@ -788,10 +795,7 @@ class Interpreter:
             else:
                 kill_degraded = 1
             # re-execute the lost containers at reduced parallelism
-            timing = time_mr_job(
-                job, mc_of, fmt_of, self.resource,
-                self._cluster_view(extra_lost=kill_degraded), self.params
-            )
+            timing = time_job(kill_degraded)
 
     def _scratch_path(self, name):
         self._scratch_counter += 1

@@ -3,7 +3,7 @@
 :class:`ElasticMLServer` accepts concurrent tenant submissions against
 one simulated cluster: a bounded thread pool prepares them (compile +
 optimize through shared, locked cross-tenant caches), an
-:class:`~repro.serving.admission.AdmissionPolicy` gates execution on
+:class:`~repro.serving.admission.HeapRulePolicy` gates execution on
 AM-container capacity under the paper's 1.5x-heap rule, and results are
 deterministic per submission regardless of interleaving.
 """
@@ -12,9 +12,7 @@ from repro.serving.admission import (
     AdmissionPolicy,
     ConsistentHashRouter,
     HeapRulePolicy,
-    PackingPolicy,
     PendingRequest,
-    make_policy,
 )
 from repro.serving.server import (
     ElasticMLServer,
@@ -30,12 +28,10 @@ __all__ = [
     "ConsistentHashRouter",
     "ElasticMLServer",
     "HeapRulePolicy",
-    "PackingPolicy",
     "PendingRequest",
     "ProgramCache",
     "ShardedElasticMLServer",
     "Submission",
     "SubmissionResult",
     "default_serving_workers",
-    "make_policy",
 ]

@@ -11,9 +11,10 @@ tenant :class:`Submission`\\ s.  Each submission flows through
    :class:`~repro.api.OptimizerResultCache`, whose hit installs the
    plans of the decision kept on the master);
 2. **admission** — the ticket, not a thread, waits until the paper's
-   1.5x-heap AM container fits under the active
-   :class:`~repro.serving.admission.AdmissionPolicy` (Section 5.3:
-   allocated AM containers bound concurrency);
+   1.5x-heap AM container fits, in arrival order
+   (:class:`~repro.cluster.admission.HeapRulePolicy`; Section 5.3:
+   allocated AM containers bound concurrency, and submissions wait in
+   a FIFO YARN queue);
 3. **execute** — a pool task the grant dispatches (an immediate grant
    runs on the preparing thread): the pipeline's execute stage on a
    private :class:`~repro.runtime.Interpreter` against a per-run HDFS
@@ -42,7 +43,6 @@ from repro.obs import NULL_TRACER, Tracer, use_tracer
 from repro.pipeline import UNSET, ProgramCache, RunPipeline  # noqa: F401
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
 from repro.scripts import SCRIPTS, load_script
-from repro.serving.admission import make_policy
 
 
 #: the error of a ticket still waiting for admission at shutdown
@@ -239,22 +239,21 @@ class ElasticMLServer(RunPipeline, TicketLedger):
     """Multi-tenant serving front end over one simulated cluster.
 
     ``submit()`` returns immediately with an integer ticket; a bounded
-    thread pool prepares submissions concurrently, the admission policy
+    thread pool prepares submissions concurrently, the FIFO heap rule
     gates execution on AM-container capacity, and ``poll()``/``drain()``
     surface :class:`SubmissionResult` records.  Every tenant runs
     through the server's own :class:`~repro.pipeline.RunPipeline`
     stages, so all of them share its belief, calibration collector and
     :class:`~repro.pipeline.ProgramCache` — with each master's
     optimizer decision and run-replay tree — bounded to
-    ``program_cache_entries`` masters.
+    ``program_cache.max_programs`` masters.
     """
 
     def __init__(self, cluster=None, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, config=None,
-                 policy=None, max_workers=None,
-                 queue_limit=1024, retry_policy=None, trace=False,
-                 program_cache_entries=32, model_params=None,
-                 collector=UNSET, recorder=None, admission_cluster=None):
+                 max_workers=None, queue_limit=1024, retry_policy=None,
+                 trace=False, model_params=None, collector=UNSET,
+                 recorder=None, admission_cluster=None):
         config = config if config is not None else SessionConfig()
         RunPipeline.__init__(
             self, config, cluster, params, hdfs, sample_cap,
@@ -262,7 +261,6 @@ class ElasticMLServer(RunPipeline, TicketLedger):
             collector=collector,
         )
         TicketLedger.__init__(self, queue_limit, recorder)
-        self.program_cache.max_programs = program_cache_entries
         #: the capacity admission runs against: the full cluster, or a
         #: shard's node partition (same node size, so reject-vs-wait
         #: verdicts match the unsharded server's); optimizer, cost and
@@ -272,11 +270,9 @@ class ElasticMLServer(RunPipeline, TicketLedger):
             else self.cluster
         )
         self.rm = ResourceManager(self.admission_cluster)
-        #: waiting set + policy + RM; every call is made under
+        #: waiting set + heap rule + RM; every call is made under
         #: ``self._cond`` (the core itself takes no lock)
-        if isinstance(policy, str):
-            policy = make_policy(policy)
-        self.core = AdmissionCore(self.rm, policy)
+        self.core = AdmissionCore(self.rm)
         self.trace = bool(trace)
         #: server-wide telemetry absorbing every submission's tracer
         #: (serving.* counters, one ``tenant.<name>`` root span each)

@@ -16,9 +16,10 @@ Architecture::
     stats()/shutdown()                  (results, stats, final+tracer)
 
 * **Routing** is deterministic: a :class:`ConsistentHashRouter` maps the
-  tenant (or the program, with ``affinity="program"``) to a shard, so a
-  tenant's repeat submissions always land where its masters live, each
-  with its optimizer decision and replay tree (``ProgramCache``).
+  tenant to a shard, so a tenant's repeat submissions always land where
+  its masters live, each with its optimizer decision and replay tree
+  (``ProgramCache``), and each shard server holds the tenant's quota
+  (``tenant_quota_share``) once.
 * **Determinism**: each shard server optimizes and executes against the
   *full* cluster config — only its admission ``ResourceManager`` sees
   the shard's node partition (``admission_cluster``).  Simulated
@@ -56,7 +57,7 @@ from repro.api import SessionConfig
 from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import SimulatedHDFS
 from repro.runtime.matrix import DEFAULT_SAMPLE_CAP
-from repro.serving.admission import ConsistentHashRouter, make_policy
+from repro.serving.admission import ConsistentHashRouter
 from repro.serving.server import (
     ElasticMLServer,
     SubmissionResult,
@@ -141,15 +142,12 @@ class ShardedElasticMLServer(TicketLedger):
 
     def __init__(self, shards=2, cluster=None, params=None, hdfs=None,
                  sample_cap=DEFAULT_SAMPLE_CAP, config=None,
-                 policy="heap-rule", max_workers=None, queue_limit=1024,
-                 retry_policy=None, trace=False, model_params=None,
-                 recorder=None, affinity="tenant"):
+                 max_workers=None, queue_limit=1024, retry_policy=None,
+                 trace=False, model_params=None, recorder=None):
         from repro.cluster import paper_cluster
 
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if isinstance(policy, str):
-            make_policy(policy)  # fail here, not in every shard worker
         super().__init__(queue_limit, recorder)
         self.config = config if config is not None else SessionConfig()
         self.cluster = cluster if cluster is not None else paper_cluster()
@@ -164,12 +162,12 @@ class ShardedElasticMLServer(TicketLedger):
         self.start_method = (
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
-        self.router = ConsistentHashRouter(shards, affinity=affinity)
+        self.router = ConsistentHashRouter(shards)
         #: what every shard's ElasticMLServer is built with, besides
         #: its node partition
         self._server_kwargs = dict(
             cluster=self.cluster, params=params, hdfs=self.hdfs,
-            sample_cap=sample_cap, config=self.config, policy=policy,
+            sample_cap=sample_cap, config=self.config,
             max_workers=max_workers, retry_policy=retry_policy,
             trace=trace, model_params=model_params,
         )
@@ -277,7 +275,7 @@ class ShardedElasticMLServer(TicketLedger):
         fails it at once."""
         if not self._started:
             self._start_locked()
-        _key, shard = self.router.route(submission)
+        shard = self.router.route(submission)
         self._inflight[ticket] = (shard, submission.tenant)
         if shard in self._final_stats:
             self._fail_inflight_locked({shard})

@@ -255,15 +255,9 @@ def build_parser():
                             "(default LinregDS:XS)")
     serve.add_argument("--cols", type=int, default=100,
                        help="feature columns of generated inputs")
-    serve.add_argument("--policy", default="heap-rule",
-                       choices=["heap-rule", "packing"],
-                       help="admission policy (default heap-rule)")
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="shard the server across N worker processes "
                             "(default 1 = single-process server)")
-    serve.add_argument("--affinity", default="tenant",
-                       choices=["tenant", "program"],
-                       help="shard routing affinity (default tenant)")
     serve.add_argument("--serve-workers", type=int, default=None,
                        metavar="N",
                        help="per-server thread-pool size (default: one "
@@ -491,14 +485,11 @@ def cmd_serve(args, session):
 
     common = dict(
         config=session.config,
-        policy=args.policy,
         max_workers=args.serve_workers,
         queue_limit=args.queue_limit,
     )
     if args.shards > 1:
-        server = ShardedElasticMLServer(
-            shards=args.shards, affinity=args.affinity, **common
-        )
+        server = ShardedElasticMLServer(shards=args.shards, **common)
     else:
         server = ElasticMLServer(**common)
     mix = [(name, scenario(size, cols=args.cols)) for name, size in args.mix]
@@ -522,7 +513,6 @@ def cmd_serve(args, session):
     completed = [r for r in results if r.ok]
     latencies = sorted(r.latency_s for r in completed)
     stats.update({
-        "policy": args.policy,
         "shards": args.shards,
         "tenants": args.tenants,
         "wall_s": elapsed,
@@ -538,7 +528,7 @@ def cmd_serve(args, session):
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    print(f"policy: {args.policy}  shards: {args.shards}  "
+    print(f"shards: {args.shards}  "
           f"submissions: {args.tenants}  "
           f"tenant pool: {args.tenant_pool}")
     print("statuses: " + ", ".join(

@@ -105,7 +105,7 @@ def test_dead_shard_fails_its_tickets_exactly_once():
     shard = 1
     tenant = next(
         name for name in (f"t{i}" for i in itertools.count())
-        if server.router.route(Submission(tenant=name, script=""))[1]
+        if server.router.route(Submission(tenant=name, script=""))
         == shard
     )
     doomed = Submission(tenant=tenant, script="LinregDS", args=args)
